@@ -47,7 +47,6 @@ from .network import (
     instance_to_json,
     network_from_json,
     network_to_json,
-    _worker_cap,
 )
 from .reducer import (
     DimensionMismatch,
@@ -134,11 +133,16 @@ def _verify(args: argparse.Namespace) -> int:
     net = network_from_json(_read(args.network))
     gamma = parse_rational(args.gamma) if args.gamma is not None else None
     report = verify(net, instance, gamma=gamma)
+    width = len(net.neurons)
     print(f"loss = {format_rational(report.total_loss)}")
+    print(f"width = {width} hidden units (budget {instance.hidden_neurons})")
     if report.fits:
         print("accept")
         return 0
-    print(f"reject ({len(report.violations)} points off target)")
+    if width > instance.hidden_neurons:
+        print(f"reject ({width} hidden units exceed the budget of {instance.hidden_neurons})")
+    else:
+        print(f"reject ({len(report.violations)} points off target)")
     return 1
 
 
@@ -271,12 +275,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_cap()  # surface a bad ERNN_THREADS value before doing work
         return args.func(args)
-    except NotFitting as exc:
-        print(f"network does not fit the instance (loss = {format_rational(exc.loss)})", file=sys.stderr)
-        return 1
-    except DimensionMismatch as exc:
+    except (NotFitting, DimensionMismatch) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (OSError, ValueError, json.JSONDecodeError, *_ERRORS) as exc:

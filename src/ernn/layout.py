@@ -9,18 +9,21 @@ points, addition points, inversion copy points, weak points) land exactly
 on the intersections of the right measuring lines.
 
 plan() lays a formula out deterministically: same formula and config, same
-layout, byte for byte. realize() turns a layout into labeled data points:
-three points per data line (on three far-right vertical lines whose
-spacing certifies that data from different gadgets cannot be confused) plus
-one point per constraint point. validate() re-checks every geometric
-invariant the reduction's correctness argument leans on, from scratch,
-and reports violations as strings rather than failing fast.
+layout, byte for byte. realize() turns a validated layout into labeled
+data points: three points per data line (on three far-right vertical lines
+whose spacing certifies that data from different gadgets cannot be
+confused) plus one point per constraint point. It samples at the layout's
+verticals without checking them, so a layout that plan() did not return
+must pass validate() first. validate() re-checks every geometric invariant
+the reduction's correctness argument leans on, from scratch, and reports
+violations as strings rather than failing fast.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -229,7 +232,6 @@ LabeledPoint = Tuple[Point2, Tuple[Rational, Rational]]
 @dataclass(frozen=True)
 class Realization:
     points: Tuple[LabeledPoint, ...]
-    verticals: Tuple[Rational, Rational, Rational]
 
 
 def realized_labels(labels: Tuple[Label, Label]) -> Tuple[Rational, Rational]:
@@ -449,21 +451,64 @@ def _build_attempt(formula: EtrInvFormula, config: LayoutConfig, attempt: int) -
     )
 
 
-def _stripe_corners_max_x(placements: Sequence[PlacedGadget]) -> Rational:
-    """Rightmost x over all intersections of stripe boundary lines."""
-    best = Fraction(0)
-    for i, pg in enumerate(placements):
-        pl = pg.placement
-        lines_i = (pl.line_at(Fraction(0)), pl.line_at(pl.template.width))
-        for qg in placements[i + 1:]:
-            ql = qg.placement
-            lines_q = (ql.line_at(Fraction(0)), ql.line_at(ql.template.width))
-            for l1 in lines_i:
-                for l2 in lines_q:
-                    p = intersect(l1, l2)
-                    if isinstance(p, Point2):
-                        best = max(best, p.x1)
-    return best
+class _StripeIndex:
+    """Placements grouped by normal, each group sorted by stripe offset.
+
+    Built in one pass over a placement tuple, it answers every stripe
+    question in this module. holders() is exact whenever the stripes within
+    each group are pairwise disjoint, which overlaps() checks.
+    """
+
+    def __init__(self, placements: Sequence[PlacedGadget]) -> None:
+        self.placements = placements
+        groups: Dict[Direction, List[Tuple[Rational, Rational, int]]] = {}
+        for i, pg in enumerate(placements):
+            groups.setdefault(pg.placement.normal, []).append(pg.placement.stripe() + (i,))
+        self._groups = [(n, sorted(stripes)) for n, stripes in groups.items()]
+        self._los = [[lo for lo, _hi, _i in stripes] for _n, stripes in self._groups]
+
+    def overlaps(self) -> List[str]:
+        """Pairs of parallel placements whose closed stripes meet."""
+        out = []
+        for _n, stripes in self._groups:
+            for (lo1, hi1, i1), (lo2, hi2, i2) in zip(stripes, stripes[1:]):
+                if lo2 <= hi1:
+                    out.append(
+                        f"parallel placements {i1} and {i2} have overlapping stripes "
+                        f"[{lo1}, {hi1}] and [{lo2}, {hi2}]"
+                    )
+        return out
+
+    def holders(self, p: Point2) -> List[int]:
+        """Sorted indices of the placements whose open stripe contains p."""
+        out = []
+        for (n, stripes), los in zip(self._groups, self._los):
+            val = n.n1 * p.x1 + n.n2 * p.x2
+            k = bisect_left(los, val)
+            if k and val < stripes[k - 1][1]:
+                out.append(stripes[k - 1][2])
+        return sorted(out)
+
+    def max_corner_x(self) -> Rational:
+        """Rightmost x over all crossings of stripe boundary lines (at least 0).
+
+        For two fixed normals the crossing's x is linear in the two line
+        offsets, so the maximum is reached at each group's outermost
+        boundaries: its least lo and its greatest hi.
+        """
+        extremes = [
+            (n, (stripes[0][0], max(hi for _lo, hi, _i in stripes)))
+            for n, stripes in self._groups
+        ]
+        best = Fraction(0)
+        for j, (n, offsets_n) in enumerate(extremes):
+            for e, offsets_e in extremes[j + 1:]:
+                for a in offsets_n:
+                    for b in offsets_e:
+                        p = intersect(OrientedLine(n, a), OrientedLine(e, b))
+                        if isinstance(p, Point2):
+                            best = max(best, p.x1)
+        return best
 
 
 def _data_points_on_verticals(
@@ -489,7 +534,7 @@ def _data_points_on_verticals(
 
 
 def _vertical_violations(
-    placements: Sequence[PlacedGadget],
+    index: _StripeIndex,
     verticals: Tuple[Rational, Rational, Rational],
 ) -> List[str]:
     """Separation and purity checks for the three sample verticals.
@@ -503,41 +548,25 @@ def _vertical_violations(
     if not (verticals[1] - verticals[0] == 1 and verticals[2] - verticals[1] == 1):
         out.append(f"verticals {verticals} not at unit spacing")
     try:
-        pts = _data_points_on_verticals(placements, verticals)
+        pts = _data_points_on_verticals(index.placements, verticals)
     except RealizationFailure as exc:
         out.append(str(exc))
         return out
     for v in verticals:
-        heights: List[Tuple[Rational, int]] = [
-            (p.x2, owner) for (p, _labels, owner) in pts if p.x1 == v
-        ]
-        spread: Dict[int, Tuple[Rational, Rational]] = {}
+        heights = sorted((p.x2, owner) for p, _labels, owner in pts if p.x1 == v)
+        by_owner: Dict[int, List[Rational]] = {}
         for y, owner in heights:
-            lo_hi = spread.get(owner)
-            if lo_hi is None:
-                spread[owner] = (y, y)
-            else:
-                spread[owner] = (min(lo_hi[0], y), max(lo_hi[1], y))
-        w = max(hi - lo for lo, hi in spread.values())
-        heights.sort()
-        alpha = None
-        for (y1, o1), (y2, o2) in zip(heights, heights[1:]):
-            if o1 != o2:
-                gap = y2 - y1
-                if alpha is None or gap < alpha:
-                    alpha = gap
-        if alpha is not None and alpha <= w:
+            by_owner.setdefault(owner, []).append(y)
+        w = max(ys[-1] - ys[0] for ys in by_owner.values())
+        gaps = [y2 - y1 for (y1, o1), (y2, o2) in zip(heights, heights[1:]) if o1 != o2]
+        if gaps and min(gaps) <= w:
             out.append(
-                f"vertical x={v}: inter-gadget gap {alpha} does not exceed "
+                f"vertical x={v}: inter-gadget gap {min(gaps)} does not exceed "
                 f"intra-gadget spread {w}"
             )
     for p, _labels, owner in pts:
-        for idx, pg in enumerate(placements):
-            if idx == owner:
-                continue
-            lo, hi = pg.placement.stripe()
-            val = pg.placement.normal.n1 * p.x1 + pg.placement.normal.n2 * p.x2
-            if lo < val < hi:
+        for idx in index.holders(p):
+            if idx != owner:
                 out.append(
                     f"sample point of placement {owner} at ({p.x1}, {p.x2}) lies "
                     f"inside the stripe of placement {idx}"
@@ -551,16 +580,19 @@ def _choose_verticals(
     cpoints: Tuple[ConstraintPoint, ...],
     probes: Tuple[Tuple[str, Point2], ...],
 ) -> Tuple[Rational, Rational, Rational]:
-    right_most = _stripe_corners_max_x(placements)
-    for cp in cpoints:
-        right_most = max(right_most, cp.point.x1)
-    for _v, p in probes:
-        right_most = max(right_most, p.x1)
+    index = _StripeIndex(placements)
+    overlaps = index.overlaps()
+    if overlaps:
+        # validate() would reject the attempt for these whatever the verticals.
+        raise PlacementFailure(overlaps)
+    right_most = max(
+        [index.max_corner_x()] + [cp.point.x1 for cp in cpoints] + [p.x1 for _v, p in probes]
+    )
     base = Fraction(math.ceil(right_most))
     for j in range(12):
         v1 = base + config.vertical_margin * (j + 1)
         verticals = (v1, v1 + 1, v1 + 2)
-        if not _vertical_violations(placements, verticals):
+        if not _vertical_violations(index, verticals):
             return verticals
     raise PlacementFailure(
         [f"no clean vertical position found right of x={base}"]
@@ -591,32 +623,18 @@ def plan(formula: EtrInvFormula, config: LayoutConfig = DEFAULT_CONFIG) -> Layou
 # Realization
 # ---------------------------------------------------------------------------
 
-def realize(layout: Layout, max_shift_retries: int = 8) -> Realization:
+def realize(layout: Layout) -> Realization:
     """Labeled training points for a layout: 3 per data line + constraints.
 
-    If the layout's verticals fail their separation checks (possible for
-    hand-built layouts), they are shifted right by the configured margin a
-    bounded number of times before giving up.
+    The layout must be validated: the data lines are sampled at
+    layout.verticals as they stand, and only validate() certifies that
+    those verticals separate the gadgets.
     """
-    margin = layout.config.vertical_margin
-    last: List[str] = []
-    for j in range(max_shift_retries + 1):
-        verticals = (
-            layout.verticals[0] + margin * j,
-            layout.verticals[1] + margin * j,
-            layout.verticals[2] + margin * j,
-        )
-        last = _vertical_violations(layout.placements, verticals)
-        if last:
-            continue
-        data = _data_points_on_verticals(layout.placements, verticals)
-        points: List[LabeledPoint] = [(p, labels) for p, labels, _owner in data]
-        for cp in layout.constraint_points:
-            points.append((cp.point, realized_labels(cp.labels)))
-        return Realization(points=tuple(points), verticals=verticals)
-    raise RealizationFailure(
-        "vertical sampling failed after shifts:\n  " + "\n  ".join(last)
-    )
+    data = _data_points_on_verticals(layout.placements, layout.verticals)
+    points: List[LabeledPoint] = [(p, labels) for p, labels, _owner in data]
+    for cp in layout.constraint_points:
+        points.append((cp.point, realized_labels(cp.labels)))
+    return Realization(points=tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -664,26 +682,17 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         if pg.placement.normal.n2 == 0:
             out.append(f"placement {i}: vertical data lines")
 
-    # (b) stripes of parallel gadgets are pairwise disjoint.
-    by_normal: Dict[Tuple[Rational, Rational], List[int]] = {}
-    for i, pg in enumerate(placements):
-        n = pg.placement.normal
-        by_normal.setdefault((n.n1, n.n2), []).append(i)
-    for idxs in by_normal.values():
-        stripes = sorted(
-            (placements[i].placement.stripe() + (i,)) for i in idxs
-        )
-        for (lo1, hi1, i1), (lo2, hi2, i2) in zip(stripes, stripes[1:]):
-            if lo2 <= hi1:
-                out.append(
-                    f"parallel placements {i1} and {i2} have overlapping stripes "
-                    f"[{lo1}, {hi1}] and [{lo2}, {hi2}]"
-                )
+    # (b) stripes of parallel gadgets are pairwise disjoint. Every later
+    # check reads stripes through the index, which relies on it.
+    index = _StripeIndex(placements)
+    overlaps = index.overlaps()
+    if overlaps:
+        return tuple(out + overlaps)
 
     # (c) vertical sample lines separate gadgets; (d) they sit at unit
     # spacing right of every stripe crossing.
-    out.extend(_vertical_violations(placements, layout.verticals))
-    corner_x = _stripe_corners_max_x(placements)
+    out.extend(_vertical_violations(index, layout.verticals))
+    corner_x = index.max_corner_x()
     if layout.verticals[0] <= corner_x:
         out.append(
             f"first vertical x={layout.verticals[0]} is not right of all stripe "
@@ -692,15 +701,13 @@ def validate(layout: Layout) -> Tuple[str, ...]:
 
     # (e) constraint points: exactly on their defining lines, inside their
     # member stripes, with the labels their purpose dictates.
+    cp_holders = [index.holders(cp.point) for cp in layout.constraint_points]
     for ci, cp in enumerate(layout.constraint_points):
         for line in _expected_lines(layout, cp):
             if signed_value(line, cp.point) != 0:
                 out.append(f"constraint point {ci} misses a defining line")
         for idx in cp.member_of:
-            pl = placements[idx].placement
-            val = pl.normal.n1 * cp.point.x1 + pl.normal.n2 * cp.point.x2
-            lo, hi = pl.stripe()
-            if not (lo < val < hi):
+            if idx not in cp_holders[ci]:
                 out.append(
                     f"constraint point {ci} is outside member stripe {idx}"
                 )
@@ -743,12 +750,8 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         allowed = set(cp.member_of)
         if cp.lower_bound_gadget is not None:
             allowed.add(cp.lower_bound_gadget)
-        for idx, pg in enumerate(placements):
-            if idx in allowed:
-                continue
-            lo, hi = pg.placement.stripe()
-            val = pg.placement.normal.n1 * cp.point.x1 + pg.placement.normal.n2 * cp.point.x2
-            if lo < val < hi:
+        for idx in cp_holders[ci]:
+            if idx not in allowed:
                 out.append(
                     f"constraint point {ci} strays into the stripe of placement {idx}"
                 )
@@ -760,12 +763,8 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         upper = _canonical_upper(placements, own)
         if signed_value(upper, p) != 0:
             out.append(f"probe for {var} is off its measuring line")
-        for idx, pg in enumerate(placements):
-            if idx == own:
-                continue
-            lo, hi = pg.placement.stripe()
-            val = pg.placement.normal.n1 * p.x1 + pg.placement.normal.n2 * p.x2
-            if lo < val < hi:
+        for idx in index.holders(p):
+            if idx != own:
                 out.append(f"probe for {var} strays into the stripe of placement {idx}")
 
     return tuple(out)
@@ -960,62 +959,66 @@ def layout_to_json(layout: Layout) -> str:
 
 
 def layout_from_json(text: str) -> Layout:
-    doc = json.loads(text)
-    cfg = doc["config"]
-    pal_doc = cfg["palette"]
-    config = LayoutConfig(
-        spacing=parse_rational(cfg["spacing"]),
-        vertical_margin=parse_rational(cfg["vertical_margin"]),
-        palette=Palette(
-            canonical=_direction_from_json(pal_doc["canonical"]),
-            copies=tuple(_direction_from_json(d) for d in pal_doc["copies"]),
-            inversion=_direction_from_json(pal_doc["inversion"]),
-            lower_bound=_direction_from_json(pal_doc["lower_bound"]),
-        ),
-    )
-    placements = []
-    for item in doc["placements"]:
-        if item["kind"] == "variable":
-            tpl = template(Variable())
-        elif item["kind"] == "inversion":
-            tpl = template(Inversion())
-        elif item["kind"] == "lower_bound":
-            tpl = template(LowerBound(tuple(item["active_dims"])))
-        else:
-            raise LayoutError(f"unknown gadget kind {item['kind']!r}")
-        placements.append(
-            PlacedGadget(
-                GadgetPlacement(
-                    tpl,
-                    _direction_from_json(item["normal"]),
-                    parse_rational(item["base_offset"]),
-                ),
-                _role_from_json(item),
-            )
+    """Parse a sidecar; a document of the wrong shape raises LayoutError."""
+    try:
+        doc = json.loads(text)
+        cfg = doc["config"]
+        pal_doc = cfg["palette"]
+        config = LayoutConfig(
+            spacing=parse_rational(cfg["spacing"]),
+            vertical_margin=parse_rational(cfg["vertical_margin"]),
+            palette=Palette(
+                canonical=_direction_from_json(pal_doc["canonical"]),
+                copies=tuple(_direction_from_json(d) for d in pal_doc["copies"]),
+                inversion=_direction_from_json(pal_doc["inversion"]),
+                lower_bound=_direction_from_json(pal_doc["lower_bound"]),
+            ),
         )
-    cpoints = []
-    for item in doc["constraint_points"]:
-        cpoints.append(
-            ConstraintPoint(
-                point=Point2(parse_rational(item["x"][0]), parse_rational(item["x"][1])),
-                labels=(
-                    _label_from_json(item["labels"][0]),
-                    _label_from_json(item["labels"][1]),
-                ),
-                purpose=_purpose_from_json(item),
-                member_of=tuple(item["member_of"]),
-                lower_bound_gadget=item["lower_bound_gadget"],
+        placements = []
+        for item in doc["placements"]:
+            if item["kind"] == "variable":
+                tpl = template(Variable())
+            elif item["kind"] == "inversion":
+                tpl = template(Inversion())
+            elif item["kind"] == "lower_bound":
+                tpl = template(LowerBound(tuple(item["active_dims"])))
+            else:
+                raise LayoutError(f"unknown gadget kind {item['kind']!r}")
+            placements.append(
+                PlacedGadget(
+                    GadgetPlacement(
+                        tpl,
+                        _direction_from_json(item["normal"]),
+                        parse_rational(item["base_offset"]),
+                    ),
+                    _role_from_json(item),
+                )
             )
+        cpoints = []
+        for item in doc["constraint_points"]:
+            cpoints.append(
+                ConstraintPoint(
+                    point=Point2(parse_rational(item["x"][0]), parse_rational(item["x"][1])),
+                    labels=(
+                        _label_from_json(item["labels"][0]),
+                        _label_from_json(item["labels"][1]),
+                    ),
+                    purpose=_purpose_from_json(item),
+                    member_of=tuple(item["member_of"]),
+                    lower_bound_gadget=item["lower_bound_gadget"],
+                )
+            )
+        v1, v2, v3 = (parse_rational(v) for v in doc["verticals"])
+        probes = tuple(
+            (var, Point2(parse_rational(xy[0]), parse_rational(xy[1])))
+            for var, xy in doc["probes"]
         )
-    verticals = tuple(parse_rational(v) for v in doc["verticals"])
-    probes = tuple(
-        (var, Point2(parse_rational(xy[0]), parse_rational(xy[1])))
-        for var, xy in doc["probes"]
-    )
-    return Layout(
-        config=config,
-        placements=tuple(placements),
-        constraint_points=tuple(cpoints),
-        verticals=verticals,
-        probes=probes,
-    )
+        return Layout(
+            config=config,
+            placements=tuple(placements),
+            constraint_points=tuple(cpoints),
+            verticals=(v1, v2, v3),
+            probes=probes,
+        )
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise LayoutError(f"malformed layout JSON: {exc!r}") from exc

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -101,9 +99,10 @@ class FitReport:
 def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
     """Exact squared-error loss of net on the instance's points.
 
-    fits is True iff total loss <= gamma; with gamma = 0 that means every
-    labeled point is hit exactly. violations lists (index, point, wanted,
-    got) for each missed point.
+    fits is True iff total loss <= gamma and the network has at most the
+    instance's hidden_neurons units; with gamma = 0 the loss condition means
+    every labeled point is hit exactly. violations lists (index, point,
+    wanted, got) for each missed point.
     """
     loss = Fraction(0)
     violations: List[Tuple[int, Point2, Vec2, Vec2]] = []
@@ -114,7 +113,8 @@ def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
         if d1 != 0 or d2 != 0:
             violations.append((i, p, want, got))
             loss += d1 * d1 + d2 * d2
-    return FitReport(fits=loss <= instance.gamma, total_loss=loss, violations=tuple(violations))
+    fits = loss <= instance.gamma and len(net.neurons) <= instance.hidden_neurons
+    return FitReport(fits=fits, total_loss=loss, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +269,6 @@ def breaklines(net: Network) -> Tuple[BreaklineDescriptor, ...]:
 # Exact gradient bound over the bend-line arrangement
 # ---------------------------------------------------------------------------
 
-def _worker_cap() -> int:
-    raw = os.environ.get("ERNN_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"ERNN_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"ERNN_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def max_gradient_norm_bound(net: Network) -> Rational:
     """Largest squared gradient norm of either output over all cells.
 
@@ -376,16 +365,18 @@ def max_gradient_norm_bound(net: Network) -> Rational:
             )
         return best
 
-    cap = _worker_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            return max(pool.map(column_max, columns))
     return max(column_max(x0) for x0 in columns)
 
 
 # ---------------------------------------------------------------------------
 # JSON formats
 # ---------------------------------------------------------------------------
+
+# What reading a JSON document of the wrong shape raises: a missing key, a
+# list where an object belongs, too few items, a number where a string
+# belongs, or a string that is not a rational.
+_MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError)
+
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
@@ -407,13 +398,16 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
-    data = json.loads(text)
-    neurons = []
-    for item in data["neurons"]:
-        a1, a2 = (parse_rational(s) for s in item["a"])
-        c1, c2 = (parse_rational(s) for s in item["c"])
-        neurons.append(HiddenNeuron(a1, a2, parse_rational(item["b"]), c1, c2))
-    return Network(tuple(neurons))
+    try:
+        data = json.loads(text)
+        neurons = []
+        for item in data["neurons"]:
+            a1, a2 = (parse_rational(s) for s in item["a"])
+            c1, c2 = (parse_rational(s) for s in item["c"])
+            neurons.append(HiddenNeuron(a1, a2, parse_rational(item["b"]), c1, c2))
+        return Network(tuple(neurons))
+    except _MALFORMED as exc:
+        raise NetworkError(f"malformed network JSON: {exc!r}") from exc
 
 
 def instance_to_json(instance: TrainInstance) -> str:
@@ -433,14 +427,17 @@ def instance_to_json(instance: TrainInstance) -> str:
 
 
 def instance_from_json(text: str) -> TrainInstance:
-    data = json.loads(text)
-    points = []
-    for item in data["points"]:
-        x1, x2 = (parse_rational(s) for s in item["x"])
-        y1, y2 = (parse_rational(s) for s in item["y"])
-        points.append((Point2(x1, x2), (y1, y2)))
-    return TrainInstance(
-        hidden_neurons=int(data["hidden_neurons"]),
-        gamma=parse_rational(data["gamma"]),
-        points=tuple(points),
-    )
+    try:
+        data = json.loads(text)
+        points = []
+        for item in data["points"]:
+            x1, x2 = (parse_rational(s) for s in item["x"])
+            y1, y2 = (parse_rational(s) for s in item["y"])
+            points.append((Point2(x1, x2), (y1, y2)))
+        return TrainInstance(
+            hidden_neurons=int(data["hidden_neurons"]),
+            gamma=parse_rational(data["gamma"]),
+            points=tuple(points),
+        )
+    except _MALFORMED as exc:
+        raise NetworkError(f"malformed instance JSON: {exc!r}") from exc

@@ -32,10 +32,12 @@ from .layout import (
     InversionRole,
     Layout,
     LayoutConfig,
+    LayoutError,
     LowerBoundRole,
     DEFAULT_CONFIG,
     plan,
     realize,
+    validate,
 )
 from .network import FitReport, Network, TrainInstance, evaluate, exact_fit
 
@@ -60,8 +62,11 @@ class DepthUnderflow(ReducerError):
 
 
 class NotFitting(ReducerError):
-    def __init__(self, loss: Rational) -> None:
-        super().__init__(f"network does not fit the instance (loss {loss})")
+    def __init__(self, loss: Rational, width: int, budget: int) -> None:
+        why = f"loss = {loss}"
+        if width > budget:
+            why += f", {width} hidden units exceed the budget of {budget}"
+        super().__init__(f"network does not fit the instance ({why})")
         self.loss = loss
 
 
@@ -95,18 +100,28 @@ def compile_formula(
     formula: EtrInvFormula, config: LayoutConfig = DEFAULT_CONFIG
 ) -> ReductionBundle:
     """Deterministic reduction of a formula to a training instance."""
-    return bundle_from_layout(formula, plan(formula, config))
+    return _bundle(formula, plan(formula, config))
 
 
 def bundle_from_layout(formula: EtrInvFormula, layout: Layout) -> ReductionBundle:
-    """Finish the reduction for an already planned layout.
+    """Finish the reduction for a layout that plan() did not just return.
 
-    Useful when the layout came from a sidecar file; compile_formula is
-    plan() followed by this.
+    Useful when the layout came from a sidecar file. The layout is
+    validated first; LayoutError lists its violations if it fails.
     """
+    try:
+        violations = validate(layout)
+    except (IndexError, KeyError) as exc:
+        # a constraint point naming a placement or variable that is not there
+        raise LayoutError(f"layout refers to a missing placement or variable: {exc!r}") from exc
+    if violations:
+        raise LayoutError("layout fails validation:\n  " + "\n  ".join(violations))
+    return _bundle(formula, layout)
+
+
+def _bundle(formula: EtrInvFormula, layout: Layout) -> ReductionBundle:
+    """Realize a validated layout and count what the instance holds."""
     realization = realize(layout)
-    if realization.verticals != layout.verticals:
-        layout = replace(layout, verticals=realization.verticals)
 
     n_variable = 0
     n_inversion = 0
@@ -226,14 +241,9 @@ def verify(
     net: Network, instance: TrainInstance, gamma: Optional[Rational] = None
 ) -> FitReport:
     """Exact verification; gamma overrides the instance's target if given."""
-    report = exact_fit(net, instance)
-    if gamma is not None and gamma != instance.gamma:
-        report = FitReport(
-            fits=report.total_loss <= gamma,
-            total_loss=report.total_loss,
-            violations=report.violations,
-        )
-    return report
+    if gamma is not None:
+        instance = replace(instance, gamma=gamma)
+    return exact_fit(net, instance)
 
 
 def extract(bundle: ReductionBundle, net: Network) -> Dict[str, Fraction]:
@@ -245,7 +255,7 @@ def extract(bundle: ReductionBundle, net: Network) -> Dict[str, Fraction]:
     """
     report = exact_fit(net, bundle.instance)
     if not report.fits:
-        raise NotFitting(report.total_loss)
+        raise NotFitting(report.total_loss, len(net.neurons), bundle.instance.hidden_neurons)
 
     out: Dict[str, Fraction] = {}
     for var, probe in bundle.layout.probes:

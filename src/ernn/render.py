@@ -149,7 +149,7 @@ def render_svg(layout: Layout, scale: float = 0.05) -> str:
                     f'stroke="{color}" stroke-width="1" stroke-opacity="0.5"/>'
                 )
 
-    for v in realization.verticals:
+    for v in layout.verticals:
         out.append(
             f'<line x1="{px(v)}" y1="{py(ymax)}" x2="{px(v)}" y2="{py(ymin)}" '
             'stroke="#555555" stroke-width="2" stroke-dasharray="12 8"/>'

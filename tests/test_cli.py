@@ -141,6 +141,52 @@ def test_unsatisfying_assignment_is_exit_2(workspace, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_bad_thread_env_is_exit_2(workspace, monkeypatch, capsys):
-    monkeypatch.setenv("ERNN_THREADS", "zero")
-    assert run(["compile", "f.ec"]) == 2
+def test_wrong_shape_network_json_is_exit_2(workspace, capsys):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    (workspace / "list.json").write_text("[]")
+    assert run(["verify", "list.json", "inst.json"]) == 2
+    assert "malformed network JSON" in capsys.readouterr().err
+
+
+def test_verify_rejects_network_over_width_budget(workspace, capsys):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    net = json.loads((workspace / "net.json").read_text())
+    dead = {"a": ["0", "1"], "b": "0", "c": ["0", "0"]}
+    net["neurons"] += [dead] * 5
+    (workspace / "wide.json").write_text(json.dumps(net))
+    capsys.readouterr()
+    assert run(["verify", "wide.json", "inst.json"]) == 1
+    out = capsys.readouterr().out
+    assert "loss = 0" in out
+    assert "width = 65 hidden units (budget 60)" in out
+    assert "reject (65 hidden units exceed the budget of 60)" in out
+    assert run(["verify", "wide.json", "inst.json", "--gamma", "1"]) == 1
+    assert run(["extract", "wide.json", "--layout", "inst.layout.json"]) == 1
+    assert "exceed the budget of 60" in capsys.readouterr().err
+
+
+def test_extract_rejects_sidecar_with_moved_verticals(workspace, capsys):
+    from fractions import Fraction
+
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    doc = json.loads((workspace / "inst.layout.json").read_text())
+    # One margin and a half to the left: the gadgets' samples no longer
+    # separate there, and a sampler that shifted right by whole margins
+    # would land on a clean position instead of reporting it.
+    doc["verticals"] = [str(Fraction(v) - Fraction(101, 2)) for v in doc["verticals"]]
+    (workspace / "moved.json").write_text(json.dumps(doc))
+    assert run(["extract", "net.json", "--layout", "moved.json"]) == 2
+    assert "layout fails validation" in capsys.readouterr().err
+    assert run(["witness", "f.ec", "a.txt", "--layout", "moved.json"]) == 2
+
+
+def test_extract_rejects_sidecar_with_dangling_reference(workspace, capsys):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    doc = json.loads((workspace / "inst.layout.json").read_text())
+    doc["constraint_points"][0]["member_of"] = [99, 98]
+    (workspace / "dangling.json").write_text(json.dumps(doc))
+    assert run(["extract", "net.json", "--layout", "dangling.json"]) == 2
+    assert "missing placement" in capsys.readouterr().err

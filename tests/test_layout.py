@@ -3,18 +3,32 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ernn.formula import parse_formula
-from ernn.gadgets import AtLeast, Exact, LowerBound, Variable
-from ernn.geometry import signed_value
+from ernn.gadgets import (
+    AtLeast,
+    Exact,
+    GadgetPlacement,
+    Inversion,
+    LowerBound,
+    Variable,
+    template,
+)
+from ernn.geometry import PARALLEL, Point2, intersect, signed_value
 from ernn.layout import (
     DEFAULT_CONFIG,
+    DEFAULT_PALETTE,
     AdditionCopyRole,
     CanonicalRole,
     InversionRole,
     LayoutConfig,
+    LayoutError,
     LowerBoundRole,
+    PlacedGadget,
     PlacementFailure,
+    _StripeIndex,
     formula_from_layout,
     layout_from_json,
     layout_to_json,
@@ -96,7 +110,7 @@ def test_realize_makes_three_points_per_data_line():
         len(pg.placement.template.data_entries) for pg in layout.placements
     )
     assert len(realization.points) == 3 * data_lines + len(layout.constraint_points)
-    v1, v2, v3 = realization.verticals
+    v1, v2, v3 = layout.verticals
     assert v2 - v1 == 1 and v3 - v2 == 1
     # realized weak labels drop by exactly 2
     realized = dict()
@@ -114,8 +128,6 @@ def test_verticals_clear_all_stripe_corners():
     layout = plan(parse_formula("add X Y Z\ninv X W\n"), DEFAULT_CONFIG)
     corners = []
     pls = [pg.placement for pg in layout.placements]
-    from ernn.geometry import PARALLEL, intersect
-
     for i, a in enumerate(pls):
         for b in pls[i + 1 :]:
             for la in (a.line_at(F(0)), a.line_at(a.template.width)):
@@ -124,6 +136,7 @@ def test_verticals_clear_all_stripe_corners():
                     if p is not PARALLEL:
                         corners.append(p.x1)
     assert layout.verticals[0] > max(corners)
+    assert _StripeIndex(layout.placements).max_corner_x() == max(corners)
 
 
 def test_repeated_variable_inversion_cannot_be_placed():
@@ -148,6 +161,20 @@ def test_layout_json_round_trip():
     assert layout_to_json(back) == s
 
 
+@pytest.mark.parametrize("drop", [None, "placements", "verticals"])
+def test_layout_json_rejects_wrong_shape(drop):
+    import json
+
+    if drop is None:
+        text = "[]"
+    else:
+        doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"), DEFAULT_CONFIG)))
+        del doc[drop]
+        text = json.dumps(doc)
+    with pytest.raises(LayoutError):
+        layout_from_json(text)
+
+
 def test_formula_recoverable_from_roles():
     formula = parse_formula("add X Y Z\nadd Y Z W\ninv X W\n")
     layout = plan(formula, DEFAULT_CONFIG)
@@ -169,3 +196,81 @@ def test_validate_flags_tampered_layout():
         ),
     )
     assert validate(bad) != ()
+
+
+def test_validate_stops_after_overlapping_parallel_stripes():
+    import dataclasses
+
+    layout = plan(parse_formula("inv X Y\n"), DEFAULT_CONFIG)
+    # Slide canonical Y onto canonical X: every later check would read the
+    # stripes through an index that assumes parallel stripes are disjoint.
+    x, y = layout.placements[0], layout.placements[1]
+    moved = dataclasses.replace(
+        y,
+        placement=dataclasses.replace(
+            y.placement, base_offset=x.placement.base_offset + 1
+        ),
+    )
+    bad = dataclasses.replace(
+        layout, placements=(x, moved) + layout.placements[2:]
+    )
+    assert validate(bad) == (
+        "parallel placements 0 and 1 have overlapping stripes [0, 16] and [1, 17]",
+    )
+
+
+_TEMPLATES = (template(Variable()), template(Inversion()), template(LowerBound((1,))))
+_offsets = st.fractions(min_value=-60, max_value=60, max_denominator=7)
+
+
+@st.composite
+def _disjoint_stripes(draw):
+    """Placements on the palette normals, parallel stripes pairwise disjoint."""
+    placements = []
+    for normal in DEFAULT_PALETTE.all_directions():
+        offset = draw(_offsets)
+        for _ in range(draw(st.integers(0, 3))):
+            tpl = draw(st.sampled_from(_TEMPLATES))
+            placements.append(GadgetPlacement(tpl, normal, offset))
+            offset += tpl.width + draw(st.fractions(min_value=F(1, 7), max_value=20))
+    order = draw(st.permutations(range(len(placements))))
+    return tuple(PlacedGadget(placements[i], CanonicalRole("X")) for i in order)
+
+
+@st.composite
+def _points(draw, placements):
+    """Random points, some pinned onto a stripe boundary."""
+    p = Point2(draw(_offsets), draw(_offsets))
+    if placements and draw(st.booleans()):
+        pl = draw(st.sampled_from(placements)).placement
+        n = pl.normal
+        edge = draw(st.sampled_from(pl.stripe()))
+        p = Point2(p.x1, (edge - n.n1 * p.x1) / n.n2)
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stripe_index_matches_linear_scans(data):
+    placements = data.draw(_disjoint_stripes())
+    index = _StripeIndex(placements)
+    assert index.overlaps() == []
+    for _ in range(5):
+        p = data.draw(_points(placements))
+        scan = [
+            i
+            for i, pg in enumerate(placements)
+            if pg.placement.stripe()[0]
+            < pg.placement.normal.n1 * p.x1 + pg.placement.normal.n2 * p.x2
+            < pg.placement.stripe()[1]
+        ]
+        assert index.holders(p) == scan
+    best = F(0)
+    for i, a in enumerate(placements):
+        for b in placements[i + 1:]:
+            for la in (a.placement.line_at(F(0)), a.placement.line_at(a.placement.template.width)):
+                for lb in (b.placement.line_at(F(0)), b.placement.line_at(b.placement.template.width)):
+                    q = intersect(la, lb)
+                    if q is not PARALLEL:
+                        best = max(best, q.x1)
+    assert index.max_corner_x() == best

@@ -15,6 +15,7 @@ from ernn.network import (
     HiddenNeuron,
     InvalidSpec,
     Network,
+    NetworkError,
     TrainInstance,
     breaklines,
     cpwl_to_network,
@@ -212,10 +213,19 @@ def test_instance_json_round_trip_and_shape():
     "text",
     [
         "{}",
+        "[]",
         '{"neurons": [{"a": ["1"], "b": "0", "c": ["1", "0"]}]}',
         '{"neurons": [{"a": ["1", "x"], "b": "0", "c": ["1", "0"]}]}',
+        '{"neurons": [{"a": ["1", "0"], "c": ["1", "0"]}]}',
+        '{"neurons": [{"a": [1, 0], "b": "0", "c": ["1", "0"]}]}',
     ],
 )
 def test_network_json_rejects_malformed(text):
-    with pytest.raises((ValueError, KeyError)):
+    with pytest.raises(NetworkError):
         network_from_json(text)
+
+
+@pytest.mark.parametrize("text", ["[]", '{"gamma": "0", "points": []}', '{"points": [{"x": ["1", "2"]}]}'])
+def test_instance_json_rejects_malformed(text):
+    with pytest.raises(NetworkError):
+        instance_from_json(text)

@@ -1,12 +1,14 @@
 """Compile, witness, verify, extract: the whole reduction pipeline."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from ernn.formula import parse_formula
-from ernn.network import Network, evaluate
+from ernn.layout import layout_to_json
+from ernn.network import HiddenNeuron, Network, evaluate, instance_to_json
 from ernn.reducer import (
     DimensionMismatch,
     NotFitting,
@@ -134,3 +136,36 @@ def test_chained_formula_counts():
     assert c.inversion_gadgets == 0
     assert c.lower_bound_gadgets == c.variable_gadgets
     assert c.hidden_neurons == 4 * c.variable_gadgets + 3 * c.lower_bound_gadgets
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (
+            "add X Y Z\ninv X W\n",
+            "749f6377cc2321b46cbf96ec85287f4215076d4352a3a02001ce6943a162f7e5",
+        ),
+        (
+            # F_2, whose first clean plan attempt is attempt 2
+            "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
+            "05bca01e607a68b5e152e60c129ddde6f342e83563237fc54728432912f876b6",
+        ),
+    ],
+)
+def test_compiled_bytes_are_pinned(text, digest):
+    bundle = compile_formula(parse_formula(text))
+    blob = instance_to_json(bundle.instance) + layout_to_json(bundle.layout)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_width_budget_is_part_of_the_fit():
+    bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
+    net = witness(bundle, {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)})
+    dead = HiddenNeuron(F(0), F(1), F(0), F(0), F(0))
+    wide = Network(net.neurons + (dead,) * 5)
+    report = verify(wide, bundle.instance)
+    assert report.total_loss == 0 and report.violations == ()
+    assert not report.fits
+    assert not verify(wide, bundle.instance, gamma=F(1)).fits
+    with pytest.raises(NotFitting, match="65 hidden units exceed the budget of 60"):
+        extract(bundle, wide)

@@ -21,7 +21,7 @@ from .formula import (
     parse_formula,
 )
 from .geometry import Rational, format_rational, parse_rational
-from .layout import DEFAULT_CONFIG, Layout, LayoutConfig, plan, realize
+from .layout import Layout, plan, realize
 from .network import (
     HiddenNeuron,
     Network,
@@ -40,14 +40,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Add",
-    "DEFAULT_CONFIG",
     "EtrInvFormula",
     "FormulaError",
     "FormulaSyntaxError",
     "HiddenNeuron",
     "Inv",
     "Layout",
-    "LayoutConfig",
     "Network",
     "Rational",
     "ReductionBundle",

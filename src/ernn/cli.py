@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,8 +33,6 @@ from .formula import (
 )
 from .geometry import GeometryError, format_rational, parse_rational
 from .layout import (
-    DEFAULT_CONFIG,
-    LayoutConfig,
     LayoutError,
     formula_from_layout,
     layout_from_json,
@@ -71,24 +68,6 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _config_from_args(args: argparse.Namespace) -> LayoutConfig:
-    spacing = getattr(args, "spacing", None)
-    margin = getattr(args, "vertical_margin", None)
-    if spacing is None and margin is None:
-        return DEFAULT_CONFIG
-    return LayoutConfig(
-        spacing=Fraction(spacing if spacing is not None else DEFAULT_CONFIG.spacing),
-        vertical_margin=Fraction(margin if margin is not None else DEFAULT_CONFIG.vertical_margin),
-    )
-
-
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--spacing", type=int, default=None, help="gadget grid spacing (default 1000)")
-    sub.add_argument(
-        "--vertical-margin", type=int, default=None, help="gap before the first sample vertical"
-    )
-
-
 def _layout_sidecar(instance_path: str) -> str:
     p = Path(instance_path)
     return str(p.with_name(p.stem + ".layout.json"))
@@ -96,7 +75,7 @@ def _layout_sidecar(instance_path: str) -> str:
 
 def _compile(args: argparse.Namespace) -> int:
     formula = parse_formula(_read(args.formula))
-    bundle = compile_formula(formula, _config_from_args(args))
+    bundle = compile_formula(formula)
     _write(args.output, instance_to_json(bundle.instance))
     layout_path = args.layout or _layout_sidecar(args.output)
     _write(layout_path, layout_to_json(bundle.layout))
@@ -121,7 +100,7 @@ def _witness(args: argparse.Namespace) -> int:
             raise LayoutError(f"{args.layout} was compiled from a different formula")
         bundle = bundle_from_layout(formula, layout)
     else:
-        bundle = compile_formula(formula, _config_from_args(args))
+        bundle = compile_formula(formula)
     net = witness(bundle, assignment)
     _write(args.output, network_to_json(net))
     print(f"witness network with {len(net.neurons)} hidden units -> {args.output}")
@@ -186,7 +165,7 @@ def _roundtrip(args: argparse.Namespace) -> int:
         except NotFoundAtScale as exc:
             print(str(exc), file=sys.stderr)
             return 1
-    bundle = compile_formula(formula, _config_from_args(args))
+    bundle = compile_formula(formula)
     c = bundle.counts
     print(f"compiled: {c.hidden_neurons} hidden units, {c.data_points} points")
     net = witness(bundle, assignment)
@@ -226,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("-o", "--output", default="instance.json")
     p.add_argument("--layout", default=None, help="layout sidecar path (default: <output>.layout.json)")
-    _add_config_flags(p)
     p.set_defaults(func=_compile)
 
     p = subs.add_parser("witness", help="formula + assignment -> exact-fit network JSON")
@@ -234,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("assignment")
     p.add_argument("--layout", default=None, help="reuse a saved layout sidecar instead of replanning")
     p.add_argument("-o", "--output", default="network.json")
-    _add_config_flags(p)
     p.set_defaults(func=_witness)
 
     p = subs.add_parser("verify", help="network + instance -> accept/reject")
@@ -259,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--assignment", default=None, help="assignment file (default: solve first)")
     p.add_argument("--denom-bound", type=int, default=12)
-    _add_config_flags(p)
     p.set_defaults(func=_roundtrip)
 
     p = subs.add_parser("render", help="layout sidecar -> SVG")

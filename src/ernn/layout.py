@@ -8,8 +8,8 @@ so that the few points where two gadgets must talk to each other (copy
 points, addition points, inversion copy points, weak points) land exactly
 on the intersections of the right measuring lines.
 
-plan() lays a formula out deterministically: same formula and config, same
-layout, byte for byte. realize() turns a validated layout into labeled
+plan() lays a formula out deterministically: same formula, same layout,
+byte for byte. realize() turns a validated layout into labeled
 data points: three points per data line (on three far-right vertical lines
 whose spacing certifies that data from different gadgets cannot be
 confused) plus one point per constraint point. It samples at the layout's
@@ -71,67 +71,29 @@ class RealizationFailure(LayoutError):
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Fixed geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Palette:
-    """Normals for each gadget family, pairwise non-parallel, none vertical.
+# Distance between canonical stripes and between gadget columns. The widest
+# stripe is 19 units across measured along its normal and stretches by at
+# most 13/5 on a vertical line, so this leaves every gadget far apart.
+SPACING = Fraction(1000)
+# Step from the rightmost stripe crossing to each candidate position of the
+# first sample vertical.
+VERTICAL_MARGIN = Fraction(50)
 
-    The three copy slots of an addition use three distinct normals so the
-    copies fan out from the shared addition point without overlapping.
-    """
-
-    canonical: Direction
-    copies: Tuple[Direction, Direction, Direction]
-    inversion: Direction
-    lower_bound: Direction
-
-    def all_directions(self) -> Tuple[Direction, ...]:
-        return (self.canonical,) + self.copies + (self.inversion, self.lower_bound)
-
-    def __post_init__(self) -> None:
-        dirs = self.all_directions()
-        for d in dirs:
-            if d.n2 == 0:
-                raise LayoutError(f"palette normal ({d.n1}, {d.n2}) makes vertical lines")
-        for i, d in enumerate(dirs):
-            for e in dirs[i + 1:]:
-                if d.n1 * e.n2 - d.n2 * e.n1 == 0:
-                    raise LayoutError(
-                        f"palette normals ({d.n1}, {d.n2}) and ({e.n1}, {e.n2}) are parallel"
-                    )
-
-
-DEFAULT_PALETTE = Palette(
-    canonical=make_direction(0, 1),
-    copies=(
-        make_direction(Fraction(3, 5), Fraction(4, 5)),
-        make_direction(Fraction(4, 5), Fraction(3, 5)),
-        make_direction(Fraction(5, 13), Fraction(12, 13)),
-    ),
-    inversion=make_direction(Fraction(4, 5), Fraction(-3, 5)),
-    lower_bound=make_direction(Fraction(12, 13), Fraction(5, 13)),
+# Normals for each gadget family, pairwise non-parallel, none vertical. The
+# three copy slots of an addition use three distinct normals so the copies
+# fan out from the shared addition point without overlapping.
+CANONICAL_NORMAL = make_direction(0, 1)
+COPY_NORMALS = (
+    make_direction(Fraction(3, 5), Fraction(4, 5)),
+    make_direction(Fraction(4, 5), Fraction(3, 5)),
+    make_direction(Fraction(5, 13), Fraction(12, 13)),
 )
-
-
-@dataclass(frozen=True)
-class LayoutConfig:
-    spacing: Rational = Fraction(1000)
-    vertical_margin: Rational = Fraction(50)
-    palette: Palette = DEFAULT_PALETTE
-
-    def __post_init__(self) -> None:
-        # The widest stripe is 19 units across measured along its normal and
-        # stretches by at most 13/5 on a vertical line; anything tighter
-        # than a few hundred units risks accidental overlaps.
-        if self.spacing < 400:
-            raise LayoutError(f"spacing {self.spacing} is too small to separate gadgets")
-        if self.vertical_margin <= 0:
-            raise LayoutError("vertical_margin must be positive")
-
-
-DEFAULT_CONFIG = LayoutConfig()
+INVERSION_NORMAL = make_direction(Fraction(4, 5), Fraction(-3, 5))
+LOWER_BOUND_NORMAL = make_direction(Fraction(12, 13), Fraction(5, 13))
+PALETTE = (CANONICAL_NORMAL,) + COPY_NORMALS + (INVERSION_NORMAL, LOWER_BOUND_NORMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +174,6 @@ class ConstraintPoint:
 
 @dataclass(frozen=True)
 class Layout:
-    config: LayoutConfig
     placements: Tuple[PlacedGadget, ...]
     constraint_points: Tuple[ConstraintPoint, ...]
     verticals: Tuple[Rational, Rational, Rational]
@@ -260,8 +221,7 @@ def _canonical_upper(placements: Sequence[PlacedGadget], idx: int) -> OrientedLi
 class _Builder:
     """Accumulates placements and constraint points during plan()."""
 
-    def __init__(self, config: LayoutConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.placements: List[PlacedGadget] = []
         self.cpoints: List[Dict] = []  # mutable precursors of ConstraintPoint
 
@@ -288,9 +248,8 @@ class _Builder:
         return len(self.cpoints) - 1
 
 
-def _build_attempt(formula: EtrInvFormula, config: LayoutConfig, attempt: int) -> Layout:
-    S = config.spacing
-    pal = config.palette
+def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
+    S = SPACING
     variables = formula.variables
     additions = formula.additions
     inversions = formula.inversions
@@ -306,14 +265,14 @@ def _build_attempt(formula: EtrInvFormula, config: LayoutConfig, attempt: int) -
     q_col = lambda i: (1 + A + I + i) * S + t * S * Fraction(11, 41) + t * i * S / 19
     probe_col = lambda i: -(1 + i) * S - t * S * Fraction(3, 41)
 
-    b = _Builder(config)
+    b = _Builder()
     var_template = template(Variable())
     inv_template = template(Inversion())
 
     # Canonical gadgets, one horizontal stripe per variable.
     canonical: Dict[str, int] = {}
     for i, v in enumerate(variables):
-        placement = GadgetPlacement(var_template, pal.canonical, i * S)
+        placement = GadgetPlacement(var_template, CANONICAL_NORMAL, i * S)
         canonical[v] = b.add_placement(placement, CanonicalRole(v))
 
     H = k * S  # the height where addition points live, above every stripe
@@ -336,7 +295,7 @@ def _build_attempt(formula: EtrInvFormula, config: LayoutConfig, attempt: int) -
         copy_vars = (add.x, add.y, add.z)
         copy_idxs = []
         for slot, var in enumerate(copy_vars):
-            normal = pal.copies[slot]
+            normal = COPY_NORMALS[slot]
             # The first two operands put their upper measuring line through
             # the addition point, the sum its lower one: the three readings
             # sum to 10 exactly when X + Y = Z.
@@ -378,7 +337,7 @@ def _build_attempt(formula: EtrInvFormula, config: LayoutConfig, attempt: int) -
         if not isinstance(inv, Inv):
             continue
         j += 1
-        normal = pal.inversion
+        normal = INVERSION_NORMAL
         upper_x = _canonical_upper(b.placements, canonical[inv.x])
         x1 = inv_col(j)
         x2 = (upper_x.offset - upper_x.normal.n1 * x1) / upper_x.normal.n2
@@ -418,7 +377,7 @@ def _build_attempt(formula: EtrInvFormula, config: LayoutConfig, attempt: int) -
         )
         if not weak_dims:
             continue
-        normal = pal.lower_bound
+        normal = LOWER_BOUND_NORMAL
         p = cp["point"]
         base = normal.n1 * p.x1 + normal.n2 * p.x2 - 4
         placement = GadgetPlacement(template(LowerBound(weak_dims)), normal, base)
@@ -441,9 +400,8 @@ def _build_attempt(formula: EtrInvFormula, config: LayoutConfig, attempt: int) -
         for cp in b.cpoints
     )
 
-    verticals = _choose_verticals(config, tuple(b.placements), cpoints, probes)
+    verticals = _choose_verticals(tuple(b.placements), cpoints, probes)
     return Layout(
-        config=config,
         placements=tuple(b.placements),
         constraint_points=cpoints,
         verticals=verticals,
@@ -547,11 +505,7 @@ def _vertical_violations(
     out = []
     if not (verticals[1] - verticals[0] == 1 and verticals[2] - verticals[1] == 1):
         out.append(f"verticals {verticals} not at unit spacing")
-    try:
-        pts = _data_points_on_verticals(index.placements, verticals)
-    except RealizationFailure as exc:
-        out.append(str(exc))
-        return out
+    pts = _data_points_on_verticals(index.placements, verticals)
     for v in verticals:
         heights = sorted((p.x2, owner) for p, _labels, owner in pts if p.x1 == v)
         by_owner: Dict[int, List[Rational]] = {}
@@ -575,7 +529,6 @@ def _vertical_violations(
 
 
 def _choose_verticals(
-    config: LayoutConfig,
     placements: Tuple[PlacedGadget, ...],
     cpoints: Tuple[ConstraintPoint, ...],
     probes: Tuple[Tuple[str, Point2], ...],
@@ -590,7 +543,7 @@ def _choose_verticals(
     )
     base = Fraction(math.ceil(right_most))
     for j in range(12):
-        v1 = base + config.vertical_margin * (j + 1)
+        v1 = base + VERTICAL_MARGIN * (j + 1)
         verticals = (v1, v1 + 1, v1 + 2)
         if not _vertical_violations(index, verticals):
             return verticals
@@ -599,17 +552,18 @@ def _choose_verticals(
     )
 
 
-def plan(formula: EtrInvFormula, config: LayoutConfig = DEFAULT_CONFIG) -> Layout:
+def plan(formula: EtrInvFormula) -> Layout:
     """Deterministic layout of a formula, validated before it is returned.
 
     Retries with nudged column positions a bounded number of times; if no
     attempt validates cleanly, raises PlacementFailure with the last
-    attempt's violations.
+    attempt's violations. A formula without variables raises LayoutError.
     """
-    violations: List[str] = ["formula has no variables"]
+    if not formula.variables:
+        raise LayoutError("formula has no variables")
     for attempt in range(8):
         try:
-            layout = _build_attempt(formula, config, attempt)
+            layout = _build_attempt(formula, attempt)
         except PlacementFailure as exc:
             violations = list(exc.violations)
             continue
@@ -674,20 +628,24 @@ def _expected_lines(layout: Layout, cp: ConstraintPoint) -> List[OrientedLine]:
 
 def validate(layout: Layout) -> Tuple[str, ...]:
     """Every geometric invariant, re-checked from scratch; empty = clean."""
-    out: List[str] = []
     placements = layout.placements
 
-    # (a) no vertical data lines; stripes have the palette's normals.
-    for i, pg in enumerate(placements):
-        if pg.placement.normal.n2 == 0:
-            out.append(f"placement {i}: vertical data lines")
+    # (a) stripes have the palette's normals, so no data line is vertical.
+    out = [
+        f"placement {i}: normal ({pg.placement.normal.n1}, {pg.placement.normal.n2}) "
+        f"is not a palette normal"
+        for i, pg in enumerate(placements)
+        if pg.placement.normal not in PALETTE
+    ]
+    if out:
+        return tuple(out)
 
     # (b) stripes of parallel gadgets are pairwise disjoint. Every later
     # check reads stripes through the index, which relies on it.
     index = _StripeIndex(placements)
     overlaps = index.overlaps()
     if overlaps:
-        return tuple(out + overlaps)
+        return tuple(overlaps)
 
     # (c) vertical sample lines separate gadgets; (d) they sit at unit
     # spacing right of every stripe crossing.
@@ -797,6 +755,8 @@ def formula_from_layout(layout: Layout) -> EtrInvFormula:
         for pg in layout.placements
         if isinstance(pg.role, CanonicalRole)
     )
+    if not variables:
+        raise LayoutError("layout has no variable gadgets")
     constraints: Dict[int, Constraint] = {}
     operands: Dict[int, Dict[int, str]] = {}
     for pg in layout.placements:
@@ -917,19 +877,22 @@ def _kind_to_json(pg: PlacedGadget) -> Dict:
     return {"kind": "lower_bound", "active_dims": list(kind.active_dims)}
 
 
+# The sidecar's "config" block: the fixed geometry every layout is built on.
+_GEOMETRY_JSON = {
+    "spacing": format_rational(SPACING),
+    "vertical_margin": format_rational(VERTICAL_MARGIN),
+    "palette": {
+        "canonical": _direction_to_json(CANONICAL_NORMAL),
+        "copies": [_direction_to_json(d) for d in COPY_NORMALS],
+        "inversion": _direction_to_json(INVERSION_NORMAL),
+        "lower_bound": _direction_to_json(LOWER_BOUND_NORMAL),
+    },
+}
+
+
 def layout_to_json(layout: Layout) -> str:
-    pal = layout.config.palette
     doc = {
-        "config": {
-            "spacing": format_rational(layout.config.spacing),
-            "vertical_margin": format_rational(layout.config.vertical_margin),
-            "palette": {
-                "canonical": _direction_to_json(pal.canonical),
-                "copies": [_direction_to_json(d) for d in pal.copies],
-                "inversion": _direction_to_json(pal.inversion),
-                "lower_bound": _direction_to_json(pal.lower_bound),
-            },
-        },
+        "config": _GEOMETRY_JSON,
         "placements": [
             {
                 **_kind_to_json(pg),
@@ -962,18 +925,8 @@ def layout_from_json(text: str) -> Layout:
     """Parse a sidecar; a document of the wrong shape raises LayoutError."""
     try:
         doc = json.loads(text)
-        cfg = doc["config"]
-        pal_doc = cfg["palette"]
-        config = LayoutConfig(
-            spacing=parse_rational(cfg["spacing"]),
-            vertical_margin=parse_rational(cfg["vertical_margin"]),
-            palette=Palette(
-                canonical=_direction_from_json(pal_doc["canonical"]),
-                copies=tuple(_direction_from_json(d) for d in pal_doc["copies"]),
-                inversion=_direction_from_json(pal_doc["inversion"]),
-                lower_bound=_direction_from_json(pal_doc["lower_bound"]),
-            ),
-        )
+        if doc["config"] != _GEOMETRY_JSON:
+            raise LayoutError("sidecar config block differs from the fixed layout geometry")
         placements = []
         for item in doc["placements"]:
             if item["kind"] == "variable":
@@ -1014,7 +967,6 @@ def layout_from_json(text: str) -> Layout:
             for var, xy in doc["probes"]
         )
         return Layout(
-            config=config,
             placements=tuple(placements),
             constraint_points=tuple(cpoints),
             verticals=(v1, v2, v3),

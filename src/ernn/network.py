@@ -286,9 +286,11 @@ def max_gradient_norm_bound(net: Network) -> Rational:
         return Fraction(0)
 
     # Bounding box: every pairwise intersection plus every axis crossing,
-    # padded by 1 so all those points are interior.
+    # padded by 1 so all those points are interior. Column boundaries
+    # (events): x of every intersection and of every vertical line.
     xs: List[Fraction] = []
     ys: List[Fraction] = []
+    events = set()
 
     def note(x: Fraction, y: Fraction) -> None:
         xs.append(x)
@@ -297,6 +299,8 @@ def max_gradient_norm_bound(net: Network) -> Rational:
     for i, u in enumerate(units):
         if u.a1 != 0:
             note(-u.b / u.a1, Fraction(0))
+            if u.a2 == 0:
+                events.add(xs[-1])
         if u.a2 != 0:
             note(Fraction(0), -u.b / u.a2)
         for v in units[i + 1:]:
@@ -307,18 +311,10 @@ def max_gradient_norm_bound(net: Network) -> Rational:
                 (-u.b * v.a2 + v.b * u.a2) / det,
                 (-v.b * u.a1 + u.b * v.a1) / det,
             )
+            events.add(xs[-1])
     xmin, xmax = min(xs) - 1, max(xs) + 1
     ymin, ymax = min(ys) - 1, max(ys) + 1
 
-    # Column boundaries: x of every intersection and of every vertical line.
-    events = set()
-    for i, u in enumerate(units):
-        if u.a2 == 0:
-            events.add(-u.b / u.a1)
-        for v in units[i + 1:]:
-            det = u.a1 * v.a2 - u.a2 * v.a1
-            if det != 0:
-                events.add((-u.b * v.a2 + v.b * u.a2) / det)
     bounds = [xmin] + sorted(e for e in events if xmin < e < xmax) + [xmax]
     columns = [(bounds[i] + bounds[i + 1]) / 2 for i in range(len(bounds) - 1)]
 

@@ -31,10 +31,8 @@ from .layout import (
     CanonicalRole,
     InversionRole,
     Layout,
-    LayoutConfig,
     LayoutError,
     LowerBoundRole,
-    DEFAULT_CONFIG,
     plan,
     realize,
     validate,
@@ -96,11 +94,9 @@ class ReductionBundle:
     counts: ReductionCounts
 
 
-def compile_formula(
-    formula: EtrInvFormula, config: LayoutConfig = DEFAULT_CONFIG
-) -> ReductionBundle:
+def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
     """Deterministic reduction of a formula to a training instance."""
-    return _bundle(formula, plan(formula, config))
+    return _bundle(formula, plan(formula))
 
 
 def bundle_from_layout(formula: EtrInvFormula, layout: Layout) -> ReductionBundle:

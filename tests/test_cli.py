@@ -190,3 +190,58 @@ def test_extract_rejects_sidecar_with_dangling_reference(workspace, capsys):
     (workspace / "dangling.json").write_text(json.dumps(doc))
     assert run(["extract", "net.json", "--layout", "dangling.json"]) == 2
     assert "missing placement" in capsys.readouterr().err
+
+
+def test_comment_only_formula_is_exit_2(workspace, capsys):
+    (workspace / "empty.ec").write_text("# no constraints\n\n")
+    assert run(["compile", "empty.ec", "-o", "inst.json"]) == 2
+    assert capsys.readouterr().err == "error: formula has no variables\n"
+
+
+def test_extract_rejects_sidecar_without_gadgets(workspace, capsys):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    doc = json.loads((workspace / "inst.layout.json").read_text())
+    doc.update(placements=[], constraint_points=[], probes=[])
+    (workspace / "bare.json").write_text(json.dumps(doc))
+    (workspace / "net.json").write_text('{"neurons": []}')
+    assert run(["extract", "net.json", "--layout", "bare.json"]) == 2
+    assert capsys.readouterr().err.endswith("error: layout has no variable gadgets\n")
+
+
+@pytest.mark.parametrize("flag", ["--spacing", "--vertical-margin"])
+def test_layout_geometry_flags_are_gone(workspace, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["compile", "f.ec", flag, "2000"])
+    assert exc.value.code == 2
+
+
+def test_extract_rejects_sidecar_with_other_geometry(workspace, capsys):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    doc = json.loads((workspace / "inst.layout.json").read_text())
+    doc["config"]["spacing"] = "2000"
+    (workspace / "wide.layout.json").write_text(json.dumps(doc))
+    assert run(["extract", "net.json", "--layout", "wide.layout.json"]) == 2
+    assert "config block differs" in capsys.readouterr().err
+
+
+def test_extract_rejects_sidecar_with_off_palette_normal(workspace, capsys):
+    from fractions import Fraction
+
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    doc = json.loads((workspace / "inst.layout.json").read_text())
+    # Turn lower-bound placement 8 about its weak point, which keeps the
+    # point on the notch line; only the normal is wrong.
+    item = doc["placements"][8]
+    assert item["kind"] == "lower_bound"
+    x1, x2 = map(Fraction, doc["constraint_points"][item["weak_point"]]["x"])
+    n1, n2 = map(Fraction, item["normal"])
+    along = n1 * x1 + n2 * x2 - Fraction(item["base_offset"])
+    m1, m2 = Fraction(24, 25), Fraction(7, 25)
+    item["normal"] = [str(m1), str(m2)]
+    item["base_offset"] = str(m1 * x1 + m2 * x2 - along)
+    (workspace / "turned.json").write_text(json.dumps(doc))
+    assert run(["extract", "net.json", "--layout", "turned.json"]) == 2
+    assert "placement 8: normal (24/25, 7/25) is not a palette normal" in capsys.readouterr().err
+    assert run(["witness", "f.ec", "a.txt", "--layout", "turned.json"]) == 2

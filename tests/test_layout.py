@@ -16,14 +16,12 @@ from ernn.gadgets import (
     Variable,
     template,
 )
-from ernn.geometry import PARALLEL, Point2, intersect, signed_value
+from ernn.geometry import PARALLEL, Point2, intersect, make_direction, signed_value
 from ernn.layout import (
-    DEFAULT_CONFIG,
-    DEFAULT_PALETTE,
+    PALETTE,
     AdditionCopyRole,
     CanonicalRole,
     InversionRole,
-    LayoutConfig,
     LayoutError,
     LowerBoundRole,
     PlacedGadget,
@@ -38,10 +36,11 @@ from ernn.layout import (
 )
 
 F = Fraction
+REFERENCE = "add X Y Z\ninv X W\n"
 
 
 def test_single_variable_layout():
-    layout = plan(parse_formula("inv X Y\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("inv X Y\n"))
     kinds = [type(pg.role) for pg in layout.placements]
     assert kinds.count(CanonicalRole) == 2
     assert kinds.count(InversionRole) == 1
@@ -50,7 +49,7 @@ def test_single_variable_layout():
 
 
 def test_addition_layout_counts():
-    layout = plan(parse_formula("add X Y Z\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("add X Y Z\n"))
     kinds = [type(pg.role) for pg in layout.placements]
     assert kinds.count(CanonicalRole) == 3
     assert kinds.count(AdditionCopyRole) == 3
@@ -68,7 +67,7 @@ def test_addition_layout_counts():
 
 
 def test_all_stripes_disjoint_among_parallels():
-    layout = plan(parse_formula("add X Y Z\ninv X W\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("add X Y Z\ninv X W\n"))
     by_normal = {}
     for pg in layout.placements:
         n = pg.placement.normal
@@ -80,7 +79,7 @@ def test_all_stripes_disjoint_among_parallels():
 
 
 def test_constraint_points_sit_inside_their_members_only():
-    layout = plan(parse_formula("add X Y Z\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("add X Y Z\n"))
     for cp in layout.constraint_points:
         allowed = set(cp.member_of)
         for i, pg in enumerate(layout.placements):
@@ -92,7 +91,7 @@ def test_constraint_points_sit_inside_their_members_only():
 
 
 def test_weak_points_get_centered_notch_gadgets():
-    layout = plan(parse_formula("inv X Y\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("inv X Y\n"))
     weak = [cp for cp in layout.constraint_points if cp.weak_dims]
     assert weak
     for cp in weak:
@@ -104,7 +103,7 @@ def test_weak_points_get_centered_notch_gadgets():
 
 
 def test_realize_makes_three_points_per_data_line():
-    layout = plan(parse_formula("inv X Y\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("inv X Y\n"))
     realization = realize(layout)
     data_lines = sum(
         len(pg.placement.template.data_entries) for pg in layout.placements
@@ -125,7 +124,7 @@ def test_realize_makes_three_points_per_data_line():
 
 
 def test_verticals_clear_all_stripe_corners():
-    layout = plan(parse_formula("add X Y Z\ninv X W\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("add X Y Z\ninv X W\n"))
     corners = []
     pls = [pg.placement for pg in layout.placements]
     for i, a in enumerate(pls):
@@ -143,18 +142,25 @@ def test_repeated_variable_inversion_cannot_be_placed():
     # inv X X pins both reading points to the same canonical line, too
     # close together; the fixed geometry has no room for that
     with pytest.raises(PlacementFailure):
-        plan(parse_formula("inv X X\n"), DEFAULT_CONFIG)
+        plan(parse_formula("inv X X\n"))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LayoutConfig(spacing=F(100), vertical_margin=F(50))
-    with pytest.raises(ValueError):
-        LayoutConfig(spacing=F(1000), vertical_margin=F(0))
+def test_palette_normals_are_unit_distinct_and_not_vertical():
+    assert len(PALETTE) == 6
+    for i, d in enumerate(PALETTE):
+        assert d.n1 * d.n1 + d.n2 * d.n2 == 1
+        assert d.n2 != 0, f"normal {d} makes vertical data lines"
+        for e in PALETTE[i + 1:]:
+            assert d.n1 * e.n2 - d.n2 * e.n1 != 0, f"normals {d} and {e} are parallel"
+
+
+def test_formula_without_variables_is_rejected_up_front():
+    with pytest.raises(LayoutError, match="^formula has no variables$"):
+        plan(parse_formula("# nothing here\n"))
 
 
 def test_layout_json_round_trip():
-    layout = plan(parse_formula("add X Y Z\ninv X W\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("add X Y Z\ninv X W\n"))
     s = layout_to_json(layout)
     back = layout_from_json(s)
     assert back == layout
@@ -168,16 +174,25 @@ def test_layout_json_rejects_wrong_shape(drop):
     if drop is None:
         text = "[]"
     else:
-        doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"), DEFAULT_CONFIG)))
+        doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"))))
         del doc[drop]
         text = json.dumps(doc)
     with pytest.raises(LayoutError):
         layout_from_json(text)
 
 
+def test_layout_json_rejects_other_geometry():
+    import json
+
+    doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"))))
+    doc["config"]["spacing"] = "2000"
+    with pytest.raises(LayoutError, match="config block"):
+        layout_from_json(json.dumps(doc))
+
+
 def test_formula_recoverable_from_roles():
     formula = parse_formula("add X Y Z\nadd Y Z W\ninv X W\n")
-    layout = plan(formula, DEFAULT_CONFIG)
+    layout = plan(formula)
     assert formula_from_layout(layout) == formula
     # survives the sidecar too
     assert formula_from_layout(layout_from_json(layout_to_json(layout))) == formula
@@ -186,7 +201,7 @@ def test_formula_recoverable_from_roles():
 def test_validate_flags_tampered_layout():
     import dataclasses
 
-    layout = plan(parse_formula("inv X Y\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("inv X Y\n"))
     bad = dataclasses.replace(
         layout,
         verticals=(
@@ -201,7 +216,7 @@ def test_validate_flags_tampered_layout():
 def test_validate_stops_after_overlapping_parallel_stripes():
     import dataclasses
 
-    layout = plan(parse_formula("inv X Y\n"), DEFAULT_CONFIG)
+    layout = plan(parse_formula("inv X Y\n"))
     # Slide canonical Y onto canonical X: every later check would read the
     # stripes through an index that assumes parallel stripes are disjoint.
     x, y = layout.placements[0], layout.placements[1]
@@ -219,6 +234,42 @@ def test_validate_stops_after_overlapping_parallel_stripes():
     )
 
 
+def _rotate_about(pg, p, normal):
+    """pg turned to a new normal about p, which keeps its offset along it."""
+    import dataclasses
+
+    old = pg.placement
+    along = old.normal.n1 * p.x1 + old.normal.n2 * p.x2 - old.base_offset
+    base = normal.n1 * p.x1 + normal.n2 * p.x2 - along
+    return dataclasses.replace(
+        pg, placement=dataclasses.replace(old, normal=normal, base_offset=base)
+    )
+
+
+def test_validate_rejects_normal_outside_the_palette():
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    lb = 8
+    pg = layout.placements[lb]
+    assert isinstance(pg.role, LowerBoundRole)
+    weak = layout.constraint_points[pg.role.weak_point].point
+    rotated = _rotate_about(pg, weak, make_direction(F(24, 25), F(7, 25)))
+    bad = dataclasses.replace(
+        layout,
+        placements=layout.placements[:lb] + (rotated,) + layout.placements[lb + 1:],
+    )
+    assert validate(bad) == (
+        "placement 8: normal (24/25, 7/25) is not a palette normal",
+    )
+    vertical = _rotate_about(pg, weak, make_direction(1, 0))
+    bad = dataclasses.replace(
+        layout,
+        placements=layout.placements[:lb] + (vertical,) + layout.placements[lb + 1:],
+    )
+    assert validate(bad) == ("placement 8: normal (1, 0) is not a palette normal",)
+
+
 _TEMPLATES = (template(Variable()), template(Inversion()), template(LowerBound((1,))))
 _offsets = st.fractions(min_value=-60, max_value=60, max_denominator=7)
 
@@ -227,7 +278,7 @@ _offsets = st.fractions(min_value=-60, max_value=60, max_denominator=7)
 def _disjoint_stripes(draw):
     """Placements on the palette normals, parallel stripes pairwise disjoint."""
     placements = []
-    for normal in DEFAULT_PALETTE.all_directions():
+    for normal in PALETTE:
         offset = draw(_offsets)
         for _ in range(draw(st.integers(0, 3))):
             tpl = draw(st.sampled_from(_TEMPLATES))

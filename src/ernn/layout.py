@@ -12,7 +12,9 @@ plan() lays a formula out deterministically: same formula, same layout,
 byte for byte. realize() turns a validated layout into labeled
 data points: three points per data line (on three far-right vertical lines
 whose spacing certifies that data from different gadgets cannot be
-confused) plus one point per constraint point. It samples at the layout's
+confused) plus one point per constraint point. The rule for those lines:
+on each, every gap between neighbouring stripe cross-sections must exceed
+the widest cross-section. It samples at the layout's
 verticals without checking them, so a layout that plan() did not return
 must pass validate() first. validate() re-checks every geometric invariant
 the reduction's correctness argument leans on, from scratch, and reports
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -58,10 +60,11 @@ class LayoutError(ValueError):
 
 
 class PlacementFailure(LayoutError):
-    def __init__(self, violations: Sequence[str]) -> None:
+    def __init__(
+        self, violations: Sequence[str], why: str = "last attempt's violations"
+    ) -> None:
         super().__init__(
-            "could not place gadgets cleanly; last attempt's violations:\n  "
-            + "\n  ".join(violations)
+            f"could not place gadgets cleanly; {why}:\n  " + "\n  ".join(violations)
         )
         self.violations = tuple(violations)
 
@@ -165,7 +168,7 @@ class ConstraintPoint:
     labels: Tuple[Label, Label]
     purpose: Purpose
     member_of: Tuple[int, ...]  # placements whose stripe legitimately holds it
-    lower_bound_gadget: Optional[int]
+    lower_bound_gadget: Optional[int] = None
 
     @property
     def weak_dims(self) -> Tuple[int, ...]:
@@ -218,36 +221,6 @@ def _canonical_upper(placements: Sequence[PlacedGadget], idx: int) -> OrientedLi
     return measuring_line(placements[idx].placement, 1, "upper")
 
 
-class _Builder:
-    """Accumulates placements and constraint points during plan()."""
-
-    def __init__(self) -> None:
-        self.placements: List[PlacedGadget] = []
-        self.cpoints: List[Dict] = []  # mutable precursors of ConstraintPoint
-
-    def add_placement(self, placement: GadgetPlacement, role: Role) -> int:
-        self.placements.append(PlacedGadget(placement, role))
-        return len(self.placements) - 1
-
-    def add_cpoint(
-        self,
-        point: Point2,
-        labels: Tuple[Label, Label],
-        purpose: Purpose,
-        member_of: Tuple[int, ...],
-    ) -> int:
-        self.cpoints.append(
-            {
-                "point": point,
-                "labels": labels,
-                "purpose": purpose,
-                "member_of": member_of,
-                "lb": None,
-            }
-        )
-        return len(self.cpoints) - 1
-
-
 def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
     S = SPACING
     variables = formula.variables
@@ -265,20 +238,25 @@ def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
     q_col = lambda i: (1 + A + I + i) * S + t * S * Fraction(11, 41) + t * i * S / 19
     probe_col = lambda i: -(1 + i) * S - t * S * Fraction(3, 41)
 
-    b = _Builder()
+    placements: List[PlacedGadget] = []
+    cpoints: List[ConstraintPoint] = []
     var_template = template(Variable())
     inv_template = template(Inversion())
+
+    def place(placement: GadgetPlacement, role: Role) -> int:
+        placements.append(PlacedGadget(placement, role))
+        return len(placements) - 1
 
     # Canonical gadgets, one horizontal stripe per variable.
     canonical: Dict[str, int] = {}
     for i, v in enumerate(variables):
         placement = GadgetPlacement(var_template, CANONICAL_NORMAL, i * S)
-        canonical[v] = b.add_placement(placement, CanonicalRole(v))
+        canonical[v] = place(placement, CanonicalRole(v))
 
     H = k * S  # the height where addition points live, above every stripe
 
     def meet_canonical_upper(var: str, line: OrientedLine) -> Point2:
-        p = intersect(_canonical_upper(b.placements, canonical[var]), line)
+        p = intersect(_canonical_upper(placements, canonical[var]), line)
         assert isinstance(p, Point2)
         return p
 
@@ -302,33 +280,33 @@ def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
             through = Fraction(5) if slot < 2 else Fraction(3)
             base = normal.n1 * p_a.x1 + normal.n2 * p_a.x2 - through
             placement = GadgetPlacement(var_template, normal, base)
-            c_idx = b.add_placement(placement, AdditionCopyRole(var, c_idx_formula, slot))
+            c_idx = place(placement, AdditionCopyRole(var, c_idx_formula, slot))
             copy_idxs.append(c_idx)
 
             copy_point = meet_canonical_upper(var, measuring_line(placement, 1, "lower"))
-            b.add_cpoint(
+            cpoints.append(ConstraintPoint(
                 copy_point,
                 (Exact(Fraction(6)), Exact(Fraction(6))),
                 CopyPurpose(c_idx_formula, slot, var),
                 (canonical[var], c_idx),
-            )
+            ))
             # The copy's weak point, dropped below the fan where the three
             # copy stripes have spread apart.
             hq = H - 200 - 40 * slot
             q_line = placement.line_at(Fraction(11, 3))
             xq = (q_line.offset - normal.n2 * hq) / normal.n1
-            b.add_cpoint(
+            cpoints.append(ConstraintPoint(
                 Point2(xq, hq),
                 var_template.weak_entries[0].labels,
                 WeakQPurpose(c_idx),
                 (c_idx,),
-            )
-        b.add_cpoint(
+            ))
+        cpoints.append(ConstraintPoint(
             p_a,
             (Exact(Fraction(10)), Exact(Fraction(10))),
             AdditionPurpose(c_idx_formula),
             tuple(copy_idxs),
-        )
+        ))
 
     # Inversion gadgets, each anchored on its first variable's canonical
     # upper measuring line.
@@ -338,72 +316,56 @@ def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
             continue
         j += 1
         normal = INVERSION_NORMAL
-        upper_x = _canonical_upper(b.placements, canonical[inv.x])
+        upper_x = _canonical_upper(placements, canonical[inv.x])
         x1 = inv_col(j)
         x2 = (upper_x.offset - upper_x.normal.n1 * x1) / upper_x.normal.n2
         p_x = Point2(x1, x2)
         base = normal.n1 * p_x.x1 + normal.n2 * p_x.x2 - 3
         placement = GadgetPlacement(inv_template, normal, base)
-        g_idx = b.add_placement(
-            placement, InversionRole(c_idx_formula, inv.x, inv.y)
-        )
-        b.add_cpoint(
+        g_idx = place(placement, InversionRole(c_idx_formula, inv.x, inv.y))
+        cpoints.append(ConstraintPoint(
             p_x,
             (Exact(Fraction(6)), AtLeast(Fraction(0))),
             InversionCopyPurpose(c_idx_formula, 1),
             (canonical[inv.x], g_idx),
-        )
+        ))
         p_y = meet_canonical_upper(inv.y, measuring_line(placement, 2, "lower"))
-        b.add_cpoint(
+        cpoints.append(ConstraintPoint(
             p_y,
             (AtLeast(Fraction(0)), Exact(Fraction(6))),
             InversionCopyPurpose(c_idx_formula, 2),
             (canonical[inv.y], g_idx),
-        )
+        ))
 
     # Each canonical gadget's own weak point, in its private column.
     for i, v in enumerate(variables):
-        b.add_cpoint(
+        cpoints.append(ConstraintPoint(
             Point2(q_col(i), i * S + Fraction(11, 3)),
             var_template.weak_entries[0].labels,
             WeakQPurpose(canonical[v]),
             (canonical[v],),
-        )
+        ))
 
     # Lower-bound gadgets, one per weak constraint point, all parallel.
-    for cp_idx, cp in enumerate(b.cpoints):
-        weak_dims = tuple(
-            d for d in (1, 2) if isinstance(cp["labels"][d - 1], AtLeast)
-        )
-        if not weak_dims:
+    for cp_idx, cp in enumerate(cpoints):
+        if not cp.weak_dims:
             continue
         normal = LOWER_BOUND_NORMAL
-        p = cp["point"]
+        p = cp.point
         base = normal.n1 * p.x1 + normal.n2 * p.x2 - 4
-        placement = GadgetPlacement(template(LowerBound(weak_dims)), normal, base)
-        lb_idx = b.add_placement(placement, LowerBoundRole(cp_idx))
-        cp["lb"] = lb_idx
-        cp["member_of"] = cp["member_of"] + (lb_idx,)
+        placement = GadgetPlacement(template(LowerBound(cp.weak_dims)), normal, base)
+        lb_idx = place(placement, LowerBoundRole(cp_idx))
+        cpoints[cp_idx] = replace(
+            cp, member_of=cp.member_of + (lb_idx,), lower_bound_gadget=lb_idx
+        )
 
     probes = tuple(
         (v, Point2(probe_col(i), i * S + 5)) for i, v in enumerate(variables)
     )
-
-    cpoints = tuple(
-        ConstraintPoint(
-            point=cp["point"],
-            labels=cp["labels"],
-            purpose=cp["purpose"],
-            member_of=cp["member_of"],
-            lower_bound_gadget=cp["lb"],
-        )
-        for cp in b.cpoints
-    )
-
-    verticals = _choose_verticals(tuple(b.placements), cpoints, probes)
+    verticals = _choose_verticals(tuple(placements), tuple(cpoints), probes)
     return Layout(
-        placements=tuple(b.placements),
-        constraint_points=cpoints,
+        placements=tuple(placements),
+        constraint_points=tuple(cpoints),
         verticals=verticals,
         probes=probes,
     )
@@ -418,7 +380,6 @@ class _StripeIndex:
     """
 
     def __init__(self, placements: Sequence[PlacedGadget]) -> None:
-        self.placements = placements
         groups: Dict[Direction, List[Tuple[Rational, Rational, int]]] = {}
         for i, pg in enumerate(placements):
             groups.setdefault(pg.placement.normal, []).append(pg.placement.stripe() + (i,))
@@ -447,6 +408,23 @@ class _StripeIndex:
                 out.append(stripes[k - 1][2])
         return sorted(out)
 
+    def separation(self, v: Rational) -> Tuple[Optional[Rational], Rational]:
+        """Smallest gap between neighbouring cross-sections on x = v, and the widest.
+
+        A stripe cuts the vertical x = v in the closed interval between the
+        heights of its two boundary lines. The gap is None for fewer than
+        two stripes and at most 0 where two cross-sections meet.
+        """
+        sections = []
+        for n, stripes in self._groups:
+            for lo, hi, _i in stripes:
+                a, b = (lo - n.n1 * v) / n.n2, (hi - n.n1 * v) / n.n2
+                sections.append((a, b) if a < b else (b, a))
+        sections.sort()
+        gaps = [a2 - b1 for (_a1, b1), (a2, _b2) in zip(sections, sections[1:])]
+        widest = max((b - a for a, b in sections), default=Fraction(0))
+        return (min(gaps) if gaps else None), widest
+
     def max_corner_x(self) -> Rational:
         """Rightmost x over all crossings of stripe boundary lines (at least 0).
 
@@ -469,62 +447,32 @@ class _StripeIndex:
         return best
 
 
-def _data_points_on_verticals(
-    placements: Sequence[PlacedGadget],
-    verticals: Tuple[Rational, Rational, Rational],
-) -> List[Tuple[Point2, Tuple[Rational, Rational], int]]:
-    """(point, labels, owner placement index) for all data-line samples."""
-    out = []
-    for owner, pg in enumerate(placements):
-        pl = pg.placement
-        n = pl.normal
-        if n.n2 == 0:
-            raise RealizationFailure(
-                f"placement {owner} has vertical data lines; cannot sample"
-            )
-        for entry in pl.template.data_entries:
-            c = pl.base_offset + entry.offset
-            want = (entry.labels[0].value, entry.labels[1].value)
-            for v in verticals:
-                x2 = (c - n.n1 * v) / n.n2
-                out.append((Point2(v, x2), want, owner))
-    return out
-
-
 def _vertical_violations(
     index: _StripeIndex,
     verticals: Tuple[Rational, Rational, Rational],
 ) -> List[str]:
-    """Separation and purity checks for the three sample verticals.
+    """Spacing and separation checks for the three sample verticals.
 
-    On each vertical, the widest intra-gadget spread w must stay strictly
-    below the smallest inter-gadget gap alpha, so a fitting network's bends
-    can be attributed to gadgets unambiguously. Sample points must also
-    avoid the interior of every foreign stripe.
+    On each vertical, every gap between neighbouring stripe cross-sections
+    must exceed the widest cross-section w, so a fitting network's bends
+    can be attributed to gadgets unambiguously. Every template's first and
+    last data lines are its stripe boundaries, so a gadget's samples span
+    exactly its cross-section, and this is the test "smallest gap between
+    samples of different gadgets > widest per-gadget spread".
     """
     out = []
     if not (verticals[1] - verticals[0] == 1 and verticals[2] - verticals[1] == 1):
         out.append(f"verticals {verticals} not at unit spacing")
-    pts = _data_points_on_verticals(index.placements, verticals)
+    # No separate check keeps samples out of foreign stripes: a stripe meets
+    # the vertical only in its own open cross-section, which a passing
+    # separation keeps clear of every other gadget's samples.
     for v in verticals:
-        heights = sorted((p.x2, owner) for p, _labels, owner in pts if p.x1 == v)
-        by_owner: Dict[int, List[Rational]] = {}
-        for y, owner in heights:
-            by_owner.setdefault(owner, []).append(y)
-        w = max(ys[-1] - ys[0] for ys in by_owner.values())
-        gaps = [y2 - y1 for (y1, o1), (y2, o2) in zip(heights, heights[1:]) if o1 != o2]
-        if gaps and min(gaps) <= w:
+        gap, w = index.separation(v)
+        if gap is not None and gap <= w:
             out.append(
-                f"vertical x={v}: inter-gadget gap {min(gaps)} does not exceed "
+                f"vertical x={v}: inter-gadget gap {gap} does not exceed "
                 f"intra-gadget spread {w}"
             )
-    for p, _labels, owner in pts:
-        for idx in index.holders(p):
-            if idx != owner:
-                out.append(
-                    f"sample point of placement {owner} at ({p.x1}, {p.x2}) lies "
-                    f"inside the stripe of placement {idx}"
-                )
     return out
 
 
@@ -557,10 +505,23 @@ def plan(formula: EtrInvFormula) -> Layout:
 
     Retries with nudged column positions a bounded number of times; if no
     attempt validates cleanly, raises PlacementFailure with the last
-    attempt's violations. A formula without variables raises LayoutError.
+    attempt's violations. A formula without variables raises LayoutError;
+    one that inverts a variable into itself raises PlacementFailure before
+    any attempt.
     """
     if not formula.variables:
         raise LayoutError("formula has no variables")
+    # Both copy points of inv X X sit on X's canonical measuring line, 45/13
+    # apart along the lower-bound normal, so their lower-bound stripes (8
+    # wide) overlap in every attempt.
+    self_inverse = [
+        f"constraint {i}: inv {c.x} {c.x} inverts {c.x} into itself; both of its "
+        f"copy points would sit on the measuring line of {c.x}"
+        for i, c in enumerate(formula.constraints)
+        if isinstance(c, Inv) and c.x == c.y
+    ]
+    if self_inverse:
+        raise PlacementFailure(self_inverse, "rejected before placement")
     for attempt in range(8):
         try:
             layout = _build_attempt(formula, attempt)
@@ -584,8 +545,20 @@ def realize(layout: Layout) -> Realization:
     layout.verticals as they stand, and only validate() certifies that
     those verticals separate the gadgets.
     """
-    data = _data_points_on_verticals(layout.placements, layout.verticals)
-    points: List[LabeledPoint] = [(p, labels) for p, labels, _owner in data]
+    points: List[LabeledPoint] = []
+    for owner, pg in enumerate(layout.placements):
+        pl = pg.placement
+        n = pl.normal
+        # render() realizes sidecars that were never validated.
+        if n.n2 == 0:
+            raise RealizationFailure(
+                f"placement {owner} has vertical data lines; cannot sample"
+            )
+        for entry in pl.template.data_entries:
+            c = pl.base_offset + entry.offset
+            want = (entry.labels[0].value, entry.labels[1].value)
+            for v in layout.verticals:
+                points.append((Point2(v, (c - n.n1 * v) / n.n2), want))
     for cp in layout.constraint_points:
         points.append((cp.point, realized_labels(cp.labels)))
     return Realization(points=tuple(points))
@@ -803,69 +776,32 @@ def _label_from_json(item: Dict) -> Label:
     raise LayoutError(f"unknown label type {item['type']!r}")
 
 
-def _role_to_json(role: Role) -> Dict:
-    if isinstance(role, CanonicalRole):
-        return {"role": "canonical", "variable": role.variable}
-    if isinstance(role, AdditionCopyRole):
-        return {
-            "role": "addition_copy",
-            "variable": role.variable,
-            "addition_index": role.addition_index,
-            "slot": role.slot,
-        }
-    if isinstance(role, InversionRole):
-        return {
-            "role": "inversion",
-            "constraint_index": role.constraint_index,
-            "var_x": role.var_x,
-            "var_y": role.var_y,
-        }
-    return {"role": "lower_bound", "weak_point": role.weak_point}
+# Tagged records: the tag under "role" or "purpose", then the dataclass's
+# fields in declaration order.
+_ROLES = {
+    "canonical": CanonicalRole,
+    "addition_copy": AdditionCopyRole,
+    "inversion": InversionRole,
+    "lower_bound": LowerBoundRole,
+}
+_PURPOSES = {
+    "copy": CopyPurpose,
+    "addition": AdditionPurpose,
+    "inversion_copy": InversionCopyPurpose,
+    "weak_q": WeakQPurpose,
+}
 
 
-def _role_from_json(item: Dict) -> Role:
-    tag = item["role"]
-    if tag == "canonical":
-        return CanonicalRole(item["variable"])
-    if tag == "addition_copy":
-        return AdditionCopyRole(item["variable"], item["addition_index"], item["slot"])
-    if tag == "inversion":
-        return InversionRole(item["constraint_index"], item["var_x"], item["var_y"])
-    if tag == "lower_bound":
-        return LowerBoundRole(item["weak_point"])
-    raise LayoutError(f"unknown role {tag!r}")
+def _tagged_to_json(key: str, tags: Dict[str, type], record) -> Dict:
+    tag = next(t for t, cls in tags.items() if type(record) is cls)
+    return {key: tag, **{f.name: getattr(record, f.name) for f in fields(record)}}
 
 
-def _purpose_to_json(p: Purpose) -> Dict:
-    if isinstance(p, CopyPurpose):
-        return {
-            "purpose": "copy",
-            "addition_index": p.addition_index,
-            "slot": p.slot,
-            "variable": p.variable,
-        }
-    if isinstance(p, AdditionPurpose):
-        return {"purpose": "addition", "addition_index": p.addition_index}
-    if isinstance(p, InversionCopyPurpose):
-        return {
-            "purpose": "inversion_copy",
-            "constraint_index": p.constraint_index,
-            "dim": p.dim,
-        }
-    return {"purpose": "weak_q", "owner": p.owner}
-
-
-def _purpose_from_json(item: Dict) -> Purpose:
-    tag = item["purpose"]
-    if tag == "copy":
-        return CopyPurpose(item["addition_index"], item["slot"], item["variable"])
-    if tag == "addition":
-        return AdditionPurpose(item["addition_index"])
-    if tag == "inversion_copy":
-        return InversionCopyPurpose(item["constraint_index"], item["dim"])
-    if tag == "weak_q":
-        return WeakQPurpose(item["owner"])
-    raise LayoutError(f"unknown purpose {tag!r}")
+def _tagged_from_json(key: str, tags: Dict[str, type], item: Dict):
+    cls = tags.get(item[key])
+    if cls is None:
+        raise LayoutError(f"unknown {key} {item[key]!r}")
+    return cls(*(item[f.name] for f in fields(cls)))
 
 
 def _kind_to_json(pg: PlacedGadget) -> Dict:
@@ -898,7 +834,7 @@ def layout_to_json(layout: Layout) -> str:
                 **_kind_to_json(pg),
                 "normal": _direction_to_json(pg.placement.normal),
                 "base_offset": format_rational(pg.placement.base_offset),
-                **_role_to_json(pg.role),
+                **_tagged_to_json("role", _ROLES, pg.role),
             }
             for pg in layout.placements
         ],
@@ -906,7 +842,7 @@ def layout_to_json(layout: Layout) -> str:
             {
                 "x": [format_rational(cp.point.x1), format_rational(cp.point.x2)],
                 "labels": [_label_to_json(l) for l in cp.labels],
-                **_purpose_to_json(cp.purpose),
+                **_tagged_to_json("purpose", _PURPOSES, cp.purpose),
                 "member_of": list(cp.member_of),
                 "lower_bound_gadget": cp.lower_bound_gadget,
             }
@@ -944,7 +880,7 @@ def layout_from_json(text: str) -> Layout:
                         _direction_from_json(item["normal"]),
                         parse_rational(item["base_offset"]),
                     ),
-                    _role_from_json(item),
+                    _tagged_from_json("role", _ROLES, item),
                 )
             )
         cpoints = []
@@ -956,7 +892,7 @@ def layout_from_json(text: str) -> Layout:
                         _label_from_json(item["labels"][0]),
                         _label_from_json(item["labels"][1]),
                     ),
-                    purpose=_purpose_from_json(item),
+                    purpose=_tagged_from_json("purpose", _PURPOSES, item),
                     member_of=tuple(item["member_of"]),
                     lower_bound_gadget=item["lower_bound_gadget"],
                 )

@@ -198,6 +198,14 @@ def test_comment_only_formula_is_exit_2(workspace, capsys):
     assert capsys.readouterr().err == "error: formula has no variables\n"
 
 
+def test_self_inverse_formula_is_exit_2(workspace, capsys):
+    (workspace / "self.ec").write_text("inv X X\n")
+    assert run(["compile", "self.ec", "-o", "inst.json"]) == 2
+    err = capsys.readouterr().err
+    assert "constraint 0: inv X X inverts X into itself" in err
+    assert not (workspace / "inst.json").exists()
+
+
 def test_extract_rejects_sidecar_without_gadgets(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     doc = json.loads((workspace / "inst.layout.json").read_text())

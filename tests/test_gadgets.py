@@ -27,6 +27,17 @@ from ernn.network import Network, evaluate
 F = Fraction
 
 
+@pytest.mark.parametrize(
+    "kind", [Variable(), Inversion(), LowerBound((1,)), LowerBound((2,)), LowerBound((1, 2))]
+)
+def test_first_and_last_data_lines_are_the_stripe_boundaries(kind):
+    # The layout's vertical separation check reads each gadget's samples as
+    # its stripe cross-section, which holds only with this invariant.
+    tpl = template(kind)
+    assert tpl.data_entries[0].offset == 0
+    assert tpl.data_entries[-1].offset == tpl.width
+
+
 def test_template_shapes():
     v = template(Variable())
     assert len(v.entries) == 13

@@ -27,6 +27,7 @@ from ernn.layout import (
     PlacedGadget,
     PlacementFailure,
     _StripeIndex,
+    _vertical_violations,
     formula_from_layout,
     layout_from_json,
     layout_to_json,
@@ -140,9 +141,13 @@ def test_verticals_clear_all_stripe_corners():
 
 def test_repeated_variable_inversion_cannot_be_placed():
     # inv X X pins both reading points to the same canonical line, too
-    # close together; the fixed geometry has no room for that
-    with pytest.raises(PlacementFailure):
+    # close together; plan says so before trying any attempt
+    with pytest.raises(
+        PlacementFailure,
+        match=r"rejected before placement:\n  constraint 0: inv X X inverts X into itself",
+    ) as exc:
         plan(parse_formula("inv X X\n"))
+    assert len(exc.value.violations) == 1
 
 
 def test_palette_normals_are_unit_distinct_and_not_vertical():
@@ -165,6 +170,17 @@ def test_layout_json_round_trip():
     back = layout_from_json(s)
     assert back == layout
     assert layout_to_json(back) == s
+
+
+@pytest.mark.parametrize("key, tag", [("role", "x"), ("purpose", "y")])
+def test_layout_json_rejects_unknown_tags(key, tag):
+    import json
+
+    doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"))))
+    records = doc["placements"] if key == "role" else doc["constraint_points"]
+    records[0][key] = tag
+    with pytest.raises(LayoutError, match=f"^unknown {key} '{tag}'$"):
+        layout_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("drop", [None, "placements", "verticals"])
@@ -325,3 +341,66 @@ def test_stripe_index_matches_linear_scans(data):
                     if q is not PARALLEL:
                         best = max(best, q.x1)
     assert index.max_corner_x() == best
+
+
+def _samples(placements, v):
+    """(height, owner) of every data line of every placement on x = v, sorted."""
+    samples = []
+    for owner, pg in enumerate(placements):
+        pl = pg.placement
+        n = pl.normal
+        for entry in pl.template.data_entries:
+            samples.append(((pl.base_offset + entry.offset - n.n1 * v) / n.n2, owner))
+    return sorted(samples)
+
+
+def _sampled_separation(samples):
+    """The vertical check by brute force: the smallest gap between neighbouring
+    samples of different placements (None if there is none) and the widest
+    per-placement spread."""
+    by_owner = {}
+    for y, owner in samples:
+        by_owner.setdefault(owner, []).append(y)
+    w = max((ys[-1] - ys[0] for ys in by_owner.values()), default=F(0))
+    gaps = [y2 - y1 for (y1, o1), (y2, o2) in zip(samples, samples[1:]) if o1 != o2]
+    return (min(gaps) if gaps else None), w
+
+
+def _sampled_strays(placements, samples, v):
+    """Whether some sample lies inside another placement's open stripe."""
+    return any(
+        i != owner
+        and pg.placement.stripe()[0]
+        < pg.placement.normal.n1 * v + pg.placement.normal.n2 * y
+        < pg.placement.stripe()[1]
+        for y, owner in samples
+        for i, pg in enumerate(placements)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vertical_separation_matches_sampled_check(data):
+    placements = data.draw(_disjoint_stripes())
+    index = _StripeIndex(placements)
+    corner = index.max_corner_x()
+    for right in (False, True):
+        if right:
+            v = corner + data.draw(st.fractions(min_value=F(1, 7), max_value=100, max_denominator=7))
+        else:
+            v = corner - data.draw(st.fractions(min_value=0, max_value=120, max_denominator=7))
+        verticals = (v, v + 1, v + 2)
+        expect_clean = True
+        for u in verticals:
+            gap, w = index.separation(u)
+            samples = _samples(placements, u)
+            ref_gap, ref_w = _sampled_separation(samples)
+            assert w == ref_w
+            clean = ref_gap is None or ref_gap > ref_w
+            assert (gap is None or gap > w) == clean
+            # a clean vertical leaves no sample inside a foreign stripe
+            assert not (clean and _sampled_strays(placements, samples, u))
+            expect_clean = expect_clean and clean
+            if right:
+                assert gap == ref_gap
+        assert (_vertical_violations(index, verticals) == []) == expect_clean

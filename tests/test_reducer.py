@@ -150,6 +150,16 @@ def test_chained_formula_counts():
             "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
             "05bca01e607a68b5e152e60c129ddde6f342e83563237fc54728432912f876b6",
         ),
+        (
+            # attempt 0 is clean only at the second vertical position
+            "add B C A\nadd B A D\n",
+            "15c7b61d0a91a7fa900658013bf972d7f252ca0f42eac76a9c015fa83a0df732",
+        ),
+        (
+            # attempts 2-4 fail at all twelve vertical positions
+            "inv A B\ninv C A\ninv E D\n",
+            "f5e49cbaef62f8477a86be86e56cd497851e1e8c7cd89652b3f157edcb55f612",
+        ),
     ],
 )
 def test_compiled_bytes_are_pinned(text, digest):

@@ -85,10 +85,6 @@ class Direction:
         if self.n1 * self.n1 + self.n2 * self.n2 != 1:
             raise NotUnit(f"({self.n1}, {self.n2}) is not a rational unit vector")
 
-    def perp(self) -> "Direction":
-        """Rotate by a quarter turn counterclockwise; still unit length."""
-        return Direction(-self.n2, self.n1)
-
     def flipped(self) -> "Direction":
         return Direction(-self.n1, -self.n2)
 
@@ -107,11 +103,6 @@ class OrientedLine:
 
     normal: Direction
     offset: Rational
-
-
-def line_through(normal: Direction, point: Point2) -> OrientedLine:
-    """The line with the given normal passing through the given point."""
-    return OrientedLine(normal, normal.n1 * point.x1 + normal.n2 * point.x2)
 
 
 def signed_value(line: OrientedLine, p: Point2) -> Rational:

@@ -8,8 +8,8 @@ Each hidden unit bends the function along the line a.p + b = 0, so the
 network is continuous piecewise linear. This module also hosts the reverse
 view: a description of a piecewise-linear function by its bend lines
 (gradient change across each line), which converts to a network one unit
-per line, plus exact fit checking and an exact bound on the gradient norm
-over all cells of the bend-line arrangement.
+per line, plus exact fit checking and the exact maximum squared gradient
+norm over every cell of the bend-line arrangement.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Tuple
 
 from .geometry import (
     Direction,
@@ -274,94 +275,63 @@ def max_gradient_norm_bound(net: Network) -> Rational:
 
     The active pattern of the hidden units is constant on each open cell of
     the arrangement of their zero lines, so the gradient takes finitely many
-    values. Every cell is adjacent to a line unless there are no lines at
-    all, and every vertex and axis crossing of the arrangement sits inside
-    the box enumerated here, so sampling one interior point per (column,
-    strip) cell covers every cell. Column by column we sort the crossing
-    heights once and then walk upward, flipping one unit group at a time,
-    which keeps the per-cell update constant size.
+    values; units with a1 = a2 = 0 are constants and bend nothing. With no
+    lines the gradient is 0 everywhere. Otherwise no cell is the whole
+    plane, so the boundary of every cell (an open convex region) contains an
+    edge: an open piece of some line between consecutive crossings of other
+    lines. Walking every line and reading the cells on both sides of each of
+    its edges therefore reads every cell, bounded or not.
+
+    Along unit u's line p0 + t*d, d = (-a2, a1), every other unit either
+    lies on the same line (active on one side only), runs parallel to it
+    (active on both sides or neither) or crosses it at one t, where it
+    switches on if it grows with t and off otherwise. So start on the edge
+    before the first crossing and flip each group of equal t in turn.
     """
     units = [u for u in net.neurons if u.a1 != 0 or u.a2 != 0]
-    if not units:
-        return Fraction(0)
+    grads = [(u.c1 * u.a1, u.c1 * u.a2, u.c2 * u.a1, u.c2 * u.a2) for u in units]
 
-    # Bounding box: every pairwise intersection plus every axis crossing,
-    # padded by 1 so all those points are interior. Column boundaries
-    # (events): x of every intersection and of every vertical line.
-    xs: List[Fraction] = []
-    ys: List[Fraction] = []
-    events = set()
+    def add(acc: List[Fraction], k: int, sign: int) -> None:
+        for j in range(4):
+            acc[j] += sign * grads[k][j]
 
-    def note(x: Fraction, y: Fraction) -> None:
-        xs.append(x)
-        ys.append(y)
+    def read(g: List[Fraction], side: List[Fraction]) -> Fraction:
+        return max(
+            (g[0] + side[0]) ** 2 + (g[1] + side[1]) ** 2,
+            (g[2] + side[2]) ** 2 + (g[3] + side[3]) ** 2,
+        )
 
-    for i, u in enumerate(units):
-        if u.a1 != 0:
-            note(-u.b / u.a1, Fraction(0))
-            if u.a2 == 0:
-                events.add(xs[-1])
-        if u.a2 != 0:
-            note(Fraction(0), -u.b / u.a2)
-        for v in units[i + 1:]:
-            det = u.a1 * v.a2 - u.a2 * v.a1
-            if det == 0:
-                continue
-            note(
-                (-u.b * v.a2 + v.b * u.a2) / det,
-                (-v.b * u.a1 + u.b * v.a1) / det,
-            )
-            events.add(xs[-1])
-    xmin, xmax = min(xs) - 1, max(xs) + 1
-    ymin, ymax = min(ys) - 1, max(ys) + 1
-
-    bounds = [xmin] + sorted(e for e in events if xmin < e < xmax) + [xmax]
-    columns = [(bounds[i] + bounds[i + 1]) / 2 for i in range(len(bounds) - 1)]
-
-    def column_max(x0: Fraction) -> Fraction:
-        # Crossing height of each non-vertical unit's line in this column.
-        crossings: List[Tuple[Fraction, int]] = []
-        for idx, u in enumerate(units):
-            if u.a2 != 0:
-                y = -(u.b + u.a1 * x0) / u.a2
-                if ymin < y < ymax:
-                    crossings.append((y, idx))
-        crossings.sort(key=lambda t: t[0])
-        grouped = [(y, [idx for _, idx in grp]) for y, grp in groupby(crossings, key=lambda t: t[0])]
-
-        levels = [ymin] + [y for y, _ in grouped] + [ymax]
-        y0 = (levels[0] + levels[1]) / 2
-
-        active = []
-        g1 = [Fraction(0), Fraction(0)]
-        g2 = [Fraction(0), Fraction(0)]
-        for u in units:
-            on = u.a1 * x0 + u.a2 * y0 + u.b > 0
-            active.append(on)
-            if on:
-                g1[0] += u.c1 * u.a1
-                g1[1] += u.c1 * u.a2
-                g2[0] += u.c2 * u.a1
-                g2[1] += u.c2 * u.a2
-
-        best = max(g1[0] * g1[0] + g1[1] * g1[1], g2[0] * g2[0] + g2[1] * g2[1])
-        for _, idxs in grouped:
-            for idx in idxs:
-                u = units[idx]
-                sign = -1 if active[idx] else 1
-                active[idx] = not active[idx]
-                g1[0] += sign * u.c1 * u.a1
-                g1[1] += sign * u.c1 * u.a2
-                g2[0] += sign * u.c2 * u.a1
-                g2[1] += sign * u.c2 * u.a2
-            best = max(
-                best,
-                g1[0] * g1[0] + g1[1] * g1[1],
-                g2[0] * g2[0] + g2[1] * g2[1],
-            )
-        return best
-
-    return max(column_max(x0) for x0 in columns)
+    best = Fraction(0)
+    for u in units:
+        # p0: the point of u's line nearest the origin.
+        norm = u.a1 * u.a1 + u.a2 * u.a2
+        p1, p2 = -u.b * u.a1 / norm, -u.b * u.a2 / norm
+        # g: units off the line, active along the current edge; plus and
+        # minus: units on the line, active on u's positive or negative side.
+        g = [Fraction(0)] * 4
+        plus = [Fraction(0)] * 4
+        minus = [Fraction(0)] * 4
+        crossings: List[Tuple[Fraction, int, int]] = []
+        for k, v in enumerate(units):
+            # v's pre-activation along the line is value + slope * t.
+            slope = u.a1 * v.a2 - u.a2 * v.a1
+            value = v.a1 * p1 + v.a2 * p2 + v.b
+            if slope == 0:
+                if value == 0:
+                    add(plus if u.a1 * v.a1 + u.a2 * v.a2 > 0 else minus, k, 1)
+                elif value > 0:
+                    add(g, k, 1)
+            else:
+                if slope < 0:
+                    add(g, k, 1)
+                crossings.append((-value / slope, k, 1 if slope > 0 else -1))
+        crossings.sort(key=itemgetter(0))
+        best = max(best, read(g, plus), read(g, minus))
+        for _, group in groupby(crossings, key=itemgetter(0)):
+            for _, k, sign in group:
+                add(g, k, sign)
+            best = max(best, read(g, plus), read(g, minus))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -114,10 +114,6 @@ class _Solver:
         return const
 
 
-def _expr_const(v: Fraction) -> Expr:
-    return (v, {})
-
-
 def _expr_param(p: int) -> Expr:
     return (Fraction(0), {p: Fraction(1)})
 

@@ -14,7 +14,6 @@ from ernn.geometry import (
     Point2,
     format_rational,
     intersect,
-    line_through,
     make_direction,
     parse_rational,
     signed_value,
@@ -52,10 +51,8 @@ def test_direction_must_be_unit():
         make_direction(Fraction(1, 2), Fraction(1, 2))
 
 
-def test_perp_and_flip():
+def test_flipped_negates_both_coordinates():
     d = make_direction(Fraction(5, 13), Fraction(12, 13))
-    p = d.perp()
-    assert d.n1 * p.n1 + d.n2 * p.n2 == 0
     f = d.flipped()
     assert (f.n1, f.n2) == (-d.n1, -d.n2)
 
@@ -66,13 +63,6 @@ def test_signed_value_measures_distance_in_normal_units():
     assert signed_value(line, Point2(Fraction(17), Fraction(2))) == 0
     assert signed_value(line, Point2(Fraction(0), Fraction(5))) == 3
     assert signed_value(line, Point2(Fraction(0), Fraction(0))) == -2
-
-
-def test_line_through_contains_its_point():
-    d = make_direction(Fraction(4, 5), Fraction(-3, 5))
-    p = Point2(Fraction(7, 3), Fraction(-2))
-    line = line_through(d, p)
-    assert signed_value(line, p) == 0
 
 
 def test_intersect_basic():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ernn.formula import parse_formula
@@ -290,6 +290,13 @@ _TEMPLATES = (template(Variable()), template(Inversion()), template(LowerBound((
 _offsets = st.fractions(min_value=-60, max_value=60, max_denominator=7)
 
 
+# A failing example drawn from these strategies takes minutes to shrink, so
+# the property tests below report the first failing example as drawn.
+_FAIL_FAST = settings(
+    max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+
+
 @st.composite
 def _disjoint_stripes(draw):
     """Placements on the palette normals, parallel stripes pairwise disjoint."""
@@ -316,7 +323,7 @@ def _points(draw, placements):
     return p
 
 
-@settings(max_examples=60, deadline=None)
+@_FAIL_FAST
 @given(st.data())
 def test_stripe_index_matches_linear_scans(data):
     placements = data.draw(_disjoint_stripes())
@@ -378,7 +385,7 @@ def _sampled_strays(placements, samples, v):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@_FAIL_FAST
 @given(st.data())
 def test_vertical_separation_matches_sampled_check(data):
     placements = data.draw(_disjoint_stripes())

@@ -275,7 +275,9 @@ def _random_network(rng, kinds_seen):
         kind = rng.choice(_UNIT_KINDS)
         a1, a2, b = q(4), q(4), q(6)
         live = [u for u in units if u.a1 != 0 or u.a2 != 0]
-        if kind in ("parallel", "coincident") and live:
+        if kind in ("parallel", "coincident") and not live:
+            kind = "free"
+        if kind in ("parallel", "coincident"):
             base = rng.choice(live)
             k = rng.choice((F(-2), F(-1, 3), F(1, 2), F(3)))
             a1, a2 = k * base.a1, k * base.a2

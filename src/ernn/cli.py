@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -66,6 +67,21 @@ def _read(path: str) -> str:
 
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _positive(convert):
+    """An argparse type: the flag's value converted, finite and above 0."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+
+    return parse
 
 
 def _layout_sidecar(instance_path: str) -> str:
@@ -228,20 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="search bounded-denominator rationals for a solution")
     p.add_argument("formula")
-    p.add_argument("--denom-bound", type=int, default=12)
+    p.add_argument("--denom-bound", type=_positive(int), default=12)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_solve)
 
     p = subs.add_parser("roundtrip", help="compile -> witness -> verify -> extract -> compare")
     p.add_argument("formula")
     p.add_argument("--assignment", default=None, help="assignment file (default: solve first)")
-    p.add_argument("--denom-bound", type=int, default=12)
+    p.add_argument("--denom-bound", type=_positive(int), default=12)
     p.set_defaults(func=_roundtrip)
 
     p = subs.add_parser("render", help="layout sidecar -> SVG")
     p.add_argument("layout", help="layout sidecar written by compile")
     p.add_argument("-o", "--output", default="layout.svg")
-    p.add_argument("--scale", type=float, default=0.05)
+    p.add_argument("--scale", type=_positive(float), default=0.05)
     p.set_defaults(func=_render)
 
     return parser

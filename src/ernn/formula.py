@@ -359,6 +359,8 @@ def parse_assignment(text: str) -> Dict[str, Fraction]:
         name = name.strip()
         if not _is_name(name):
             raise FormulaSyntaxError(f"bad variable name {name!r}", lineno, 1)
+        if name in out:
+            raise FormulaSyntaxError(f"variable {name!r} is assigned twice", lineno, 1)
         try:
             out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):

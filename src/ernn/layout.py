@@ -8,14 +8,15 @@ so that the few points where two gadgets must talk to each other (copy
 points, addition points, inversion copy points, weak points) land exactly
 on the intersections of the right measuring lines.
 
-plan() lays a formula out deterministically: same formula, same layout,
-byte for byte. realize() turns a validated layout into labeled
-data points: three points per data line (on three far-right vertical lines
-whose spacing certifies that data from different gadgets cannot be
-confused) plus one point per constraint point. The rule for those lines:
-on each, every gap between neighbouring stripe cross-sections must exceed
-the widest cross-section. It samples at the layout's
-verticals without checking them, so a layout that plan() did not return
+plan() lays a formula out in one deterministic pass: bands of x from left
+to right for the probes, the canonical weak points, each inversion and
+each addition, then three sample verticals at unit spacing a fixed margin
+right of every stripe crossing; its docstring argues why that validates.
+realize() turns a validated layout into labeled data points: three per
+data line, on the verticals, plus one per constraint point. On each
+vertical every gap between neighbouring stripe cross-sections exceeds the
+widest cross-section, so data from different gadgets cannot be confused.
+realize() does not check this, so a layout that plan() did not return
 must pass validate() first. validate() re-checks every geometric invariant
 the reduction's correctness argument leans on, from scratch, and reports
 violations as strings rather than failing fast.
@@ -60,9 +61,7 @@ class LayoutError(ValueError):
 
 
 class PlacementFailure(LayoutError):
-    def __init__(
-        self, violations: Sequence[str], why: str = "last attempt's violations"
-    ) -> None:
+    def __init__(self, violations: Sequence[str], why: str) -> None:
         super().__init__(
             f"could not place gadgets cleanly; {why}:\n  " + "\n  ".join(violations)
         )
@@ -77,13 +76,14 @@ class RealizationFailure(LayoutError):
 # Fixed geometry
 # ---------------------------------------------------------------------------
 
-# Distance between canonical stripes and between gadget columns. The widest
-# stripe is 19 units across measured along its normal and stretches by at
-# most 13/5 on a vertical line, so this leaves every gadget far apart.
+# Distance between canonical stripes, and the unit of the band columns. The
+# widest stripe is 19 units across measured along its normal and stretches
+# by at most 13/5 on a vertical line, so this leaves every gadget far apart.
 SPACING = Fraction(1000)
-# Step from the rightmost stripe crossing to each candidate position of the
-# first sample vertical.
-VERTICAL_MARGIN = Fraction(50)
+# Step from the rightmost stripe crossing, rounded up, to the first sample
+# vertical. Non-parallel cross-sections move apart at a rate of at least 1/3
+# there, so any step above 95 puts them more than the widest (95/3) apart.
+VERTICAL_MARGIN = Fraction(100)
 
 # Normals for each gadget family, pairwise non-parallel, none vertical. The
 # three copy slots of an addition use three distinct normals so the copies
@@ -221,22 +221,13 @@ def _canonical_upper(placements: Sequence[PlacedGadget], idx: int) -> OrientedLi
     return measuring_line(placements[idx].placement, 1, "upper")
 
 
-def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
+def _build(formula: EtrInvFormula) -> Layout:
+    """The layout plan() argues for, without checking it."""
     S = SPACING
     variables = formula.variables
-    additions = formula.additions
-    inversions = formula.inversions
-    k = len(variables)
-    A = len(additions)
-    I = len(inversions)
-
-    # Column bases, nudged apart between retry attempts so that relative
-    # positions change (a global shift would preserve any accidental hit).
-    t = Fraction(attempt)
-    add_col = lambda a: (1 + a) * S + t * S * Fraction(3, 41) + t * a * S / 11
-    inv_col = lambda j: (1 + A + j) * S + t * S * Fraction(7, 41) + t * j * S / 13
-    q_col = lambda i: (1 + A + I + i) * S + t * S * Fraction(11, 41) + t * i * S / 19
-    probe_col = lambda i: -(1 + i) * S - t * S * Fraction(3, 41)
+    H = len(variables) * S  # the height of the addition points, above every stripe
+    additions = [(i, c) for i, c in enumerate(formula.constraints) if isinstance(c, Add)]
+    inversions = [(i, c) for i, c in enumerate(formula.constraints) if isinstance(c, Inv)]
 
     placements: List[PlacedGadget] = []
     cpoints: List[ConstraintPoint] = []
@@ -253,26 +244,20 @@ def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
         placement = GadgetPlacement(var_template, CANONICAL_NORMAL, i * S)
         canonical[v] = place(placement, CanonicalRole(v))
 
-    H = k * S  # the height where addition points live, above every stripe
-
     def meet_canonical_upper(var: str, line: OrientedLine) -> Point2:
         p = intersect(_canonical_upper(placements, canonical[var]), line)
         assert isinstance(p, Point2)
         return p
 
-    # Addition gadgetry: three tilted copies per addition, fanning out of a
-    # shared addition point; each copy is tied to its variable's canonical
-    # gadget by a copy point and carries its own weak point. Roles and
-    # purposes carry the constraint's index in formula.constraints.
-    a_idx = -1
-    for c_idx_formula, add in enumerate(formula.constraints):
-        if not isinstance(add, Add):
-            continue
-        a_idx += 1
-        p_a = Point2(add_col(a_idx), H)
-        copy_vars = (add.x, add.y, add.z)
+    # Addition bands, right of the inversion bands: three tilted copies per
+    # addition, fanning out of a shared addition point; each copy is tied to
+    # its variable's canonical gadget by a copy point and carries its own
+    # weak point. Roles and purposes carry the constraint's index in
+    # formula.constraints.
+    for a, (c_idx_formula, add) in enumerate(additions):
+        p_a = Point2(3 * H + len(inversions) * (2 * H + S) + a * (3 * H + S), H)
         copy_idxs = []
-        for slot, var in enumerate(copy_vars):
+        for slot, var in enumerate((add.x, add.y, add.z)):
             normal = COPY_NORMALS[slot]
             # The first two operands put their upper measuring line through
             # the addition point, the sum its lower one: the three readings
@@ -308,18 +293,12 @@ def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
             tuple(copy_idxs),
         ))
 
-    # Inversion gadgets, each anchored on its first variable's canonical
-    # upper measuring line.
-    j = -1
-    for c_idx_formula, inv in enumerate(formula.constraints):
-        if not isinstance(inv, Inv):
-            continue
-        j += 1
+    # Inversion bands from x = 3H, each gadget anchored on its first
+    # variable's canonical upper measuring line (horizontal, y = offset).
+    for j, (c_idx_formula, inv) in enumerate(inversions):
         normal = INVERSION_NORMAL
-        upper_x = _canonical_upper(placements, canonical[inv.x])
-        x1 = inv_col(j)
-        x2 = (upper_x.offset - upper_x.normal.n1 * x1) / upper_x.normal.n2
-        p_x = Point2(x1, x2)
+        upper_y = _canonical_upper(placements, canonical[inv.x]).offset
+        p_x = Point2(3 * H + j * (2 * H + S), upper_y)
         base = normal.n1 * p_x.x1 + normal.n2 * p_x.x2 - 3
         placement = GadgetPlacement(inv_template, normal, base)
         g_idx = place(placement, InversionRole(c_idx_formula, inv.x, inv.y))
@@ -340,7 +319,7 @@ def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
     # Each canonical gadget's own weak point, in its private column.
     for i, v in enumerate(variables):
         cpoints.append(ConstraintPoint(
-            Point2(q_col(i), i * S + Fraction(11, 3)),
+            Point2((1 + i) * S, i * S + Fraction(11, 3)),
             var_template.weak_entries[0].labels,
             WeakQPurpose(canonical[v]),
             (canonical[v],),
@@ -359,15 +338,17 @@ def _build_attempt(formula: EtrInvFormula, attempt: int) -> Layout:
             cp, member_of=cp.member_of + (lb_idx,), lower_bound_gadget=lb_idx
         )
 
-    probes = tuple(
-        (v, Point2(probe_col(i), i * S + 5)) for i, v in enumerate(variables)
-    )
-    verticals = _choose_verticals(tuple(placements), tuple(cpoints), probes)
+    # Every constraint point lies in two non-parallel stripes, so inside a
+    # parallelogram of boundary crossings, and every probe left of x = 0:
+    # the rightmost crossing is the rightmost thing placed.
+    v1 = math.ceil(_StripeIndex(placements).max_corner_x()) + VERTICAL_MARGIN
     return Layout(
         placements=tuple(placements),
         constraint_points=tuple(cpoints),
-        verticals=verticals,
-        probes=probes,
+        verticals=(v1, v1 + 1, v1 + 2),
+        probes=tuple(
+            (v, Point2(-(1 + i) * S, i * S + 5)) for i, v in enumerate(variables)
+        ),
     )
 
 
@@ -476,44 +457,47 @@ def _vertical_violations(
     return out
 
 
-def _choose_verticals(
-    placements: Tuple[PlacedGadget, ...],
-    cpoints: Tuple[ConstraintPoint, ...],
-    probes: Tuple[Tuple[str, Point2], ...],
-) -> Tuple[Rational, Rational, Rational]:
-    index = _StripeIndex(placements)
-    overlaps = index.overlaps()
-    if overlaps:
-        # validate() would reject the attempt for these whatever the verticals.
-        raise PlacementFailure(overlaps)
-    right_most = max(
-        [index.max_corner_x()] + [cp.point.x1 for cp in cpoints] + [p.x1 for _v, p in probes]
-    )
-    base = Fraction(math.ceil(right_most))
-    for j in range(12):
-        v1 = base + VERTICAL_MARGIN * (j + 1)
-        verticals = (v1, v1 + 1, v1 + 2)
-        if not _vertical_violations(index, verticals):
-            return verticals
-    raise PlacementFailure(
-        [f"no clean vertical position found right of x={base}"]
-    )
-
-
 def plan(formula: EtrInvFormula) -> Layout:
-    """Deterministic layout of a formula, validated before it is returned.
+    """Deterministic layout of a formula; it passes validate() by construction.
 
-    Retries with nudged column positions a bounded number of times; if no
-    attempt validates cleanly, raises PlacementFailure with the last
-    attempt's violations. A formula without variables raises LayoutError;
-    one that inverts a variable into itself raises PlacementFailure before
-    any attempt.
+    With k variables and S = SPACING, canonical stripe i covers heights
+    [iS, iS + 16] and every constraint point lies between heights 0 and
+    H = kS. Per unit of height a copy stripe drifts at most 12/5 in x, an
+    inversion stripe 3/4, a lower-bound stripe 5/12. Between heights 0 and
+    H, the bands hold, from left to right:
+
+    - probe i at x = -(1 + i)S, left of every tilted stripe at its height;
+    - canonical weak point i at x = (1 + i)S, which with its lower-bound
+      stripe stays left of x = 17H/12 + 6;
+    - per inversion, a column 2H + S right of the last, the first at 3H:
+      its copy points lie within 3H/4 + 4 of the column and its stripes
+      within 7H/6 + 24, together less than the pitch;
+    - per addition, a column 3H + S right of the last: its stripes and
+      points lie from 13 left of its addition point to 12H/5 + 34 right.
+
+    So no point lies in another band's stripe. Inside a band, positions
+    depend only on row gaps, multiples of S, and each point stays more than
+    68 from every other stripe, along that stripe's normal. Parallel
+    stripes are disjoint, and their cross-sections on a vertical are more
+    than the widest one, 95/3 (an inversion's), apart. For lower-bound
+    stripes that needs weak points more than 8 + 95/3 * 5/13 apart along
+    their normal: across bands they are more than 5H/12 + 22 apart in x,
+    an addition's three more than 94 apart and an inversion's two
+    14S/13 - 45/13, as their rows differ unless it is inv X X. The other
+    families' parallel stripes are S or more apart. Right of every boundary
+    crossing, non-parallel cross-sections on a vertical move apart at a
+    rate of at least 1/3, the smallest gap between the slopes of palette
+    boundary lines, so VERTICAL_MARGIN > 95 separates them.
+
+    validate() still checks the result, and a failure there raises
+    PlacementFailure. A formula without variables raises LayoutError; one
+    that inverts a variable into itself raises PlacementFailure up front.
     """
     if not formula.variables:
         raise LayoutError("formula has no variables")
     # Both copy points of inv X X sit on X's canonical measuring line, 45/13
     # apart along the lower-bound normal, so their lower-bound stripes (8
-    # wide) overlap in every attempt.
+    # wide) overlap wherever the inversion is placed.
     self_inverse = [
         f"constraint {i}: inv {c.x} {c.x} inverts {c.x} into itself; both of its "
         f"copy points would sit on the measuring line of {c.x}"
@@ -522,16 +506,11 @@ def plan(formula: EtrInvFormula) -> Layout:
     ]
     if self_inverse:
         raise PlacementFailure(self_inverse, "rejected before placement")
-    for attempt in range(8):
-        try:
-            layout = _build_attempt(formula, attempt)
-        except PlacementFailure as exc:
-            violations = list(exc.violations)
-            continue
-        violations = list(validate(layout))
-        if not violations:
-            return layout
-    raise PlacementFailure(violations)
+    layout = _build(formula)
+    violations = validate(layout)
+    if violations:
+        raise PlacementFailure(violations, "the derived layout fails validation")
+    return layout
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,33 @@ def test_unsatisfying_assignment_is_exit_2(workspace, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_repeated_assignment_name_is_exit_2(workspace, capsys):
+    (workspace / "twice.txt").write_text(ASSIGNMENT + "X = 2\n")
+    assert run(["witness", "f.ec", "twice.txt", "-o", "net.json"]) == 2
+    assert "line 5, column 1: variable 'X' is assigned twice" in capsys.readouterr().err
+    assert not (workspace / "net.json").exists()
+    assert run(["roundtrip", "f.ec", "--assignment", "twice.txt"]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "roundtrip"])
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_non_positive_denom_bound_is_usage_error(workspace, capsys, command, bound):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "f.ec", "--denom-bound", bound])
+    assert exc.value.code == 2
+    assert f"--denom-bound: must be positive and finite, got '{bound}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_bad_render_scale_is_usage_error(workspace, capsys, scale):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["render", "inst.layout.json", "-o", "pic.svg", "--scale", scale])
+    assert exc.value.code == 2
+    assert f"--scale: must be positive and finite, got '{scale}'" in capsys.readouterr().err
+    assert not (workspace / "pic.svg").exists()
+
+
 def test_wrong_shape_network_json_is_exit_2(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     (workspace / "list.json").write_text("[]")

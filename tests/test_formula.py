@@ -144,6 +144,13 @@ def test_assignment_round_trip():
     assert parse_assignment(format_assignment(a)) == a
 
 
+def test_assignment_rejects_repeated_name():
+    with pytest.raises(
+        FormulaSyntaxError, match=r"^line 3, column 1: variable 'X' is assigned twice$"
+    ):
+        parse_assignment("X = 1\nY = 2\nX = 2\n")
+
+
 def test_assignment_rejects_bad_lines():
     with pytest.raises(ValueError):
         parse_assignment("X 1\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ernn.formula import parse_formula
+from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
 from ernn.gadgets import (
     AtLeast,
     Exact,
@@ -35,6 +35,7 @@ from ernn.layout import (
     realize,
     validate,
 )
+from ernn.reducer import compile_formula
 
 F = Fraction
 REFERENCE = "add X Y Z\ninv X W\n"
@@ -141,7 +142,7 @@ def test_verticals_clear_all_stripe_corners():
 
 def test_repeated_variable_inversion_cannot_be_placed():
     # inv X X pins both reading points to the same canonical line, too
-    # close together; plan says so before trying any attempt
+    # close together; plan says so before placing anything
     with pytest.raises(
         PlacementFailure,
         match=r"rejected before placement:\n  constraint 0: inv X X inverts X into itself",
@@ -411,3 +412,33 @@ def test_vertical_separation_matches_sampled_check(data):
             if right:
                 assert gap == ref_gap
         assert (_vertical_violations(index, verticals) == []) == expect_clean
+
+
+_names = st.sampled_from("ABCDEF")
+_constraints = st.one_of(
+    st.builds(Add, _names, _names, _names), st.builds(Inv, _names, _names)
+)
+
+
+@settings(_FAIL_FAST, max_examples=150)
+@given(st.lists(_constraints, min_size=1, max_size=8))
+def test_every_small_formula_compiles(constraints):
+    variables = tuple(dict.fromkeys(v for c in constraints for v in c.variables()))
+    formula = EtrInvFormula(variables, tuple(constraints))
+    if any(isinstance(c, Inv) and c.x == c.y for c in constraints):
+        with pytest.raises(PlacementFailure, match="rejected before placement"):
+            compile_formula(formula)
+    else:
+        assert validate(compile_formula(formula).layout) == ()
+
+
+def _chain(n):
+    """F_n: inv Ai Bi and add Hi Hi Ai for each i < n."""
+    return "".join(f"inv A{i} B{i}\nadd H{i} H{i} A{i}\n" for i in range(n))
+
+
+@pytest.mark.parametrize("n", [11, 14, 32])
+def test_chain_formula_compiles(n):
+    bundle = compile_formula(parse_formula(_chain(n)))
+    assert validate(bundle.layout) == ()
+    assert bundle.counts.hidden_neurons == 53 * n

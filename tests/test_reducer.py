@@ -143,22 +143,22 @@ def test_chained_formula_counts():
     [
         (
             "add X Y Z\ninv X W\n",
-            "749f6377cc2321b46cbf96ec85287f4215076d4352a3a02001ce6943a162f7e5",
+            "735f56542e8ec288344515794562339fb041472d77f95cabbd2653af64d64d1f",
         ),
         (
-            # F_2, whose first clean plan attempt is attempt 2
+            # F_2: two inversion bands, then two addition bands
             "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
-            "05bca01e607a68b5e152e60c129ddde6f342e83563237fc54728432912f876b6",
+            "6df11aa49f6d6feda49e4072160039d1112434ddea19defddc58c9e71de1c5d5",
         ),
         (
-            # attempt 0 is clean only at the second vertical position
+            # additions only, so the addition bands start at x = 3kS
             "add B C A\nadd B A D\n",
-            "15c7b61d0a91a7fa900658013bf972d7f252ca0f42eac76a9c015fa83a0df732",
+            "f3929674a943a5e6be2af5aa776d33a258d1eb72199acb3f1856bda3ce9a6eb0",
         ),
         (
-            # attempts 2-4 fail at all twelve vertical positions
+            # inversions only, A read in two of the three bands
             "inv A B\ninv C A\ninv E D\n",
-            "f5e49cbaef62f8477a86be86e56cd497851e1e8c7cd89652b3f157edcb55f612",
+            "445c702b3e79293ae9517c193441385c4d8e3ac3809b3418cc28cce0c8b08252",
         ),
     ],
 )

@@ -32,13 +32,8 @@ from .formula import (
     parse_assignment,
     parse_formula,
 )
-from .geometry import GeometryError, format_rational, parse_rational
-from .layout import (
-    LayoutError,
-    formula_from_layout,
-    layout_from_json,
-    layout_to_json,
-)
+from .geometry import GeometryError, Rational, format_rational, parse_rational
+from .layout import LayoutError, layout_from_json, layout_to_json
 from .network import (
     NetworkError,
     instance_from_json,
@@ -50,7 +45,6 @@ from .reducer import (
     DimensionMismatch,
     NotFitting,
     ReducerError,
-    bundle_from_layout,
     compile_formula,
     extract,
     verify,
@@ -84,6 +78,17 @@ def _positive(convert):
     return parse
 
 
+def _loss_target(text: str) -> Rational:
+    """An argparse type for --gamma: a rational number, 0 or more."""
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
+    return value
+
+
 def _layout_sidecar(instance_path: str) -> str:
     p = Path(instance_path)
     return str(p.with_name(p.stem + ".layout.json"))
@@ -110,14 +115,7 @@ def _compile(args: argparse.Namespace) -> int:
 def _witness(args: argparse.Namespace) -> int:
     formula = parse_formula(_read(args.formula))
     assignment = parse_assignment(_read(args.assignment))
-    if args.layout is not None:
-        layout = layout_from_json(_read(args.layout))
-        if formula_from_layout(layout) != formula:
-            raise LayoutError(f"{args.layout} was compiled from a different formula")
-        bundle = bundle_from_layout(formula, layout)
-    else:
-        bundle = compile_formula(formula)
-    net = witness(bundle, assignment)
+    net = witness(compile_formula(formula), assignment)
     _write(args.output, network_to_json(net))
     print(f"witness network with {len(net.neurons)} hidden units -> {args.output}")
     return 0
@@ -126,8 +124,7 @@ def _witness(args: argparse.Namespace) -> int:
 def _verify(args: argparse.Namespace) -> int:
     instance = instance_from_json(_read(args.instance))
     net = network_from_json(_read(args.network))
-    gamma = parse_rational(args.gamma) if args.gamma is not None else None
-    report = verify(net, instance, gamma=gamma)
+    report = verify(net, instance, gamma=args.gamma)
     width = len(net.neurons)
     print(f"loss = {format_rational(report.total_loss)}")
     print(f"width = {width} hidden units (budget {instance.hidden_neurons})")
@@ -143,8 +140,8 @@ def _verify(args: argparse.Namespace) -> int:
 
 def _extract(args: argparse.Namespace) -> int:
     net = network_from_json(_read(args.network))
-    layout = layout_from_json(_read(args.layout))
-    bundle = bundle_from_layout(formula_from_layout(layout), layout)
+    # The sidecar names the formula; compiling it again gives the instance.
+    bundle = compile_formula(layout_from_json(_read(args.layout)).formula)
     assignment = extract(bundle, net)
     text = format_assignment(assignment)
     if args.output:
@@ -226,14 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("witness", help="formula + assignment -> exact-fit network JSON")
     p.add_argument("formula")
     p.add_argument("assignment")
-    p.add_argument("--layout", default=None, help="reuse a saved layout sidecar instead of replanning")
     p.add_argument("-o", "--output", default="network.json")
     p.set_defaults(func=_witness)
 
     p = subs.add_parser("verify", help="network + instance -> accept/reject")
     p.add_argument("network")
     p.add_argument("instance")
-    p.add_argument("--gamma", default=None, help="override the loss threshold (rational)")
+    p.add_argument(
+        "--gamma", type=_loss_target, default=None, help="override the loss threshold (rational, 0 or more)"
+    )
     p.set_defaults(func=_verify)
 
     p = subs.add_parser("extract", help="fitting network + layout sidecar -> assignment")

@@ -207,6 +207,10 @@ def check_assignment(formula: EtrInvFormula, assignment: Assignment) -> Satisfac
     missing = [v for v in formula.variables if v not in assignment]
     if missing:
         raise MissingVariable(f"assignment lacks {', '.join(missing)}")
+    declared = set(formula.variables)
+    stray = [v for v in assignment if v not in declared]
+    if stray:
+        raise FormulaError(f"assignment names {', '.join(stray)}, which the formula lacks")
 
     range_violations = tuple(
         (v, assignment[v])

@@ -12,14 +12,17 @@ plan() lays a formula out in one deterministic pass: bands of x from left
 to right for the probes, the canonical weak points, each inversion and
 each addition, then three sample verticals at unit spacing a fixed margin
 right of every stripe crossing; its docstring argues why that validates.
-realize() turns a validated layout into labeled data points: three per
-data line, on the verticals, plus one per constraint point. On each
-vertical every gap between neighbouring stripe cross-sections exceeds the
-widest cross-section, so data from different gadgets cannot be confused.
-realize() does not check this, so a layout that plan() did not return
-must pass validate() first. validate() re-checks every geometric invariant
-the reduction's correctness argument leans on, from scratch, and reports
-violations as strings rather than failing fast.
+realize() turns a layout into labeled data points: three per data line,
+on the verticals, plus one per constraint point. On each vertical every gap
+between neighbouring stripe cross-sections exceeds the widest
+cross-section, so data from different gadgets cannot be confused.
+validate() re-checks every geometric invariant the reduction's correctness
+argument leans on, from scratch, and reports violations as strings rather
+than failing fast; plan() runs it on every layout it returns.
+
+The layout is a function of the formula, so the JSON sidecar stores only
+the formula (its variables in order and its constraints) beside the fixed
+geometry, and layout_from_json() re-derives the layout with plan().
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .geometry import (
     format_rational,
     intersect,
     make_direction,
-    parse_rational,
     signed_value,
 )
 
@@ -66,10 +68,6 @@ class PlacementFailure(LayoutError):
             f"could not place gadgets cleanly; {why}:\n  " + "\n  ".join(violations)
         )
         self.violations = tuple(violations)
-
-
-class RealizationFailure(LayoutError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +175,7 @@ class ConstraintPoint:
 
 @dataclass(frozen=True)
 class Layout:
+    formula: EtrInvFormula
     placements: Tuple[PlacedGadget, ...]
     constraint_points: Tuple[ConstraintPoint, ...]
     verticals: Tuple[Rational, Rational, Rational]
@@ -343,6 +342,7 @@ def _build(formula: EtrInvFormula) -> Layout:
     # the rightmost crossing is the rightmost thing placed.
     v1 = math.ceil(_StripeIndex(placements).max_corner_x()) + VERTICAL_MARGIN
     return Layout(
+        formula=formula,
         placements=tuple(placements),
         constraint_points=tuple(cpoints),
         verticals=(v1, v1 + 1, v1 + 2),
@@ -520,19 +520,14 @@ def plan(formula: EtrInvFormula) -> Layout:
 def realize(layout: Layout) -> Realization:
     """Labeled training points for a layout: 3 per data line + constraints.
 
-    The layout must be validated: the data lines are sampled at
-    layout.verticals as they stand, and only validate() certifies that
-    those verticals separate the gadgets.
+    The data lines are sampled at layout.verticals as they stand, which
+    separate the gadgets only in a layout that passes validate(), as every
+    layout plan() returns does.
     """
     points: List[LabeledPoint] = []
-    for owner, pg in enumerate(layout.placements):
+    for pg in layout.placements:
         pl = pg.placement
         n = pl.normal
-        # render() realizes sidecars that were never validated.
-        if n.n2 == 0:
-            raise RealizationFailure(
-                f"placement {owner} has vertical data lines; cannot sample"
-            )
         for entry in pl.template.data_entries:
             c = pl.base_offset + entry.offset
             want = (entry.labels[0].value, entry.labels[1].value)
@@ -695,101 +690,12 @@ def _expected_label_values(cp: ConstraintPoint) -> Optional[Tuple[Label, Label]]
     return None
 
 
-def formula_from_layout(layout: Layout) -> EtrInvFormula:
-    """Rebuild the compiled formula from placement roles.
-
-    Canonical gadgets appear in declaration order; addition copies name the
-    operands slot by slot; inversion roles carry both variables. A layout
-    from a trusted sidecar therefore determines its formula exactly.
-    """
-    variables = tuple(
-        pg.role.variable
-        for pg in layout.placements
-        if isinstance(pg.role, CanonicalRole)
-    )
-    if not variables:
-        raise LayoutError("layout has no variable gadgets")
-    constraints: Dict[int, Constraint] = {}
-    operands: Dict[int, Dict[int, str]] = {}
-    for pg in layout.placements:
-        role = pg.role
-        if isinstance(role, AdditionCopyRole):
-            operands.setdefault(role.addition_index, {})[role.slot] = role.variable
-        elif isinstance(role, InversionRole):
-            constraints[role.constraint_index] = Inv(role.var_x, role.var_y)
-    for idx, slots in operands.items():
-        if sorted(slots) != [0, 1, 2]:
-            raise LayoutError(f"addition {idx} is missing copy gadgets")
-        constraints[idx] = Add(slots[0], slots[1], slots[2])
-    if sorted(constraints) != list(range(len(constraints))):
-        raise LayoutError("constraint indices have gaps")
-    return EtrInvFormula(
-        variables=variables,
-        constraints=tuple(constraints[i] for i in range(len(constraints))),
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON sidecar
 # ---------------------------------------------------------------------------
 
 def _direction_to_json(d: Direction) -> List[str]:
     return [format_rational(d.n1), format_rational(d.n2)]
-
-
-def _direction_from_json(item: Sequence[str]) -> Direction:
-    return Direction(parse_rational(item[0]), parse_rational(item[1]))
-
-
-def _label_to_json(lab: Label) -> Dict:
-    kind = "exact" if isinstance(lab, Exact) else "at_least"
-    return {"type": kind, "value": format_rational(lab.value)}
-
-
-def _label_from_json(item: Dict) -> Label:
-    value = parse_rational(item["value"])
-    if item["type"] == "exact":
-        return Exact(value)
-    if item["type"] == "at_least":
-        return AtLeast(value)
-    raise LayoutError(f"unknown label type {item['type']!r}")
-
-
-# Tagged records: the tag under "role" or "purpose", then the dataclass's
-# fields in declaration order.
-_ROLES = {
-    "canonical": CanonicalRole,
-    "addition_copy": AdditionCopyRole,
-    "inversion": InversionRole,
-    "lower_bound": LowerBoundRole,
-}
-_PURPOSES = {
-    "copy": CopyPurpose,
-    "addition": AdditionPurpose,
-    "inversion_copy": InversionCopyPurpose,
-    "weak_q": WeakQPurpose,
-}
-
-
-def _tagged_to_json(key: str, tags: Dict[str, type], record) -> Dict:
-    tag = next(t for t, cls in tags.items() if type(record) is cls)
-    return {key: tag, **{f.name: getattr(record, f.name) for f in fields(record)}}
-
-
-def _tagged_from_json(key: str, tags: Dict[str, type], item: Dict):
-    cls = tags.get(item[key])
-    if cls is None:
-        raise LayoutError(f"unknown {key} {item[key]!r}")
-    return cls(*(item[f.name] for f in fields(cls)))
-
-
-def _kind_to_json(pg: PlacedGadget) -> Dict:
-    kind = pg.placement.template.kind
-    if isinstance(kind, Variable):
-        return {"kind": "variable"}
-    if isinstance(kind, Inversion):
-        return {"kind": "inversion"}
-    return {"kind": "lower_bound", "active_dims": list(kind.active_dims)}
 
 
 # The sidecar's "config" block: the fixed geometry every layout is built on.
@@ -805,87 +711,54 @@ _GEOMETRY_JSON = {
 }
 
 
+_CONSTRAINTS = {"add": Add, "inv": Inv}
+
+
 def layout_to_json(layout: Layout) -> str:
+    """The sidecar: the fixed geometry and the formula plan() lays out."""
+    formula = layout.formula
     doc = {
         "config": _GEOMETRY_JSON,
-        "placements": [
-            {
-                **_kind_to_json(pg),
-                "normal": _direction_to_json(pg.placement.normal),
-                "base_offset": format_rational(pg.placement.base_offset),
-                **_tagged_to_json("role", _ROLES, pg.role),
-            }
-            for pg in layout.placements
-        ],
-        "constraint_points": [
-            {
-                "x": [format_rational(cp.point.x1), format_rational(cp.point.x2)],
-                "labels": [_label_to_json(l) for l in cp.labels],
-                **_tagged_to_json("purpose", _PURPOSES, cp.purpose),
-                "member_of": list(cp.member_of),
-                "lower_bound_gadget": cp.lower_bound_gadget,
-            }
-            for cp in layout.constraint_points
-        ],
-        "verticals": [format_rational(v) for v in layout.verticals],
-        "probes": [
-            [var, [format_rational(p.x1), format_rational(p.x2)]]
-            for var, p in layout.probes
+        "variables": list(formula.variables),
+        "constraints": [
+            ["add" if isinstance(c, Add) else "inv", *c.variables()]
+            for c in formula.constraints
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _constraint_from_json(item) -> Constraint:
+    if not isinstance(item, list) or not item:
+        raise LayoutError(f"constraint {item!r} is not a non-empty list")
+    head, *names = item
+    shape = _CONSTRAINTS.get(head)
+    if shape is None:
+        raise LayoutError(f"unknown constraint {head!r} (expected 'add' or 'inv')")
+    if len(names) != len(fields(shape)):
+        raise LayoutError(f"{head} takes {len(fields(shape))} variables, got {len(names)}")
+    return shape(*names)
+
+
 def layout_from_json(text: str) -> Layout:
-    """Parse a sidecar; a document of the wrong shape raises LayoutError."""
+    """The layout plan() derives from a sidecar's formula.
+
+    A document of the wrong shape, or with another config block, raises
+    LayoutError; a formula that names an undeclared variable raises
+    FormulaError, and one plan() cannot place raises as plan() does.
+    """
     try:
         doc = json.loads(text)
         if doc["config"] != _GEOMETRY_JSON:
             raise LayoutError("sidecar config block differs from the fixed layout geometry")
-        placements = []
-        for item in doc["placements"]:
-            if item["kind"] == "variable":
-                tpl = template(Variable())
-            elif item["kind"] == "inversion":
-                tpl = template(Inversion())
-            elif item["kind"] == "lower_bound":
-                tpl = template(LowerBound(tuple(item["active_dims"])))
-            else:
-                raise LayoutError(f"unknown gadget kind {item['kind']!r}")
-            placements.append(
-                PlacedGadget(
-                    GadgetPlacement(
-                        tpl,
-                        _direction_from_json(item["normal"]),
-                        parse_rational(item["base_offset"]),
-                    ),
-                    _tagged_from_json("role", _ROLES, item),
-                )
-            )
-        cpoints = []
-        for item in doc["constraint_points"]:
-            cpoints.append(
-                ConstraintPoint(
-                    point=Point2(parse_rational(item["x"][0]), parse_rational(item["x"][1])),
-                    labels=(
-                        _label_from_json(item["labels"][0]),
-                        _label_from_json(item["labels"][1]),
-                    ),
-                    purpose=_tagged_from_json("purpose", _PURPOSES, item),
-                    member_of=tuple(item["member_of"]),
-                    lower_bound_gadget=item["lower_bound_gadget"],
-                )
-            )
-        v1, v2, v3 = (parse_rational(v) for v in doc["verticals"])
-        probes = tuple(
-            (var, Point2(parse_rational(xy[0]), parse_rational(xy[1])))
-            for var, xy in doc["probes"]
+        variables, constraints = doc["variables"], doc["constraints"]
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise LayoutError(f"variables {variables!r} is not a list of names")
+        if not isinstance(constraints, list):
+            raise LayoutError(f"constraints {constraints!r} is not a list")
+        formula = EtrInvFormula(
+            tuple(variables), tuple(_constraint_from_json(c) for c in constraints)
         )
-        return Layout(
-            placements=tuple(placements),
-            constraint_points=tuple(cpoints),
-            verticals=(v1, v2, v3),
-            probes=probes,
-        )
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise LayoutError(f"malformed layout JSON: {exc!r}") from exc
+    return plan(formula)

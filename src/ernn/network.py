@@ -393,6 +393,7 @@ def instance_to_json(instance: TrainInstance) -> str:
 
 
 def instance_from_json(text: str) -> TrainInstance:
+    """Parse an instance; the budget must be a JSON integer and both it and gamma at least 0."""
     try:
         data = json.loads(text)
         points = []
@@ -400,10 +401,13 @@ def instance_from_json(text: str) -> TrainInstance:
             x1, x2 = (parse_rational(s) for s in item["x"])
             y1, y2 = (parse_rational(s) for s in item["y"])
             points.append((Point2(x1, x2), (y1, y2)))
-        return TrainInstance(
-            hidden_neurons=int(data["hidden_neurons"]),
-            gamma=parse_rational(data["gamma"]),
-            points=tuple(points),
-        )
+        budget = data["hidden_neurons"]
+        gamma = parse_rational(data["gamma"])
     except _MALFORMED as exc:
         raise NetworkError(f"malformed instance JSON: {exc!r}") from exc
+    # bool is a subclass of int, and JSON true must not read as a budget of 1
+    if type(budget) is not int or budget < 0:
+        raise NetworkError(f"malformed instance JSON: hidden_neurons {budget!r} is not an integer >= 0")
+    if gamma < 0:
+        raise NetworkError(f"malformed instance JSON: gamma {format_rational(gamma)} is below 0")
+    return TrainInstance(hidden_neurons=budget, gamma=gamma, points=tuple(points))

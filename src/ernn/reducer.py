@@ -31,11 +31,9 @@ from .layout import (
     CanonicalRole,
     InversionRole,
     Layout,
-    LayoutError,
     LowerBoundRole,
     plan,
     realize,
-    validate,
 )
 from .network import FitReport, Network, TrainInstance, evaluate, exact_fit
 
@@ -88,35 +86,18 @@ class ReductionCounts:
 
 @dataclass(frozen=True)
 class ReductionBundle:
-    formula: EtrInvFormula
     layout: Layout
     instance: TrainInstance
     counts: ReductionCounts
 
+    @property
+    def formula(self) -> EtrInvFormula:
+        return self.layout.formula
+
 
 def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
     """Deterministic reduction of a formula to a training instance."""
-    return _bundle(formula, plan(formula))
-
-
-def bundle_from_layout(formula: EtrInvFormula, layout: Layout) -> ReductionBundle:
-    """Finish the reduction for a layout that plan() did not just return.
-
-    Useful when the layout came from a sidecar file. The layout is
-    validated first; LayoutError lists its violations if it fails.
-    """
-    try:
-        violations = validate(layout)
-    except (IndexError, KeyError) as exc:
-        # a constraint point naming a placement or variable that is not there
-        raise LayoutError(f"layout refers to a missing placement or variable: {exc!r}") from exc
-    if violations:
-        raise LayoutError("layout fails validation:\n  " + "\n  ".join(violations))
-    return _bundle(formula, layout)
-
-
-def _bundle(formula: EtrInvFormula, layout: Layout) -> ReductionBundle:
-    """Realize a validated layout and count what the instance holds."""
+    layout = plan(formula)
     realization = realize(layout)
 
     n_variable = 0
@@ -162,7 +143,7 @@ def _bundle(formula: EtrInvFormula, layout: Layout) -> ReductionBundle:
     assert counts.data_points <= 10 * counts.hidden_neurons, "data volume outgrew 10m"
     assert counts.distinct_labels <= MAX_DISTINCT_LABELS, "label alphabet grew"
 
-    return ReductionBundle(formula=formula, layout=layout, instance=instance, counts=counts)
+    return ReductionBundle(layout=layout, instance=instance, counts=counts)
 
 
 def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:

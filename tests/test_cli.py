@@ -38,20 +38,13 @@ def test_compile_is_deterministic(workspace):
 
 def test_witness_verify_extract_chain(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["witness", "f.ec", "a.txt", "--layout", "inst.layout.json", "-o", "net.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
     assert run(["verify", "net.json", "inst.json"]) == 0
     out = capsys.readouterr().out
     assert "loss = 0" in out
     assert "accept" in out
     assert run(["extract", "net.json", "--layout", "inst.layout.json", "-o", "rec.txt"]) == 0
     assert (workspace / "rec.txt").read_text() == ASSIGNMENT
-
-
-def test_witness_without_sidecar_replans(workspace):
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["witness", "f.ec", "a.txt", "--layout", "inst.layout.json", "-o", "n1.json"]) == 0
-    assert run(["witness", "f.ec", "a.txt", "-o", "n2.json"]) == 0
-    assert (workspace / "n1.json").read_bytes() == (workspace / "n2.json").read_bytes()
 
 
 def test_verify_rejects_with_exit_1(workspace, capsys):
@@ -111,14 +104,6 @@ def test_render_from_sidecar(workspace):
     assert "<polygon" in svg and "<circle" in svg
 
 
-def test_witness_rejects_foreign_sidecar(workspace, capsys):
-    (workspace / "g.ec").write_text("inv A B\n")
-    (workspace / "b.txt").write_text("A = 1/2\nB = 2\n")
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["witness", "g.ec", "b.txt", "--layout", "inst.layout.json"]) == 2
-    assert "different formula" in capsys.readouterr().err
-
-
 def test_parse_error_is_exit_2(workspace, capsys):
     (workspace / "bad.ec").write_text("frobnicate X\n")
     assert run(["compile", "bad.ec"]) == 2
@@ -139,6 +124,15 @@ def test_unsatisfying_assignment_is_exit_2(workspace, capsys):
     (workspace / "wrong.txt").write_text("X = 1\nY = 1\nZ = 3/2\nW = 1\n")
     assert run(["witness", "f.ec", "wrong.txt", "-o", "net.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_stray_assignment_name_is_exit_2(workspace, capsys):
+    (workspace / "stray.txt").write_text(ASSIGNMENT + "Q = 7\n")
+    assert run(["witness", "f.ec", "stray.txt", "-o", "net.json"]) == 2
+    assert "error: assignment names Q, which the formula lacks" in capsys.readouterr().err
+    assert not (workspace / "net.json").exists()
+    assert run(["roundtrip", "f.ec", "--assignment", "stray.txt"]) == 2
+    assert "error: assignment names Q, which the formula lacks" in capsys.readouterr().err
 
 
 def test_repeated_assignment_name_is_exit_2(workspace, capsys):
@@ -168,6 +162,31 @@ def test_bad_render_scale_is_usage_error(workspace, capsys, scale):
     assert not (workspace / "pic.svg").exists()
 
 
+@pytest.mark.parametrize("gamma", ["-1", "-1/1000000"])
+def test_negative_gamma_is_usage_error(workspace, capsys, gamma):
+    with pytest.raises(SystemExit) as exc:
+        # "=" keeps argparse from reading "-1/1000000" as an option
+        run(["verify", "net.json", "inst.json", f"--gamma={gamma}"])
+    assert exc.value.code == 2
+    assert f"--gamma: must be 0 or more, got '{gamma}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("hidden_neurons", 2.7), ("hidden_neurons", True), ("hidden_neurons", "60"),
+     ("hidden_neurons", -3), ("gamma", "-1")],
+)
+def test_malformed_instance_budget_or_gamma_is_exit_2(workspace, capsys, field, value):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    doc = json.loads((workspace / "inst.json").read_text())
+    doc[field] = value
+    (workspace / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "net.json", "bad.json"]) == 2
+    assert f"error: malformed instance JSON: {field}" in capsys.readouterr().err
+
+
 def test_wrong_shape_network_json_is_exit_2(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     (workspace / "list.json").write_text("[]")
@@ -193,32 +212,6 @@ def test_verify_rejects_network_over_width_budget(workspace, capsys):
     assert "exceed the budget of 60" in capsys.readouterr().err
 
 
-def test_extract_rejects_sidecar_with_moved_verticals(workspace, capsys):
-    from fractions import Fraction
-
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
-    doc = json.loads((workspace / "inst.layout.json").read_text())
-    # One margin and a half to the left: the gadgets' samples no longer
-    # separate there, and a sampler that shifted right by whole margins
-    # would land on a clean position instead of reporting it.
-    doc["verticals"] = [str(Fraction(v) - Fraction(101, 2)) for v in doc["verticals"]]
-    (workspace / "moved.json").write_text(json.dumps(doc))
-    assert run(["extract", "net.json", "--layout", "moved.json"]) == 2
-    assert "layout fails validation" in capsys.readouterr().err
-    assert run(["witness", "f.ec", "a.txt", "--layout", "moved.json"]) == 2
-
-
-def test_extract_rejects_sidecar_with_dangling_reference(workspace, capsys):
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
-    doc = json.loads((workspace / "inst.layout.json").read_text())
-    doc["constraint_points"][0]["member_of"] = [99, 98]
-    (workspace / "dangling.json").write_text(json.dumps(doc))
-    assert run(["extract", "net.json", "--layout", "dangling.json"]) == 2
-    assert "missing placement" in capsys.readouterr().err
-
-
 def test_comment_only_formula_is_exit_2(workspace, capsys):
     (workspace / "empty.ec").write_text("# no constraints\n\n")
     assert run(["compile", "empty.ec", "-o", "inst.json"]) == 2
@@ -236,11 +229,11 @@ def test_self_inverse_formula_is_exit_2(workspace, capsys):
 def test_extract_rejects_sidecar_without_gadgets(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     doc = json.loads((workspace / "inst.layout.json").read_text())
-    doc.update(placements=[], constraint_points=[], probes=[])
+    doc.update(variables=[], constraints=[])
     (workspace / "bare.json").write_text(json.dumps(doc))
     (workspace / "net.json").write_text('{"neurons": []}')
     assert run(["extract", "net.json", "--layout", "bare.json"]) == 2
-    assert capsys.readouterr().err.endswith("error: layout has no variable gadgets\n")
+    assert capsys.readouterr().err == "error: formula has no variables\n"
 
 
 @pytest.mark.parametrize("flag", ["--spacing", "--vertical-margin"])
@@ -248,6 +241,37 @@ def test_layout_geometry_flags_are_gone(workspace, flag):
     with pytest.raises(SystemExit) as exc:
         run(["compile", "f.ec", flag, "2000"])
     assert exc.value.code == 2
+
+
+def test_witness_takes_no_sidecar(workspace, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["witness", "f.ec", "a.txt", "--layout", "inst.layout.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --layout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("variables"), "malformed layout JSON: KeyError('variables')"),
+        (lambda doc: doc.update(constraints="add X Y Z"), "constraints 'add X Y Z' is not a list"),
+        (lambda doc: doc["constraints"][0].__setitem__(0, "mul"), "unknown constraint 'mul' (expected 'add' or 'inv')"),
+        (lambda doc: doc["constraints"][1].append("Y"), "inv takes 2 variables, got 3"),
+        (lambda doc: doc["variables"].remove("W"), "constraint mentions undeclared variable 'W'"),
+    ],
+    ids=["missing-key", "constraints-not-a-list", "unknown-head", "wrong-arity", "undeclared"],
+)
+def test_extract_rejects_malformed_sidecar(workspace, capsys, edit, message):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    doc = json.loads((workspace / "inst.layout.json").read_text())
+    edit(doc)
+    (workspace / "bad.layout.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["extract", "net.json", "--layout", "bad.layout.json"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(["render", "bad.layout.json", "-o", "pic.svg"]) == 2
+    assert not (workspace / "pic.svg").exists()
 
 
 def test_extract_rejects_sidecar_with_other_geometry(workspace, capsys):
@@ -260,23 +284,3 @@ def test_extract_rejects_sidecar_with_other_geometry(workspace, capsys):
     assert "config block differs" in capsys.readouterr().err
 
 
-def test_extract_rejects_sidecar_with_off_palette_normal(workspace, capsys):
-    from fractions import Fraction
-
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
-    doc = json.loads((workspace / "inst.layout.json").read_text())
-    # Turn lower-bound placement 8 about its weak point, which keeps the
-    # point on the notch line; only the normal is wrong.
-    item = doc["placements"][8]
-    assert item["kind"] == "lower_bound"
-    x1, x2 = map(Fraction, doc["constraint_points"][item["weak_point"]]["x"])
-    n1, n2 = map(Fraction, item["normal"])
-    along = n1 * x1 + n2 * x2 - Fraction(item["base_offset"])
-    m1, m2 = Fraction(24, 25), Fraction(7, 25)
-    item["normal"] = [str(m1), str(m2)]
-    item["base_offset"] = str(m1 * x1 + m2 * x2 - along)
-    (workspace / "turned.json").write_text(json.dumps(doc))
-    assert run(["extract", "net.json", "--layout", "turned.json"]) == 2
-    assert "placement 8: normal (24/25, 7/25) is not a palette normal" in capsys.readouterr().err
-    assert run(["witness", "f.ec", "a.txt", "--layout", "turned.json"]) == 2

@@ -6,6 +6,7 @@ import pytest
 
 from ernn.formula import (
     Add,
+    FormulaError,
     FormulaSyntaxError,
     Inv,
     MissingVariable,
@@ -97,6 +98,14 @@ def test_check_assignment_missing_variable():
     f = parse_formula("add X Y Z\n")
     with pytest.raises(MissingVariable):
         check_assignment(f, {"X": Fraction(1), "Y": Fraction(1)})
+
+
+def test_check_assignment_rejects_stray_names():
+    f = parse_formula("add X Y Z\ninv X W\n")
+    full = {"X": Fraction(1), "Y": Fraction(1, 2), "Z": Fraction(3, 2), "W": Fraction(1)}
+    assert check_assignment(f, full).satisfied
+    with pytest.raises(FormulaError, match="^assignment names Q, R, which the formula lacks$"):
+        check_assignment(f, {**full, "Q": Fraction(7), "R": Fraction(1)})
 
 
 def test_grid_values_are_reduced_in_range_and_sorted():

@@ -1,5 +1,6 @@
 """Placement planning: stripes, constraint points, verticals, sidecar JSON."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from ernn.layout import (
     PlacementFailure,
     _StripeIndex,
     _vertical_violations,
-    formula_from_layout,
     layout_from_json,
     layout_to_json,
     plan,
@@ -173,21 +173,8 @@ def test_layout_json_round_trip():
     assert layout_to_json(back) == s
 
 
-@pytest.mark.parametrize("key, tag", [("role", "x"), ("purpose", "y")])
-def test_layout_json_rejects_unknown_tags(key, tag):
-    import json
-
-    doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"))))
-    records = doc["placements"] if key == "role" else doc["constraint_points"]
-    records[0][key] = tag
-    with pytest.raises(LayoutError, match=f"^unknown {key} '{tag}'$"):
-        layout_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("drop", [None, "placements", "verticals"])
+@pytest.mark.parametrize("drop", [None, "variables", "constraints"])
 def test_layout_json_rejects_wrong_shape(drop):
-    import json
-
     if drop is None:
         text = "[]"
     else:
@@ -199,20 +186,42 @@ def test_layout_json_rejects_wrong_shape(drop):
 
 
 def test_layout_json_rejects_other_geometry():
-    import json
-
     doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"))))
     doc["config"]["spacing"] = "2000"
     with pytest.raises(LayoutError, match="config block"):
         layout_from_json(json.dumps(doc))
 
 
-def test_formula_recoverable_from_roles():
+def test_layout_carries_its_formula():
     formula = parse_formula("add X Y Z\nadd Y Z W\ninv X W\n")
     layout = plan(formula)
-    assert formula_from_layout(layout) == formula
-    # survives the sidecar too
-    assert formula_from_layout(layout_from_json(layout_to_json(layout))) == formula
+    assert layout.formula == formula
+    # the sidecar stores the formula and nothing the plan derives from it
+    doc = json.loads(layout_to_json(layout))
+    assert doc == {
+        "config": doc["config"],
+        "variables": ["X", "Y", "Z", "W"],
+        "constraints": [["add", "X", "Y", "Z"], ["add", "Y", "Z", "W"], ["inv", "X", "W"]],
+    }
+    assert layout_from_json(layout_to_json(layout)).formula == formula
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        # variables in an order other than first mention
+        EtrInvFormula(("Z", "W", "X", "Y"), (Add("X", "Y", "Z"), Inv("X", "W"))),
+        # a variable that no constraint names
+        EtrInvFormula(("X", "Y", "U"), (Inv("X", "Y"),)),
+    ],
+    ids=["declaration-order", "unused-variable"],
+)
+def test_sidecar_keeps_library_built_formulas(formula):
+    layout = plan(formula)
+    assert layout.formula == formula
+    s = layout_to_json(layout)
+    assert layout_from_json(s) == layout
+    assert layout_to_json(layout_from_json(s)) == s
 
 
 def test_validate_flags_tampered_layout():
@@ -429,7 +438,11 @@ def test_every_small_formula_compiles(constraints):
         with pytest.raises(PlacementFailure, match="rejected before placement"):
             compile_formula(formula)
     else:
-        assert validate(compile_formula(formula).layout) == ()
+        layout = compile_formula(formula).layout
+        assert validate(layout) == ()
+        s = layout_to_json(layout)
+        assert layout_from_json(s) == layout
+        assert layout_to_json(layout_from_json(s)) == s
 
 
 def _chain(n):

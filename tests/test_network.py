@@ -330,6 +330,9 @@ def test_instance_json_round_trip_and_shape():
     assert s.endswith("\n")
     # rationals travel as strings
     assert '"1"' in s and '"5/3"' in s
+    # a budget and a gamma of 0 are the smallest allowed
+    empty = TrainInstance(0, F(0), ())
+    assert instance_from_json(instance_to_json(empty)) == empty
 
 
 @pytest.mark.parametrize(
@@ -348,7 +351,20 @@ def test_network_json_rejects_malformed(text):
         network_from_json(text)
 
 
-@pytest.mark.parametrize("text", ["[]", '{"gamma": "0", "points": []}', '{"points": [{"x": ["1", "2"]}]}'])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"gamma": "0", "points": []}',
+        '{"points": [{"x": ["1", "2"]}]}',
+        # the budget is a JSON integer, 0 or more, and gamma is at least 0
+        '{"hidden_neurons": 2.7, "gamma": "0", "points": []}',
+        '{"hidden_neurons": true, "gamma": "0", "points": []}',
+        '{"hidden_neurons": "5", "gamma": "0", "points": []}',
+        '{"hidden_neurons": -3, "gamma": "0", "points": []}',
+        '{"hidden_neurons": 5, "gamma": "-1", "points": []}',
+    ],
+)
 def test_instance_json_rejects_malformed(text):
     with pytest.raises(NetworkError):
         instance_from_json(text)

@@ -138,34 +138,47 @@ def test_chained_formula_counts():
     assert c.hidden_neurons == 4 * c.variable_gadgets + 3 * c.lower_bound_gadgets
 
 
-@pytest.mark.parametrize(
-    "text, digest",
-    [
-        (
-            "add X Y Z\ninv X W\n",
-            "735f56542e8ec288344515794562339fb041472d77f95cabbd2653af64d64d1f",
-        ),
-        (
-            # F_2: two inversion bands, then two addition bands
-            "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
-            "6df11aa49f6d6feda49e4072160039d1112434ddea19defddc58c9e71de1c5d5",
-        ),
-        (
-            # additions only, so the addition bands start at x = 3kS
-            "add B C A\nadd B A D\n",
-            "f3929674a943a5e6be2af5aa776d33a258d1eb72199acb3f1856bda3ce9a6eb0",
-        ),
-        (
-            # inversions only, A read in two of the three bands
-            "inv A B\ninv C A\ninv E D\n",
-            "445c702b3e79293ae9517c193441385c4d8e3ac3809b3418cc28cce0c8b08252",
-        ),
-    ],
-)
-def test_compiled_bytes_are_pinned(text, digest):
-    bundle = compile_formula(parse_formula(text))
-    blob = instance_to_json(bundle.instance) + layout_to_json(bundle.layout)
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+# (formula, sha256 of its instance JSON, sha256 of its sidecar JSON), pinned
+# apart so that a change to one format moves only that format's digests.
+_PINNED = [
+    (
+        "add X Y Z\ninv X W\n",
+        "27ce303814821402599efa32412168c15ed3947df3e61a1b220b3d7ec54d1e09",
+        "f8f48eabe7d0dc9f9ad0958e008b29e16444cc37037076a94cb319cff3270ad4",
+    ),
+    (
+        # F_2: two inversion bands, then two addition bands
+        "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
+        "717de80fd01ae8e80c736767352d1f91e93a44751b6a6c7186311f198215076d",
+        "01b6e4f92aac937e45d3942a0e2439971bffab6d7183c05396257407a4060d53",
+    ),
+    (
+        # additions only, so the addition bands start at x = 3kS
+        "add B C A\nadd B A D\n",
+        "761b1396c26ce252998efed89ddba01624c3b25c026f3ead6877405736f032fb",
+        "d823d94885a0171d869b9386528de4098fc36eb4b6d80a9b355dc93fffe0b3b8",
+    ),
+    (
+        # inversions only, A read in two of the three bands
+        "inv A B\ninv C A\ninv E D\n",
+        "e712c409ccf468b72ab85ca6e7cd4a027ce9e4e63a447643e21e26085306b9a3",
+        "c03ca7c0414f360187c5da532fe8f0ced8701fbfae101f23c155ac6ad5a12fbc",
+    ),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("text, digest", [(t, i) for t, i, _s in _PINNED])
+def test_instance_bytes_are_pinned(text, digest):
+    assert _sha256(instance_to_json(compile_formula(parse_formula(text)).instance)) == digest
+
+
+@pytest.mark.parametrize("text, digest", [(t, s) for t, _i, s in _PINNED])
+def test_sidecar_bytes_are_pinned(text, digest):
+    assert _sha256(layout_to_json(compile_formula(parse_formula(text)).layout)) == digest
 
 
 def test_width_budget_is_part_of_the_fit():

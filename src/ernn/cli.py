@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import __version__
 from .formula import (
@@ -87,6 +87,18 @@ def _loss_target(text: str) -> Rational:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
     return value
+
+
+def _join_gamma(argv: Sequence[str]) -> List[str]:
+    """argv with each "--gamma V" joined into "--gamma=V", so that argparse
+    hands a negative V such as -1/2 to _loss_target, not reads it as an option."""
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] == "--gamma":
+            out[-1] = f"--gamma={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _layout_sidecar(instance_path: str) -> str:
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_gamma(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (NotFitting, DimensionMismatch) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 Rational = Fraction
 
@@ -20,23 +21,6 @@ class GeometryError(ValueError):
 
 class NotUnit(GeometryError):
     """A direction whose coordinates do not satisfy n1^2 + n2^2 = 1."""
-
-
-class _Parallel:
-    """Sentinel returned by intersect() for parallel (or equal) lines."""
-
-    _instance = None
-
-    def __new__(cls) -> "_Parallel":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Parallel"
-
-
-PARALLEL = _Parallel()
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +69,6 @@ class Direction:
         if self.n1 * self.n1 + self.n2 * self.n2 != 1:
             raise NotUnit(f"({self.n1}, {self.n2}) is not a rational unit vector")
 
-    def flipped(self) -> "Direction":
-        return Direction(-self.n1, -self.n2)
-
 
 def make_direction(n1, n2) -> Direction:
     """Build a Direction from anything Fraction() accepts."""
@@ -110,15 +91,15 @@ def signed_value(line: OrientedLine, p: Point2) -> Rational:
     return line.normal.n1 * p.x1 + line.normal.n2 * p.x2 - line.offset
 
 
-def intersect(l1: OrientedLine, l2: OrientedLine):
-    """Intersection point of two lines, or the PARALLEL sentinel.
+def intersect(l1: OrientedLine, l2: OrientedLine) -> Optional[Point2]:
+    """Intersection point of two lines, or None if they are parallel.
 
-    Parallel covers the identical-line case as well; callers that care can
+    None covers the identical-line case as well; callers that care can
     compare offsets themselves.
     """
     a, b, c = l1.normal.n1, l1.normal.n2, l1.offset
     d, e, f = l2.normal.n1, l2.normal.n2, l2.offset
     det = a * e - b * d
     if det == 0:
-        return PARALLEL
+        return None
     return Point2((c * e - b * f) / det, (a * f - c * d) / det)

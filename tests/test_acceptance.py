@@ -17,19 +17,24 @@ from ernn.formula import (
     grid_solve,
     parse_formula,
 )
-from ernn.gadgets import Inversion, LowerBound, Variable, lower_bound_state, profile, template
-from ernn.geometry import OrientedLine, Point2, make_direction
-from ernn.layout import layout_to_json
-from ernn.network import (
-    CpwlSpec,
-    Network,
-    cpwl_to_network,
-    cpwl_value,
-    evaluate,
-    instance_to_json,
-    make_breakline,
-    max_gradient_norm_bound,
+from ernn.gadgets import (
+    DEPTH_MIN,
+    SLOPE_MAX,
+    SLOPE_MIN,
+    GadgetPlacement,
+    Inversion,
+    LowerBound,
+    Variable,
+    inversion_state,
+    lower_bound_state,
+    profile,
+    template,
+    variable_state,
+    witness_neurons,
 )
+from ernn.geometry import Point2, signed_value
+from ernn.layout import PALETTE, layout_to_json
+from ernn.network import Network, evaluate, instance_to_json, max_gradient_norm_bound
 from ernn.oracle import evaluate_profile, fit_cpwl_1d_oracle
 from ernn.reducer import compile_formula, extract, verify, witness
 
@@ -177,40 +182,39 @@ def test_05_lower_bound_notch():
 
 
 def test_06_cpwl_network_equivalence():
+    # Every gadget kind, in random valid states, placed on every palette
+    # normal at random offsets: the witness units agree with the profile at
+    # random points off the axis, before, inside and past the stripe.
     rng = random.Random(1009)
-    dirs = [
-        make_direction(F(3, 5), F(4, 5)),
-        make_direction(F(0), F(1)),
-        make_direction(F(5, 13), F(12, 13)),
-        make_direction(F(1), F(0)),
-        make_direction(F(4, 5), F(-3, 5)),
-    ]
+
+    def between(lo, hi):
+        return lo + (hi - lo) * F(rng.randint(0, 60), 60)
+
+    states = {
+        Variable(): lambda: variable_state(between(SLOPE_MIN, SLOPE_MAX)),
+        Inversion(): lambda: inversion_state(between(SLOPE_MIN, SLOPE_MAX)),
+        LowerBound((1,)): lambda: lower_bound_state(between(DEPTH_MIN, 4 * DEPTH_MIN)),
+        LowerBound((2,)): lambda: lower_bound_state(between(DEPTH_MIN, 4 * DEPTH_MIN)),
+        LowerBound((1, 2)): lambda: lower_bound_state(between(DEPTH_MIN, 4 * DEPTH_MIN)),
+    }
     checked = 0
     ok = True
-    for _ in range(100):
-        rows = []
-        for d in dirs:
-            lam1 = F(rng.randint(-9, 9), rng.randint(1, 7))
-            lam2 = F(rng.randint(-9, 9), rng.randint(1, 7))
-            off = F(rng.randint(-40, 40), rng.randint(1, 5))
-            rows.append([OrientedLine(d, off), lam1, lam2])
-        rows[-1][1] -= sum(r[1] for r in rows)
-        rows[-1][2] -= sum(r[2] for r in rows)
-        bls = [
-            make_breakline(line, (l1 * line.normal.n1, l1 * line.normal.n2),
-                           (l2 * line.normal.n1, l2 * line.normal.n2))
-            for line, l1, l2 in rows
-        ]
-        spec = CpwlSpec(tuple(bls))
-        net = cpwl_to_network(spec)
-        for _ in range(100):
-            p = Point2(
-                F(rng.randint(-500, 500), rng.randint(1, 11)),
-                F(rng.randint(-500, 500), rng.randint(1, 11)),
-            )
-            ok = ok and cpwl_value(spec, p) == evaluate(net, p)
-            checked += 1
-    _report(6, "piecewise-linear equivalence", ok, f"{checked} point checks")
+    for kind, draw in states.items():
+        width = template(kind).width
+        for n in PALETTE:
+            for _ in range(4):
+                st = draw()
+                pl = GadgetPlacement(template(kind), n, F(rng.randint(-400, 400), rng.randint(1, 5)))
+                net = Network(witness_neurons(pl, st))
+                for lo, hi in ((-width, 0), (0, width), (width, 2 * width)):
+                    for _ in range(5):
+                        t = between(lo, hi)
+                        along = F(rng.randint(-500, 500), rng.randint(1, 11))
+                        depth = pl.base_offset + t
+                        p = Point2(n.n1 * depth - n.n2 * along, n.n2 * depth + n.n1 * along)
+                        ok = ok and evaluate(net, p) == profile(kind, st, signed_value(pl.line_at(0), p))
+                        checked += 1
+    _report(6, "gadget witness units equal their profile", ok, f"{checked} point checks")
 
 
 def test_07_perturbation_rejected():

@@ -162,11 +162,15 @@ def test_bad_render_scale_is_usage_error(workspace, capsys, scale):
     assert not (workspace / "pic.svg").exists()
 
 
-@pytest.mark.parametrize("gamma", ["-1", "-1/1000000"])
-def test_negative_gamma_is_usage_error(workspace, capsys, gamma):
+@pytest.mark.parametrize(
+    "flag",
+    [["--gamma=-1"], ["--gamma=-1/1000000"], ["--gamma", "-1"], ["--gamma", "-1/1000000"]],
+    ids=["-1", "-1/1000000", "spaced--1", "spaced--1/1000000"],
+)
+def test_negative_gamma_is_usage_error(workspace, capsys, flag):
+    gamma = flag[-1].removeprefix("--gamma=")
     with pytest.raises(SystemExit) as exc:
-        # "=" keeps argparse from reading "-1/1000000" as an option
-        run(["verify", "net.json", "inst.json", f"--gamma={gamma}"])
+        run(["verify", "net.json", "inst.json", *flag])
     assert exc.value.code == 2
     assert f"--gamma: must be 0 or more, got '{gamma}'" in capsys.readouterr().err
 

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ernn.geometry import (
-    PARALLEL,
     Direction,
     NotUnit,
     OrientedLine,
@@ -51,12 +50,6 @@ def test_direction_must_be_unit():
         make_direction(Fraction(1, 2), Fraction(1, 2))
 
 
-def test_flipped_negates_both_coordinates():
-    d = make_direction(Fraction(5, 13), Fraction(12, 13))
-    f = d.flipped()
-    assert (f.n1, f.n2) == (-d.n1, -d.n2)
-
-
 def test_signed_value_measures_distance_in_normal_units():
     # normal (0,1): the line x2 = 2, signed value is height above it
     line = OrientedLine(make_direction(Fraction(0), Fraction(1)), Fraction(2))
@@ -76,10 +69,10 @@ def test_intersect_parallel_is_sentinel():
     d = make_direction(Fraction(3, 5), Fraction(4, 5))
     l1 = OrientedLine(d, Fraction(0))
     l2 = OrientedLine(d, Fraction(1))
-    assert intersect(l1, l2) is PARALLEL
+    assert intersect(l1, l2) is None
     # anti-parallel normals are still geometrically parallel lines
-    l3 = OrientedLine(d.flipped(), Fraction(5))
-    assert intersect(l1, l3) is PARALLEL
+    l3 = OrientedLine(make_direction(-d.n1, -d.n2), Fraction(5))
+    assert intersect(l1, l3) is None
 
 
 @given(rationals, rationals)

@@ -1,30 +1,20 @@
-"""Networks, exact evaluation, breakline recovery, gradient bound."""
+"""Networks, exact evaluation, fit checking, gradient bound, JSON formats."""
 
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
 
-from ernn.geometry import OrientedLine, Point2, make_direction
+from ernn.geometry import Point2
 from ernn.network import (
-    CONCAVE,
-    CONVEX,
-    ERASED,
-    CpwlSpec,
     HiddenNeuron,
-    InvalidSpec,
     Network,
     NetworkError,
     TrainInstance,
-    breaklines,
-    cpwl_to_network,
-    cpwl_value,
     evaluate,
     exact_fit,
     instance_from_json,
     instance_to_json,
-    make_breakline,
     max_gradient_norm_bound,
     network_from_json,
     network_to_json,
@@ -73,97 +63,6 @@ def test_gamma_allows_slack():
     loose = TrainInstance(1, F(1, 100), pts)
     assert not exact_fit(net, tight).fits
     assert exact_fit(net, loose).fits
-
-
-def test_make_breakline_derives_types():
-    d = make_direction(F(0), F(1))
-    line = OrientedLine(d, F(3))
-    bl = make_breakline(line, (F(0), F(2)), (F(0), F(-1)))
-    assert bl.types == (CONVEX, CONCAVE)
-    bl2 = make_breakline(line, (F(0), F(0)), (F(0), F(5)))
-    assert bl2.types == (ERASED, CONVEX)
-
-
-def test_make_breakline_rejects_skew_changes():
-    d = make_direction(F(0), F(1))
-    line = OrientedLine(d, F(0))
-    # gradient change must be parallel to the normal
-    with pytest.raises(InvalidSpec):
-        make_breakline(line, (F(1), F(1)), (F(0), F(0)))
-
-
-def _random_zero_sum_spec(rng):
-    dirs = [
-        make_direction(F(3, 5), F(4, 5)),
-        make_direction(F(0), F(1)),
-        make_direction(F(5, 13), F(12, 13)),
-        make_direction(F(1), F(0)),
-        make_direction(F(4, 5), F(-3, 5)),
-    ]
-    rows = []
-    for d in dirs:
-        lam1 = F(rng.randint(-9, 9), rng.randint(1, 7))
-        lam2 = F(rng.randint(-9, 9), rng.randint(1, 7))
-        off = F(rng.randint(-30, 30), rng.randint(1, 5))
-        rows.append([OrientedLine(d, off), lam1, lam2])
-    rows[-1][1] -= sum(r[1] for r in rows)
-    rows[-1][2] -= sum(r[2] for r in rows)
-    bls = []
-    for line, lam1, lam2 in rows:
-        n = line.normal
-        bls.append(
-            make_breakline(
-                line, (lam1 * n.n1, lam1 * n.n2), (lam2 * n.n1, lam2 * n.n2)
-            )
-        )
-    return CpwlSpec(tuple(bls))
-
-
-def test_network_realizes_cpwl_spec_exactly():
-    rng = random.Random(20260822)
-    for _ in range(30):
-        spec = _random_zero_sum_spec(rng)
-        net = cpwl_to_network(spec)
-        assert len(net.neurons) == len(spec.breaklines)
-        for _ in range(20):
-            p = Point2(
-                F(rng.randint(-400, 400), rng.randint(1, 9)),
-                F(rng.randint(-400, 400), rng.randint(1, 9)),
-            )
-            assert cpwl_value(spec, p) == evaluate(net, p)
-
-
-def test_breaklines_recovers_canonical_lines():
-    # two neurons on the same line with flipped normals merge; the
-    # canonical normal has positive first coordinate
-    d = make_direction(F(3, 5), F(4, 5))
-    n1 = HiddenNeuron(d.n1, d.n2, F(-1), F(2), F(0))
-    n2 = HiddenNeuron(-d.n1, -d.n2, F(1), F(3), F(1))
-    found = breaklines(Network((n1, n2)))
-    assert len(found) == 1
-    bl = found[0]
-    assert (bl.line.normal.n1, bl.line.normal.n2) == (d.n1, d.n2)
-    assert bl.line.offset == F(1)
-    # n1 is active above the line (change 2d), n2 below it: crossing
-    # upward turns n2 off, so its change is -3*(-d) = +3d; total 5d.
-    assert bl.grad_change[0] == (5 * d.n1, 5 * d.n2)
-
-
-def test_breaklines_scales_non_unit_normals():
-    n = HiddenNeuron(F(6, 5), F(8, 5), F(-4), F(1), F(0))
-    (bl,) = breaklines(Network((n,)))
-    assert (bl.line.normal.n1, bl.line.normal.n2) == (F(3, 5), F(4, 5))
-    assert bl.line.offset == F(2)
-
-
-def test_breaklines_skips_dead_neurons_with_warning():
-    dead = HiddenNeuron(F(0), F(0), F(1), F(5), F(5))
-    live = HiddenNeuron(F(1), F(0), F(0), F(1), F(0))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        found = breaklines(Network((dead, live)))
-    assert len(found) == 1
-    assert any("zero input weights" in str(w.message) for w in caught)
 
 
 def test_gradient_bound_single_ridge():
@@ -344,6 +243,10 @@ def test_instance_json_round_trip_and_shape():
         '{"neurons": [{"a": ["1", "x"], "b": "0", "c": ["1", "0"]}]}',
         '{"neurons": [{"a": ["1", "0"], "c": ["1", "0"]}]}',
         '{"neurons": [{"a": [1, 0], "b": "0", "c": ["1", "0"]}]}',
+        # a string or an object would iterate as characters or keys
+        '{"neurons": {}}',
+        '{"neurons": [{"a": "10", "b": "0", "c": ["1", "0"]}]}',
+        '{"neurons": [{"a": ["1", "0"], "b": "0", "c": "10"}]}',
     ],
 )
 def test_network_json_rejects_malformed(text):
@@ -363,6 +266,10 @@ def test_network_json_rejects_malformed(text):
         '{"hidden_neurons": "5", "gamma": "0", "points": []}',
         '{"hidden_neurons": -3, "gamma": "0", "points": []}',
         '{"hidden_neurons": 5, "gamma": "-1", "points": []}',
+        # a string or an object would iterate as characters or keys
+        '{"hidden_neurons": 5, "gamma": "0", "points": {}}',
+        '{"hidden_neurons": 5, "gamma": "0", "points": [{"x": "12", "y": ["0", "0"]}]}',
+        '{"hidden_neurons": 5, "gamma": "0", "points": [{"x": ["1", "2"], "y": "00"}]}',
     ],
 )
 def test_instance_json_rejects_malformed(text):

@@ -246,36 +246,16 @@ def grid_values(denom_bound: int) -> Tuple[Rational, ...]:
 def _forced_value(c: Constraint, var: str, partial: Dict[str, Fraction]) -> Optional[Fraction]:
     """Value of var forced by c given partial, or None if c does not pin it.
 
-    Only consulted when var occurs in c; repeated occurrences of var are
-    handled algebraically (e.g. add X X Z with Z known forces X = Z/2).
+    Only consulted when var is the one unknown of c, however often it occurs.
+    An addition x + y - z = 0 is then linear in var, coef * var + known = 0,
+    with coef counting var's occurrences by sign (add X X Z gives 2, add X Y X
+    gives 0 and so pins nothing).
     """
     if isinstance(c, Add):
-        known = {v: partial[v] for v in (c.x, c.y, c.z) if v in partial}
-        unknown = [v for v in (c.x, c.y, c.z) if v not in partial]
-        if any(v != var for v in unknown):
-            return None
-        if not unknown:
-            return None
-        # All unknown slots are var itself.
-        x = known.get(c.x)
-        y = known.get(c.y)
-        z = known.get(c.z)
-        if c.x == var and c.y == var and c.z == var:
-            return Fraction(0)
-        if c.z == var:
-            if c.x == var or c.y == var:
-                # X + Y = X  forces the other operand to be 0... but the
-                # unknown here is var on both sides: X known? no: c.x==var
-                # and c.z==var with c.y known: X + y = X  ->  y must be 0,
-                # var unconstrained. Report no forcing; the full check at
-                # the leaf rejects if y != 0.
-                return None
-            return x + y
-        if c.x == var and c.y == var:
-            return z / 2
-        if c.x == var:
-            return z - y
-        return z - x
+        slots = ((c.x, 1), (c.y, 1), (c.z, -1))
+        coef = sum(sign for v, sign in slots if v == var)
+        known = sum(sign * partial[v] for v, sign in slots if v != var)
+        return Fraction(-known, coef) if coef else None
     else:
         if c.x == var and c.y == var:
             return Fraction(1)  # x^2 = 1, and only +1 is in range

@@ -29,6 +29,9 @@ from .network import HiddenNeuron
 SLOPE_MIN = Fraction(3, 2)
 SLOPE_MAX = Fraction(3)
 DEPTH_MIN = Fraction(2)
+# Offset of a lower-bound gadget's notch: its deepest bend, where the weak
+# point it serves sits.
+NOTCH_CENTER = Fraction(4)
 
 
 class GadgetError(ValueError):
@@ -303,9 +306,9 @@ def ridge_changes(kind: GadgetKind, state: GadgetState) -> Tuple[Tuple[Rational,
             )
 
         return (
-            (4 - u, act(-arm)),
-            (Fraction(4), act(2 * arm)),
-            (4 + u, act(-arm)),
+            (NOTCH_CENTER - u, act(-arm)),
+            (NOTCH_CENTER, act(2 * arm)),
+            (NOTCH_CENTER + u, act(-arm)),
         )
 
     raise GadgetError(f"unknown gadget kind {kind!r}")

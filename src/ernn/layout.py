@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .formula import Add, Constraint, EtrInvFormula, Inv
 from .gadgets import (
+    NOTCH_CENTER,
     AtLeast,
     Exact,
     GadgetPlacement,
@@ -95,6 +96,10 @@ COPY_NORMALS = (
 INVERSION_NORMAL = make_direction(Fraction(4, 5), Fraction(-3, 5))
 LOWER_BOUND_NORMAL = make_direction(Fraction(12, 13), Fraction(5, 13))
 PALETTE = (CANONICAL_NORMAL,) + COPY_NORMALS + (INVERSION_NORMAL, LOWER_BOUND_NORMAL)
+
+# The variable template's weak entry: where every variable-kind gadget's
+# weak point sits across its stripe, and the at-least labels it carries.
+_VARIABLE_WEAK = template(Variable()).weak_entries[0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +168,23 @@ class PlacedGadget:
 @dataclass(frozen=True)
 class ConstraintPoint:
     point: Point2
-    labels: Tuple[Label, Label]
     purpose: Purpose
-    member_of: Tuple[int, ...]  # placements whose stripe legitimately holds it
-    lower_bound_gadget: Optional[int] = None
+    member_of: Tuple[int, ...]  # the placements whose open stripe holds it
+
+    @property
+    def labels(self) -> Tuple[Label, Label]:
+        """The labels the point's purpose dictates."""
+        p = self.purpose
+        if isinstance(p, CopyPurpose):
+            return (Exact(Fraction(6)), Exact(Fraction(6)))
+        if isinstance(p, AdditionPurpose):
+            return (Exact(Fraction(10)), Exact(Fraction(10)))
+        if isinstance(p, InversionCopyPurpose):
+            six, free = Exact(Fraction(6)), AtLeast(Fraction(0))
+            return (six, free) if p.dim == 1 else (free, six)
+        if isinstance(p, WeakQPurpose):
+            return _VARIABLE_WEAK.labels
+        raise LayoutError(f"unknown purpose {p!r}")
 
     @property
     def weak_dims(self) -> Tuple[int, ...]:
@@ -270,24 +288,21 @@ def _build(formula: EtrInvFormula) -> Layout:
             copy_point = meet_canonical_upper(var, measuring_line(placement, 1, "lower"))
             cpoints.append(ConstraintPoint(
                 copy_point,
-                (Exact(Fraction(6)), Exact(Fraction(6))),
                 CopyPurpose(c_idx_formula, slot, var),
                 (canonical[var], c_idx),
             ))
             # The copy's weak point, dropped below the fan where the three
             # copy stripes have spread apart.
             hq = H - 200 - 40 * slot
-            q_line = placement.line_at(Fraction(11, 3))
+            q_line = placement.line_at(_VARIABLE_WEAK.offset)
             xq = (q_line.offset - normal.n2 * hq) / normal.n1
             cpoints.append(ConstraintPoint(
                 Point2(xq, hq),
-                var_template.weak_entries[0].labels,
                 WeakQPurpose(c_idx),
                 (c_idx,),
             ))
         cpoints.append(ConstraintPoint(
             p_a,
-            (Exact(Fraction(10)), Exact(Fraction(10))),
             AdditionPurpose(c_idx_formula),
             tuple(copy_idxs),
         ))
@@ -303,14 +318,12 @@ def _build(formula: EtrInvFormula) -> Layout:
         g_idx = place(placement, InversionRole(c_idx_formula, inv.x, inv.y))
         cpoints.append(ConstraintPoint(
             p_x,
-            (Exact(Fraction(6)), AtLeast(Fraction(0))),
             InversionCopyPurpose(c_idx_formula, 1),
             (canonical[inv.x], g_idx),
         ))
         p_y = meet_canonical_upper(inv.y, measuring_line(placement, 2, "lower"))
         cpoints.append(ConstraintPoint(
             p_y,
-            (AtLeast(Fraction(0)), Exact(Fraction(6))),
             InversionCopyPurpose(c_idx_formula, 2),
             (canonical[inv.y], g_idx),
         ))
@@ -318,8 +331,7 @@ def _build(formula: EtrInvFormula) -> Layout:
     # Each canonical gadget's own weak point, in its private column.
     for i, v in enumerate(variables):
         cpoints.append(ConstraintPoint(
-            Point2((1 + i) * S, i * S + Fraction(11, 3)),
-            var_template.weak_entries[0].labels,
+            Point2((1 + i) * S, i * S + _VARIABLE_WEAK.offset),
             WeakQPurpose(canonical[v]),
             (canonical[v],),
         ))
@@ -330,12 +342,10 @@ def _build(formula: EtrInvFormula) -> Layout:
             continue
         normal = LOWER_BOUND_NORMAL
         p = cp.point
-        base = normal.n1 * p.x1 + normal.n2 * p.x2 - 4
+        base = normal.n1 * p.x1 + normal.n2 * p.x2 - NOTCH_CENTER
         placement = GadgetPlacement(template(LowerBound(cp.weak_dims)), normal, base)
         lb_idx = place(placement, LowerBoundRole(cp_idx))
-        cpoints[cp_idx] = replace(
-            cp, member_of=cp.member_of + (lb_idx,), lower_bound_gadget=lb_idx
-        )
+        cpoints[cp_idx] = replace(cp, member_of=cp.member_of + (lb_idx,))
 
     # Every constraint point lies in two non-parallel stripes, so inside a
     # parallelogram of boundary crossings, and every probe left of x = 0:
@@ -542,10 +552,10 @@ def realize(layout: Layout) -> Realization:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _expected_lines(layout: Layout, cp: ConstraintPoint) -> List[OrientedLine]:
+def _expected_lines(
+    placements: Sequence[PlacedGadget], canonical: Dict[str, int], cp: ConstraintPoint
+) -> List[OrientedLine]:
     """The measuring lines a constraint point must sit on, by purpose."""
-    placements = layout.placements
-    canonical = layout.canonical_index()
     p = cp.purpose
     if isinstance(p, CopyPurpose):
         copy_idx = cp.member_of[1]
@@ -604,62 +614,50 @@ def validate(layout: Layout) -> Tuple[str, ...]:
             f"crossings (max corner x={corner_x})"
         )
 
-    # (e) constraint points: exactly on their defining lines, inside their
-    # member stripes, with the labels their purpose dictates.
-    cp_holders = [index.holders(cp.point) for cp in layout.constraint_points]
+    # (e) constraint points: exactly on their defining lines, in the open
+    # stripes of their members and no others, and each weak one centred on
+    # the one lower-bound gadget that names it, active in its weak dims.
+    # Every lower-bound gadget names a weak point.
+    canonical = layout.canonical_index()
+    notches: Dict[int, List[int]] = {}
+    for i, pg in enumerate(placements):
+        if isinstance(pg.role, LowerBoundRole):
+            notches.setdefault(pg.role.weak_point, []).append(i)
     for ci, cp in enumerate(layout.constraint_points):
-        for line in _expected_lines(layout, cp):
+        for line in _expected_lines(placements, canonical, cp):
             if signed_value(line, cp.point) != 0:
                 out.append(f"constraint point {ci} misses a defining line")
-        for idx in cp.member_of:
-            if idx not in cp_holders[ci]:
-                out.append(
-                    f"constraint point {ci} is outside member stripe {idx}"
-                )
+        holders, members = index.holders(cp.point), sorted(cp.member_of)
+        if holders != members:
+            out.append(
+                f"constraint point {ci} lies in the stripes of placements {holders}, "
+                f"not of its members {members}"
+            )
         weak = cp.weak_dims
-        if weak:
-            lb = cp.lower_bound_gadget
-            if lb is None:
-                out.append(f"weak constraint point {ci} has no lower-bound gadget")
-            else:
-                pg = placements[lb]
-                if not isinstance(pg.role, LowerBoundRole) or pg.role.weak_point != ci:
-                    out.append(
-                        f"lower-bound back-reference broken for constraint point {ci}"
-                    )
-                kind = pg.placement.template.kind
-                if not isinstance(kind, LowerBound) or kind.active_dims != weak:
-                    out.append(
-                        f"lower-bound gadget {lb} active dims {kind} do not match "
-                        f"weak dims {weak} of constraint point {ci}"
-                    )
-                # Equidistant from the two flat lines around the notch
-                # means sitting exactly on the notch line (offset 4).
-                mid = pg.placement.line_at(Fraction(4))
-                if signed_value(mid, cp.point) != 0:
-                    out.append(
-                        f"constraint point {ci} is not centered in its "
-                        f"lower-bound gadget"
-                    )
-        else:
-            if cp.lower_bound_gadget is not None:
-                out.append(f"non-weak constraint point {ci} references a lower-bound gadget")
+        if not weak:
+            continue
+        named_by = notches.pop(ci, [])
+        if len(named_by) != 1:
+            out.append(
+                f"weak constraint point {ci} is named by {len(named_by)} "
+                f"lower-bound gadgets, not 1"
+            )
+            continue
+        lb = placements[named_by[0]].placement
+        kind = lb.template.kind
+        if kind != LowerBound(weak):
+            out.append(
+                f"lower-bound gadget {named_by[0]} active dims {kind} do not match "
+                f"weak dims {weak} of constraint point {ci}"
+            )
+        if signed_value(lb.line_at(NOTCH_CENTER), cp.point) != 0:
+            out.append(f"constraint point {ci} is not centered in its lower-bound gadget")
+    for ci, named_by in notches.items():
+        for i in named_by:
+            out.append(f"lower-bound gadget {i} names constraint point {ci}, which is not weak")
 
-        expected_labels = _expected_label_values(cp)
-        if expected_labels is not None and cp.labels != expected_labels:
-            out.append(f"constraint point {ci} labels {cp.labels} unexpected for its purpose")
-
-    # (f) nothing strays into a foreign stripe: constraint points and probes.
-    canonical = layout.canonical_index()
-    for ci, cp in enumerate(layout.constraint_points):
-        allowed = set(cp.member_of)
-        if cp.lower_bound_gadget is not None:
-            allowed.add(cp.lower_bound_gadget)
-        for idx in cp_holders[ci]:
-            if idx not in allowed:
-                out.append(
-                    f"constraint point {ci} strays into the stripe of placement {idx}"
-                )
+    # (f) each probe sits on its canonical gadget's upper measuring line, in
+    # no other stripe.
     for var, p in layout.probes:
         own = canonical.get(var)
         if own is None:
@@ -673,21 +671,6 @@ def validate(layout: Layout) -> Tuple[str, ...]:
                 out.append(f"probe for {var} strays into the stripe of placement {idx}")
 
     return tuple(out)
-
-
-def _expected_label_values(cp: ConstraintPoint) -> Optional[Tuple[Label, Label]]:
-    p = cp.purpose
-    if isinstance(p, CopyPurpose):
-        return (Exact(Fraction(6)), Exact(Fraction(6)))
-    if isinstance(p, AdditionPurpose):
-        return (Exact(Fraction(10)), Exact(Fraction(10)))
-    if isinstance(p, InversionCopyPurpose):
-        if p.dim == 1:
-            return (Exact(Fraction(6)), AtLeast(Fraction(0)))
-        return (AtLeast(Fraction(0)), Exact(Fraction(6)))
-    if isinstance(p, WeakQPurpose):
-        return (AtLeast(Fraction(2)), AtLeast(Fraction(2)))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .formula import Assignment, EtrInvFormula, check_assignment
 from .gadgets import (
-    AtLeast,
-    LowerBound,
+    GadgetState,
     lower_bound_state,
     inversion_state,
+    profile,
     variable_state,
     witness_neurons,
 )
-from .geometry import Rational
+from .geometry import Rational, signed_value
 from .layout import (
     AdditionCopyRole,
     CanonicalRole,
@@ -152,6 +152,8 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     Every variable-kind gadget ramps with slope value + 1; inversion
     gadgets couple the two slopes of their variables; lower-bound gadget
     depths are whatever makes their weak point's converted label exact.
+    Each gadget contributes its own profile: the witness has one unit per
+    ridge of every placement, in placement order.
     """
     report = check_assignment(bundle.formula, assignment)
     if not report.satisfied:
@@ -162,54 +164,49 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
         )
 
     layout = bundle.layout
-    per_placement: Dict[int, Tuple] = {}
-
-    # First all ramp-carrying gadgets, so their joint contribution at each
-    # weak point is known before any notch depth is chosen.
-    for i, pg in enumerate(layout.placements):
+    placements = layout.placements
+    states: Dict[int, GadgetState] = {}
+    for i, pg in enumerate(placements):
         role = pg.role
         if isinstance(role, (CanonicalRole, AdditionCopyRole)):
-            state = variable_state(assignment[role.variable] + 1)
+            states[i] = variable_state(assignment[role.variable] + 1)
         elif isinstance(role, InversionRole):
-            state = inversion_state(assignment[role.var_x] + 1)
-            assert state.slope_2 == assignment[role.var_y] + 1, (
+            states[i] = inversion_state(assignment[role.var_x] + 1)
+            assert states[i].slope_2 == assignment[role.var_y] + 1, (
                 "inversion coupling disagrees with the checked assignment"
             )
-        elif isinstance(role, LowerBoundRole):
-            continue
-        else:
+        elif not isinstance(role, LowerBoundRole):
             raise ReducerError(f"unknown role {role!r}")
-        per_placement[i] = witness_neurons(pg.placement, state)
 
-    partial = Network(tuple(u for i in sorted(per_placement) for u in per_placement[i]))
-
-    # Then the notch gadgets. Other notch gadgets contribute nothing at a
-    # given weak point (stripe membership is validated at plan time), so
-    # the partial network's value there is the full surrounding value.
-    for i, pg in enumerate(layout.placements):
+    # A gadget's units vanish outside its open stripe, and a weak point lies
+    # in the open stripes of its members and no others (validate checks
+    # that at plan time). So the network's value there is the sum of its
+    # members' profiles: its ramps, read here, and the one notch that names
+    # it, dug just deep enough to bring the ramps down to the realized label.
+    for i, pg in enumerate(placements):
         role = pg.role
         if not isinstance(role, LowerBoundRole):
             continue
         cp = layout.constraint_points[role.weak_point]
-        contribution = evaluate(partial, cp.point)
-        depth = None
-        for d in cp.weak_dims:
-            bound = cp.labels[d - 1]
-            assert isinstance(bound, AtLeast)
-            d_needed = contribution[d - 1] - bound.value + 2
-            if depth is None:
-                depth = d_needed
-            else:
-                assert depth == d_needed, "weak dims need different depths"
-        assert depth is not None
+        contribution = (Fraction(0), Fraction(0))
+        for m in cp.member_of:
+            if m != i:
+                pl = placements[m].placement
+                f = profile(pl.template.kind, states[m], signed_value(pl.line_at(0), cp.point))
+                contribution = (contribution[0] + f[0], contribution[1] + f[1])
+        # The network must read the realized label, bound - 2, in each weak dim.
+        depths = {contribution[d - 1] - cp.labels[d - 1].value + 2 for d in cp.weak_dims}
+        assert len(depths) == 1, "weak dims need different depths"
+        (depth,) = depths
         if depth < 2:
             raise DepthUnderflow(
                 f"weak point {role.weak_point} needs notch depth {depth} < 2"
             )
-        per_placement[i] = witness_neurons(pg.placement, lower_bound_state(depth))
+        states[i] = lower_bound_state(depth)
 
-    neurons = tuple(u for i in range(len(layout.placements)) for u in per_placement[i])
-    net = Network(neurons)
+    net = Network(tuple(
+        u for i, pg in enumerate(placements) for u in witness_neurons(pg.placement, states[i])
+    ))
     assert len(net.neurons) == bundle.instance.hidden_neurons
     return net
 

@@ -6,6 +6,7 @@ import pytest
 
 from ernn.formula import (
     Add,
+    EtrInvFormula,
     FormulaError,
     FormulaSyntaxError,
     Inv,
@@ -120,9 +121,25 @@ def test_grid_values_are_reduced_in_range_and_sorted():
     assert Fraction(5, 3) in vals
 
 
-def test_grid_solve_forced_inversion():
-    f = parse_formula("inv X X\n")
-    assert grid_solve(f, 12) == {"X": Fraction(1)}
+@pytest.mark.parametrize(
+    "text, order, want",
+    [
+        ("inv X X\n", ("X",), {"X": Fraction(1)}),
+        ("add X X X\n", ("X",), None),  # forces X = 0
+        ("add X Y X\n", ("X", "Y"), None),  # forces Y = 0
+        ("add X X Z\n", ("X", "Z"), {"X": Fraction(1, 2), "Z": Fraction(1)}),
+        # Z first, so the search forces X = Z/2 and rejects Z = 1/2 and 2/3
+        ("add X X Z\n", ("Z", "X"), {"Z": Fraction(1), "X": Fraction(1, 2)}),
+    ],
+    ids=["inv-X-X", "add-X-X-X", "add-X-Y-X", "add-X-X-Z", "add-X-X-Z-sum-first"],
+)
+def test_grid_solve_forces_repeated_variables(text, order, want):
+    f = EtrInvFormula(order, parse_formula(text).constraints)
+    if want is None:
+        with pytest.raises(NotFoundAtScale):
+            grid_solve(f, 12)
+    else:
+        assert grid_solve(f, 12) == want
 
 
 def test_grid_solve_prefers_lexicographically_first():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
 from ernn.gadgets import (
+    NOTCH_CENTER,
     AtLeast,
     Exact,
     GadgetPlacement,
@@ -93,15 +94,18 @@ def test_constraint_points_sit_inside_their_members_only():
 
 
 def test_weak_points_get_centered_notch_gadgets():
-    layout = plan(parse_formula("inv X Y\n"))
-    weak = [cp for cp in layout.constraint_points if cp.weak_dims]
-    assert weak
-    for cp in weak:
-        lb = layout.placements[cp.lower_bound_gadget]
-        assert isinstance(lb.placement.template.kind, LowerBound)
-        assert lb.placement.template.kind.active_dims == cp.weak_dims
-        mid = lb.placement.line_at(F(4))
-        assert signed_value(mid, cp.point) == 0
+    layout = plan(parse_formula(REFERENCE))
+    named = []
+    for i, pg in enumerate(layout.placements):
+        if not isinstance(pg.role, LowerBoundRole):
+            continue
+        cp = layout.constraint_points[pg.role.weak_point]
+        named.append(pg.role.weak_point)
+        assert pg.placement.template.kind == LowerBound(cp.weak_dims)
+        assert i in cp.member_of
+        assert signed_value(pg.placement.line_at(NOTCH_CENTER), cp.point) == 0
+    weak = [ci for ci, cp in enumerate(layout.constraint_points) if cp.weak_dims]
+    assert sorted(named) == weak
 
 
 def test_realize_makes_three_points_per_data_line():
@@ -257,6 +261,36 @@ def test_validate_stops_after_overlapping_parallel_stripes():
     )
     assert validate(bad) == (
         "parallel placements 0 and 1 have overlapping stripes [0, 16] and [1, 17]",
+    )
+
+
+def test_validate_flags_a_member_list_without_its_notch():
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    cp = layout.constraint_points[7]
+    assert cp.member_of == (0, 7, 11)
+    assert layout.placements[11].role == LowerBoundRole(7)
+    points = list(layout.constraint_points)
+    points[7] = dataclasses.replace(cp, member_of=(0, 7))
+    bad = dataclasses.replace(layout, constraint_points=tuple(points))
+    assert validate(bad) == (
+        "constraint point 7 lies in the stripes of placements [0, 7, 11], "
+        "not of its members [0, 7]",
+    )
+
+
+def test_validate_flags_a_notch_naming_a_non_weak_point():
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    assert layout.constraint_points[6].weak_dims == ()  # the addition point
+    placements = list(layout.placements)
+    placements[11] = dataclasses.replace(placements[11], role=LowerBoundRole(6))
+    bad = dataclasses.replace(layout, placements=tuple(placements))
+    assert validate(bad) == (
+        "weak constraint point 7 is named by 0 lower-bound gadgets, not 1",
+        "lower-bound gadget 11 names constraint point 6, which is not weak",
     )
 
 

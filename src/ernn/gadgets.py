@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .geometry import Direction, OrientedLine, Rational
+from .geometry import Direction, OrientedLine, Point2, Rational
 from .network import HiddenNeuron
 
 SLOPE_MIN = Fraction(3, 2)
@@ -117,6 +117,11 @@ def _exact_pair(v1, v2) -> Tuple[Label, Label]:
     return (Exact(Fraction(v1)), Exact(Fraction(v2)))
 
 
+def _on_active_dims(kind: LowerBound, v: Rational) -> Tuple[Rational, Rational]:
+    """v in each output a lower-bound gadget acts on, 0 in the other."""
+    return tuple(v if d in kind.active_dims else Fraction(0) for d in (1, 2))
+
+
 def template(kind: GadgetKind) -> GadgetTemplate:
     """The fixed data-line table for a gadget kind."""
     if isinstance(kind, Variable):
@@ -145,13 +150,7 @@ def template(kind: GadgetKind) -> GadgetTemplate:
         offsets = (0, 1, 2, 3, 5, 6, 7, 8)
         active = (0, 0, 0, -1, -1, 0, 0, 0)
         entries = tuple(
-            TemplateEntry(
-                Fraction(o),
-                (
-                    Exact(Fraction(v if 1 in kind.active_dims else 0)),
-                    Exact(Fraction(v if 2 in kind.active_dims else 0)),
-                ),
-            )
+            TemplateEntry(Fraction(o), _exact_pair(*_on_active_dims(kind, Fraction(v))))
             for o, v in zip(offsets, active)
         )
         return GadgetTemplate(kind, entries, breakline_budget=3, width=Fraction(8))
@@ -182,91 +181,82 @@ class GadgetPlacement:
         return (self.base_offset, self.base_offset + self.template.width)
 
 
-# Measuring line offsets, (lower, upper) per output dimension.
+# Measuring line offsets, (lower, upper), per gadget kind and output dimension.
 _MEASURING = {
-    Variable: {1: (Fraction(3), Fraction(5)), 2: (Fraction(3), Fraction(5))},
-    Inversion: {1: (Fraction(3), Fraction(5)), 2: (Fraction(6), Fraction(8))},
+    (Variable(), 1): (Fraction(3), Fraction(5)),
+    (Variable(), 2): (Fraction(3), Fraction(5)),
+    (Inversion(), 1): (Fraction(3), Fraction(5)),
+    (Inversion(), 2): (Fraction(6), Fraction(8)),
 }
 
 
-def measuring_line(placement: GadgetPlacement, dim: int, side: str) -> OrientedLine:
-    """The line where output dim reads 3 - s (lower) or 3 + s (upper).
+def measuring_offset(kind: GadgetKind, dim: int, side: str) -> Rational:
+    """Offset of the line where output dim reads 3 - s (lower) or 3 + s (upper).
 
     Measuring lines sit one unit on each side of a ramp midpoint, so a
     fitting network's values there sum to 6 regardless of the ramp slope s;
     each one alone reveals s. Lower-bound gadgets have none.
     """
-    kind = placement.template.kind
     if isinstance(kind, LowerBound):
         raise NoSuchMeasuringLine("lower-bound gadgets have no measuring lines")
-    if dim not in (1, 2):
-        raise GadgetError(f"dim must be 1 or 2, got {dim}")
-    try:
-        lower, upper = _MEASURING[type(kind)][dim]
-    except KeyError:
-        raise GadgetError(f"unknown gadget kind {kind!r}") from None
-    if side == "lower":
-        return placement.line_at(lower)
-    if side == "upper":
-        return placement.line_at(upper)
-    raise GadgetError(f"side must be 'lower' or 'upper', got {side!r}")
+    lower, upper = _MEASURING[kind, dim]
+    return {"lower": lower, "upper": upper}[side]
+
+
+def measuring_line(placement: GadgetPlacement, dim: int, side: str) -> OrientedLine:
+    """The placed gadget's measuring line; see measuring_offset()."""
+    return placement.line_at(measuring_offset(placement.template.kind, dim, side))
+
+
+def placed_through(
+    tpl: GadgetTemplate, normal: Direction, offset: Rational, p: Point2
+) -> GadgetPlacement:
+    """The placement of tpl along normal whose line at offset passes through p."""
+    return GadgetPlacement(tpl, normal, normal.n1 * p.x1 + normal.n2 * p.x2 - offset)
 
 
 # ---------------------------------------------------------------------------
 # States and profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GadgetState:
-    """Free parameters of one placed gadget in a fitting network.
+def inversion_partner(s: Rational) -> Rational:
+    """The dimension-2 slope s2 of an inversion gadget whose dimension-1 slope is s.
 
-    Variable gadgets use slope_1 (both outputs share the ramp); inversion
-    gadgets use both slopes, which must satisfy s1 * s2 = s1 + s2 (the
-    inversion coupling); lower-bound gadgets use depth.
+    s * s2 = s + s2, so the encoded values s - 1 and s2 - 1 multiply to 1;
+    the map takes [3/2, 3] onto itself.
     """
-
-    slope_1: Rational = Fraction(0)
-    slope_2: Rational = Fraction(0)
-    depth: Rational = Fraction(0)
+    return s / (s - 1)
 
 
-def variable_state(slope) -> GadgetState:
-    s = Fraction(slope)
-    if not (SLOPE_MIN <= s <= SLOPE_MAX):
-        raise InvalidState(f"slope {s} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
-    return GadgetState(slope_1=s, slope_2=s)
-
-
-def inversion_state(slope_1) -> GadgetState:
-    s1 = Fraction(slope_1)
-    if not (SLOPE_MIN <= s1 <= SLOPE_MAX):
-        raise InvalidState(f"slope {s1} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
-    s2 = s1 / (s1 - 1)
-    if not (SLOPE_MIN <= s2 <= SLOPE_MAX):
-        raise InvalidState(f"derived slope {s2} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
-    return GadgetState(slope_1=s1, slope_2=s2)
-
-
-def lower_bound_state(depth) -> GadgetState:
-    d = Fraction(depth)
-    if d < DEPTH_MIN:
-        raise InvalidState(f"depth {d} below {DEPTH_MIN}")
-    return GadgetState(depth=d)
-
-
-def ridge_changes(kind: GadgetKind, state: GadgetState) -> Tuple[Tuple[Rational, Tuple[Rational, Rational]], ...]:
+def ridge_changes(kind: GadgetKind, state: Rational) -> Tuple[Tuple[Rational, Tuple[Rational, Rational]], ...]:
     """Bend offsets and per-output slope changes of the gadget's profile.
 
-    This is the single source of truth for gadget shapes: profile() sums
-    these ridges directly and witness_neurons() turns each into one hidden
-    unit, so the two can never drift apart.
+    The state is one exact number: a variable gadget's ramp slope, an
+    inversion gadget's dimension-1 slope, or a lower-bound gadget's notch
+    depth. This is the one place a state is checked (InvalidState) and the
+    single source of truth for gadget shapes: profile() sums these ridges
+    directly and witness_neurons() turns each into one hidden unit, so the
+    two can never drift apart.
     """
+    if isinstance(kind, LowerBound):
+        d = state
+        if d < DEPTH_MIN:
+            raise InvalidState(f"depth {d} below {DEPTH_MIN}")
+        u = d / (d - 1)
+        arm = d - 1
+        return (
+            (NOTCH_CENTER - u, _on_active_dims(kind, -arm)),
+            (NOTCH_CENTER, _on_active_dims(kind, 2 * arm)),
+            (NOTCH_CENTER + u, _on_active_dims(kind, -arm)),
+        )
+
+    if not isinstance(kind, (Variable, Inversion)):
+        raise GadgetError(f"unknown gadget kind {kind!r}")
+    s = state
+    if not (SLOPE_MIN <= s <= SLOPE_MAX):
+        raise InvalidState(f"slope {s} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
+
     if isinstance(kind, Variable):
-        s = state.slope_1
-        if s != state.slope_2:
-            raise InvalidState("variable gadgets use one shared slope")
-        if not (SLOPE_MIN <= s <= SLOPE_MAX):
-            raise InvalidState(f"slope {s} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
         return (
             (4 - 3 / s, (s, s)),
             (4 + 3 / s, (-s, -s)),
@@ -274,47 +264,18 @@ def ridge_changes(kind: GadgetKind, state: GadgetState) -> Tuple[Tuple[Rational,
             (Fraction(14), (Fraction(1), Fraction(1))),
         )
 
-    if isinstance(kind, Inversion):
-        s1, s2 = state.slope_1, state.slope_2
-        if s1 * s2 != s1 + s2:
-            raise InvalidState(f"slopes {s1}, {s2} violate the inversion coupling")
-        for s in (s1, s2):
-            if not (SLOPE_MIN <= s <= SLOPE_MAX):
-                raise InvalidState(f"slope {s} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
-        b1 = 4 - 3 / s1
-        b2 = 4 + 3 / s1
-        b3 = b2 + 6 / s2
-        return (
-            (b1, (s1, Fraction(0))),
-            (b2, (-s1, s2)),
-            (b3, (Fraction(0), -s2)),
-            (Fraction(11), (Fraction(-1), Fraction(-1))),
-            (Fraction(17), (Fraction(1), Fraction(1))),
-        )
-
-    if isinstance(kind, LowerBound):
-        d = state.depth
-        if d < DEPTH_MIN:
-            raise InvalidState(f"depth {d} below {DEPTH_MIN}")
-        u = d / (d - 1)
-        arm = d - 1
-
-        def act(v: Rational) -> Tuple[Rational, Rational]:
-            return (
-                v if 1 in kind.active_dims else Fraction(0),
-                v if 2 in kind.active_dims else Fraction(0),
-            )
-
-        return (
-            (NOTCH_CENTER - u, act(-arm)),
-            (NOTCH_CENTER, act(2 * arm)),
-            (NOTCH_CENTER + u, act(-arm)),
-        )
-
-    raise GadgetError(f"unknown gadget kind {kind!r}")
+    s2 = inversion_partner(s)
+    b2 = 4 + 3 / s
+    return (
+        (4 - 3 / s, (s, Fraction(0))),
+        (b2, (-s, s2)),
+        (b2 + 6 / s2, (Fraction(0), -s2)),
+        (Fraction(11), (Fraction(-1), Fraction(-1))),
+        (Fraction(17), (Fraction(1), Fraction(1))),
+    )
 
 
-def profile(kind: GadgetKind, state: GadgetState, t: Rational) -> Tuple[Rational, Rational]:
+def profile(kind: GadgetKind, state: Rational, t: Rational) -> Tuple[Rational, Rational]:
     """Both outputs of the gadget's cross-section at offset t from the base."""
     f1 = Fraction(0)
     f2 = Fraction(0)
@@ -325,7 +286,7 @@ def profile(kind: GadgetKind, state: GadgetState, t: Rational) -> Tuple[Rational
     return (f1, f2)
 
 
-def witness_neurons(placement: GadgetPlacement, state: GadgetState) -> Tuple[HiddenNeuron, ...]:
+def witness_neurons(placement: GadgetPlacement, state: Rational) -> Tuple[HiddenNeuron, ...]:
     """Hidden units realizing the gadget's profile across its stripe.
 
     Each bend of the cross-section becomes one unit whose zero line is the

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .formula import Add, Constraint, EtrInvFormula, Inv
+from .formula import Add, Constraint, EtrInvFormula, Inv, _is_name
 from .gadgets import (
     NOTCH_CENTER,
     AtLeast,
@@ -45,6 +45,8 @@ from .gadgets import (
     LowerBound,
     Variable,
     measuring_line,
+    measuring_offset,
+    placed_through,
     template,
 )
 from .geometry import (
@@ -249,17 +251,19 @@ def _build(formula: EtrInvFormula) -> Layout:
     placements: List[PlacedGadget] = []
     cpoints: List[ConstraintPoint] = []
     var_template = template(Variable())
-    inv_template = template(Inversion())
 
     def place(placement: GadgetPlacement, role: Role) -> int:
         placements.append(PlacedGadget(placement, role))
         return len(placements) - 1
 
-    # Canonical gadgets, one horizontal stripe per variable.
+    # Canonical gadgets, one horizontal stripe per variable, each with its
+    # probe on its upper measuring line, left of every tilted stripe.
     canonical: Dict[str, int] = {}
+    probes: List[Tuple[str, Point2]] = []
     for i, v in enumerate(variables):
         placement = GadgetPlacement(var_template, CANONICAL_NORMAL, i * S)
         canonical[v] = place(placement, CanonicalRole(v))
+        probes.append((v, Point2(-(1 + i) * S, measuring_line(placement, 1, "upper").offset)))
 
     def meet_canonical_upper(var: str, line: OrientedLine) -> Point2:
         p = intersect(_canonical_upper(placements, canonical[var]), line)
@@ -279,9 +283,8 @@ def _build(formula: EtrInvFormula) -> Layout:
             # The first two operands put their upper measuring line through
             # the addition point, the sum its lower one: the three readings
             # sum to 10 exactly when X + Y = Z.
-            through = Fraction(5) if slot < 2 else Fraction(3)
-            base = normal.n1 * p_a.x1 + normal.n2 * p_a.x2 - through
-            placement = GadgetPlacement(var_template, normal, base)
+            offset = measuring_offset(Variable(), 1, "upper" if slot < 2 else "lower")
+            placement = placed_through(var_template, normal, offset, p_a)
             c_idx = place(placement, AdditionCopyRole(var, c_idx_formula, slot))
             copy_idxs.append(c_idx)
 
@@ -310,11 +313,10 @@ def _build(formula: EtrInvFormula) -> Layout:
     # Inversion bands from x = 3H, each gadget anchored on its first
     # variable's canonical upper measuring line (horizontal, y = offset).
     for j, (c_idx_formula, inv) in enumerate(inversions):
-        normal = INVERSION_NORMAL
         upper_y = _canonical_upper(placements, canonical[inv.x]).offset
         p_x = Point2(3 * H + j * (2 * H + S), upper_y)
-        base = normal.n1 * p_x.x1 + normal.n2 * p_x.x2 - 3
-        placement = GadgetPlacement(inv_template, normal, base)
+        offset = measuring_offset(Inversion(), 1, "lower")
+        placement = placed_through(template(Inversion()), INVERSION_NORMAL, offset, p_x)
         g_idx = place(placement, InversionRole(c_idx_formula, inv.x, inv.y))
         cpoints.append(ConstraintPoint(
             p_x,
@@ -340,10 +342,8 @@ def _build(formula: EtrInvFormula) -> Layout:
     for cp_idx, cp in enumerate(cpoints):
         if not cp.weak_dims:
             continue
-        normal = LOWER_BOUND_NORMAL
-        p = cp.point
-        base = normal.n1 * p.x1 + normal.n2 * p.x2 - NOTCH_CENTER
-        placement = GadgetPlacement(template(LowerBound(cp.weak_dims)), normal, base)
+        lb_template = template(LowerBound(cp.weak_dims))
+        placement = placed_through(lb_template, LOWER_BOUND_NORMAL, NOTCH_CENTER, cp.point)
         lb_idx = place(placement, LowerBoundRole(cp_idx))
         cpoints[cp_idx] = replace(cp, member_of=cp.member_of + (lb_idx,))
 
@@ -356,9 +356,7 @@ def _build(formula: EtrInvFormula) -> Layout:
         placements=tuple(placements),
         constraint_points=tuple(cpoints),
         verticals=(v1, v1 + 1, v1 + 2),
-        probes=tuple(
-            (v, Point2(-(1 + i) * S, i * S + 5)) for i, v in enumerate(variables)
-        ),
+        probes=tuple(probes),
     )
 
 
@@ -552,6 +550,20 @@ def realize(layout: Layout) -> Realization:
 # Validation
 # ---------------------------------------------------------------------------
 
+# How many leading members a purpose's defining lines read.
+_MEMBERS_READ = {CopyPurpose: 2, AdditionPurpose: 3, InversionCopyPurpose: 2}
+
+
+def _wiring_violation(n_placements: int, cp: ConstraintPoint) -> Optional[str]:
+    """Why _expected_lines() cannot read cp's defining lines, if it cannot."""
+    need = _MEMBERS_READ.get(type(cp.purpose), 0)
+    if len(cp.member_of) < need:
+        return f"has members {list(cp.member_of)}, but its purpose reads {need}"
+    owner = (cp.purpose.owner,) if isinstance(cp.purpose, WeakQPurpose) else ()
+    missing = [i for i in cp.member_of + owner if not 0 <= i < n_placements]
+    return f"names placements {missing}, which do not exist" if missing else None
+
+
 def _expected_lines(
     placements: Sequence[PlacedGadget], canonical: Dict[str, int], cp: ConstraintPoint
 ) -> List[OrientedLine]:
@@ -564,7 +576,7 @@ def _expected_lines(
             measuring_line(placements[copy_idx].placement, 1, "lower"),
         ]
     if isinstance(p, AdditionPurpose):
-        x_copy, y_copy, z_copy = cp.member_of
+        x_copy, y_copy, z_copy = cp.member_of[:3]
         return [
             measuring_line(placements[x_copy].placement, 1, "upper"),
             measuring_line(placements[y_copy].placement, 1, "upper"),
@@ -578,8 +590,7 @@ def _expected_lines(
             measuring_line(placements[inv_idx].placement, p.dim, "lower"),
         ]
     if isinstance(p, WeakQPurpose):
-        owner = placements[p.owner].placement
-        return [owner.line_at(owner.template.weak_entries[0].offset)]
+        return [placements[p.owner].placement.line_at(_VARIABLE_WEAK.offset)]
     raise LayoutError(f"unknown purpose {p!r}")
 
 
@@ -614,7 +625,8 @@ def validate(layout: Layout) -> Tuple[str, ...]:
             f"crossings (max corner x={corner_x})"
         )
 
-    # (e) constraint points: exactly on their defining lines, in the open
+    # (e) constraint points: wired to as many placements as their purpose
+    # reads, all of which exist, exactly on their defining lines, in the open
     # stripes of their members and no others, and each weak one centred on
     # the one lower-bound gadget that names it, active in its weak dims.
     # Every lower-bound gadget names a weak point.
@@ -624,6 +636,11 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         if isinstance(pg.role, LowerBoundRole):
             notches.setdefault(pg.role.weak_point, []).append(i)
     for ci, cp in enumerate(layout.constraint_points):
+        wiring = _wiring_violation(len(placements), cp)
+        if wiring:
+            out.append(f"constraint point {ci} {wiring}")
+            notches.pop(ci, None)
+            continue
         for line in _expected_lines(placements, canonical, cp):
             if signed_value(line, cp.point) != 0:
                 out.append(f"constraint point {ci} misses a defining line")
@@ -735,7 +752,9 @@ def layout_from_json(text: str) -> Layout:
         if doc["config"] != _GEOMETRY_JSON:
             raise LayoutError("sidecar config block differs from the fixed layout geometry")
         variables, constraints = doc["variables"], doc["constraints"]
-        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        if not isinstance(variables, list) or not all(
+            isinstance(v, str) and _is_name(v) for v in variables
+        ):
             raise LayoutError(f"variables {variables!r} is not a list of names")
         if not isinstance(constraints, list):
             raise LayoutError(f"constraints {constraints!r} is not a list")

@@ -17,14 +17,7 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from .formula import Assignment, EtrInvFormula, check_assignment
-from .gadgets import (
-    GadgetState,
-    lower_bound_state,
-    inversion_state,
-    profile,
-    variable_state,
-    witness_neurons,
-)
+from .gadgets import profile, witness_neurons
 from .geometry import Rational, signed_value
 from .layout import (
     AdditionCopyRole,
@@ -46,15 +39,6 @@ class ReducerError(ValueError):
 
 class UnsatisfiedAssignment(ReducerError):
     pass
-
-
-class DepthUnderflow(ReducerError):
-    """A weak point's required notch depth fell below 2.
-
-    Happens only if the surrounding gadgets' contribution at the weak point
-    is below its bound, i.e. the assignment violates the inequality the
-    weak point encodes; a witness cannot be built then.
-    """
 
 
 class NotFitting(ReducerError):
@@ -149,11 +133,17 @@ def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
 def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     """A network fitting the compiled instance exactly, from a solution.
 
-    Every variable-kind gadget ramps with slope value + 1; inversion
-    gadgets couple the two slopes of their variables; lower-bound gadget
-    depths are whatever makes their weak point's converted label exact.
-    Each gadget contributes its own profile: the witness has one unit per
-    ridge of every placement, in placement order.
+    Every variable-kind gadget ramps with slope value + 1, an inversion
+    gadget with its first variable's, and every lower-bound gadget digs its
+    notch just deep enough to make its weak point's converted label exact.
+    The witness has one unit per ridge of every placement, in placement order.
+
+    A solution's values lie in [1/2, 2], so its slopes s lie in [3/2, 3], and
+    every notch depth is then at least 2, which ridge_changes() checks with
+    the rest of each state: a variable-kind weak point reads 3 - s/3 >= 2
+    against its bound 2, a depth of 3 - s/3; an inversion copy point reads
+    at least the canonical ramp's 3 + s >= 9/2 against its bound 0, a depth
+    of at least 13/2.
     """
     report = check_assignment(bundle.formula, assignment)
     if not report.satisfied:
@@ -165,16 +155,15 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
 
     layout = bundle.layout
     placements = layout.placements
-    states: Dict[int, GadgetState] = {}
+    # Fraction(1) rather than a coercion of the value keeps an int
+    # assignment exact and lets other exact number types through.
+    states: Dict[int, Rational] = {}
     for i, pg in enumerate(placements):
         role = pg.role
         if isinstance(role, (CanonicalRole, AdditionCopyRole)):
-            states[i] = variable_state(assignment[role.variable] + 1)
+            states[i] = assignment[role.variable] + Fraction(1)
         elif isinstance(role, InversionRole):
-            states[i] = inversion_state(assignment[role.var_x] + 1)
-            assert states[i].slope_2 == assignment[role.var_y] + 1, (
-                "inversion coupling disagrees with the checked assignment"
-            )
+            states[i] = assignment[role.var_x] + Fraction(1)
         elif not isinstance(role, LowerBoundRole):
             raise ReducerError(f"unknown role {role!r}")
 
@@ -197,12 +186,7 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
         # The network must read the realized label, bound - 2, in each weak dim.
         depths = {contribution[d - 1] - cp.labels[d - 1].value + 2 for d in cp.weak_dims}
         assert len(depths) == 1, "weak dims need different depths"
-        (depth,) = depths
-        if depth < 2:
-            raise DepthUnderflow(
-                f"weak point {role.weak_point} needs notch depth {depth} < 2"
-            )
-        states[i] = lower_bound_state(depth)
+        (states[i],) = depths
 
     net = Network(tuple(
         u for i, pg in enumerate(placements) for u in witness_neurons(pg.placement, states[i])

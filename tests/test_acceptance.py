@@ -25,11 +25,8 @@ from ernn.gadgets import (
     Inversion,
     LowerBound,
     Variable,
-    inversion_state,
-    lower_bound_state,
     profile,
     template,
-    variable_state,
     witness_neurons,
 )
 from ernn.geometry import Point2, signed_value
@@ -163,7 +160,7 @@ def test_05_lower_bound_notch():
     kind = LowerBound((1, 2))
     ok = True
     for d in (F(2), F(3), F(12)):
-        st = lower_bound_state(d)
+        st = d
         u = d / (d - 1)
         mid = profile(kind, st, F(4))
         ok = ok and mid == (-d, -d) and mid[0] <= -2
@@ -191,11 +188,11 @@ def test_06_cpwl_network_equivalence():
         return lo + (hi - lo) * F(rng.randint(0, 60), 60)
 
     states = {
-        Variable(): lambda: variable_state(between(SLOPE_MIN, SLOPE_MAX)),
-        Inversion(): lambda: inversion_state(between(SLOPE_MIN, SLOPE_MAX)),
-        LowerBound((1,)): lambda: lower_bound_state(between(DEPTH_MIN, 4 * DEPTH_MIN)),
-        LowerBound((2,)): lambda: lower_bound_state(between(DEPTH_MIN, 4 * DEPTH_MIN)),
-        LowerBound((1, 2)): lambda: lower_bound_state(between(DEPTH_MIN, 4 * DEPTH_MIN)),
+        Variable(): lambda: between(SLOPE_MIN, SLOPE_MAX),
+        Inversion(): lambda: between(SLOPE_MIN, SLOPE_MAX),
+        LowerBound((1,)): lambda: between(DEPTH_MIN, 4 * DEPTH_MIN),
+        LowerBound((2,)): lambda: between(DEPTH_MIN, 4 * DEPTH_MIN),
+        LowerBound((1, 2)): lambda: between(DEPTH_MIN, 4 * DEPTH_MIN),
     }
     checked = 0
     ok = True

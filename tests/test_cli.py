@@ -262,8 +262,10 @@ def test_witness_takes_no_sidecar(workspace, capsys):
         (lambda doc: doc["constraints"][0].__setitem__(0, "mul"), "unknown constraint 'mul' (expected 'add' or 'inv')"),
         (lambda doc: doc["constraints"][1].append("Y"), "inv takes 2 variables, got 3"),
         (lambda doc: doc["variables"].remove("W"), "constraint mentions undeclared variable 'W'"),
+        (lambda doc: doc["variables"].__setitem__(1, "A B"), "variables ['X', 'A B', 'Z', 'W'] is not a list of names"),
+        (lambda doc: doc["variables"].__setitem__(1, ""), "variables ['X', '', 'Z', 'W'] is not a list of names"),
     ],
-    ids=["missing-key", "constraints-not-a-list", "unknown-head", "wrong-arity", "undeclared"],
+    ids=["missing-key", "constraints-not-a-list", "unknown-head", "wrong-arity", "undeclared", "spaced-name", "empty-name"],
 )
 def test_extract_rejects_malformed_sidecar(workspace, capsys, edit, message):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0

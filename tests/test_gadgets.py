@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from ernn.gadgets import (
+    DEPTH_MIN,
+    SLOPE_MAX,
+    SLOPE_MIN,
     AtLeast,
     Exact,
     GadgetPlacement,
@@ -13,12 +16,11 @@ from ernn.gadgets import (
     LowerBound,
     NoSuchMeasuringLine,
     Variable,
-    inversion_state,
-    lower_bound_state,
+    inversion_partner,
     measuring_line,
     profile,
+    ridge_changes,
     template,
-    variable_state,
     witness_neurons,
 )
 from ernn.geometry import Point2, make_direction, signed_value
@@ -60,6 +62,24 @@ def test_template_shapes():
     assert not lb.weak_entries
 
 
+@pytest.mark.parametrize(
+    "kind, ends",
+    [
+        (Variable(), (SLOPE_MIN, SLOPE_MAX)),
+        (Inversion(), (SLOPE_MIN, SLOPE_MAX)),
+        (LowerBound((1,)), (DEPTH_MIN, F(1000))),
+        (LowerBound((2,)), (DEPTH_MIN, F(1000))),
+        (LowerBound((1, 2)), (DEPTH_MIN, F(1000))),
+    ],
+)
+def test_unit_budget_matches_the_ridges(kind, ends):
+    # The instance's unit budget is the sum of template budgets, and the
+    # witness spends one unit per ridge. Depth has no upper end; 1000
+    # stands in for a deep notch.
+    for st in ends:
+        assert len(ridge_changes(kind, st)) == template(kind).breakline_budget
+
+
 def test_variable_entry_labels_match_both_dims():
     v = template(Variable())
     for e in v.data_entries:
@@ -81,7 +101,7 @@ def test_lower_bound_labels_depend_on_active_dims():
 
 def test_variable_profile_shape():
     # slope 2 encodes the value 1: ramp up to 6, plateau, descend to 0
-    st = variable_state(F(2))
+    st = F(2)
     expect = {
         F(0): F(0),
         F(5, 2): F(0),  # first bend
@@ -100,7 +120,7 @@ def test_variable_profile_shape():
 
 def test_variable_profile_hits_every_data_label():
     for s in (F(3, 2), F(17, 8), F(3)):
-        st = variable_state(s)
+        st = s
         for e in template(Variable()).data_entries:
             got = profile(Variable(), st, e.offset)
             assert got == (e.labels[0].value, e.labels[1].value)
@@ -109,58 +129,56 @@ def test_variable_profile_hits_every_data_label():
 def test_variable_weak_point_clears_its_bound():
     q = template(Variable()).weak_entries[0]
     for s in (F(3, 2), F(2), F(3)):
-        got = profile(Variable(), variable_state(s), q.offset)
+        got = profile(Variable(), s, q.offset)
         assert got[0] == got[1]
         assert got[0] >= q.labels[0].value
         assert got[0] == 3 - s / 3
 
 
 def test_measuring_lines_read_slope():
-    st = variable_state(F(9, 4))
+    st = F(9, 4)
     assert profile(Variable(), st, F(3)) == (3 - F(9, 4), 3 - F(9, 4))
     assert profile(Variable(), st, F(5)) == (3 + F(9, 4), 3 + F(9, 4))
 
 
 def test_variable_state_range():
-    variable_state(F(3, 2))
-    variable_state(F(3))
+    ridge_changes(Variable(), F(3, 2))
+    ridge_changes(Variable(), F(3))
     with pytest.raises(InvalidState):
-        variable_state(F(4, 3))
+        ridge_changes(Variable(), F(4, 3))
     with pytest.raises(InvalidState):
-        variable_state(F(7, 2))
+        ridge_changes(Variable(), F(7, 2))
 
 
 def test_inversion_state_couples_slopes():
-    st = inversion_state(F(2))
-    assert st.slope_2 == F(2)
-    st = inversion_state(F(3))
-    assert st.slope_2 == F(3, 2)
+    assert inversion_partner(F(2)) == F(2)
+    assert inversion_partner(F(3)) == F(3, 2)
     # s1 * s2 == s1 + s2 exactly
     for s1 in (F(3, 2), F(8, 5), F(2), F(12, 5), F(3)):
-        st = inversion_state(s1)
-        assert st.slope_1 * st.slope_2 == st.slope_1 + st.slope_2
+        s2 = inversion_partner(s1)
+        assert s1 * s2 == s1 + s2
 
 
 def test_inversion_state_rejects_out_of_range_partner():
     # s1 slightly below 3/2 would need s2 above 3
     with pytest.raises(InvalidState):
-        inversion_state(F(10, 7))
+        ridge_changes(Inversion(), F(10, 7))
 
 
 def test_inversion_profile_data_labels():
     kind = Inversion()
     for s1 in (F(3, 2), F(2), F(3)):
-        st = inversion_state(s1)
+        st = s1
         for e in template(kind).data_entries:
             got = profile(kind, st, e.offset)
             assert got == (e.labels[0].value, e.labels[1].value)
 
 
 def test_inversion_measuring_values():
-    st = inversion_state(F(5, 2))
+    st = F(5, 2)
     assert profile(Inversion(), st, F(3))[0] == 3 - F(5, 2)
     assert profile(Inversion(), st, F(5))[0] == 3 + F(5, 2)
-    s2 = st.slope_2
+    s2 = inversion_partner(st)
     assert profile(Inversion(), st, F(6))[1] == 3 - s2
     assert profile(Inversion(), st, F(8))[1] == 3 + s2
 
@@ -168,7 +186,7 @@ def test_inversion_measuring_values():
 def test_lower_bound_profile_notch():
     kind = LowerBound((1, 2))
     for d in (F(2), F(3), F(12)):
-        st = lower_bound_state(d)
+        st = d
         u = d / (d - 1)
         assert profile(kind, st, F(4)) == (-d, -d)
         assert profile(kind, st, F(4) - u) == (F(0), F(0))
@@ -178,13 +196,13 @@ def test_lower_bound_profile_notch():
 
 
 def test_lower_bound_minimum_depth():
-    lower_bound_state(F(2))
+    ridge_changes(LowerBound((1,)), F(2))
     with pytest.raises(InvalidState):
-        lower_bound_state(F(3, 2))
+        ridge_changes(LowerBound((1,)), F(3, 2))
 
 
 def test_lower_bound_inactive_dim_stays_flat():
-    st = lower_bound_state(F(5, 2))
+    st = F(5, 2)
     got = profile(LowerBound((2,)), st, F(4))
     assert got == (F(0), -F(5, 2))
 
@@ -200,6 +218,9 @@ def test_measuring_line_lookup():
     lp = GadgetPlacement(template(LowerBound((1,))), d, F(0))
     with pytest.raises(NoSuchMeasuringLine):
         measuring_line(lp, 1, "lower")
+    for dim, side in ((3, "lower"), (1, "middle")):
+        with pytest.raises(KeyError):
+            measuring_line(vp, dim, side)
 
 
 def test_witness_neurons_realize_profile_off_axis():
@@ -207,7 +228,7 @@ def test_witness_neurons_realize_profile_off_axis():
     # against the 1-D cross-section profile at many depths
     d = make_direction(F(3, 5), F(4, 5))
     pl = GadgetPlacement(template(Variable()), d, F(7))
-    st = variable_state(F(9, 4))
+    st = F(9, 4)
     net = Network(witness_neurons(pl, st))
     for k in range(0, 33):
         t = F(k, 2)
@@ -220,7 +241,7 @@ def test_witness_neurons_realize_profile_off_axis():
 def test_witness_neurons_vanish_outside_stripe():
     d = make_direction(F(5, 13), F(12, 13))
     pl = GadgetPlacement(template(Inversion()), d, F(-3))
-    st = inversion_state(F(2))
+    st = F(2)
     net = Network(witness_neurons(pl, st))
     for t in (F(-5), F(0), F(19), F(40)):
         p = Point2(F(5, 13) * (-3 + t), F(12, 13) * (-3 + t))

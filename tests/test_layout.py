@@ -23,11 +23,13 @@ from ernn.layout import (
     PALETTE,
     AdditionCopyRole,
     CanonicalRole,
+    CopyPurpose,
     InversionRole,
     LayoutError,
     LowerBoundRole,
     PlacedGadget,
     PlacementFailure,
+    WeakQPurpose,
     _StripeIndex,
     _vertical_violations,
     layout_from_json,
@@ -292,6 +294,27 @@ def test_validate_flags_a_notch_naming_a_non_weak_point():
         "weak constraint point 7 is named by 0 lower-bound gadgets, not 1",
         "lower-bound gadget 11 names constraint point 6, which is not weak",
     )
+
+
+@pytest.mark.parametrize(
+    "ci, edit, message",
+    [
+        (0, {"member_of": (0,)}, "constraint point 0 has members [0], but its purpose reads 2"),
+        (0, {"member_of": (0, 999)}, "constraint point 0 names placements [999], which do not exist"),
+        (1, {"purpose": WeakQPurpose(999)}, "constraint point 1 names placements [999], which do not exist"),
+    ],
+    ids=["copy-point-one-member", "copy-point-missing-member", "weak-point-missing-owner"],
+)
+def test_validate_reports_bad_constraint_point_wiring(ci, edit, message):
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    assert isinstance(layout.constraint_points[0].purpose, CopyPurpose)
+    assert isinstance(layout.constraint_points[1].purpose, WeakQPurpose)
+    points = list(layout.constraint_points)
+    points[ci] = dataclasses.replace(points[ci], **edit)
+    bad = dataclasses.replace(layout, constraint_points=tuple(points))
+    assert validate(bad) == (message,)
 
 
 def _rotate_about(pg, p, normal):

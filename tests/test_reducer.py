@@ -200,6 +200,15 @@ def test_witness_network_bytes_are_pinned(text, assignment, digest):
     assert _sha256(network_to_json(net)) == digest
 
 
+def test_integer_assignment_stays_exact():
+    bundle = compile_formula(parse_formula("inv X Y\nadd X Y Z\n"))
+    net = witness(bundle, {"X": 1, "Y": 1, "Z": 2})
+    weights = [w for u in net.neurons for w in (u.a1, u.a2, u.b, u.c1, u.c2)]
+    assert all(type(w) is Fraction for w in weights)
+    exact = witness(bundle, {"X": F(1), "Y": F(1), "Z": F(2)})
+    assert network_to_json(net) == network_to_json(exact)
+
+
 def test_width_budget_is_part_of_the_fit():
     bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
     net = witness(bundle, {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)})

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -129,33 +130,32 @@ class InversionRole:
 
 @dataclass(frozen=True)
 class LowerBoundRole:
-    weak_point: int  # index into Layout.constraint_points
+    """A notch under a weak point; the point names it among its members."""
 
 
 Role = Union[CanonicalRole, AdditionCopyRole, InversionRole, LowerBoundRole]
 
 
+# A purpose says what a constraint point reads off its members; which
+# gadgets those are, ConstraintPoint.member_of alone records.
 @dataclass(frozen=True)
 class CopyPurpose:
-    addition_index: int
-    slot: int
-    variable: str
+    """A canonical gadget's value copied into an addition copy."""
 
 
 @dataclass(frozen=True)
 class AdditionPurpose:
-    addition_index: int
+    """The three copies of an addition, read where they meet."""
 
 
 @dataclass(frozen=True)
 class InversionCopyPurpose:
-    constraint_index: int
     dim: int  # the output dimension carrying the Exact(6) label
 
 
 @dataclass(frozen=True)
 class WeakQPurpose:
-    owner: int  # placement index of the variable-kind gadget
+    """A variable-kind gadget's weak point."""
 
 
 Purpose = Union[CopyPurpose, AdditionPurpose, InversionCopyPurpose, WeakQPurpose]
@@ -171,7 +171,7 @@ class PlacedGadget:
 class ConstraintPoint:
     point: Point2
     purpose: Purpose
-    member_of: Tuple[int, ...]  # the placements whose open stripe holds it
+    member_of: Tuple[int, ...]  # the placements it ties together; their open stripes hold it
 
     @property
     def labels(self) -> Tuple[Label, Label]:
@@ -273,8 +273,7 @@ def _build(formula: EtrInvFormula) -> Layout:
     # Addition bands, right of the inversion bands: three tilted copies per
     # addition, fanning out of a shared addition point; each copy is tied to
     # its variable's canonical gadget by a copy point and carries its own
-    # weak point. Roles and purposes carry the constraint's index in
-    # formula.constraints.
+    # weak point. Roles carry the constraint's index in formula.constraints.
     for a, (c_idx_formula, add) in enumerate(additions):
         p_a = Point2(3 * H + len(inversions) * (2 * H + S) + a * (3 * H + S), H)
         copy_idxs = []
@@ -289,26 +288,14 @@ def _build(formula: EtrInvFormula) -> Layout:
             copy_idxs.append(c_idx)
 
             copy_point = meet_canonical_upper(var, measuring_line(placement, 1, "lower"))
-            cpoints.append(ConstraintPoint(
-                copy_point,
-                CopyPurpose(c_idx_formula, slot, var),
-                (canonical[var], c_idx),
-            ))
+            cpoints.append(ConstraintPoint(copy_point, CopyPurpose(), (canonical[var], c_idx)))
             # The copy's weak point, dropped below the fan where the three
             # copy stripes have spread apart.
             hq = H - 200 - 40 * slot
             q_line = placement.line_at(_VARIABLE_WEAK.offset)
             xq = (q_line.offset - normal.n2 * hq) / normal.n1
-            cpoints.append(ConstraintPoint(
-                Point2(xq, hq),
-                WeakQPurpose(c_idx),
-                (c_idx,),
-            ))
-        cpoints.append(ConstraintPoint(
-            p_a,
-            AdditionPurpose(c_idx_formula),
-            tuple(copy_idxs),
-        ))
+            cpoints.append(ConstraintPoint(Point2(xq, hq), WeakQPurpose(), (c_idx,)))
+        cpoints.append(ConstraintPoint(p_a, AdditionPurpose(), tuple(copy_idxs)))
 
     # Inversion bands from x = 3H, each gadget anchored on its first
     # variable's canonical upper measuring line (horizontal, y = offset).
@@ -318,24 +305,14 @@ def _build(formula: EtrInvFormula) -> Layout:
         offset = measuring_offset(Inversion(), 1, "lower")
         placement = placed_through(template(Inversion()), INVERSION_NORMAL, offset, p_x)
         g_idx = place(placement, InversionRole(c_idx_formula, inv.x, inv.y))
-        cpoints.append(ConstraintPoint(
-            p_x,
-            InversionCopyPurpose(c_idx_formula, 1),
-            (canonical[inv.x], g_idx),
-        ))
+        cpoints.append(ConstraintPoint(p_x, InversionCopyPurpose(1), (canonical[inv.x], g_idx)))
         p_y = meet_canonical_upper(inv.y, measuring_line(placement, 2, "lower"))
-        cpoints.append(ConstraintPoint(
-            p_y,
-            InversionCopyPurpose(c_idx_formula, 2),
-            (canonical[inv.y], g_idx),
-        ))
+        cpoints.append(ConstraintPoint(p_y, InversionCopyPurpose(2), (canonical[inv.y], g_idx)))
 
     # Each canonical gadget's own weak point, in its private column.
     for i, v in enumerate(variables):
         cpoints.append(ConstraintPoint(
-            Point2((1 + i) * S, i * S + _VARIABLE_WEAK.offset),
-            WeakQPurpose(canonical[v]),
-            (canonical[v],),
+            Point2((1 + i) * S, i * S + _VARIABLE_WEAK.offset), WeakQPurpose(), (canonical[v],)
         ))
 
     # Lower-bound gadgets, one per weak constraint point, all parallel.
@@ -344,7 +321,7 @@ def _build(formula: EtrInvFormula) -> Layout:
             continue
         lb_template = template(LowerBound(cp.weak_dims))
         placement = placed_through(lb_template, LOWER_BOUND_NORMAL, NOTCH_CENTER, cp.point)
-        lb_idx = place(placement, LowerBoundRole(cp_idx))
+        lb_idx = place(placement, LowerBoundRole())
         cpoints[cp_idx] = replace(cp, member_of=cp.member_of + (lb_idx,))
 
     # Every constraint point lies in two non-parallel stripes, so inside a
@@ -550,48 +527,46 @@ def realize(layout: Layout) -> Realization:
 # Validation
 # ---------------------------------------------------------------------------
 
-# How many leading members a purpose's defining lines read.
-_MEMBERS_READ = {CopyPurpose: 2, AdditionPurpose: 3, InversionCopyPurpose: 2}
+# What a constraint point of each purpose reads: its members' parts, sorted.
+# A weak point reads one lower-bound gadget besides.
+_READS = {
+    CopyPurpose: ["canonical", "copy"],
+    AdditionPurpose: ["copy", "copy", "copy"],
+    InversionCopyPurpose: ["canonical", "inversion"],
+    WeakQPurpose: ["variable"],
+}
+_PARTS = {
+    CanonicalRole: "canonical",
+    AdditionCopyRole: "copy",
+    InversionRole: "inversion",
+    LowerBoundRole: "lower bound",
+}
 
 
-def _wiring_violation(n_placements: int, cp: ConstraintPoint) -> Optional[str]:
-    """Why _expected_lines() cannot read cp's defining lines, if it cannot."""
-    need = _MEMBERS_READ.get(type(cp.purpose), 0)
-    if len(cp.member_of) < need:
-        return f"has members {list(cp.member_of)}, but its purpose reads {need}"
-    owner = (cp.purpose.owner,) if isinstance(cp.purpose, WeakQPurpose) else ()
-    missing = [i for i in cp.member_of + owner if not 0 <= i < n_placements]
-    return f"names placements {missing}, which do not exist" if missing else None
+def _part(purpose: Purpose, role: Role) -> str:
+    """The part a gadget of this role plays in a point of this purpose."""
+    part = _PARTS[type(role)]
+    if isinstance(purpose, WeakQPurpose) and part in ("canonical", "copy"):
+        return "variable"
+    return part
 
 
-def _expected_lines(
-    placements: Sequence[PlacedGadget], canonical: Dict[str, int], cp: ConstraintPoint
-) -> List[OrientedLine]:
-    """The measuring lines a constraint point must sit on, by purpose."""
-    p = cp.purpose
-    if isinstance(p, CopyPurpose):
-        copy_idx = cp.member_of[1]
-        return [
-            _canonical_upper(placements, canonical[p.variable]),
-            measuring_line(placements[copy_idx].placement, 1, "lower"),
-        ]
-    if isinstance(p, AdditionPurpose):
-        x_copy, y_copy, z_copy = cp.member_of[:3]
-        return [
-            measuring_line(placements[x_copy].placement, 1, "upper"),
-            measuring_line(placements[y_copy].placement, 1, "upper"),
-            measuring_line(placements[z_copy].placement, 1, "lower"),
-        ]
-    if isinstance(p, InversionCopyPurpose):
-        # member_of may carry a trailing lower-bound gadget index.
-        canon_idx, inv_idx = cp.member_of[0], cp.member_of[1]
-        return [
-            _canonical_upper(placements, canon_idx),
-            measuring_line(placements[inv_idx].placement, p.dim, "lower"),
-        ]
-    if isinstance(p, WeakQPurpose):
-        return [placements[p.owner].placement.line_at(_VARIABLE_WEAK.offset)]
-    raise LayoutError(f"unknown purpose {p!r}")
+def _line(purpose: Purpose, pg: PlacedGadget) -> OrientedLine:
+    """The line a constraint point lies on in a member it reads, by role."""
+    role, pl = pg.role, pg.placement
+    if isinstance(role, LowerBoundRole):
+        return pl.line_at(NOTCH_CENTER)
+    if isinstance(purpose, WeakQPurpose):
+        return pl.line_at(_VARIABLE_WEAK.offset)
+    if isinstance(role, InversionRole):
+        return measuring_line(pl, purpose.dim, "lower")
+    if isinstance(role, CanonicalRole):
+        return measuring_line(pl, 1, "upper")
+    # An addition copy's lower line meets its canonical gadget's upper one;
+    # at the addition point the operands read their upper lines, the sum its
+    # lower one.
+    upper = isinstance(purpose, AdditionPurpose) and role.slot < 2
+    return measuring_line(pl, 1, "upper" if upper else "lower")
 
 
 def validate(layout: Layout) -> Tuple[str, ...]:
@@ -625,56 +600,53 @@ def validate(layout: Layout) -> Tuple[str, ...]:
             f"crossings (max corner x={corner_x})"
         )
 
-    # (e) constraint points: wired to as many placements as their purpose
-    # reads, all of which exist, exactly on their defining lines, in the open
-    # stripes of their members and no others, and each weak one centred on
-    # the one lower-bound gadget that names it, active in its weak dims.
-    # Every lower-bound gadget names a weak point.
-    canonical = layout.canonical_index()
-    notches: Dict[int, List[int]] = {}
-    for i, pg in enumerate(placements):
-        if isinstance(pg.role, LowerBoundRole):
-            notches.setdefault(pg.role.weak_point, []).append(i)
+    # (e) constraint points: every member exists, the members' parts are
+    # exactly what the purpose reads, the point lies on the line it reads in
+    # each member and in the open stripes of its members and no others, and
+    # each weak point's lower-bound member is active in its weak dims. Every
+    # lower-bound gadget is a member of exactly one point.
     for ci, cp in enumerate(layout.constraint_points):
-        wiring = _wiring_violation(len(placements), cp)
-        if wiring:
-            out.append(f"constraint point {ci} {wiring}")
-            notches.pop(ci, None)
+        missing = [i for i in cp.member_of if not 0 <= i < len(placements)]
+        if missing:
+            out.append(f"constraint point {ci} names placements {missing}, which do not exist")
             continue
-        for line in _expected_lines(placements, canonical, cp):
-            if signed_value(line, cp.point) != 0:
-                out.append(f"constraint point {ci} misses a defining line")
+        weak = cp.weak_dims
+        parts = sorted(_part(cp.purpose, placements[i].role) for i in cp.member_of)
+        reads = sorted(_READS[type(cp.purpose)] + ["lower bound"] * bool(weak))
+        if parts != reads:
+            out.append(
+                f"constraint point {ci} ties together {parts}, but its purpose reads {reads}"
+            )
+        else:
+            for i in cp.member_of:
+                pg = placements[i]
+                if signed_value(_line(cp.purpose, pg), cp.point) != 0:
+                    out.append(
+                        f"constraint point {ci} misses the line of its "
+                        f"{_part(cp.purpose, pg.role)} member {i}"
+                    )
+                kind = pg.placement.template.kind
+                if isinstance(pg.role, LowerBoundRole) and kind != LowerBound(weak):
+                    out.append(
+                        f"lower-bound gadget {i} active dims {kind} do not match "
+                        f"weak dims {weak} of constraint point {ci}"
+                    )
         holders, members = index.holders(cp.point), sorted(cp.member_of)
         if holders != members:
             out.append(
                 f"constraint point {ci} lies in the stripes of placements {holders}, "
                 f"not of its members {members}"
             )
-        weak = cp.weak_dims
-        if not weak:
-            continue
-        named_by = notches.pop(ci, [])
-        if len(named_by) != 1:
+    uses = Counter(i for cp in layout.constraint_points for i in set(cp.member_of))
+    for i, pg in enumerate(placements):
+        if isinstance(pg.role, LowerBoundRole) and uses[i] != 1:
             out.append(
-                f"weak constraint point {ci} is named by {len(named_by)} "
-                f"lower-bound gadgets, not 1"
+                f"lower-bound gadget {i} is a member of {uses[i]} constraint points, not 1"
             )
-            continue
-        lb = placements[named_by[0]].placement
-        kind = lb.template.kind
-        if kind != LowerBound(weak):
-            out.append(
-                f"lower-bound gadget {named_by[0]} active dims {kind} do not match "
-                f"weak dims {weak} of constraint point {ci}"
-            )
-        if signed_value(lb.line_at(NOTCH_CENTER), cp.point) != 0:
-            out.append(f"constraint point {ci} is not centered in its lower-bound gadget")
-    for ci, named_by in notches.items():
-        for i in named_by:
-            out.append(f"lower-bound gadget {i} names constraint point {ci}, which is not weak")
 
     # (f) each probe sits on its canonical gadget's upper measuring line, in
     # no other stripe.
+    canonical = layout.canonical_index()
     for var, p in layout.probes:
         own = canonical.get(var)
         if own is None:

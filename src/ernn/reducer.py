@@ -27,6 +27,7 @@ from .layout import (
     LowerBoundRole,
     plan,
     realize,
+    realized_labels,
 )
 from .network import FitReport, Network, TrainInstance, evaluate, exact_fit
 
@@ -170,23 +171,23 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     # A gadget's units vanish outside its open stripe, and a weak point lies
     # in the open stripes of its members and no others (validate checks
     # that at plan time). So the network's value there is the sum of its
-    # members' profiles: its ramps, read here, and the one notch that names
-    # it, dug just deep enough to bring the ramps down to the realized label.
-    for i, pg in enumerate(placements):
-        role = pg.role
-        if not isinstance(role, LowerBoundRole):
+    # members' profiles: its ramps, read here, and its one lower-bound
+    # member's notch, dug just deep enough to bring the ramps down to the
+    # realized label.
+    for cp in layout.constraint_points:
+        if not cp.weak_dims:
             continue
-        cp = layout.constraint_points[role.weak_point]
+        (notch,) = [m for m in cp.member_of if isinstance(placements[m].role, LowerBoundRole)]
         contribution = (Fraction(0), Fraction(0))
         for m in cp.member_of:
-            if m != i:
+            if m != notch:
                 pl = placements[m].placement
                 f = profile(pl.template.kind, states[m], signed_value(pl.line_at(0), cp.point))
                 contribution = (contribution[0] + f[0], contribution[1] + f[1])
-        # The network must read the realized label, bound - 2, in each weak dim.
-        depths = {contribution[d - 1] - cp.labels[d - 1].value + 2 for d in cp.weak_dims}
+        target = realized_labels(cp.labels)
+        depths = {contribution[d - 1] - target[d - 1] for d in cp.weak_dims}
         assert len(depths) == 1, "weak dims need different depths"
-        (states[i],) = depths
+        (states[notch],) = depths
 
     net = Network(tuple(
         u for i, pg in enumerate(placements) for u in witness_neurons(pg.placement, states[i])

@@ -22,8 +22,10 @@ from ernn.geometry import Point2, intersect, make_direction, signed_value
 from ernn.layout import (
     PALETTE,
     AdditionCopyRole,
+    AdditionPurpose,
     CanonicalRole,
     CopyPurpose,
+    InversionCopyPurpose,
     InversionRole,
     LayoutError,
     LowerBoundRole,
@@ -97,17 +99,17 @@ def test_constraint_points_sit_inside_their_members_only():
 
 def test_weak_points_get_centered_notch_gadgets():
     layout = plan(parse_formula(REFERENCE))
-    named = []
-    for i, pg in enumerate(layout.placements):
-        if not isinstance(pg.role, LowerBoundRole):
-            continue
-        cp = layout.constraint_points[pg.role.weak_point]
-        named.append(pg.role.weak_point)
-        assert pg.placement.template.kind == LowerBound(cp.weak_dims)
-        assert i in cp.member_of
-        assert signed_value(pg.placement.line_at(NOTCH_CENTER), cp.point) == 0
-    weak = [ci for ci, cp in enumerate(layout.constraint_points) if cp.weak_dims]
-    assert sorted(named) == weak
+    notches = []
+    for cp in layout.constraint_points:
+        lbs = [i for i in cp.member_of if isinstance(layout.placements[i].role, LowerBoundRole)]
+        assert len(lbs) == bool(cp.weak_dims)
+        for i in lbs:
+            pl = layout.placements[i].placement
+            assert pl.template.kind == LowerBound(cp.weak_dims)
+            assert signed_value(pl.line_at(NOTCH_CENTER), cp.point) == 0
+        notches += lbs
+    lower = [i for i, pg in enumerate(layout.placements) if isinstance(pg.role, LowerBoundRole)]
+    assert sorted(notches) == lower
 
 
 def test_realize_makes_three_points_per_data_line():
@@ -272,13 +274,16 @@ def test_validate_flags_a_member_list_without_its_notch():
     layout = plan(parse_formula(REFERENCE))
     cp = layout.constraint_points[7]
     assert cp.member_of == (0, 7, 11)
-    assert layout.placements[11].role == LowerBoundRole(7)
+    assert isinstance(layout.placements[11].role, LowerBoundRole)
     points = list(layout.constraint_points)
     points[7] = dataclasses.replace(cp, member_of=(0, 7))
     bad = dataclasses.replace(layout, constraint_points=tuple(points))
     assert validate(bad) == (
+        "constraint point 7 ties together ['canonical', 'inversion'], "
+        "but its purpose reads ['canonical', 'inversion', 'lower bound']",
         "constraint point 7 lies in the stripes of placements [0, 7, 11], "
         "not of its members [0, 7]",
+        "lower-bound gadget 11 is a member of 0 constraint points, not 1",
     )
 
 
@@ -287,34 +292,80 @@ def test_validate_flags_a_notch_naming_a_non_weak_point():
 
     layout = plan(parse_formula(REFERENCE))
     assert layout.constraint_points[6].weak_dims == ()  # the addition point
-    placements = list(layout.placements)
-    placements[11] = dataclasses.replace(placements[11], role=LowerBoundRole(6))
-    bad = dataclasses.replace(layout, placements=tuple(placements))
+    # Move notch 11 from inversion copy point 7 to addition point 6.
+    points = list(layout.constraint_points)
+    points[6] = dataclasses.replace(points[6], member_of=(4, 5, 6, 11))
+    points[7] = dataclasses.replace(points[7], member_of=(0, 7))
+    bad = dataclasses.replace(layout, constraint_points=tuple(points))
     assert validate(bad) == (
-        "weak constraint point 7 is named by 0 lower-bound gadgets, not 1",
-        "lower-bound gadget 11 names constraint point 6, which is not weak",
+        "constraint point 6 ties together ['copy', 'copy', 'copy', 'lower bound'], "
+        "but its purpose reads ['copy', 'copy', 'copy']",
+        "constraint point 6 lies in the stripes of placements [4, 5, 6], "
+        "not of its members [4, 5, 6, 11]",
+        "constraint point 7 ties together ['canonical', 'inversion'], "
+        "but its purpose reads ['canonical', 'inversion', 'lower bound']",
+        "constraint point 7 lies in the stripes of placements [0, 7, 11], "
+        "not of its members [0, 7]",
     )
 
 
 @pytest.mark.parametrize(
-    "ci, edit, message",
+    "ci, member_of, messages",
     [
-        (0, {"member_of": (0,)}, "constraint point 0 has members [0], but its purpose reads 2"),
-        (0, {"member_of": (0, 999)}, "constraint point 0 names placements [999], which do not exist"),
-        (1, {"purpose": WeakQPurpose(999)}, "constraint point 1 names placements [999], which do not exist"),
+        (0, (0,), (
+            "constraint point 0 ties together ['canonical'], "
+            "but its purpose reads ['canonical', 'copy']",
+            "constraint point 0 lies in the stripes of placements [0, 4], not of its members [0]",
+        )),
+        (0, (0, 999), ("constraint point 0 names placements [999], which do not exist",)),
+        (1, (999, 8), ("constraint point 1 names placements [999], which do not exist",)),
+        # 8 is the notch of weak point 1
+        (0, (0, 8), (
+            "constraint point 0 ties together ['canonical', 'lower bound'], "
+            "but its purpose reads ['canonical', 'copy']",
+            "constraint point 0 lies in the stripes of placements [0, 4], not of its members [0, 8]",
+            "lower-bound gadget 8 is a member of 2 constraint points, not 1",
+        )),
+        # canonical Y in place of canonical X
+        (0, (1, 4), (
+            "constraint point 0 misses the line of its canonical member 1",
+            "constraint point 0 lies in the stripes of placements [0, 4], not of its members [1, 4]",
+        )),
+        # 7 is the inversion gadget
+        (1, (7, 8), (
+            "constraint point 1 ties together ['inversion', 'lower bound'], "
+            "but its purpose reads ['lower bound', 'variable']",
+            "constraint point 1 lies in the stripes of placements [4, 8], not of its members [7, 8]",
+        )),
+        # 12 is the notch of inversion copy point 8
+        (7, (0, 7, 11, 12), (
+            "constraint point 7 ties together ['canonical', 'inversion', 'lower bound', "
+            "'lower bound'], but its purpose reads ['canonical', 'inversion', 'lower bound']",
+            "constraint point 7 lies in the stripes of placements [0, 7, 11], "
+            "not of its members [0, 7, 11, 12]",
+            "lower-bound gadget 12 is a member of 2 constraint points, not 1",
+        )),
     ],
-    ids=["copy-point-one-member", "copy-point-missing-member", "weak-point-missing-owner"],
+    ids=[
+        "copy-point-one-member",
+        "copy-point-missing-member",
+        "weak-point-missing-owner",
+        "copy-point-with-a-notch",
+        "copy-point-wrong-canonical",
+        "weak-point-inversion-owner",
+        "weak-point-two-notches",
+    ],
 )
-def test_validate_reports_bad_constraint_point_wiring(ci, edit, message):
+def test_validate_reports_bad_constraint_point_wiring(ci, member_of, messages):
     import dataclasses
 
     layout = plan(parse_formula(REFERENCE))
     assert isinstance(layout.constraint_points[0].purpose, CopyPurpose)
     assert isinstance(layout.constraint_points[1].purpose, WeakQPurpose)
     points = list(layout.constraint_points)
-    points[ci] = dataclasses.replace(points[ci], **edit)
+    points[ci] = dataclasses.replace(points[ci], member_of=member_of)
     bad = dataclasses.replace(layout, constraint_points=tuple(points))
-    assert validate(bad) == (message,)
+    assert validate(bad) == messages
 
 
 def _rotate_about(pg, p, normal):
@@ -336,7 +387,7 @@ def test_validate_rejects_normal_outside_the_palette():
     lb = 8
     pg = layout.placements[lb]
     assert isinstance(pg.role, LowerBoundRole)
-    weak = layout.constraint_points[pg.role.weak_point].point
+    (weak,) = [cp.point for cp in layout.constraint_points if lb in cp.member_of]
     rotated = _rotate_about(pg, weak, make_direction(F(24, 25), F(7, 25)))
     bad = dataclasses.replace(
         layout,
@@ -478,6 +529,39 @@ def test_vertical_separation_matches_sampled_check(data):
             if right:
                 assert gap == ref_gap
         assert (_vertical_violations(index, verticals) == []) == expect_clean
+
+
+_purposes = st.one_of(
+    st.builds(CopyPurpose),
+    st.builds(AdditionPurpose),
+    st.builds(InversionCopyPurpose, st.sampled_from((1, 2))),
+    st.builds(WeakQPurpose),
+)
+
+
+@_FAIL_FAST
+@given(st.data())
+def test_validate_reports_any_rewiring_and_never_raises(data):
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    ci = data.draw(st.integers(0, len(layout.constraint_points) - 1))
+    cp = layout.constraint_points[ci]
+    n = len(layout.placements)
+    member_of = data.draw(st.one_of(
+        st.permutations(cp.member_of),
+        st.lists(st.integers(-2, n + 2), max_size=4),
+    ))
+    purpose = data.draw(st.one_of(st.just(cp.purpose), _purposes))
+    points = list(layout.constraint_points)
+    points[ci] = dataclasses.replace(cp, member_of=tuple(member_of), purpose=purpose)
+    violations = validate(dataclasses.replace(layout, constraint_points=tuple(points)))
+    assert isinstance(violations, tuple)
+    assert all(isinstance(v, str) for v in violations)
+    unchanged = purpose == cp.purpose and set(member_of) == set(cp.member_of)
+    assert violations or unchanged
+    if unchanged and len(member_of) == len(cp.member_of):
+        assert violations == ()
 
 
 _names = st.sampled_from("ABCDEF")

@@ -262,3 +262,4 @@ def test_witness_of_a_random_solution_fits(case):
     report = verify(net, bundle.instance)
     assert report.fits and report.total_loss == 0
     assert len(net.neurons) == bundle.instance.hidden_neurons
+    assert extract(bundle, net) == assignment

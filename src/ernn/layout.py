@@ -6,7 +6,9 @@ horizontal, one per formula variable, stacked far apart. Everything else
 normals drawn from a fixed palette of rational unit vectors, and anchored
 so that the few points where two gadgets must talk to each other (copy
 points, addition points, inversion copy points, weak points) land exactly
-on the intersections of the right measuring lines.
+on the intersections of the right measuring lines. A placement's normal
+names its part: canonical, addition copy (one normal per operand slot),
+inversion or lower bound.
 
 plan() lays a formula out in one deterministic pass: bands of x from left
 to right for the probes, the canonical weak points, each inversion and
@@ -33,6 +35,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .formula import Add, Constraint, EtrInvFormula, Inv, _is_name
@@ -99,6 +102,19 @@ COPY_NORMALS = (
 INVERSION_NORMAL = make_direction(Fraction(4, 5), Fraction(-3, 5))
 LOWER_BOUND_NORMAL = make_direction(Fraction(12, 13), Fraction(5, 13))
 PALETTE = (CANONICAL_NORMAL,) + COPY_NORMALS + (INVERSION_NORMAL, LOWER_BOUND_NORMAL)
+# The part each palette normal names, and the gadget kind a part is built from.
+_PART_OF_NORMAL = {
+    CANONICAL_NORMAL: "canonical",
+    **{n: "copy" for n in COPY_NORMALS},
+    INVERSION_NORMAL: "inversion",
+    LOWER_BOUND_NORMAL: "lower bound",
+}
+_KIND_OF_PART = {
+    "canonical": Variable,
+    "copy": Variable,
+    "inversion": Inversion,
+    "lower bound": LowerBound,
+}
 
 # The variable template's weak entry: where every variable-kind gadget's
 # weak point sits across its stripe, and the at-least labels it carries.
@@ -106,35 +122,8 @@ _VARIABLE_WEAK = template(Variable()).weak_entries[0]
 
 
 # ---------------------------------------------------------------------------
-# Roles, purposes, layout records
+# Purposes, layout records
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CanonicalRole:
-    variable: str
-
-
-@dataclass(frozen=True)
-class AdditionCopyRole:
-    variable: str
-    addition_index: int
-    slot: int  # 0: first operand, 1: second operand, 2: sum
-
-
-@dataclass(frozen=True)
-class InversionRole:
-    constraint_index: int
-    var_x: str
-    var_y: str
-
-
-@dataclass(frozen=True)
-class LowerBoundRole:
-    """A notch under a weak point; the point names it among its members."""
-
-
-Role = Union[CanonicalRole, AdditionCopyRole, InversionRole, LowerBoundRole]
-
 
 # A purpose says what a constraint point reads off its members; which
 # gadgets those are, ConstraintPoint.member_of alone records.
@@ -164,7 +153,14 @@ Purpose = Union[CopyPurpose, AdditionPurpose, InversionCopyPurpose, WeakQPurpose
 @dataclass(frozen=True)
 class PlacedGadget:
     placement: GadgetPlacement
-    role: Role
+    # The variable whose value the gadget's state encodes: an inversion's
+    # first variable, and None for a lower-bound gadget.
+    variable: Optional[str]
+
+    @cached_property
+    def part(self) -> str:
+        """The part the placement's normal names; it must be a palette normal."""
+        return _PART_OF_NORMAL[self.placement.normal]
 
 
 @dataclass(frozen=True)
@@ -203,9 +199,7 @@ class Layout:
 
     def canonical_index(self) -> Dict[str, int]:
         return {
-            pg.role.variable: i
-            for i, pg in enumerate(self.placements)
-            if isinstance(pg.role, CanonicalRole)
+            pg.variable: i for i, pg in enumerate(self.placements) if pg.part == "canonical"
         }
 
 
@@ -245,15 +239,14 @@ def _build(formula: EtrInvFormula) -> Layout:
     S = SPACING
     variables = formula.variables
     H = len(variables) * S  # the height of the addition points, above every stripe
-    additions = [(i, c) for i, c in enumerate(formula.constraints) if isinstance(c, Add)]
-    inversions = [(i, c) for i, c in enumerate(formula.constraints) if isinstance(c, Inv)]
+    additions, inversions = formula.additions, formula.inversions
 
     placements: List[PlacedGadget] = []
     cpoints: List[ConstraintPoint] = []
     var_template = template(Variable())
 
-    def place(placement: GadgetPlacement, role: Role) -> int:
-        placements.append(PlacedGadget(placement, role))
+    def place(placement: GadgetPlacement, variable: Optional[str]) -> int:
+        placements.append(PlacedGadget(placement, variable))
         return len(placements) - 1
 
     # Canonical gadgets, one horizontal stripe per variable, each with its
@@ -262,7 +255,7 @@ def _build(formula: EtrInvFormula) -> Layout:
     probes: List[Tuple[str, Point2]] = []
     for i, v in enumerate(variables):
         placement = GadgetPlacement(var_template, CANONICAL_NORMAL, i * S)
-        canonical[v] = place(placement, CanonicalRole(v))
+        canonical[v] = place(placement, v)
         probes.append((v, Point2(-(1 + i) * S, measuring_line(placement, 1, "upper").offset)))
 
     def meet_canonical_upper(var: str, line: OrientedLine) -> Point2:
@@ -273,8 +266,8 @@ def _build(formula: EtrInvFormula) -> Layout:
     # Addition bands, right of the inversion bands: three tilted copies per
     # addition, fanning out of a shared addition point; each copy is tied to
     # its variable's canonical gadget by a copy point and carries its own
-    # weak point. Roles carry the constraint's index in formula.constraints.
-    for a, (c_idx_formula, add) in enumerate(additions):
+    # weak point.
+    for a, add in enumerate(additions):
         p_a = Point2(3 * H + len(inversions) * (2 * H + S) + a * (3 * H + S), H)
         copy_idxs = []
         for slot, var in enumerate((add.x, add.y, add.z)):
@@ -284,7 +277,7 @@ def _build(formula: EtrInvFormula) -> Layout:
             # sum to 10 exactly when X + Y = Z.
             offset = measuring_offset(Variable(), 1, "upper" if slot < 2 else "lower")
             placement = placed_through(var_template, normal, offset, p_a)
-            c_idx = place(placement, AdditionCopyRole(var, c_idx_formula, slot))
+            c_idx = place(placement, var)
             copy_idxs.append(c_idx)
 
             copy_point = meet_canonical_upper(var, measuring_line(placement, 1, "lower"))
@@ -299,12 +292,12 @@ def _build(formula: EtrInvFormula) -> Layout:
 
     # Inversion bands from x = 3H, each gadget anchored on its first
     # variable's canonical upper measuring line (horizontal, y = offset).
-    for j, (c_idx_formula, inv) in enumerate(inversions):
+    for j, inv in enumerate(inversions):
         upper_y = _canonical_upper(placements, canonical[inv.x]).offset
         p_x = Point2(3 * H + j * (2 * H + S), upper_y)
         offset = measuring_offset(Inversion(), 1, "lower")
         placement = placed_through(template(Inversion()), INVERSION_NORMAL, offset, p_x)
-        g_idx = place(placement, InversionRole(c_idx_formula, inv.x, inv.y))
+        g_idx = place(placement, inv.x)
         cpoints.append(ConstraintPoint(p_x, InversionCopyPurpose(1), (canonical[inv.x], g_idx)))
         p_y = meet_canonical_upper(inv.y, measuring_line(placement, 2, "lower"))
         cpoints.append(ConstraintPoint(p_y, InversionCopyPurpose(2), (canonical[inv.y], g_idx)))
@@ -321,7 +314,7 @@ def _build(formula: EtrInvFormula) -> Layout:
             continue
         lb_template = template(LowerBound(cp.weak_dims))
         placement = placed_through(lb_template, LOWER_BOUND_NORMAL, NOTCH_CENTER, cp.point)
-        lb_idx = place(placement, LowerBoundRole())
+        lb_idx = place(placement, None)
         cpoints[cp_idx] = replace(cp, member_of=cp.member_of + (lb_idx,))
 
     # Every constraint point lies in two non-parallel stripes, so inside a
@@ -535,37 +528,31 @@ _READS = {
     InversionCopyPurpose: ["canonical", "inversion"],
     WeakQPurpose: ["variable"],
 }
-_PARTS = {
-    CanonicalRole: "canonical",
-    AdditionCopyRole: "copy",
-    InversionRole: "inversion",
-    LowerBoundRole: "lower bound",
-}
 
 
-def _part(purpose: Purpose, role: Role) -> str:
-    """The part a gadget of this role plays in a point of this purpose."""
-    part = _PARTS[type(role)]
+def _part(purpose: Purpose, pg: PlacedGadget) -> str:
+    """The part a gadget plays in a point of this purpose."""
+    part = pg.part
     if isinstance(purpose, WeakQPurpose) and part in ("canonical", "copy"):
         return "variable"
     return part
 
 
 def _line(purpose: Purpose, pg: PlacedGadget) -> OrientedLine:
-    """The line a constraint point lies on in a member it reads, by role."""
-    role, pl = pg.role, pg.placement
-    if isinstance(role, LowerBoundRole):
+    """The line a constraint point lies on in a member it reads, by part."""
+    part, pl = pg.part, pg.placement
+    if part == "lower bound":
         return pl.line_at(NOTCH_CENTER)
     if isinstance(purpose, WeakQPurpose):
         return pl.line_at(_VARIABLE_WEAK.offset)
-    if isinstance(role, InversionRole):
+    if part == "inversion":
         return measuring_line(pl, purpose.dim, "lower")
-    if isinstance(role, CanonicalRole):
+    if part == "canonical":
         return measuring_line(pl, 1, "upper")
     # An addition copy's lower line meets its canonical gadget's upper one;
     # at the addition point the operands read their upper lines, the sum its
     # lower one.
-    upper = isinstance(purpose, AdditionPurpose) and role.slot < 2
+    upper = isinstance(purpose, AdditionPurpose) and pl.normal != COPY_NORMALS[2]
     return measuring_line(pl, 1, "upper" if upper else "lower")
 
 
@@ -573,13 +560,16 @@ def validate(layout: Layout) -> Tuple[str, ...]:
     """Every geometric invariant, re-checked from scratch; empty = clean."""
     placements = layout.placements
 
-    # (a) stripes have the palette's normals, so no data line is vertical.
-    out = [
-        f"placement {i}: normal ({pg.placement.normal.n1}, {pg.placement.normal.n2}) "
-        f"is not a palette normal"
-        for i, pg in enumerate(placements)
-        if pg.placement.normal not in PALETTE
-    ]
+    # (a) stripes have the palette's normals, so no data line is vertical,
+    # and each template has the kind of the part its normal names. Every
+    # later check reads a placement's part off its normal.
+    out = []
+    for i, pg in enumerate(placements):
+        n, kind = pg.placement.normal, pg.placement.template.kind
+        if n not in PALETTE:
+            out.append(f"placement {i}: normal ({n.n1}, {n.n2}) is not a palette normal")
+        elif not isinstance(kind, _KIND_OF_PART[pg.part]):
+            out.append(f"placement {i} lies on the {pg.part} normal but has template kind {kind}")
     if out:
         return tuple(out)
 
@@ -611,7 +601,7 @@ def validate(layout: Layout) -> Tuple[str, ...]:
             out.append(f"constraint point {ci} names placements {missing}, which do not exist")
             continue
         weak = cp.weak_dims
-        parts = sorted(_part(cp.purpose, placements[i].role) for i in cp.member_of)
+        parts = sorted(_part(cp.purpose, placements[i]) for i in cp.member_of)
         reads = sorted(_READS[type(cp.purpose)] + ["lower bound"] * bool(weak))
         if parts != reads:
             out.append(
@@ -623,10 +613,10 @@ def validate(layout: Layout) -> Tuple[str, ...]:
                 if signed_value(_line(cp.purpose, pg), cp.point) != 0:
                     out.append(
                         f"constraint point {ci} misses the line of its "
-                        f"{_part(cp.purpose, pg.role)} member {i}"
+                        f"{_part(cp.purpose, pg)} member {i}"
                     )
                 kind = pg.placement.template.kind
-                if isinstance(pg.role, LowerBoundRole) and kind != LowerBound(weak):
+                if pg.part == "lower bound" and kind != LowerBound(weak):
                     out.append(
                         f"lower-bound gadget {i} active dims {kind} do not match "
                         f"weak dims {weak} of constraint point {ci}"
@@ -639,7 +629,7 @@ def validate(layout: Layout) -> Tuple[str, ...]:
             )
     uses = Counter(i for cp in layout.constraint_points for i in set(cp.member_of))
     for i, pg in enumerate(placements):
-        if isinstance(pg.role, LowerBoundRole) and uses[i] != 1:
+        if pg.part == "lower bound" and uses[i] != 1:
             out.append(
                 f"lower-bound gadget {i} is a member of {uses[i]} constraint points, not 1"
             )

@@ -12,23 +12,15 @@ so fitting and extraction are decided exactly, never numerically.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional
 
 from .formula import Assignment, EtrInvFormula, check_assignment
-from .gadgets import profile, witness_neurons
+from .gadgets import Inversion, LowerBound, Variable, profile, witness_neurons
 from .geometry import Rational, signed_value
-from .layout import (
-    AdditionCopyRole,
-    CanonicalRole,
-    InversionRole,
-    Layout,
-    LowerBoundRole,
-    plan,
-    realize,
-    realized_labels,
-)
+from .layout import Layout, plan, realize, realized_labels
 from .network import FitReport, Network, TrainInstance, evaluate, exact_fit
 
 MAX_DISTINCT_LABELS = 13
@@ -85,19 +77,8 @@ def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
     layout = plan(formula)
     realization = realize(layout)
 
-    n_variable = 0
-    n_inversion = 0
-    n_lower = 0
-    budget = 0
-    for pg in layout.placements:
-        budget += pg.placement.template.breakline_budget
-        role = pg.role
-        if isinstance(role, (CanonicalRole, AdditionCopyRole)):
-            n_variable += 1
-        elif isinstance(role, InversionRole):
-            n_inversion += 1
-        elif isinstance(role, LowerBoundRole):
-            n_lower += 1
+    kinds = Counter(type(pg.placement.template.kind) for pg in layout.placements)
+    budget = sum(pg.placement.template.breakline_budget for pg in layout.placements)
 
     instance = TrainInstance(
         hidden_neurons=budget,
@@ -105,9 +86,9 @@ def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
         points=realization.points,
     )
     counts = ReductionCounts(
-        variable_gadgets=n_variable,
-        inversion_gadgets=n_inversion,
-        lower_bound_gadgets=n_lower,
+        variable_gadgets=kinds[Variable],
+        inversion_gadgets=kinds[Inversion],
+        lower_bound_gadgets=kinds[LowerBound],
         hidden_neurons=budget,
         data_points=len(instance.points),
         distinct_labels=len({labels for _p, labels in instance.points}),
@@ -158,26 +139,22 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     placements = layout.placements
     # Fraction(1) rather than a coercion of the value keeps an int
     # assignment exact and lets other exact number types through.
-    states: Dict[int, Rational] = {}
-    for i, pg in enumerate(placements):
-        role = pg.role
-        if isinstance(role, (CanonicalRole, AdditionCopyRole)):
-            states[i] = assignment[role.variable] + Fraction(1)
-        elif isinstance(role, InversionRole):
-            states[i] = assignment[role.var_x] + Fraction(1)
-        elif not isinstance(role, LowerBoundRole):
-            raise ReducerError(f"unknown role {role!r}")
+    states: Dict[int, Rational] = {
+        i: assignment[pg.variable] + Fraction(1)
+        for i, pg in enumerate(placements)
+        if pg.variable is not None
+    }
 
     # A gadget's units vanish outside its open stripe, and a weak point lies
     # in the open stripes of its members and no others (validate checks
     # that at plan time). So the network's value there is the sum of its
     # members' profiles: its ramps, read here, and its one lower-bound
-    # member's notch, dug just deep enough to bring the ramps down to the
-    # realized label.
+    # member's notch, the member with no variable, dug just deep enough to
+    # bring the ramps down to the realized label.
     for cp in layout.constraint_points:
         if not cp.weak_dims:
             continue
-        (notch,) = [m for m in cp.member_of if isinstance(placements[m].role, LowerBoundRole)]
+        (notch,) = [m for m in cp.member_of if placements[m].variable is None]
         contribution = (Fraction(0), Fraction(0))
         for m in cp.member_of:
             if m != notch:

@@ -12,20 +12,13 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .geometry import OrientedLine
-from .layout import (
-    AdditionCopyRole,
-    CanonicalRole,
-    InversionRole,
-    Layout,
-    LowerBoundRole,
-    realize,
-)
+from .layout import Layout, realize
 
 _FAMILY_COLOR = {
-    CanonicalRole: "#4878b0",
-    AdditionCopyRole: "#4ca64c",
-    InversionRole: "#c05050",
-    LowerBoundRole: "#b89b30",
+    "canonical": "#4878b0",
+    "copy": "#4ca64c",
+    "inversion": "#c05050",
+    "lower bound": "#b89b30",
 }
 
 
@@ -137,7 +130,7 @@ def render_svg(layout: Layout, scale: float = 0.05) -> str:
         poly = _clip_polygon(poly, -n.n1, -n.n2, -lo)
         if not poly:
             continue
-        color = _FAMILY_COLOR[type(pg.role)]
+        color = _FAMILY_COLOR[pg.part]
         pts = " ".join(f"{px(x)},{py(y)}" for x, y in poly)
         out.append(f'<polygon points="{pts}" fill="{color}" fill-opacity="0.12" stroke="none"/>')
         for entry in pl.template.data_entries:

@@ -20,15 +20,13 @@ from ernn.gadgets import (
 )
 from ernn.geometry import Point2, intersect, make_direction, signed_value
 from ernn.layout import (
+    COPY_NORMALS,
+    INVERSION_NORMAL,
     PALETTE,
-    AdditionCopyRole,
     AdditionPurpose,
-    CanonicalRole,
     CopyPurpose,
     InversionCopyPurpose,
-    InversionRole,
     LayoutError,
-    LowerBoundRole,
     PlacedGadget,
     PlacementFailure,
     WeakQPurpose,
@@ -48,20 +46,20 @@ REFERENCE = "add X Y Z\ninv X W\n"
 
 def test_single_variable_layout():
     layout = plan(parse_formula("inv X Y\n"))
-    kinds = [type(pg.role) for pg in layout.placements]
-    assert kinds.count(CanonicalRole) == 2
-    assert kinds.count(InversionRole) == 1
-    assert kinds.count(LowerBoundRole) == 4  # two canonical q's, p_X, p_Y
+    parts = [pg.part for pg in layout.placements]
+    assert parts.count("canonical") == 2
+    assert parts.count("inversion") == 1
+    assert parts.count("lower bound") == 4  # two canonical q's, p_X, p_Y
     assert validate(layout) == ()
 
 
 def test_addition_layout_counts():
     layout = plan(parse_formula("add X Y Z\n"))
-    kinds = [type(pg.role) for pg in layout.placements]
-    assert kinds.count(CanonicalRole) == 3
-    assert kinds.count(AdditionCopyRole) == 3
+    parts = [pg.part for pg in layout.placements]
+    assert parts.count("canonical") == 3
+    assert parts.count("copy") == 3
     # one q per variable gadget, canonical and copy alike
-    assert kinds.count(LowerBoundRole) == 6
+    assert parts.count("lower bound") == 6
     assert validate(layout) == ()
     # the addition point carries the doubled label
     add_points = [
@@ -101,15 +99,27 @@ def test_weak_points_get_centered_notch_gadgets():
     layout = plan(parse_formula(REFERENCE))
     notches = []
     for cp in layout.constraint_points:
-        lbs = [i for i in cp.member_of if isinstance(layout.placements[i].role, LowerBoundRole)]
+        lbs = [i for i in cp.member_of if layout.placements[i].part == "lower bound"]
         assert len(lbs) == bool(cp.weak_dims)
         for i in lbs:
             pl = layout.placements[i].placement
             assert pl.template.kind == LowerBound(cp.weak_dims)
             assert signed_value(pl.line_at(NOTCH_CENTER), cp.point) == 0
         notches += lbs
-    lower = [i for i, pg in enumerate(layout.placements) if isinstance(pg.role, LowerBoundRole)]
+    lower = [i for i, pg in enumerate(layout.placements) if pg.part == "lower bound"]
     assert sorted(notches) == lower
+
+
+def test_reference_placements_carry_their_parts_and_variables():
+    # witness reads each state off the variable, so these fix the slopes
+    layout = plan(parse_formula(REFERENCE))
+    assert [(pg.part, pg.variable) for pg in layout.placements] == (
+        [("canonical", v) for v in "XYZW"]
+        + [("copy", v) for v in "XYZ"]
+        + [("inversion", "X")]
+        + [("lower bound", None)] * 9
+    )
+    assert [pg.placement.normal for pg in layout.placements[4:7]] == list(COPY_NORMALS)
 
 
 def test_realize_makes_three_points_per_data_line():
@@ -274,7 +284,7 @@ def test_validate_flags_a_member_list_without_its_notch():
     layout = plan(parse_formula(REFERENCE))
     cp = layout.constraint_points[7]
     assert cp.member_of == (0, 7, 11)
-    assert isinstance(layout.placements[11].role, LowerBoundRole)
+    assert layout.placements[11].part == "lower bound"
     points = list(layout.constraint_points)
     points[7] = dataclasses.replace(cp, member_of=(0, 7))
     bad = dataclasses.replace(layout, constraint_points=tuple(points))
@@ -386,7 +396,7 @@ def test_validate_rejects_normal_outside_the_palette():
     layout = plan(parse_formula(REFERENCE))
     lb = 8
     pg = layout.placements[lb]
-    assert isinstance(pg.role, LowerBoundRole)
+    assert pg.part == "lower bound"
     (weak,) = [cp.point for cp in layout.constraint_points if lb in cp.member_of]
     rotated = _rotate_about(pg, weak, make_direction(F(24, 25), F(7, 25)))
     bad = dataclasses.replace(
@@ -402,6 +412,38 @@ def test_validate_rejects_normal_outside_the_palette():
         placements=layout.placements[:lb] + (vertical,) + layout.placements[lb + 1:],
     )
     assert validate(bad) == ("placement 8: normal (1, 0) is not a palette normal",)
+
+
+def test_validate_reports_a_template_of_another_part():
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    lb = 8
+    notch = layout.placements[lb]
+    assert notch.placement.template.kind == LowerBound((1, 2))
+    # Addition copy 4 built from notch 8's template.
+    copy = layout.placements[4]
+    swapped = dataclasses.replace(
+        copy, placement=dataclasses.replace(copy.placement, template=notch.placement.template)
+    )
+    bad = dataclasses.replace(
+        layout, placements=layout.placements[:4] + (swapped,) + layout.placements[5:]
+    )
+    assert validate(bad) == (
+        "placement 4 lies on the copy normal but has template kind "
+        "LowerBound(active_dims=(1, 2))",
+    )
+    # Notch 8 turned onto the inversion normal about its weak point.
+    (weak,) = [cp.point for cp in layout.constraint_points if lb in cp.member_of]
+    rotated = _rotate_about(notch, weak, INVERSION_NORMAL)
+    bad = dataclasses.replace(
+        layout,
+        placements=layout.placements[:lb] + (rotated,) + layout.placements[lb + 1:],
+    )
+    assert validate(bad) == (
+        "placement 8 lies on the inversion normal but has template kind "
+        "LowerBound(active_dims=(1, 2))",
+    )
 
 
 _TEMPLATES = (template(Variable()), template(Inversion()), template(LowerBound((1,))))
@@ -426,7 +468,7 @@ def _disjoint_stripes(draw):
             placements.append(GadgetPlacement(tpl, normal, offset))
             offset += tpl.width + draw(st.fractions(min_value=F(1, 7), max_value=20))
     order = draw(st.permutations(range(len(placements))))
-    return tuple(PlacedGadget(placements[i], CanonicalRole("X")) for i in order)
+    return tuple(PlacedGadget(placements[i], "X") for i in order)
 
 
 @st.composite
@@ -562,6 +604,32 @@ def test_validate_reports_any_rewiring_and_never_raises(data):
     assert violations or unchanged
     if unchanged and len(member_of) == len(cp.member_of):
         assert violations == ()
+
+
+_kinds = st.sampled_from(
+    (Variable(), Inversion(), LowerBound((1,)), LowerBound((2,)), LowerBound((1, 2)))
+)
+
+
+@_FAIL_FAST
+@given(st.data())
+def test_validate_reports_any_swapped_placement_and_never_raises(data):
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    i = data.draw(st.integers(0, len(layout.placements) - 1))
+    pg = layout.placements[i]
+    tpl = template(data.draw(_kinds))
+    normal = data.draw(st.one_of(st.just(pg.placement.normal), st.sampled_from(PALETTE)))
+    swapped = dataclasses.replace(
+        pg, placement=dataclasses.replace(pg.placement, template=tpl, normal=normal)
+    )
+    violations = validate(dataclasses.replace(
+        layout, placements=layout.placements[:i] + (swapped,) + layout.placements[i + 1:]
+    ))
+    assert isinstance(violations, tuple)
+    assert all(isinstance(v, str) for v in violations)
+    assert (violations == ()) == (swapped == pg)
 
 
 _names = st.sampled_from("ABCDEF")

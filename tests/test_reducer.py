@@ -9,7 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
-from ernn.layout import layout_to_json
+from ernn.layout import layout_to_json, plan
 from ernn.network import HiddenNeuron, Network, evaluate, instance_to_json, network_to_json
 from ernn.reducer import (
     DimensionMismatch,
@@ -20,6 +20,7 @@ from ernn.reducer import (
     verify,
     witness,
 )
+from ernn.render import render_svg
 
 F = Fraction
 
@@ -198,6 +199,21 @@ def test_sidecar_bytes_are_pinned(text, digest):
 def test_witness_network_bytes_are_pinned(text, assignment, digest):
     net = witness(compile_formula(parse_formula(text)), assignment)
     assert _sha256(network_to_json(net)) == digest
+
+
+# sha256 of the SVG picture of a formula's layout, for two of the formulas above.
+_SVG_PINNED = [
+    ("add X Y Z\ninv X W\n", "cba693bf6d034c4cd08ccdf09bf7d4c5fc0251245626facb1c83cec01e1014d3"),
+    (
+        "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
+        "0c1ea1c2871eb8655d7c29d760f270ef80bdcfe270a6f2409c5f080454a59bb9",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, digest", _SVG_PINNED)
+def test_svg_bytes_are_pinned(text, digest):
+    assert _sha256(render_svg(plan(parse_formula(text)))) == digest
 
 
 def test_integer_assignment_stays_exact():

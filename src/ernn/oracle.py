@@ -1,4 +1,4 @@
-"""Brute-force search for one-dimensional piecewise-linear fits.
+"""Exact search for one-dimensional piecewise-linear fits.
 
 Given labeled positions on a line, find every continuous piecewise-linear
 function with exactly k breakpoints on a fixed rational grid that hits all
@@ -7,21 +7,43 @@ labels. This is deliberately independent of the gadget shape formulas: the
 gadget tests use it as an oracle to confirm that the published cross-
 sections are the only fits, rather than trusting the construction twice.
 
-The search walks candidate breakpoints left to right. Fixing breakpoints
-makes each output's values linear in the unknowns (piece slopes and one
-anchor value), so a tiny incremental Gaussian elimination decides
-consistency as points join the current piece; contradictions prune the
-walk early. Underdetermined systems are closed by pinning leftover free
-parameters to zero, and every candidate is re-verified against all labels
-before being returned, so the result is always sound; what is enumerated
-is one canonical representative per solution family.
+The search runs in two stages.
+
+Slot stage. Breakpoints are first placed in slots, without positions:
+slot 2i is labeled position i itself, slot 2i + 1 the open gap after it,
+and a gap may hold several breakpoints. A depth-first walk over the slots,
+left to right, closes one piece per breakpoint and drops a prefix as soon
+as a closed piece's Exact labels are not collinear in some output (a label
+at a breakpoint belongs to both neighbouring pieces), or as soon as two
+neighbouring pieces have fixed lines that do not meet strictly inside the
+gap holding the breakpoint between them. AtLeast labels are ignored, so
+the stage only over-approximates: a slot assignment it rules out has no
+fit at any real breakpoint positions, on the grid or off it.
+
+Grid stage. Each surviving assignment is expanded into the grid tuples
+that fall in its slots, and each tuple is solved exactly. Fixing the
+breakpoints makes each output's values linear in the unknowns (one anchor
+value and the piece slopes), and an incremental Gaussian elimination
+decides consistency. Underdetermined systems are closed by pinning the
+leftover free parameters to zero, and every candidate is re-verified
+against all labels before being returned, so the result is always sound;
+what is enumerated is one canonical representative per solution family.
+
+The pinned solution does not depend on the order in which equations
+arrive. The solver always pivots on the largest free parameter id, so a
+solved parameter only ever depends on smaller free ids. The pivots are
+then exactly the parameters whose columns are independent of all columns
+with larger ids, which the equations alone decide, and pinning the other
+parameters to zero leaves one solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, combinations, groupby, product
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .gadgets import AtLeast, Exact, Label
 from .geometry import Rational
@@ -132,6 +154,151 @@ def _expr_scale(a: Expr, k: Fraction) -> Expr:
 
 LabeledPosition = Tuple[Rational, Tuple[Label, Label]]
 
+# What the Exact labels of a run of positions say about its line in one
+# output: _BROKEN (not collinear), None (fewer than two labels) or the
+# fixed line as (slope, value at 0).
+_BROKEN = "broken"
+RangeLine = Union[None, str, Tuple[Fraction, Fraction]]
+
+
+def _range_lines(pts: Sequence[LabeledPosition], d: int) -> List[List[RangeLine]]:
+    """table[i][j]: the line of positions i..j (i <= j) in output d + 1."""
+    table = []
+    for i in range(len(pts)):
+        row: List[RangeLine] = [None] * len(pts)
+        first = line = None
+        for j in range(i, len(pts)):
+            t, labels = pts[j]
+            lab = labels[d]
+            if line is not _BROKEN and isinstance(lab, Exact):
+                if first is None:
+                    first = (t, lab.value)
+                elif line is None:
+                    slope = (lab.value - first[1]) / (t - first[0])
+                    line = (slope, first[1] - slope * first[0])
+                elif line[0] * t + line[1] != lab.value:
+                    line = _BROKEN
+            row[j] = line
+        table.append(row)
+    return table
+
+
+def _slot_survivors(
+    pts: Sequence[LabeledPosition], k: int
+) -> List[Tuple[int, ...]]:
+    """Slot assignments of k breakpoints that no Exact label rules out.
+
+    pts are sorted by position, positions distinct. Slot 2i is position i,
+    slot 2i + 1 the open gap between positions i and i + 1; the result
+    lists non-decreasing slot tuples, a position slot at most once. An
+    assignment missing here has no continuous fit with its breakpoints
+    anywhere in those slots.
+    """
+    n = len(pts)
+    tables = [_range_lines(pts, d) for d in range(2)]
+
+    def lines(first: int, last: int) -> Tuple[RangeLine, RangeLine]:
+        if first > last:
+            return (None, None)
+        return (tables[0][first][last], tables[1][first][last])
+
+    def broken(piece: Tuple[RangeLine, RangeLine]) -> bool:
+        return piece[0] is _BROKEN or piece[1] is _BROKEN
+
+    def meet_in_gap(left, right, gap: int) -> bool:
+        """Fixed lines on both sides of a breakpoint in gap meet inside it."""
+        for a, b in zip(left, right):
+            if a is None or b is None:
+                continue
+            if a[0] == b[0]:
+                if a[1] != b[1]:
+                    return False
+                continue
+            x = (b[1] - a[1]) / (a[0] - b[0])
+            if not pts[gap][0] < x < pts[gap + 1][0]:
+                return False
+        return True
+
+    survivors: List[Tuple[int, ...]] = []
+    chosen: List[int] = []
+
+    def walk(first: int, before, lowest: int) -> None:
+        """Close the piece whose labels start at position `first`.
+
+        before holds the lines of the piece left of it (None for the
+        first piece); its breakpoint goes in slot `lowest` or later.
+        """
+        for s in range(lowest, 2 * n - 1):
+            piece = lines(first, s // 2)
+            if broken(piece):
+                break  # every later slot widens the piece
+            if before is not None and chosen[-1] % 2 and not meet_in_gap(
+                before, piece, chosen[-1] // 2
+            ):
+                continue
+            chosen.append(s)
+            rest = (s + 1) // 2
+            if len(chosen) < k:
+                walk(rest, piece, s if s % 2 else s + 1)
+            else:
+                tail = lines(rest, n - 1)
+                if not broken(tail) and (s % 2 == 0 or meet_in_gap(piece, tail, s // 2)):
+                    survivors.append(tuple(chosen))
+            chosen.pop()
+
+    walk(0, None, 0)
+    return survivors
+
+
+def _fit_at(
+    pts: Sequence[LabeledPosition], bps: Tuple[Fraction, ...]
+) -> Optional[FittingProfile]:
+    """The fit with breakpoints bps, free parameters pinned to zero.
+
+    Parameter ids per output: 0 is the anchor (value at the first
+    breakpoint), 1 + j the slope of piece j. Piece j holds the positions in
+    (bps[j - 1], bps[j]], so a label at a breakpoint enters once, through
+    the piece on its left. None when the Exact labels contradict each other
+    or the pinned fit misses an AtLeast label.
+    """
+    k = len(bps)
+    anchors = [_expr_param(0)]
+    for j in range(1, k):
+        anchors.append(
+            _expr_add(anchors[-1], _expr_scale(_expr_param(1 + j), bps[j] - bps[j - 1]))
+        )
+    slopes = []
+    values = []
+    for d in range(2):
+        solver = _Solver()
+        piece = 0
+        for t, labels in pts:
+            while piece < k and t > bps[piece]:
+                piece += 1
+            lab = labels[d]
+            if not isinstance(lab, Exact):
+                continue
+            ref = max(piece - 1, 0)  # the breakpoint this piece is anchored at
+            expr = _expr_add(anchors[ref], _expr_scale(_expr_param(1 + piece), t - bps[ref]))
+            if not solver.add_equation(expr, lab.value):
+                return None
+        slopes.append(tuple(solver.pinned_value(_expr_param(1 + j)) for j in range(k + 1)))
+        values.append(tuple(solver.pinned_value(a) for a in anchors))
+    prof = FittingProfile(bps, (slopes[0], slopes[1]), (values[0], values[1]))
+    for t, labels in pts:
+        for dim in (1, 2):
+            got = evaluate_profile(prof, t, dim)
+            want = labels[dim - 1]
+            if isinstance(want, Exact):
+                if got != want.value:
+                    return None
+            elif isinstance(want, AtLeast):
+                if got < want.value:
+                    return None
+            else:
+                raise TypeError(f"unknown label {want!r}")
+    return prof
+
 
 def fit_cpwl_1d_oracle(
     points: Sequence[LabeledPosition],
@@ -159,153 +326,24 @@ def fit_cpwl_1d_oracle(
         if t1 == t2:
             raise ValueError(f"duplicate position {t1}")
 
-    lo, hi = pts[0][0], pts[-1][0]
-    g = Fraction(1, grid_denominator)
-    first = -(-lo // g)  # ceil to grid
-    grid = []
-    v = first * g
-    while v <= hi:
-        grid.append(v)
-        v += g
-
-    k = breakpoints
-    # Parameter ids per dimension: 0 is the anchor (value at the first
-    # breakpoint), 1 + j is the slope of piece j.
-    ANCHOR = 0
-
-    def slope_param(j: int) -> int:
-        return 1 + j
-
+    g = grid_denominator
+    # The grid points strictly inside each gap between neighbouring positions.
+    gap_grid = [
+        [Fraction(m, g) for m in range(math.floor(a * g) + 1, math.ceil(b * g))]
+        for (a, _), (b, _) in zip(pts, pts[1:])
+    ]
     results: List[FittingProfile] = []
-
-    def finish(bps: List[Fraction], solvers, anchors) -> None:
-        chosen = tuple(bps)
-        slopes = []
-        values = []
-        for d in range(2):
-            sol = solvers[d]
-            slopes.append(tuple(sol.pinned_value(_expr_param(slope_param(j))) for j in range(k + 1)))
-            vals = [sol.pinned_value(anchors[d][j]) for j in range(k)]
-            values.append(tuple(vals))
-        prof = FittingProfile(chosen, (slopes[0], slopes[1]), (values[0], values[1]))
-        for t, labels in pts:
-            for dim in (1, 2):
-                got = evaluate_profile(prof, t, dim)
-                want = labels[dim - 1]
-                if isinstance(want, Exact):
-                    if got != want.value:
-                        return
-                elif isinstance(want, AtLeast):
-                    if got < want.value:
-                        return
-                else:
-                    raise TypeError(f"unknown label {want!r}")
-        results.append(prof)
-
-    def descend(
-        level: int,
-        start: int,
-        next_pt: int,
-        bps: List[Fraction],
-        solvers,
-        anchors,
-    ) -> None:
-        """Slide the candidate for breakpoint `level` rightward from grid[start].
-
-        solvers hold all equations for pieces left of the current one plus
-        the points already absorbed into the current piece (index < next_pt).
-        """
-        slide = [solvers[0].clone(), solvers[1].clone()]
-        pt = next_pt
-        for gi in range(start, len(grid) - (k - 1 - level)):
-            pos = grid[gi]
-            # Absorb points with t <= pos into the piece left of the
-            # candidate breakpoint.
-            ok = True
-            while pt < len(pts) and pts[pt][0] <= pos:
-                t, labels = pts[pt]
-                for d in range(2):
-                    lab = labels[d]
-                    if not isinstance(lab, Exact):
-                        continue
-                    if level == 0:
-                        # value(t) = anchor - s_0 * (b_0 - t); b_0 is the
-                        # candidate pos, so the equation is deferred to the
-                        # branch (it depends on pos) -- handled below.
-                        continue
-                    expr = _expr_add(
-                        anchors[d][level - 1],
-                        _expr_scale(_expr_param(slope_param(level)), t - bps[-1]),
-                    )
-                    if not slide[d].add_equation(expr, lab.value):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                pt += 1
-            if not ok:
-                return  # every larger candidate inherits the contradiction
-            # Branch: place breakpoint `level` here.
-            branch = [slide[0].clone(), slide[1].clone()]
-            feasible = True
-            if level == 0:
-                for t, labels in pts:
-                    if t > pos:
-                        break
-                    for d in range(2):
-                        lab = labels[d]
-                        if not isinstance(lab, Exact):
-                            continue
-                        expr = _expr_add(
-                            _expr_param(ANCHOR),
-                            _expr_scale(_expr_param(slope_param(0)), -(pos - t)),
-                        )
-                        if not branch[d].add_equation(expr, lab.value):
-                            feasible = False
-                            break
-                    if not feasible:
-                        break
-            if feasible:
-                if level == 0:
-                    anchor_lists = ([_expr_param(ANCHOR)], [_expr_param(ANCHOR)])
-                else:
-                    anchor_lists = (list(anchors[0]), list(anchors[1]))
-                    for d in range(2):
-                        anchor_lists[d].append(
-                            _expr_add(
-                                anchors[d][level - 1],
-                                _expr_scale(
-                                    _expr_param(slope_param(level)), pos - bps[-1]
-                                ),
-                            )
-                        )
-                bps.append(pos)
-                if level == k - 1:
-                    # Final piece: absorb everything right of the last
-                    # breakpoint, then close out.
-                    tail_ok = True
-                    for t, labels in pts:
-                        if t <= pos:
-                            continue
-                        for d in range(2):
-                            lab = labels[d]
-                            if not isinstance(lab, Exact):
-                                continue
-                            expr = _expr_add(
-                                anchor_lists[d][k - 1],
-                                _expr_scale(_expr_param(slope_param(k)), t - pos),
-                            )
-                            if not branch[d].add_equation(expr, lab.value):
-                                tail_ok = False
-                                break
-                        if not tail_ok:
-                            break
-                    if tail_ok:
-                        finish(bps, branch, anchor_lists)
-                else:
-                    descend(level + 1, gi + 1, pt, bps, branch, anchor_lists)
-                bps.pop()
-        return
-
-    descend(0, 0, 0, [], [_Solver(), _Solver()], ((), ()))
+    for slots in _slot_survivors(pts, breakpoints):
+        choices = []
+        for s, run in groupby(slots):
+            if s % 2:
+                choices.append(combinations(gap_grid[s // 2], len(list(run))))
+            else:
+                t = pts[s // 2][0]
+                choices.append([(t,)] if (t * g).denominator == 1 else [])
+        for parts in product(*choices):
+            prof = _fit_at(pts, tuple(chain.from_iterable(parts)))
+            if prof is not None:
+                results.append(prof)
+    results.sort(key=lambda p: p.breakpoints)
     return tuple(results)

@@ -85,13 +85,19 @@ def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
         gamma=Fraction(0),
         points=realization.points,
     )
+    # Normalised Fractions are equal iff their integer parts are, and ints
+    # hash without the modular inverse that every Fraction hash recomputes.
+    label_parts = {
+        (y1.numerator, y1.denominator, y2.numerator, y2.denominator)
+        for _p, (y1, y2) in instance.points
+    }
     counts = ReductionCounts(
         variable_gadgets=kinds[Variable],
         inversion_gadgets=kinds[Inversion],
         lower_bound_gadgets=kinds[LowerBound],
         hidden_neurons=budget,
         data_points=len(instance.points),
-        distinct_labels=len({labels for _p, labels in instance.points}),
+        distinct_labels=len(label_parts),
     )
 
     k = len(formula.variables)

@@ -141,8 +141,10 @@ def test_03_variable_gadget_oracle():
 def test_04_inversion_gadget_oracle():
     tmpl = template(Inversion())
     pts = [(e.offset, e.labels) for e in tmpl.entries]
+    t0 = time.perf_counter()
     fits = fit_cpwl_1d_oracle(pts, breakpoints=5, grid_denominator=4)
-    ok = len(fits) > 0
+    elapsed = time.perf_counter() - t0
+    ok = len(fits) > 0 and elapsed < 60.0
     for p in fits:
         s_x = p.slopes[0][1]
         s_y = p.slopes[1][2]
@@ -153,7 +155,7 @@ def test_04_inversion_gadget_oracle():
         ok = ok and p.slopes[0][2] == p.slopes[0][3]
     feet = {p.breakpoints[0] for p in fits}
     ok = ok and feet == {F(2), F(9, 4), F(5, 2), F(11, 4), F(3)}
-    _report(4, "inversion oracle", ok, f"{len(fits)} fits")
+    _report(4, "inversion oracle", ok, f"{len(fits)} fits, {elapsed:.1f}s")
 
 
 def test_05_lower_bound_notch():

@@ -1,11 +1,23 @@
-"""Brute-force 1-D fit enumeration on small hand-checkable inputs."""
+"""1-D fit enumeration on small hand-checkable inputs, and against the grid walk."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from ernn.gadgets import AtLeast, Exact
-from ernn.oracle import evaluate_profile, fit_cpwl_1d_oracle
+from ernn.gadgets import AtLeast, Exact, Inversion, LowerBound, Variable, template
+from ernn.oracle import (
+    FittingProfile,
+    _expr_add,
+    _expr_param,
+    _expr_scale,
+    _slot_survivors,
+    _Solver,
+    evaluate_profile,
+    fit_cpwl_1d_oracle,
+)
 
 F = Fraction
 
@@ -106,3 +118,264 @@ def test_profiles_come_back_sorted_and_verified():
     for p in res:
         for t, labels in pts:
             assert evaluate_profile(p, t, 1) == labels[0].value
+
+
+_FAIL_FAST = settings(
+    max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+
+
+@st.composite
+def _fit_inputs(draw):
+    """1-7 positions in halves, labeled mostly off one continuous shape.
+
+    Each output follows a continuous piecewise-linear shape that bends at a
+    few grid points, at positions and inside gaps, so runs of Exact labels
+    are collinear and many inputs have fits; a few labels are moved off
+    the shape or weakened to AtLeast.
+    """
+    k = draw(st.integers(1, 3))
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 7))
+    ts = sorted(F(m, 2) for m in draw(st.sets(st.integers(0, 12), min_size=n, max_size=n)))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+    def shape():
+        values = [draw(small)]
+        slope = draw(small)
+        for a, b in zip(ts, ts[1:]):
+            grid = [F(m, g) for m in range(math.ceil(a * g), math.ceil(b * g))]
+            if not grid or draw(st.integers(0, 2)):
+                values.append(values[-1] + slope * (b - a))
+                continue
+            at = draw(st.sampled_from(grid))
+            new = draw(small)
+            values.append(values[-1] + slope * (at - a) + new * (b - at))
+            slope = new
+        return values
+
+    def label(v):
+        kind = draw(st.sampled_from(("exact",) * 6 + ("off", "at_least")))
+        if kind == "exact":
+            return Exact(v)
+        if kind == "off":
+            return Exact(v + draw(st.sampled_from((-1, 1))))
+        return AtLeast(v + draw(st.sampled_from((-1, 0, 1))))
+
+    first = shape()
+    second = first if draw(st.booleans()) else shape()
+    pts = [(t, (label(y1), label(y2))) for t, y1, y2 in zip(ts, first, second)]
+    return draw(st.permutations(pts)), k, g
+
+
+@_FAIL_FAST
+@given(_fit_inputs())
+def test_matches_the_grid_walk(case):
+    pts, k, g = case
+    assert fit_cpwl_1d_oracle(pts, k, g) == _reference_fit(pts, k, g)
+
+
+_KINDS = {
+    "variable": Variable(),
+    "inversion": Inversion(),
+    "lower_bound_12": LowerBound((1, 2)),
+    "lower_bound_1": LowerBound((1,)),
+    "lower_bound_2": LowerBound((2,)),
+}
+
+
+def _template_points(name):
+    return [(e.offset, e.labels) for e in template(_KINDS[name]).entries]
+
+
+# The benchmark's oracle cases on which the grid walk takes under 1 s.
+@pytest.mark.parametrize(
+    "name, k, g",
+    [
+        ("variable", 3, 4),
+        ("variable", 4, 2),
+        ("lower_bound_12", 3, 5),
+        ("lower_bound_12", 3, 6),
+        ("lower_bound_1", 3, 6),
+        ("lower_bound_2", 3, 6),
+    ],
+)
+def test_template_fits_match_the_grid_walk(name, k, g):
+    pts = _template_points(name)
+    assert fit_cpwl_1d_oracle(pts, k, g) == _reference_fit(pts, k, g)
+
+
+@pytest.mark.parametrize("name", sorted(_KINDS))
+def test_slot_stage_proves_the_breakline_budget(name):
+    # No slot assignment survives one breakpoint under budget, so no real
+    # breakpoint positions fit either, grid or not.
+    budget = template(_KINDS[name]).breakline_budget
+    pts = sorted(((F(t), labels) for t, labels in _template_points(name)), key=lambda p: p[0])
+    assert _slot_survivors(pts, budget - 1) == []
+    assert _slot_survivors(pts, budget) != []
+
+
+def _reference_fit(points, breakpoints, grid_denominator):
+    """The grid walk: every strictly increasing k-tuple of grid points.
+
+    Slides each breakpoint rightward over the grid, absorbing the labels it
+    passes into one incremental solve per output, and stops sliding once
+    those labels contradict each other. Kept as the reference that the
+    slot-stage oracle must reproduce profile for profile.
+    """
+    if breakpoints < 1:
+        raise ValueError("need at least one breakpoint")
+    if grid_denominator < 1:
+        raise ValueError("grid_denominator must be positive")
+    pts = sorted(
+        ((Fraction(t), labels) for t, labels in points), key=lambda tl: tl[0]
+    )
+    if not pts:
+        return ()
+    for (t1, _), (t2, _) in zip(pts, pts[1:]):
+        if t1 == t2:
+            raise ValueError(f"duplicate position {t1}")
+
+    lo, hi = pts[0][0], pts[-1][0]
+    g = Fraction(1, grid_denominator)
+    first = -(-lo // g)  # ceil to grid
+    grid = []
+    v = first * g
+    while v <= hi:
+        grid.append(v)
+        v += g
+
+    k = breakpoints
+    # Parameter ids per dimension: 0 is the anchor (value at the first
+    # breakpoint), 1 + j is the slope of piece j.
+    ANCHOR = 0
+
+    def slope_param(j: int) -> int:
+        return 1 + j
+
+    results = []
+
+    def finish(bps, solvers, anchors):
+        chosen = tuple(bps)
+        slopes = []
+        values = []
+        for d in range(2):
+            sol = solvers[d]
+            slopes.append(tuple(sol.pinned_value(_expr_param(slope_param(j))) for j in range(k + 1)))
+            vals = [sol.pinned_value(anchors[d][j]) for j in range(k)]
+            values.append(tuple(vals))
+        prof = FittingProfile(chosen, (slopes[0], slopes[1]), (values[0], values[1]))
+        for t, labels in pts:
+            for dim in (1, 2):
+                got = evaluate_profile(prof, t, dim)
+                want = labels[dim - 1]
+                if isinstance(want, Exact):
+                    if got != want.value:
+                        return
+                elif isinstance(want, AtLeast):
+                    if got < want.value:
+                        return
+                else:
+                    raise TypeError(f"unknown label {want!r}")
+        results.append(prof)
+
+    def descend(level, start, next_pt, bps, solvers, anchors):
+        """Slide the candidate for breakpoint `level` rightward from grid[start].
+
+        solvers hold all equations for pieces left of the current one plus
+        the points already absorbed into the current piece (index < next_pt).
+        """
+        slide = [solvers[0].clone(), solvers[1].clone()]
+        pt = next_pt
+        for gi in range(start, len(grid) - (k - 1 - level)):
+            pos = grid[gi]
+            # Absorb points with t <= pos into the piece left of the
+            # candidate breakpoint.
+            ok = True
+            while pt < len(pts) and pts[pt][0] <= pos:
+                t, labels = pts[pt]
+                for d in range(2):
+                    lab = labels[d]
+                    if not isinstance(lab, Exact):
+                        continue
+                    if level == 0:
+                        # value(t) = anchor - s_0 * (b_0 - t); b_0 is the
+                        # candidate pos, so the equation is deferred to the
+                        # branch (it depends on pos) -- handled below.
+                        continue
+                    expr = _expr_add(
+                        anchors[d][level - 1],
+                        _expr_scale(_expr_param(slope_param(level)), t - bps[-1]),
+                    )
+                    if not slide[d].add_equation(expr, lab.value):
+                        ok = False
+                        break
+                if not ok:
+                    break
+                pt += 1
+            if not ok:
+                return  # every larger candidate inherits the contradiction
+            # Branch: place breakpoint `level` here.
+            branch = [slide[0].clone(), slide[1].clone()]
+            feasible = True
+            if level == 0:
+                for t, labels in pts:
+                    if t > pos:
+                        break
+                    for d in range(2):
+                        lab = labels[d]
+                        if not isinstance(lab, Exact):
+                            continue
+                        expr = _expr_add(
+                            _expr_param(ANCHOR),
+                            _expr_scale(_expr_param(slope_param(0)), -(pos - t)),
+                        )
+                        if not branch[d].add_equation(expr, lab.value):
+                            feasible = False
+                            break
+                    if not feasible:
+                        break
+            if feasible:
+                if level == 0:
+                    anchor_lists = ([_expr_param(ANCHOR)], [_expr_param(ANCHOR)])
+                else:
+                    anchor_lists = (list(anchors[0]), list(anchors[1]))
+                    for d in range(2):
+                        anchor_lists[d].append(
+                            _expr_add(
+                                anchors[d][level - 1],
+                                _expr_scale(
+                                    _expr_param(slope_param(level)), pos - bps[-1]
+                                ),
+                            )
+                        )
+                bps.append(pos)
+                if level == k - 1:
+                    # Final piece: absorb everything right of the last
+                    # breakpoint, then close out.
+                    tail_ok = True
+                    for t, labels in pts:
+                        if t <= pos:
+                            continue
+                        for d in range(2):
+                            lab = labels[d]
+                            if not isinstance(lab, Exact):
+                                continue
+                            expr = _expr_add(
+                                anchor_lists[d][k - 1],
+                                _expr_scale(_expr_param(slope_param(k)), t - pos),
+                            )
+                            if not branch[d].add_equation(expr, lab.value):
+                                tail_ok = False
+                                break
+                        if not tail_ok:
+                            break
+                    if tail_ok:
+                        finish(bps, branch, anchor_lists)
+                else:
+                    descend(level + 1, gi + 1, pt, bps, branch, anchor_lists)
+                bps.pop()
+        return
+
+    descend(0, 0, 0, [], [_Solver(), _Solver()], ((), ()))
+    return tuple(results)

@@ -17,7 +17,6 @@ Exit codes: 0 on success/accept, 1 on reject or unsatisfiable-at-scale,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -25,17 +24,15 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .formula import (
-    FormulaError,
     NotFoundAtScale,
     format_assignment,
     grid_solve,
     parse_assignment,
     parse_formula,
 )
-from .geometry import GeometryError, Rational, format_rational, parse_rational
-from .layout import LayoutError, layout_from_json, layout_to_json
+from .geometry import Rational, format_rational, parse_rational
+from .layout import layout_from_json, layout_to_json
 from .network import (
-    NetworkError,
     instance_from_json,
     instance_to_json,
     network_from_json,
@@ -44,16 +41,12 @@ from .network import (
 from .reducer import (
     DimensionMismatch,
     NotFitting,
-    ReducerError,
     compile_formula,
     extract,
     verify,
     witness,
 )
 from .render import render_svg
-
-_ERRORS = (FormulaError, GeometryError, LayoutError, NetworkError, ReducerError)
-
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -281,7 +274,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (NotFitting, DimensionMismatch) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError, *_ERRORS) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,10 @@ line with '#' comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .geometry import Rational
 
@@ -53,6 +54,7 @@ class NotFoundAtScale(FormulaError):
 class Add:
     """X + Y = Z."""
 
+    head: ClassVar[str] = "add"
     x: str
     y: str
     z: str
@@ -65,6 +67,7 @@ class Add:
 class Inv:
     """X * Y = 1."""
 
+    head: ClassVar[str] = "inv"
     x: str
     y: str
 
@@ -73,6 +76,21 @@ class Inv:
 
 
 Constraint = Union[Add, Inv]
+
+# Each constraint shape by its head word, the text format's and the sidecar's.
+CONSTRAINTS = {c.head: c for c in (Add, Inv)}
+
+
+def make_constraint(head: str, names: Sequence[str]) -> Constraint:
+    """The constraint `head names...`, checking the head, then the arity."""
+    shape = CONSTRAINTS.get(head)
+    if shape is None:
+        expected = " or ".join(repr(h) for h in CONSTRAINTS)
+        raise FormulaError(f"unknown constraint {head!r} (expected {expected})")
+    arity = len(fields(shape))
+    if len(names) != arity:
+        raise FormulaError(f"{head} takes {arity} variables, got {len(names)}")
+    return shape(*names)
 
 
 @dataclass(frozen=True)
@@ -121,68 +139,27 @@ def parse_formula(text: str) -> EtrInvFormula:
     Variables are declared implicitly, ordered by first mention. Errors
     carry 1-based line and column positions.
     """
-    variables: List[str] = []
-    order: Dict[str, int] = {}
+    variables: Dict[str, None] = {}
     constraints: List[Constraint] = []
-
-    def mention(name: str, lineno: int, col: int) -> str:
-        if not _is_name(name):
-            raise FormulaSyntaxError(f"bad variable name {name!r}", lineno, col)
-        if name not in order:
-            order[name] = len(variables)
-            variables.append(name)
-        return name
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not tokens:
             continue
-        # Tokenize, remembering each token's starting column (1-based).
-        tokens: List[Tuple[str, int]] = []
-        i = 0
-        while i < len(line):
-            if line[i].isspace():
-                i += 1
-                continue
-            start = i
-            while i < len(line) and not line[i].isspace():
-                i += 1
-            tokens.append((line[start:i], start + 1))
-
-        head, head_col = tokens[0]
-        args = tokens[1:]
-        if head == "add":
-            if len(args) != 3:
-                raise FormulaSyntaxError(
-                    f"add takes 3 variables, got {len(args)}", lineno, head_col
-                )
-            x, y, z = (mention(t, lineno, c) for t, c in args)
-            constraints.append(Add(x, y, z))
-        elif head == "inv":
-            if len(args) != 2:
-                raise FormulaSyntaxError(
-                    f"inv takes 2 variables, got {len(args)}", lineno, head_col
-                )
-            x, y = (mention(t, lineno, c) for t, c in args)
-            constraints.append(Inv(x, y))
-        else:
-            raise FormulaSyntaxError(
-                f"unknown constraint {head!r} (expected 'add' or 'inv')",
-                lineno,
-                head_col,
-            )
+        (head, head_col), *args = tokens
+        try:
+            constraints.append(make_constraint(head, [name for name, _ in args]))
+        except FormulaError as exc:
+            raise FormulaSyntaxError(str(exc), lineno, head_col) from None
+        for name, col in args:
+            if not _is_name(name):
+                raise FormulaSyntaxError(f"bad variable name {name!r}", lineno, col)
+            variables.setdefault(name)
 
     return EtrInvFormula(tuple(variables), tuple(constraints))
 
 
 def format_formula(formula: EtrInvFormula) -> str:
-    lines = []
-    for c in formula.constraints:
-        if isinstance(c, Add):
-            lines.append(f"add {c.x} {c.y} {c.z}")
-        else:
-            lines.append(f"inv {c.x} {c.y}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(" ".join((c.head, *c.variables())) + "\n" for c in formula.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +283,24 @@ def grid_solve(formula: EtrInvFormula, denom_bound: int) -> Dict[str, Fraction]:
                     return False
         return True
 
-    def search(i: int) -> bool:
-        if i == len(variables):
-            return True
-        var = variables[i]
-        for value in candidates(var):
-            partial[var] = value
-            if consistent_so_far(var) and search(i + 1):
-                return True
+    # Depth-first over the variables in order, without recursion: pending[i]
+    # holds the untried candidates of variables[i], and partial the values
+    # chosen so far, so that a long formula cannot exhaust the call stack.
+    pending: List[Iterator[Fraction]] = []
+    while len(partial) < len(variables):
+        var = variables[len(partial)]
+        if len(pending) == len(partial):
+            pending.append(iter(candidates(var)))
+        value = next(pending[-1], None)
+        if value is None:
+            pending.pop()
+            if not pending:
+                raise NotFoundAtScale(denom_bound)
+            partial.popitem()  # back up to the last variable assigned
+            continue
+        partial[var] = value
+        if not consistent_so_far(var):
             del partial[var]
-        return False
-
-    if not search(0):
-        raise NotFoundAtScale(denom_bound)
     result = {v: partial[v] for v in variables}
     # Belt and braces: the search only ever checks fully assigned
     # constraints, so re-check the lot before handing the result out.

@@ -33,13 +33,14 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .formula import Add, Constraint, EtrInvFormula, Inv, _is_name
+from .formula import Constraint, EtrInvFormula, Inv, _is_name, make_constraint
 from .gadgets import (
+    DEPTH_MIN,
     NOTCH_CENTER,
     AtLeast,
     Exact,
@@ -215,14 +216,14 @@ def realized_labels(labels: Tuple[Label, Label]) -> Tuple[Rational, Rational]:
     """Training labels for a constraint point.
 
     Exact labels pass through; an AtLeast(y) weak label becomes the exact
-    label y - 2, the lower-bound gadget underneath supplying the slack.
+    label y - DEPTH_MIN, the lower-bound gadget underneath supplying the slack.
     """
     out = []
     for lab in labels:
         if isinstance(lab, Exact):
             out.append(lab.value)
         else:
-            out.append(lab.value - 2)
+            out.append(lab.value - DEPTH_MIN)
     return (out[0], out[1])
 
 
@@ -673,19 +674,13 @@ _GEOMETRY_JSON = {
 }
 
 
-_CONSTRAINTS = {"add": Add, "inv": Inv}
-
-
 def layout_to_json(layout: Layout) -> str:
     """The sidecar: the fixed geometry and the formula plan() lays out."""
     formula = layout.formula
     doc = {
         "config": _GEOMETRY_JSON,
         "variables": list(formula.variables),
-        "constraints": [
-            ["add" if isinstance(c, Add) else "inv", *c.variables()]
-            for c in formula.constraints
-        ],
+        "constraints": [[c.head, *c.variables()] for c in formula.constraints],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -694,20 +689,16 @@ def _constraint_from_json(item) -> Constraint:
     if not isinstance(item, list) or not item:
         raise LayoutError(f"constraint {item!r} is not a non-empty list")
     head, *names = item
-    shape = _CONSTRAINTS.get(head)
-    if shape is None:
-        raise LayoutError(f"unknown constraint {head!r} (expected 'add' or 'inv')")
-    if len(names) != len(fields(shape)):
-        raise LayoutError(f"{head} takes {len(fields(shape))} variables, got {len(names)}")
-    return shape(*names)
+    return make_constraint(head, names)
 
 
 def layout_from_json(text: str) -> Layout:
     """The layout plan() derives from a sidecar's formula.
 
-    A document of the wrong shape, or with another config block, raises
-    LayoutError; a formula that names an undeclared variable raises
-    FormulaError, and one plan() cannot place raises as plan() does.
+    A document of the wrong shape or nested too deep, or with another config
+    block, raises LayoutError; a constraint with an unknown head or the wrong
+    number of variables, or one that names an undeclared variable, raises
+    FormulaError, and a formula plan() cannot place raises as plan() does.
     """
     try:
         doc = json.loads(text)
@@ -723,6 +714,6 @@ def layout_from_json(text: str) -> Layout:
         formula = EtrInvFormula(
             tuple(variables), tuple(_constraint_from_json(c) for c in constraints)
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise LayoutError(f"malformed layout JSON: {exc!r}") from exc
     return plan(formula)

@@ -172,8 +172,8 @@ def max_gradient_norm_bound(net: Network) -> Rational:
 
 # What reading a JSON document of the wrong shape raises: a missing key, a
 # list where an object belongs, too few items, a number where a string
-# belongs, or a string that is not a rational.
-_MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError)
+# belongs, a string that is not a rational, or nesting too deep for json.loads.
+_MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, RecursionError)
 
 
 def _list(value) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
-from .geometry import OrientedLine
+from .geometry import Direction, OrientedLine
 from .layout import Layout, realize
 
 _FAMILY_COLOR = {
@@ -31,57 +31,41 @@ def _clip_polygon(
 ) -> List[Tuple[Fraction, Fraction]]:
     """Keep the part of poly with a*x + b*y <= c (Sutherland-Hodgman step)."""
     out: List[Tuple[Fraction, Fraction]] = []
+    excess = [a * x + b * y - c for x, y in poly]
     n = len(poly)
     for i in range(n):
-        p = poly[i]
-        q = poly[(i + 1) % n]
-        p_in = a * p[0] + b * p[1] <= c
-        q_in = a * q[0] + b * q[1] <= c
-        if p_in:
+        p, ep = poly[i], excess[i]
+        q, eq = poly[(i + 1) % n], excess[(i + 1) % n]
+        if ep <= 0:
             out.append(p)
-        if p_in != q_in:
+        if (ep <= 0) != (eq <= 0):
             # interpolate crossing of segment pq with the line a x + b y = c
-            denom = a * (q[0] - p[0]) + b * (q[1] - p[1])
-            t = (c - a * p[0] - b * p[1]) / denom
+            t = ep / (ep - eq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
 
 
-def _clip_line(
-    line: OrientedLine,
-    xmin: Fraction,
-    xmax: Fraction,
-    ymin: Fraction,
-    ymax: Fraction,
+def _between(
+    poly: List[Tuple[Fraction, Fraction]], n: Direction, lo: Fraction, hi: Fraction
 ) -> List[Tuple[Fraction, Fraction]]:
-    """Endpoints of the line segment inside the box, or empty."""
+    """Keep the part of poly with lo <= n . p <= hi."""
+    return _clip_polygon(_clip_polygon(poly, n.n1, n.n2, hi), -n.n1, -n.n2, -lo)
+
+
+def _clip_line(
+    line: OrientedLine, box: List[Tuple[Fraction, Fraction]]
+) -> List[Tuple[Fraction, Fraction]]:
+    """Endpoints of the line segment inside the box, or empty.
+
+    Clipping the box to both sides of the line leaves that segment, its ends
+    ordered along the line's direction (-n2, n1); a lone corner is empty.
+    """
     n = line.normal
-    # point on line + direction
-    if n.n2 != 0:
-        p0 = (Fraction(0), line.offset / n.n2)
-    else:
-        p0 = (line.offset / n.n1, Fraction(0))
-    d = (-n.n2, n.n1)
-    ts: List[Fraction] = []
-    for axis, lo, hi in ((0, xmin, xmax), (1, ymin, ymax)):
-        if d[axis] == 0:
-            if not (lo <= p0[axis] <= hi):
-                return []
-            continue
-        t1 = (lo - p0[axis]) / d[axis]
-        t2 = (hi - p0[axis]) / d[axis]
-        ts.append(min(t1, t2))
-        ts.append(max(t1, t2))
-    los = [t for i, t in enumerate(ts) if i % 2 == 0]
-    his = [t for i, t in enumerate(ts) if i % 2 == 1]
-    t_lo = max(los)
-    t_hi = min(his)
-    if t_lo >= t_hi:
-        return []
-    return [
-        (p0[0] + t_lo * d[0], p0[1] + t_lo * d[1]),
-        (p0[0] + t_hi * d[0], p0[1] + t_hi * d[1]),
-    ]
+    on = sorted(
+        set(_between(box, n, line.offset, line.offset)),
+        key=lambda p: n.n1 * p[1] - n.n2 * p[0],
+    )
+    return [on[0], on[-1]] if len(on) >= 2 else []
 
 
 def render_svg(layout: Layout, scale: float = 0.05) -> str:
@@ -124,17 +108,14 @@ def render_svg(layout: Layout, scale: float = 0.05) -> str:
     box = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
     for pg in layout.placements:
         pl = pg.placement
-        n = pl.normal
-        lo, hi = pl.stripe()
-        poly = _clip_polygon(box, n.n1, n.n2, hi)
-        poly = _clip_polygon(poly, -n.n1, -n.n2, -lo)
+        poly = _between(box, pl.normal, *pl.stripe())
         if not poly:
             continue
         color = _FAMILY_COLOR[pg.part]
         pts = " ".join(f"{px(x)},{py(y)}" for x, y in poly)
         out.append(f'<polygon points="{pts}" fill="{color}" fill-opacity="0.12" stroke="none"/>')
         for entry in pl.template.data_entries:
-            seg = _clip_line(pl.line_at(entry.offset), xmin, xmax, ymin, ymax)
+            seg = _clip_line(pl.line_at(entry.offset), box)
             if seg:
                 (x1, y1), (x2, y2) = seg
                 out.append(

@@ -280,6 +280,24 @@ def test_extract_rejects_malformed_sidecar(workspace, capsys, edit, message):
     assert not (workspace / "pic.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "deep.json", "deep.json"], "malformed instance JSON: RecursionError("),
+        (["extract", "deep.json", "--layout", "deep.json"], "malformed network JSON: RecursionError("),
+        (["render", "deep.json", "-o", "pic.svg"], "malformed layout JSON: RecursionError("),
+    ],
+    ids=["verify", "extract", "render"],
+)
+def test_deeply_nested_json_is_a_validation_error(workspace, capsys, argv, message):
+    (workspace / "deep.json").write_text("[" * 200000 + "\n")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (workspace / "pic.svg").exists()
+
+
 def test_extract_rejects_sidecar_with_other_geometry(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0

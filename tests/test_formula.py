@@ -1,10 +1,14 @@
 """Formula language: parsing, satisfaction checks, bounded grid search."""
 
+import random
+from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ernn.formula import (
+    CONSTRAINTS,
     Add,
     EtrInvFormula,
     FormulaError,
@@ -17,6 +21,7 @@ from ernn.formula import (
     format_formula,
     grid_solve,
     grid_values,
+    make_constraint,
     parse_assignment,
     parse_formula,
 )
@@ -57,6 +62,60 @@ def test_wrong_arity_is_a_syntax_error():
         parse_formula("add X Y\n")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("inv X Y Z\n")
+
+
+@pytest.mark.parametrize("sep", ["\t", "\u00a0", "\u3000"], ids=["tab", "nbsp", "ideographic-space"])
+@pytest.mark.parametrize(
+    "line, column, message",
+    [
+        ("{s}add{s}X{s}1Y{s}Z", 8, "bad variable name '1Y'"),
+        ("{s}mul{s}X{s}Y", 2, "unknown constraint 'mul' (expected 'add' or 'inv')"),
+        ("{s}{s}inv{s}X", 3, "inv takes 2 variables, got 1"),
+    ],
+    ids=["bad-name", "unknown-head", "wrong-arity"],
+)
+def test_syntax_error_columns_count_unicode_whitespace(sep, line, column, message):
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse_formula("inv A B\n" + line.format(s=sep) + "\n")
+    assert (info.value.line, info.value.column) == (2, column)
+    assert str(info.value) == f"line 2, column {column}: {message}"
+
+
+@pytest.mark.parametrize("sep", ["\t", "\u00a0", "\u3000"], ids=["tab", "nbsp", "ideographic-space"])
+def test_unicode_whitespace_separates_tokens(sep):
+    f = parse_formula(f"{sep}add{sep}X{sep}Y Z{sep}# note\ninv{sep * 2}Z{sep}W{sep}\n")
+    assert f.constraints == (Add("X", "Y", "Z"), Inv("Z", "W"))
+
+
+def test_constraint_table_is_keyed_by_head():
+    assert CONSTRAINTS == {"add": Add, "inv": Inv}
+    # head is a class variable, so it is no field and takes no part in equality
+    assert [f.name for f in fields(Add)] == ["x", "y", "z"]
+    assert [f.name for f in fields(Inv)] == ["x", "y"]
+    assert make_constraint("add", ["X", "Y", "Z"]) == Add("X", "Y", "Z")
+    assert make_constraint("inv", ("X", "Y")) == Inv("X", "Y")
+
+
+@pytest.mark.parametrize(
+    "head, names, message",
+    [
+        ("mul", ["X", "Y"], "unknown constraint 'mul' (expected 'add' or 'inv')"),
+        ("add", ["X", "Y"], "add takes 3 variables, got 2"),
+        ("inv", ["X", "Y", "Z"], "inv takes 2 variables, got 3"),
+        # the head is checked before the arity
+        ("mul", [], "unknown constraint 'mul' (expected 'add' or 'inv')"),
+    ],
+)
+def test_make_constraint_rejects(head, names, message):
+    with pytest.raises(FormulaError) as info:
+        make_constraint(head, names)
+    assert str(info.value) == message
+
+
+def test_format_formula_text():
+    f = parse_formula("add   X Y Z  # sum\n\ninv\tY W\nadd W W X\n")
+    assert format_formula(f) == "add X Y Z\ninv Y W\nadd W W X\n"
+    assert format_formula(EtrInvFormula(("X",), ())) == ""
 
 
 def test_format_parse_round_trip():
@@ -154,6 +213,40 @@ def test_grid_solve_addition_chain():
     sol = grid_solve(f, 6)
     assert sol["X"] + sol["Y"] == sol["Z"]
     assert sol["Y"] + sol["Z"] == sol["W"]
+
+
+def test_grid_solve_does_not_recurse_per_variable():
+    # 1201 variables, more than the default recursion limit allows frames for
+    f = parse_formula("".join(f"inv A{i} A{i + 1}\n" for i in range(1200)))
+    sol = grid_solve(f, 2)
+    assert sol == {f"A{i}": Fraction(1, 2) if i % 2 == 0 else Fraction(2) for i in range(1201)}
+
+
+def _brute_force_first(formula, denom_bound):
+    """The lexicographically first solution among all grid tuples, or None."""
+    for values in product(grid_values(denom_bound), repeat=len(formula.variables)):
+        assignment = dict(zip(formula.variables, values))
+        if check_assignment(formula, assignment).satisfied:
+            return assignment
+    return None
+
+
+def test_grid_solve_matches_brute_force():
+    rng = random.Random(0)
+    for _ in range(60):
+        names = [f"V{i}" for i in range(rng.randint(1, 4))]
+        constraints = []
+        for _ in range(rng.randint(1, 3)):
+            shape = rng.choice([Add, Inv])
+            constraints.append(shape(*(rng.choice(names) for _ in fields(shape))))
+        mentioned = {v for c in constraints for v in c.variables()}
+        f = EtrInvFormula(tuple(v for v in names if v in mentioned), tuple(constraints))
+        want = _brute_force_first(f, 3)
+        if want is None:
+            with pytest.raises(NotFoundAtScale):
+                grid_solve(f, 3)
+        else:
+            assert grid_solve(f, 3) == want, format_formula(f)
 
 
 def test_grid_solve_exhausts_and_raises():

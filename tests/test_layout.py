@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
+from ernn.formula import Add, EtrInvFormula, FormulaError, Inv, parse_formula
 from ernn.gadgets import (
     NOTCH_CENTER,
     AtLeast,
@@ -201,6 +201,22 @@ def test_layout_json_rejects_wrong_shape(drop):
         text = json.dumps(doc)
     with pytest.raises(LayoutError):
         layout_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "constraint, message",
+    [
+        (["mul", "X", "Y"], "unknown constraint 'mul' (expected 'add' or 'inv')"),
+        (["add", "X", "Y"], "add takes 3 variables, got 2"),
+        (["inv", "X", "Y", "X"], "inv takes 2 variables, got 3"),
+    ],
+)
+def test_layout_json_reads_constraints_as_the_text_format_does(constraint, message):
+    doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"))))
+    doc["constraints"] = [constraint]
+    with pytest.raises(FormulaError) as info:
+        layout_from_json(json.dumps(doc))
+    assert str(info.value) == message
 
 
 def test_layout_json_rejects_other_geometry():

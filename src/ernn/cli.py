@@ -4,7 +4,7 @@ Subcommands:
 
     compile    formula -> training instance (+ layout sidecar)
     witness    formula + satisfying assignment -> exact-fit network
-    verify     network + instance -> accept/reject at the loss threshold
+    verify     network + instance -> accept/reject at the instance's gamma and budget
     extract    fitting network + layout sidecar -> recovered assignment
     solve      search the bounded rational grid for a satisfying assignment
     roundtrip  compile, witness, verify, extract, compare, all in one go
@@ -17,20 +17,20 @@ Exit codes: 0 on success/accept, 1 on reject or unsatisfiable-at-scale,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .formula import (
+    Assignment,
     NotFoundAtScale,
     format_assignment,
     grid_solve,
     parse_assignment,
     parse_formula,
 )
-from .geometry import Rational, format_rational, parse_rational
+from .geometry import format_rational
 from .layout import layout_from_json, layout_to_json
 from .network import (
     instance_from_json,
@@ -56,42 +56,25 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _positive(convert):
-    """An argparse type: the flag's value converted, finite and above 0."""
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-        return value
-
-    return parse
-
-
-def _loss_target(text: str) -> Rational:
-    """An argparse type for --gamma: a rational number, 0 or more."""
+def _positive(text: str) -> int:
+    """An argparse type for --denom-bound: an integer above 0."""
     try:
-        value = parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 
-def _join_gamma(argv: Sequence[str]) -> List[str]:
-    """argv with each "--gamma V" joined into "--gamma=V", so that argparse
-    hands a negative V such as -1/2 to _loss_target, not reads it as an option."""
-    out: List[str] = []
-    for token in argv:
-        if out and out[-1] == "--gamma":
-            out[-1] = f"--gamma={token}"
-        else:
-            out.append(token)
-    return out
+def _put_assignment(assignment: Assignment, output: Optional[str]) -> None:
+    """Write an assignment to the output file, or to stdout without one."""
+    text = format_assignment(assignment)
+    if output:
+        _write(output, text)
+        print(f"assignment -> {output}")
+    else:
+        sys.stdout.write(text)
 
 
 def _layout_sidecar(instance_path: str) -> str:
@@ -129,7 +112,7 @@ def _witness(args: argparse.Namespace) -> int:
 def _verify(args: argparse.Namespace) -> int:
     instance = instance_from_json(_read(args.instance))
     net = network_from_json(_read(args.network))
-    report = verify(net, instance, gamma=args.gamma)
+    report = verify(net, instance)
     width = len(net.neurons)
     print(f"loss = {format_rational(report.total_loss)}")
     print(f"width = {width} hidden units (budget {instance.hidden_neurons})")
@@ -147,29 +130,13 @@ def _extract(args: argparse.Namespace) -> int:
     net = network_from_json(_read(args.network))
     # The sidecar names the formula; compiling it again gives the instance.
     bundle = compile_formula(layout_from_json(_read(args.layout)).formula)
-    assignment = extract(bundle, net)
-    text = format_assignment(assignment)
-    if args.output:
-        _write(args.output, text)
-        print(f"assignment -> {args.output}")
-    else:
-        sys.stdout.write(text)
+    _put_assignment(extract(bundle, net), args.output)
     return 0
 
 
 def _solve(args: argparse.Namespace) -> int:
     formula = parse_formula(_read(args.formula))
-    try:
-        assignment = grid_solve(formula, args.denom_bound)
-    except NotFoundAtScale as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    text = format_assignment(assignment)
-    if args.output:
-        _write(args.output, text)
-        print(f"assignment -> {args.output}")
-    else:
-        sys.stdout.write(text)
+    _put_assignment(grid_solve(formula, args.denom_bound), args.output)
     return 0
 
 
@@ -178,11 +145,7 @@ def _roundtrip(args: argparse.Namespace) -> int:
     if args.assignment is not None:
         assignment = parse_assignment(_read(args.assignment))
     else:
-        try:
-            assignment = grid_solve(formula, args.denom_bound)
-        except NotFoundAtScale as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        assignment = grid_solve(formula, args.denom_bound)
     bundle = compile_formula(formula)
     c = bundle.counts
     print(f"compiled: {c.hidden_neurons} hidden units, {c.data_points} points")
@@ -205,7 +168,7 @@ def _roundtrip(args: argparse.Namespace) -> int:
 
 def _render(args: argparse.Namespace) -> int:
     layout = layout_from_json(_read(args.layout))
-    _write(args.output, render_svg(layout, scale=args.scale))
+    _write(args.output, render_svg(layout))
     print(f"svg -> {args.output}")
     return 0
 
@@ -234,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="network + instance -> accept/reject")
     p.add_argument("network")
     p.add_argument("instance")
-    p.add_argument(
-        "--gamma", type=_loss_target, default=None, help="override the loss threshold (rational, 0 or more)"
-    )
     p.set_defaults(func=_verify)
 
     p = subs.add_parser("extract", help="fitting network + layout sidecar -> assignment")
@@ -247,31 +207,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="search bounded-denominator rationals for a solution")
     p.add_argument("formula")
-    p.add_argument("--denom-bound", type=_positive(int), default=12)
+    p.add_argument("--denom-bound", type=_positive, default=12)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_solve)
 
     p = subs.add_parser("roundtrip", help="compile -> witness -> verify -> extract -> compare")
     p.add_argument("formula")
     p.add_argument("--assignment", default=None, help="assignment file (default: solve first)")
-    p.add_argument("--denom-bound", type=_positive(int), default=12)
+    p.add_argument("--denom-bound", type=_positive, default=12)
     p.set_defaults(func=_roundtrip)
 
     p = subs.add_parser("render", help="layout sidecar -> SVG")
     p.add_argument("layout", help="layout sidecar written by compile")
     p.add_argument("-o", "--output", default="layout.svg")
-    p.add_argument("--scale", type=_positive(float), default=0.05)
     p.set_defaults(func=_render)
 
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_gamma(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotFitting, DimensionMismatch) as exc:
+    except (NotFitting, DimensionMismatch, NotFoundAtScale) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .geometry import Rational
+from .geometry import Rational, parse_rational
 
 VALUE_MIN = Fraction(1, 2)
 VALUE_MAX = Fraction(2)
@@ -328,8 +328,8 @@ def parse_assignment(text: str) -> Dict[str, Fraction]:
         if name in out:
             raise FormulaSyntaxError(f"variable {name!r} is assigned twice", lineno, 1)
         try:
-            out[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
+            out[name] = parse_rational(value)
+        except ValueError:
             raise FormulaSyntaxError(
                 f"bad rational {value.strip()!r}", lineno, line.index("=") + 2
             ) from None

@@ -8,6 +8,7 @@ No floats anywhere on this path.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -27,16 +28,23 @@ class NotUnit(GeometryError):
 # Rational parsing / formatting
 # ---------------------------------------------------------------------------
 
-def parse_rational(text: str) -> Rational:
-    """Parse "p/q" or "p" into a Fraction in lowest terms.
+# The only form format_rational writes. Fraction() alone also reads
+# decimals, exponents and underscores, and "1e100000000" would build a
+# 332-million-bit integer.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-    Fraction() already normalizes sign and reduces, so this is mostly a
-    wrapper that turns malformed input into a uniform error.
-    """
+
+def parse_rational(text: str) -> Rational:
+    """Parse "p/q" or "p", in ASCII digits and around whitespace, into a
+    Fraction in lowest terms; anything else raises ValueError."""
+    match = _RATIONAL.fullmatch(text.strip())
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        if match:
+            p, q = match.groups()
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    except (ValueError, ZeroDivisionError):  # q = 0, or more digits than int() reads
+        pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def format_rational(value: Rational) -> str:

@@ -4,11 +4,12 @@ Every gadget occupies an infinite stripe. Canonical variable gadgets are
 horizontal, one per formula variable, stacked far apart. Everything else
 (addition copies, inversion gadgets, lower-bound gadgets) is tilted, with
 normals drawn from a fixed palette of rational unit vectors, and anchored
-so that the few points where two gadgets must talk to each other (copy
-points, addition points, inversion copy points, weak points) land exactly
-on the intersections of the right measuring lines. A placement's normal
-names its part: canonical, addition copy (one normal per operand slot),
-inversion or lower bound.
+so that the few points where two gadgets must talk to each other land
+exactly on the intersections of the right measuring lines. A placement's
+normal names its part: canonical, addition copy (one normal per operand
+slot), inversion or lower bound. Each such constraint point has one of
+five purposes, COPY, ADDITION, INVERSION_COPY[1] and [2], and WEAK: a
+Purpose record of the parts it reads and the labels it pins.
 
 plan() lays a formula out in one deterministic pass: bands of x from left
 to right for the probes, the canonical weak points, each inversion and
@@ -36,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formula import Constraint, EtrInvFormula, Inv, _is_name, make_constraint
 from .gadgets import (
@@ -126,29 +127,28 @@ _VARIABLE_WEAK = template(Variable()).weak_entries[0]
 # Purposes, layout records
 # ---------------------------------------------------------------------------
 
-# A purpose says what a constraint point reads off its members; which
-# gadgets those are, ConstraintPoint.member_of alone records.
 @dataclass(frozen=True)
-class CopyPurpose:
-    """A canonical gadget's value copied into an addition copy."""
+class Purpose:
+    """The parts of its members a constraint point reads, sorted (a weak
+    point reads one lower-bound gadget besides), and the labels it pins.
+    Which gadgets those are, ConstraintPoint.member_of alone records."""
+
+    reads: Tuple[str, ...]
+    labels: Tuple[Label, Label]
 
 
-@dataclass(frozen=True)
-class AdditionPurpose:
-    """The three copies of an addition, read where they meet."""
-
-
-@dataclass(frozen=True)
-class InversionCopyPurpose:
-    dim: int  # the output dimension carrying the Exact(6) label
-
-
-@dataclass(frozen=True)
-class WeakQPurpose:
-    """A variable-kind gadget's weak point."""
-
-
-Purpose = Union[CopyPurpose, AdditionPurpose, InversionCopyPurpose, WeakQPurpose]
+_SIX, _FREE = Exact(Fraction(6)), AtLeast(Fraction(0))
+# A canonical gadget's value copied into an addition copy.
+COPY = Purpose(("canonical", "copy"), (_SIX, _SIX))
+# The three copies of an addition, read where they meet.
+ADDITION = Purpose(("copy", "copy", "copy"), (Exact(Fraction(10)), Exact(Fraction(10))))
+# An inversion copy point, by the output dimension whose label is Exact(6).
+INVERSION_COPY = {
+    1: Purpose(("canonical", "inversion"), (_SIX, _FREE)),
+    2: Purpose(("canonical", "inversion"), (_FREE, _SIX)),
+}
+# A variable-kind gadget's weak point.
+WEAK = Purpose(("variable",), _VARIABLE_WEAK.labels)
 
 
 @dataclass(frozen=True)
@@ -171,23 +171,8 @@ class ConstraintPoint:
     member_of: Tuple[int, ...]  # the placements it ties together; their open stripes hold it
 
     @property
-    def labels(self) -> Tuple[Label, Label]:
-        """The labels the point's purpose dictates."""
-        p = self.purpose
-        if isinstance(p, CopyPurpose):
-            return (Exact(Fraction(6)), Exact(Fraction(6)))
-        if isinstance(p, AdditionPurpose):
-            return (Exact(Fraction(10)), Exact(Fraction(10)))
-        if isinstance(p, InversionCopyPurpose):
-            six, free = Exact(Fraction(6)), AtLeast(Fraction(0))
-            return (six, free) if p.dim == 1 else (free, six)
-        if isinstance(p, WeakQPurpose):
-            return _VARIABLE_WEAK.labels
-        raise LayoutError(f"unknown purpose {p!r}")
-
-    @property
     def weak_dims(self) -> Tuple[int, ...]:
-        return tuple(d for d in (1, 2) if isinstance(self.labels[d - 1], AtLeast))
+        return tuple(d for d in (1, 2) if isinstance(self.purpose.labels[d - 1], AtLeast))
 
 
 @dataclass(frozen=True)
@@ -282,14 +267,14 @@ def _build(formula: EtrInvFormula) -> Layout:
             copy_idxs.append(c_idx)
 
             copy_point = meet_canonical_upper(var, measuring_line(placement, 1, "lower"))
-            cpoints.append(ConstraintPoint(copy_point, CopyPurpose(), (canonical[var], c_idx)))
+            cpoints.append(ConstraintPoint(copy_point, COPY, (canonical[var], c_idx)))
             # The copy's weak point, dropped below the fan where the three
             # copy stripes have spread apart.
             hq = H - 200 - 40 * slot
             q_line = placement.line_at(_VARIABLE_WEAK.offset)
             xq = (q_line.offset - normal.n2 * hq) / normal.n1
-            cpoints.append(ConstraintPoint(Point2(xq, hq), WeakQPurpose(), (c_idx,)))
-        cpoints.append(ConstraintPoint(p_a, AdditionPurpose(), tuple(copy_idxs)))
+            cpoints.append(ConstraintPoint(Point2(xq, hq), WEAK, (c_idx,)))
+        cpoints.append(ConstraintPoint(p_a, ADDITION, tuple(copy_idxs)))
 
     # Inversion bands from x = 3H, each gadget anchored on its first
     # variable's canonical upper measuring line (horizontal, y = offset).
@@ -299,14 +284,14 @@ def _build(formula: EtrInvFormula) -> Layout:
         offset = measuring_offset(Inversion(), 1, "lower")
         placement = placed_through(template(Inversion()), INVERSION_NORMAL, offset, p_x)
         g_idx = place(placement, inv.x)
-        cpoints.append(ConstraintPoint(p_x, InversionCopyPurpose(1), (canonical[inv.x], g_idx)))
+        cpoints.append(ConstraintPoint(p_x, INVERSION_COPY[1], (canonical[inv.x], g_idx)))
         p_y = meet_canonical_upper(inv.y, measuring_line(placement, 2, "lower"))
-        cpoints.append(ConstraintPoint(p_y, InversionCopyPurpose(2), (canonical[inv.y], g_idx)))
+        cpoints.append(ConstraintPoint(p_y, INVERSION_COPY[2], (canonical[inv.y], g_idx)))
 
     # Each canonical gadget's own weak point, in its private column.
     for i, v in enumerate(variables):
         cpoints.append(ConstraintPoint(
-            Point2((1 + i) * S, i * S + _VARIABLE_WEAK.offset), WeakQPurpose(), (canonical[v],)
+            Point2((1 + i) * S, i * S + _VARIABLE_WEAK.offset), WEAK, (canonical[v],)
         ))
 
     # Lower-bound gadgets, one per weak constraint point, all parallel.
@@ -513,7 +498,7 @@ def realize(layout: Layout) -> Realization:
             for v in layout.verticals:
                 points.append((Point2(v, (c - n.n1 * v) / n.n2), want))
     for cp in layout.constraint_points:
-        points.append((cp.point, realized_labels(cp.labels)))
+        points.append((cp.point, realized_labels(cp.purpose.labels)))
     return Realization(points=tuple(points))
 
 
@@ -521,20 +506,10 @@ def realize(layout: Layout) -> Realization:
 # Validation
 # ---------------------------------------------------------------------------
 
-# What a constraint point of each purpose reads: its members' parts, sorted.
-# A weak point reads one lower-bound gadget besides.
-_READS = {
-    CopyPurpose: ["canonical", "copy"],
-    AdditionPurpose: ["copy", "copy", "copy"],
-    InversionCopyPurpose: ["canonical", "inversion"],
-    WeakQPurpose: ["variable"],
-}
-
-
 def _part(purpose: Purpose, pg: PlacedGadget) -> str:
     """The part a gadget plays in a point of this purpose."""
     part = pg.part
-    if isinstance(purpose, WeakQPurpose) and part in ("canonical", "copy"):
+    if purpose is WEAK and part in ("canonical", "copy"):
         return "variable"
     return part
 
@@ -544,16 +519,17 @@ def _line(purpose: Purpose, pg: PlacedGadget) -> OrientedLine:
     part, pl = pg.part, pg.placement
     if part == "lower bound":
         return pl.line_at(NOTCH_CENTER)
-    if isinstance(purpose, WeakQPurpose):
+    if purpose is WEAK:
         return pl.line_at(_VARIABLE_WEAK.offset)
     if part == "inversion":
-        return measuring_line(pl, purpose.dim, "lower")
+        # the measuring line of the output whose label is exact
+        return measuring_line(pl, 1 if isinstance(purpose.labels[0], Exact) else 2, "lower")
     if part == "canonical":
         return measuring_line(pl, 1, "upper")
     # An addition copy's lower line meets its canonical gadget's upper one;
     # at the addition point the operands read their upper lines, the sum its
     # lower one.
-    upper = isinstance(purpose, AdditionPurpose) and pl.normal != COPY_NORMALS[2]
+    upper = purpose is ADDITION and pl.normal != COPY_NORMALS[2]
     return measuring_line(pl, 1, "upper" if upper else "lower")
 
 
@@ -603,7 +579,7 @@ def validate(layout: Layout) -> Tuple[str, ...]:
             continue
         weak = cp.weak_dims
         parts = sorted(_part(cp.purpose, placements[i]) for i in cp.member_of)
-        reads = sorted(_READS[type(cp.purpose)] + ["lower bound"] * bool(weak))
+        reads = sorted(cp.purpose.reads + ("lower bound",) * bool(weak))
         if parts != reads:
             out.append(
                 f"constraint point {ci} ties together {parts}, but its purpose reads {reads}"

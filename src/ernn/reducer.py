@@ -13,9 +13,9 @@ so fitting and extraction are decided exactly, never numerically.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
 from .formula import Assignment, EtrInvFormula, check_assignment
 from .gadgets import Inversion, LowerBound, Variable, profile, witness_neurons
@@ -167,7 +167,7 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
                 pl = placements[m].placement
                 f = profile(pl.template.kind, states[m], signed_value(pl.line_at(0), cp.point))
                 contribution = (contribution[0] + f[0], contribution[1] + f[1])
-        target = realized_labels(cp.labels)
+        target = realized_labels(cp.purpose.labels)
         depths = {contribution[d - 1] - target[d - 1] for d in cp.weak_dims}
         assert len(depths) == 1, "weak dims need different depths"
         (states[notch],) = depths
@@ -179,12 +179,9 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     return net
 
 
-def verify(
-    net: Network, instance: TrainInstance, gamma: Optional[Rational] = None
-) -> FitReport:
-    """Exact verification; gamma overrides the instance's target if given."""
-    if gamma is not None:
-        instance = replace(instance, gamma=gamma)
+def verify(net: Network, instance: TrainInstance) -> FitReport:
+    """Exact verification of the instance as written: the fit needs a loss of
+    at most its gamma and at most its hidden_neurons units."""
     return exact_fit(net, instance)
 
 

@@ -21,6 +21,9 @@ _FAMILY_COLOR = {
     "lower bound": "#b89b30",
 }
 
+# Display size per layout unit; the viewBox keeps layout coordinates.
+SCALE = 0.05
+
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
@@ -68,7 +71,7 @@ def _clip_line(
     return [on[0], on[-1]] if len(on) >= 2 else []
 
 
-def render_svg(layout: Layout, scale: float = 0.05) -> str:
+def render_svg(layout: Layout) -> str:
     realization = realize(layout)
 
     xs: List[Fraction] = []
@@ -100,7 +103,7 @@ def render_svg(layout: Layout, scale: float = 0.05) -> str:
     out: List[str] = []
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width * scale)}" height="{_fmt(height * scale)}" '
+        f'width="{_fmt(width * SCALE)}" height="{_fmt(height * SCALE)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     )
     out.append(f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>')

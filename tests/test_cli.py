@@ -1,6 +1,7 @@
 """Command line behavior: files in, files out, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,12 @@ def test_verify_rejects_with_exit_1(workspace, capsys):
     assert "reject" in out
 
 
+def _with_gamma(workspace, name, gamma):
+    doc = json.loads((workspace / "inst.json").read_text())
+    doc["gamma"] = gamma
+    (workspace / name).write_text(json.dumps(doc))
+
+
 def test_verify_gamma_override(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
@@ -67,8 +74,14 @@ def test_verify_gamma_override(workspace, capsys):
     assert run(["verify", "near.json", "inst.json"]) == 1
     lines = capsys.readouterr().out.splitlines()
     loss = next(l for l in lines if l.startswith("loss = ")).split(" = ")[1]
-    # raising the threshold to the achieved loss flips the verdict
-    assert run(["verify", "near.json", "inst.json", "--gamma", loss]) == 0
+    # the instance's gamma is the threshold: at the achieved loss the verdict
+    # flips to accept, and just below it stays reject
+    _with_gamma(workspace, "loose.json", loss)
+    assert run(["verify", "near.json", "loose.json"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "accept"
+    below = Fraction(loss) - Fraction(1, 10 ** 30)
+    _with_gamma(workspace, "tight.json", f"{below.numerator}/{below.denominator}")
+    assert run(["verify", "near.json", "tight.json"]) == 1
 
 
 def test_solve_writes_assignment(workspace, capsys):
@@ -152,27 +165,49 @@ def test_non_positive_denom_bound_is_usage_error(workspace, capsys, command, bou
     assert f"--denom-bound: must be positive and finite, got '{bound}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
-def test_bad_render_scale_is_usage_error(workspace, capsys, scale):
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "net.json", "inst.json", "--gamma", "1"],
+     ["render", "inst.layout.json", "-o", "pic.svg", "--scale", "1"]],
+    ids=["verify-gamma", "render-scale"],
+)
+def test_removed_knobs_are_usage_errors(workspace, capsys, argv):
+    # gamma lives in the instance, and the SVG has one scale
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     with pytest.raises(SystemExit) as exc:
-        run(["render", "inst.layout.json", "-o", "pic.svg", "--scale", scale])
+        run(argv)
     assert exc.value.code == 2
-    assert f"--scale: must be positive and finite, got '{scale}'" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
     assert not (workspace / "pic.svg").exists()
 
 
+HUGE = "1e100000000"  # Fraction() would expand it into a 332-million-bit integer
+
+
 @pytest.mark.parametrize(
-    "flag",
-    [["--gamma=-1"], ["--gamma=-1/1000000"], ["--gamma", "-1"], ["--gamma", "-1/1000000"]],
-    ids=["-1", "-1/1000000", "spaced--1", "spaced--1/1000000"],
+    "argv, message",
+    [
+        (["verify", "net.json", "huge.json"],
+         f"malformed instance JSON: ValueError(\"not a rational number: '{HUGE}'\")"),
+        (["extract", "hugenet.json", "--layout", "inst.layout.json"],
+         f"malformed network JSON: ValueError(\"not a rational number: '{HUGE}'\")"),
+        (["witness", "f.ec", "huge.txt", "-o", "out.json"], f"line 1, column 4: bad rational '{HUGE}'"),
+        (["roundtrip", "f.ec", "--assignment", "huge.txt"], f"line 1, column 4: bad rational '{HUGE}'"),
+    ],
+    ids=["verify", "extract", "witness", "roundtrip"],
 )
-def test_negative_gamma_is_usage_error(workspace, capsys, flag):
-    gamma = flag[-1].removeprefix("--gamma=")
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "net.json", "inst.json", *flag])
-    assert exc.value.code == 2
-    assert f"--gamma: must be 0 or more, got '{gamma}'" in capsys.readouterr().err
+def test_exponent_rational_is_a_validation_error(workspace, capsys, argv, message):
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    _with_gamma(workspace, "huge.json", HUGE)
+    net = json.loads((workspace / "net.json").read_text())
+    net["neurons"][0]["b"] = HUGE
+    (workspace / "hugenet.json").write_text(json.dumps(net))
+    (workspace / "huge.txt").write_text(f"X = {HUGE}\nY = 1/2\nZ = 3/2\nW = 1\n")
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workspace / "out.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -211,7 +246,9 @@ def test_verify_rejects_network_over_width_budget(workspace, capsys):
     assert "loss = 0" in out
     assert "width = 65 hidden units (budget 60)" in out
     assert "reject (65 hidden units exceed the budget of 60)" in out
-    assert run(["verify", "wide.json", "inst.json", "--gamma", "1"]) == 1
+    # a looser loss target does not buy width
+    _with_gamma(workspace, "loose.json", "1")
+    assert run(["verify", "wide.json", "loose.json"]) == 1
     assert run(["extract", "wide.json", "--layout", "inst.layout.json"]) == 1
     assert "exceed the budget of 60" in capsys.readouterr().err
 

@@ -275,3 +275,11 @@ def test_assignment_rejects_bad_lines():
         parse_assignment("X 1\n")
     with pytest.raises(ValueError):
         parse_assignment("X = one\n")
+
+
+@pytest.mark.parametrize("value", ["1.5", "1e3", "1e100000000", "1_000", "3/-4", "٣", "1/0"])
+def test_assignment_reads_only_integers_and_fractions(value):
+    # the value is read as parse_rational reads it; the message and column stay
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse_assignment(f"X = 1\nY =  {value} \n")
+    assert str(info.value) == f"line 2, column 4: bad rational {value!r}"

@@ -20,16 +20,16 @@ from ernn.gadgets import (
 )
 from ernn.geometry import Point2, intersect, make_direction, signed_value
 from ernn.layout import (
+    ADDITION,
+    COPY,
     COPY_NORMALS,
+    INVERSION_COPY,
     INVERSION_NORMAL,
     PALETTE,
-    AdditionPurpose,
-    CopyPurpose,
-    InversionCopyPurpose,
+    WEAK,
     LayoutError,
     PlacedGadget,
     PlacementFailure,
-    WeakQPurpose,
     _StripeIndex,
     _vertical_violations,
     layout_from_json,
@@ -42,6 +42,7 @@ from ernn.reducer import compile_formula
 
 F = Fraction
 REFERENCE = "add X Y Z\ninv X W\n"
+PURPOSES = (COPY, ADDITION, INVERSION_COPY[1], INVERSION_COPY[2], WEAK)
 
 
 def test_single_variable_layout():
@@ -51,6 +52,20 @@ def test_single_variable_layout():
     assert parts.count("inversion") == 1
     assert parts.count("lower bound") == 4  # two canonical q's, p_X, p_Y
     assert validate(layout) == ()
+
+
+def test_purposes_pin_the_construction_labels():
+    six, ten, free = Exact(F(6)), Exact(F(10)), AtLeast(F(0))
+    assert (COPY.reads, COPY.labels) == (("canonical", "copy"), (six, six))
+    assert (ADDITION.reads, ADDITION.labels) == (("copy",) * 3, (ten, ten))
+    assert INVERSION_COPY[1].labels == (six, free)
+    assert INVERSION_COPY[2].labels == (free, six)
+    assert {p.reads for p in INVERSION_COPY.values()} == {("canonical", "inversion")}
+    assert WEAK.reads == ("variable",)
+    assert WEAK.labels == template(Variable()).weak_entries[0].labels
+    # every point plan() places has one of the five, by identity
+    layout = plan(parse_formula(REFERENCE))
+    assert {id(cp.purpose) for cp in layout.constraint_points} == {id(p) for p in PURPOSES}
 
 
 def test_addition_layout_counts():
@@ -65,7 +80,7 @@ def test_addition_layout_counts():
     add_points = [
         cp
         for cp in layout.constraint_points
-        if cp.labels == (Exact(F(10)), Exact(F(10)))
+        if cp.purpose.labels == (Exact(F(10)), Exact(F(10)))
     ]
     assert len(add_points) == 1
     assert len(add_points[0].member_of) == 3
@@ -138,7 +153,7 @@ def test_realize_makes_three_points_per_data_line():
     for cp in layout.constraint_points:
         want = tuple(
             lbl.value - 2 if isinstance(lbl, AtLeast) else lbl.value
-            for lbl in cp.labels
+            for lbl in cp.purpose.labels
         )
         assert realized[(cp.point.x1, cp.point.x2)] == want
 
@@ -386,8 +401,8 @@ def test_validate_reports_bad_constraint_point_wiring(ci, member_of, messages):
     import dataclasses
 
     layout = plan(parse_formula(REFERENCE))
-    assert isinstance(layout.constraint_points[0].purpose, CopyPurpose)
-    assert isinstance(layout.constraint_points[1].purpose, WeakQPurpose)
+    assert layout.constraint_points[0].purpose is COPY
+    assert layout.constraint_points[1].purpose is WEAK
     points = list(layout.constraint_points)
     points[ci] = dataclasses.replace(points[ci], member_of=member_of)
     bad = dataclasses.replace(layout, constraint_points=tuple(points))
@@ -589,12 +604,7 @@ def test_vertical_separation_matches_sampled_check(data):
         assert (_vertical_violations(index, verticals) == []) == expect_clean
 
 
-_purposes = st.one_of(
-    st.builds(CopyPurpose),
-    st.builds(AdditionPurpose),
-    st.builds(InversionCopyPurpose, st.sampled_from((1, 2))),
-    st.builds(WeakQPurpose),
-)
+_purposes = st.sampled_from(PURPOSES)
 
 
 @_FAIL_FAST

@@ -96,7 +96,7 @@ def test_verify_gamma_override(inv_bundle, inv_witness):
     )
     strict = verify(tweaked, inv_bundle.instance)
     assert not strict.fits
-    loose = verify(tweaked, inv_bundle.instance, gamma=F(1))
+    loose = verify(tweaked, dataclasses.replace(inv_bundle.instance, gamma=F(1)))
     assert loose.fits
     assert loose.total_loss == strict.total_loss > 0
 
@@ -233,7 +233,7 @@ def test_width_budget_is_part_of_the_fit():
     report = verify(wide, bundle.instance)
     assert report.total_loss == 0 and report.violations == ()
     assert not report.fits
-    assert not verify(wide, bundle.instance, gamma=F(1)).fits
+    assert not verify(wide, dataclasses.replace(bundle.instance, gamma=F(1))).fits
     with pytest.raises(NotFitting, match="65 hidden units exceed the budget of 60"):
         extract(bundle, wide)
 

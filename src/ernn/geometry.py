@@ -36,7 +36,12 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def parse_rational(text: str) -> Rational:
     """Parse "p/q" or "p", in ASCII digits and around whitespace, into a
-    Fraction in lowest terms; anything else raises ValueError."""
+    Fraction in lowest terms; anything else, a non-string included, raises
+    ValueError."""
+    if type(text) is not str:
+        raise ValueError(
+            f'not a rational number: expected a string like "3/4", got {type(text).__name__} {text!r}'
+        )
     match = _RATIONAL.fullmatch(text.strip())
     try:
         if match:

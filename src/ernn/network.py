@@ -9,6 +9,22 @@ network is continuous piecewise linear. This module evaluates networks
 exactly, checks their fit to a training instance, computes the exact
 maximum squared gradient norm over every cell of the bend-line
 arrangement, and reads and writes networks and instances as JSON.
+
+evaluate() is the reference: one point, in whatever exact number type the
+weights and coordinates have. exact_fit() reads every point of an instance
+through an integer kernel instead, built afresh on each call. It scales
+unit i's (a1, a2, b) by L_i > 0, the lcm of their denominators, into
+integers (A1, A2, B); a positive scale keeps the sign of the
+pre-activation. It divides c by the same L_i and puts every c/L_i on one
+common denominator K, as integers C/K. A point becomes (X1, X2, W) with
+x = X/W and W > 0. Then
+
+    f_j(p) = sum_i  C[i][j] * max(0, A1*X1 + A2*X2 + B*W)  /  (K * W)
+
+is a sum of Python int products, compared with the label by cross-
+multiplying, and only a missed point's outputs become Fractions. The
+kernel reads numerators and denominators, so weights, coordinates and
+labels must be ints or Fractions.
 """
 
 from __future__ import annotations
@@ -17,8 +33,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 from operator import itemgetter
-from typing import List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .geometry import Point2, Rational, format_rational, parse_rational
 
@@ -87,15 +104,52 @@ def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
     """
     loss = Fraction(0)
     violations: List[Tuple[int, Point2, Vec2, Vec2]] = []
-    for i, (p, want) in enumerate(instance.points):
-        got = evaluate(net, p)
+    for i, got in _misses(net, instance.points):
+        p, want = instance.points[i]
         d1 = got[0] - want[0]
         d2 = got[1] - want[1]
-        if d1 != 0 or d2 != 0:
-            violations.append((i, p, want, got))
-            loss += d1 * d1 + d2 * d2
+        violations.append((i, p, want, got))
+        loss += d1 * d1 + d2 * d2
     fits = loss <= instance.gamma and len(net.neurons) <= instance.hidden_neurons
     return FitReport(fits=fits, total_loss=loss, violations=tuple(violations))
+
+
+def _misses(
+    net: Network, points: Sequence[Tuple[Point2, Vec2]]
+) -> Iterator[Tuple[int, Vec2]]:
+    """(index, got) for each labeled point that net misses, in order,
+    read through the integer kernel of the module docstring."""
+    # Unit u as integers (A1, A2, B) = L*(a1, a2, b) with L > 0, so the
+    # sign of its pre-activation is kept, and c/L = (C1, C2)/K.
+    scaled = []
+    for u in net.neurons:
+        scale = lcm(u.a1.denominator, u.a2.denominator, u.b.denominator)
+        scaled.append((
+            u.a1.numerator * (scale // u.a1.denominator),
+            u.a2.numerator * (scale // u.a2.denominator),
+            u.b.numerator * (scale // u.b.denominator),
+            Fraction(u.c1, scale),
+            Fraction(u.c2, scale),
+        ))
+    k = lcm(*(c.denominator for *_, c1, c2 in scaled for c in (c1, c2)))
+    units = [
+        (a1, a2, b, c1.numerator * (k // c1.denominator), c2.numerator * (k // c2.denominator))
+        for a1, a2, b, c1, c2 in scaled
+    ]
+    for i, (p, (y1, y2)) in enumerate(points):
+        # p = (X1, X2) / W, so output j is sum(C_j * max(0, z)) / (K * W).
+        w = lcm(p.x1.denominator, p.x2.denominator)
+        x1 = p.x1.numerator * (w // p.x1.denominator)
+        x2 = p.x2.numerator * (w // p.x2.denominator)
+        s1 = s2 = 0
+        for a1, a2, b, c1, c2 in units:
+            z = a1 * x1 + a2 * x2 + b * w
+            if z > 0:
+                s1 += c1 * z
+                s2 += c2 * z
+        d = k * w
+        if s1 * y1.denominator != y1.numerator * d or s2 * y2.denominator != y2.numerator * d:
+            yield i, (Fraction(s1, d), Fraction(s2, d))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +227,7 @@ def max_gradient_norm_bound(net: Network) -> Rational:
 # What reading a JSON document of the wrong shape raises: a missing key, a
 # list where an object belongs, too few items, a number where a string
 # belongs, a string that is not a rational, or nesting too deep for json.loads.
-_MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, RecursionError)
+_MALFORMED = (KeyError, TypeError, IndexError, ValueError, RecursionError)
 
 
 def _list(value) -> list:

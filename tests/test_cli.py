@@ -226,6 +226,21 @@ def test_malformed_instance_budget_or_gamma_is_exit_2(workspace, capsys, field, 
     assert f"error: malformed instance JSON: {field}" in capsys.readouterr().err
 
 
+def test_json_number_gamma_is_exit_2(workspace, capsys):
+    # gamma is a rational string; a JSON number there is named, not a traceback
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    _with_gamma(workspace, "bad.json", 0)
+    capsys.readouterr()
+    assert run(["verify", "net.json", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: malformed instance JSON: ValueError("
+        "'not a rational number: expected a string like \"3/4\", got int 0')\n"
+    )
+
+
 def test_wrong_shape_network_json_is_exit_2(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     (workspace / "list.json").write_text("[]")

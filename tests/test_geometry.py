@@ -37,6 +37,18 @@ def test_parse_rational_rejects_junk(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, got",
+    [(0, "int 0"), (1.5, "float 1.5"), (True, "bool True"), (None, "NoneType None"),
+     (["1"], "list ['1']"), (Fraction(1, 2), "Fraction Fraction(1, 2)")],
+)
+def test_parse_rational_rejects_non_strings(bad, got):
+    # JSON numbers where a rational string belongs land here
+    with pytest.raises(ValueError) as exc:
+        parse_rational(bad)
+    assert str(exc.value) == f'not a rational number: expected a string like "3/4", got {got}'
+
+
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
 )

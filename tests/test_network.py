@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from ernn.geometry import Point2
 from ernn.network import (
+    FitReport,
     HiddenNeuron,
     Network,
     NetworkError,
@@ -63,6 +66,87 @@ def test_gamma_allows_slack():
     loose = TrainInstance(1, F(1, 100), pts)
     assert not exact_fit(net, tight).fits
     assert exact_fit(net, loose).fits
+
+
+def _reference_fit(net, instance):
+    """exact_fit as one evaluate per point, the definition it must match."""
+    loss = F(0)
+    violations = []
+    for i, (p, want) in enumerate(instance.points):
+        got = evaluate(net, p)
+        d1 = got[0] - want[0]
+        d2 = got[1] - want[1]
+        if d1 != 0 or d2 != 0:
+            violations.append((i, p, want, got))
+            loss += d1 * d1 + d2 * d2
+    fits = loss <= instance.gamma and len(net.neurons) <= instance.hidden_neurons
+    return FitReport(fits=fits, total_loss=loss, violations=tuple(violations))
+
+
+# Each example is small, but a failure is clearest as drawn, unshrunk.
+_FAIL_FAST = settings(
+    max_examples=100, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+
+# ints and Fractions mixed, as instances and witnesses may hold either.
+_NUMBERS = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def _units(draw):
+    """A unit that bends anywhere, along a vertical or horizontal line, or
+    not at all (a1 = a2 = 0), or one that feeds one output or neither;
+    b takes either sign."""
+    a1, a2, b, c1, c2 = (draw(_NUMBERS) for _ in range(5))
+    kind = draw(st.sampled_from(
+        ("free", "vertical", "horizontal", "constant", "second-output", "dead")
+    ))
+    if kind == "vertical":
+        a2 = 0
+    elif kind == "horizontal":
+        a1 = 0
+    elif kind == "constant":
+        a1 = a2 = 0
+    elif kind == "second-output":
+        c1 = 0
+    elif kind == "dead":
+        c1 = c2 = 0
+    return HiddenNeuron(a1, a2, b, c1, c2)
+
+
+@st.composite
+def _fit_cases(draw):
+    """A network and an instance whose points share a few x values or lie
+    exactly on a unit's bend line, labeled half by the network itself."""
+    net = Network(tuple(draw(st.lists(_units(), max_size=6))))
+    xs = draw(st.lists(_NUMBERS, min_size=1, max_size=3))
+    bending = [u for u in net.neurons if u.a1 != 0 or u.a2 != 0]
+    points = []
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = draw(st.sampled_from(xs)), draw(_NUMBERS)
+        if bending and draw(st.booleans()):
+            u = draw(st.sampled_from(bending))
+            if u.a2 != 0:
+                y = -(u.a1 * x + u.b) / F(u.a2)
+            else:
+                x = -(u.a2 * y + u.b) / F(u.a1)
+            assert u.a1 * x + u.a2 * y + u.b == 0
+        p = Point2(x, y)
+        want = evaluate(net, p) if draw(st.booleans()) else (draw(_NUMBERS), draw(_NUMBERS))
+        points.append((p, want))
+    gamma = draw(st.sampled_from((0, F(1, 3), 2, 50)))
+    return net, TrainInstance(draw(st.integers(0, 7)), gamma, tuple(points))
+
+
+@_FAIL_FAST
+@example((Network(()), TrainInstance(0, F(0), ((Point2(1, F(1, 2)), (F(0), 3)),))))
+@given(_fit_cases())
+def test_exact_fit_matches_evaluate(case):
+    net, instance = case
+    report = exact_fit(net, instance)
+    assert report == _reference_fit(net, instance)
+    # FitReport equality compares values; the types must agree as well.
+    assert all(type(v) is F for *_, got in report.violations for v in got)
 
 
 def test_gradient_bound_single_ridge():

@@ -247,14 +247,16 @@ _FAIL_FAST = settings(
 
 @st.composite
 def _satisfiable(draw):
-    """Up to 3 constraints with an assignment drawn first that satisfies them.
+    """Up to 8 constraints over up to 6 variables, with an assignment drawn
+    first that satisfies them.
 
     Each constraint reads variables that already have values; its result
-    is an existing variable that holds the right value or a fresh one.
+    is an existing variable that holds the right value or, while there are
+    fewer than 6, a fresh one. A constraint with neither is not added.
     """
     assignment = {"V0": draw(st.fractions(F(1, 2), 2, max_denominator=6))}
     constraints = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 8))):
         names = list(assignment)
         x = draw(st.sampled_from(names))
         y = draw(st.sampled_from(names))
@@ -263,9 +265,12 @@ def _satisfiable(draw):
         else:
             value, operands, shape = 1 / assignment[x], (x,), Inv
         holders = [v for v in names if assignment[v] == value and v not in operands]
-        result = draw(st.sampled_from(holders + [f"V{len(names)}"]))
-        assignment[result] = value
-        constraints.append(shape(*operands, result))
+        if len(names) < 6:
+            holders.append(f"V{len(names)}")
+        if holders:
+            result = draw(st.sampled_from(holders))
+            assignment[result] = value
+            constraints.append(shape(*operands, result))
     return EtrInvFormula(tuple(assignment), tuple(constraints)), assignment
 
 

@@ -11,31 +11,55 @@ maximum squared gradient norm over every cell of the bend-line
 arrangement, and reads and writes networks and instances as JSON.
 
 evaluate() is the reference: one point, in whatever exact number type the
-weights and coordinates have. exact_fit() reads every point of an instance
-through an integer kernel instead, built afresh on each call. It scales
-unit i's (a1, a2, b) by L_i > 0, the lcm of their denominators, into
-integers (A1, A2, B); a positive scale keeps the sign of the
-pre-activation. It divides c by the same L_i and puts every c/L_i on one
-common denominator K, as integers C/K. A point becomes (X1, X2, W) with
-x = X/W and W > 0. Then
+weights and coordinates have. exact_outputs() reads many points at once in
+Python ints, built afresh on each call; exact_fit() and the reducer's
+extract() read points only through it.
 
-    f_j(p) = sum_i  C[i][j] * max(0, A1*X1 + A2*X2 + B*W)  /  (K * W)
+Unit i's (a1, a2, b) is scaled by L_i > 0, the lcm of their denominators,
+into integers (A1, A2, B); a positive scale keeps the sign of the
+pre-activation. c is divided by the same L_i, and every c/L_i is put on one
+common denominator K, as integers C/K.
 
-is a sum of Python int products, compared with the label by cross-
-multiplying, and only a missed point's outputs become Fractions. The
-kernel reads numerators and denominators, so weights, coordinates and
-labels must be ints or Fractions.
+A point alone on its x1 is written (X1, X2, W) with x = X/W and W > 0, and
+
+    f_j(p) = sum_i  C[i][j] * max(0, A1*X1 + A2*X2 + B*W)  /  (K * W).
+
+The points that share a vertical x1 = V/Q, Q > 0, are swept together; the
+instances compile_formula writes hold nearly all their points on a few
+such verticals. There unit i's pre-activation times Q is A2*Q*x2 + E, with
+E = A1*V + B*Q. With S the lcm of the x2 denominators on the vertical,
+each point has an integer height P = x2*S, and unit i is active
+
+    if A2 > 0:  iff P > floor(-E*S / (A2*Q))
+    if A2 < 0:  iff P < ceil(-E*S / (A2*Q))
+    if A2 = 0:  iff E > 0, all along the vertical.
+
+P is an integer, so these integer switch keys decide activity exactly, and
+the strict comparisons keep ReLU(0) = 0 on a bend line. With the up keys
+and the down keys sorted, prefix sums over the up units and suffix sums
+over the down units of (C_j*E, C_j*A2) give each point's active sums E_j
+and G_j with two bisects, and at x2 = r/s
+
+    f_j = (G_j*Q*r + E_j*s) / (K*Q*s).
+
+exact_fit() compares each output with its label by cross-multiplying. A
+missed point's squared error is summed as int numerators grouped by
+denominator, and Fractions are built only for each miss's outputs and for
+the total. Everything reads numerators and denominators, so weights,
+coordinates and labels must be ints or Fractions.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import lcm
 from operator import itemgetter
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .geometry import Point2, Rational, format_rational, parse_rational
 
@@ -102,23 +126,27 @@ def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
     every labeled point is hit exactly. violations lists (index, point,
     wanted, got) for each missed point.
     """
-    loss = Fraction(0)
+    outputs = exact_outputs(net, [p for p, _want in instance.points])
     violations: List[Tuple[int, Point2, Vec2, Vec2]] = []
-    for i, got in _misses(net, instance.points):
-        p, want = instance.points[i]
-        d1 = got[0] - want[0]
-        d2 = got[1] - want[1]
-        violations.append((i, p, want, got))
-        loss += d1 * d1 + d2 * d2
+    # Squared errors as int numerators, summed per denominator.
+    errors: Dict[int, int] = defaultdict(int)
+    for i, ((n1, n2, d), (p, want)) in enumerate(zip(outputs, instance.points)):
+        y1, y2 = want
+        e1 = n1 * y1.denominator - y1.numerator * d
+        e2 = n2 * y2.denominator - y2.numerator * d
+        if e1 or e2:
+            violations.append((i, p, want, (Fraction(n1, d), Fraction(n2, d))))
+            errors[(d * y1.denominator) ** 2] += e1 * e1
+            errors[(d * y2.denominator) ** 2] += e2 * e2
+    loss = sum((Fraction(n, d) for d, n in errors.items()), Fraction(0))
     fits = loss <= instance.gamma and len(net.neurons) <= instance.hidden_neurons
     return FitReport(fits=fits, total_loss=loss, violations=tuple(violations))
 
 
-def _misses(
-    net: Network, points: Sequence[Tuple[Point2, Vec2]]
-) -> Iterator[Tuple[int, Vec2]]:
-    """(index, got) for each labeled point that net misses, in order,
-    read through the integer kernel of the module docstring."""
+def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int, int]]:
+    """(N1, N2, D) with D > 0 for each point, in order: net's outputs there
+    are N1/D and N2/D. Lone points are summed unit by unit and shared
+    verticals swept, as the module docstring describes."""
     # Unit u as integers (A1, A2, B) = L*(a1, a2, b) with L > 0, so the
     # sign of its pre-activation is kept, and c/L = (C1, C2)/K.
     scaled = []
@@ -128,28 +156,89 @@ def _misses(
             u.a1.numerator * (scale // u.a1.denominator),
             u.a2.numerator * (scale // u.a2.denominator),
             u.b.numerator * (scale // u.b.denominator),
-            Fraction(u.c1, scale),
-            Fraction(u.c2, scale),
+            u.c1.numerator,
+            u.c1.denominator * scale,
+            u.c2.numerator,
+            u.c2.denominator * scale,
         ))
-    k = lcm(*(c.denominator for *_, c1, c2 in scaled for c in (c1, c2)))
+    k = lcm(*(d for *_, d1, _n2, d2 in scaled for d in (d1, d2)))
     units = [
-        (a1, a2, b, c1.numerator * (k // c1.denominator), c2.numerator * (k // c2.denominator))
-        for a1, a2, b, c1, c2 in scaled
+        (a1, a2, b, n1 * (k // d1), n2 * (k // d2))
+        for a1, a2, b, n1, d1, n2, d2 in scaled
     ]
-    for i, (p, (y1, y2)) in enumerate(points):
-        # p = (X1, X2) / W, so output j is sum(C_j * max(0, z)) / (K * W).
-        w = lcm(p.x1.denominator, p.x2.denominator)
-        x1 = p.x1.numerator * (w // p.x1.denominator)
-        x2 = p.x2.numerator * (w // p.x2.denominator)
-        s1 = s2 = 0
-        for a1, a2, b, c1, c2 in units:
-            z = a1 * x1 + a2 * x2 + b * w
-            if z > 0:
-                s1 += c1 * z
-                s2 += c2 * z
-        d = k * w
-        if s1 * y1.denominator != y1.numerator * d or s2 * y2.denominator != y2.numerator * d:
-            yield i, (Fraction(s1, d), Fraction(s2, d))
+    verticals: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+    for i, p in enumerate(points):
+        verticals[p.x1.numerator, p.x1.denominator].append(i)
+    out: List[Tuple[int, int, int]] = [(0, 0, 1)] * len(points)
+    for (v, q), members in verticals.items():
+        if len(members) == 1:
+            (i,) = members
+            out[i] = _lone(units, k, points[i])
+        else:
+            for i, got in zip(members, _sweep(units, k, v, q, [points[i].x2 for i in members])):
+                out[i] = got
+    return out
+
+
+def _lone(units: List[Tuple[int, ...]], k: int, p: Point2) -> Tuple[int, int, int]:
+    """Outputs at p = (X1, X2) / W: sum(C_j * max(0, z)) / (K * W)."""
+    w = lcm(p.x1.denominator, p.x2.denominator)
+    x1 = p.x1.numerator * (w // p.x1.denominator)
+    x2 = p.x2.numerator * (w // p.x2.denominator)
+    s1 = s2 = 0
+    for a1, a2, b, c1, c2 in units:
+        z = a1 * x1 + a2 * x2 + b * w
+        if z > 0:
+            s1 += c1 * z
+            s2 += c2 * z
+    return s1, s2, k * w
+
+
+def _sweep(
+    units: List[Tuple[int, ...]], k: int, v: int, q: int, heights: Sequence[Rational]
+) -> List[Tuple[int, int, int]]:
+    """Outputs at (v/q, x2) for each x2 in heights, q > 0, read off the
+    switch keys and prefix sums of the module docstring."""
+    parts = [(y.numerator, y.denominator) for y in heights]
+    s = lcm(*(t for _r, t in parts))
+    # (key, C1*E, C2*E, C1*A2, C2*A2) of units switching on above or below a key.
+    up = []
+    down = []
+    e1 = e2 = 0  # units with A2 = 0 that are active all along the vertical
+    for a1, a2, b, c1, c2 in units:
+        e = a1 * v + b * q
+        if a2 > 0:
+            up.append(((-e * s) // (a2 * q), c1 * e, c2 * e, c1 * a2, c2 * a2))
+        elif a2 < 0:
+            down.append((-((e * s) // (a2 * q)), c1 * e, c2 * e, c1 * a2, c2 * a2))
+        elif e > 0:
+            e1 += c1 * e
+            e2 += c2 * e
+    up.sort(key=itemgetter(0))
+    down.sort(key=itemgetter(0), reverse=True)
+    # below[i]: sums over the constant units and the first i up units;
+    # above[i]: sums over the i down units with the largest keys.
+    below = list(accumulate((u[1:] for u in up), _add4, initial=(e1, e2, 0, 0)))
+    above = list(accumulate((u[1:] for u in down), _add4, initial=(0, 0, 0, 0)))
+    up_keys = [u[0] for u in up]
+    down_keys = [-u[0] for u in down]
+    out = []
+    for r, t in parts:
+        height = r * (s // t)
+        # Up units with key < height and down units with key > height are active.
+        ue1, ue2, ug1, ug2 = below[bisect_left(up_keys, height)]
+        de1, de2, dg1, dg2 = above[bisect_left(down_keys, -height)]
+        qr = q * r
+        out.append((
+            (ug1 + dg1) * qr + (ue1 + de1) * t,
+            (ug2 + dg2) * qr + (ue2 + de2) * t,
+            k * q * t,
+        ))
+    return out
+
+
+def _add4(acc: Tuple[int, ...], row: Tuple[int, ...]) -> Tuple[int, int, int, int]:
+    return (acc[0] + row[0], acc[1] + row[1], acc[2] + row[2], acc[3] + row[3])
 
 
 # ---------------------------------------------------------------------------

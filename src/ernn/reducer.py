@@ -21,7 +21,10 @@ from .formula import Assignment, EtrInvFormula, check_assignment
 from .gadgets import Inversion, LowerBound, Variable, profile, witness_neurons
 from .geometry import Rational, signed_value
 from .layout import Layout, plan, realize, realized_labels
-from .network import FitReport, Network, TrainInstance, evaluate, exact_fit
+from .network import FitReport, Network, TrainInstance, exact_fit, exact_outputs
+# Not called here: perfbench/spans.py traces ernn.reducer.evaluate, and
+# tests/test_trace_targets.py checks that every traced name resolves.
+from .network import evaluate  # noqa: F401
 
 MAX_DISTINCT_LABELS = 13
 
@@ -196,12 +199,13 @@ def extract(bundle: ReductionBundle, net: Network) -> Dict[str, Fraction]:
     if not report.fits:
         raise NotFitting(report.total_loss, len(net.neurons), bundle.instance.hidden_neurons)
 
+    probes = bundle.layout.probes
     out: Dict[str, Fraction] = {}
-    for var, probe in bundle.layout.probes:
-        f1, f2 = evaluate(net, probe)
-        if f1 != f2:
+    for (var, _probe), (n1, n2, d) in zip(probes, exact_outputs(net, [p for _v, p in probes])):
+        f1 = Fraction(n1, d)
+        if n1 != n2:
             raise DimensionMismatch(
-                f"probe for {var} reads {f1} and {f2} in the two outputs"
+                f"probe for {var} reads {f1} and {Fraction(n2, d)} in the two outputs"
             )
         out[var] = f1 - 4
 

@@ -1,5 +1,6 @@
 """Networks, exact evaluation, fit checking, gradient bound, JSON formats."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from ernn.formula import parse_formula
 from ernn.geometry import Point2
 from ernn.network import (
     FitReport,
@@ -22,6 +24,7 @@ from ernn.network import (
     network_from_json,
     network_to_json,
 )
+from ernn.reducer import compile_formula, witness
 
 F = Fraction
 
@@ -89,7 +92,12 @@ _FAIL_FAST = settings(
 )
 
 # ints and Fractions mixed, as instances and witnesses may hold either.
-_NUMBERS = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+_NUMBERS = st.one_of(
+    st.integers(-4, 4),
+    # st.fractions(-4, 4, max_denominator=6) draws the same values but
+    # builds a strategy per draw, which made drawing most of the test's time.
+    st.sampled_from(sorted({F(n, d) for d in range(1, 7) for n in range(-4 * d, 4 * d + 1)})),
+)
 
 
 @st.composite
@@ -116,30 +124,57 @@ def _units(draw):
 
 @st.composite
 def _fit_cases(draw):
-    """A network and an instance whose points share a few x values or lie
-    exactly on a unit's bend line, labeled half by the network itself."""
-    net = Network(tuple(draw(st.lists(_units(), max_size=6))))
+    """A network and an instance whose points share a few x values, up to
+    24 on one, labeled half by the network itself. Some units repeat
+    another's bend line, facing either way, so several switch at one height.
+    A point may lie exactly on a unit's bend line or on the grid step of a
+    drawn denominator just above or below it."""
+    units = draw(st.lists(_units(), max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if units else 0):
+        u = draw(st.sampled_from(units))
+        k = draw(st.sampled_from((F(-2), F(-1, 3), F(1, 2), F(3))))
+        units.append(HiddenNeuron(k * u.a1, k * u.a2, k * u.b, draw(_NUMBERS), draw(_NUMBERS)))
+    net = Network(tuple(units))
     xs = draw(st.lists(_NUMBERS, min_size=1, max_size=3))
     bending = [u for u in net.neurons if u.a1 != 0 or u.a2 != 0]
     points = []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, 24))):
         x, y = draw(st.sampled_from(xs)), draw(_NUMBERS)
-        if bending and draw(st.booleans()):
+        place = draw(st.sampled_from(("anywhere", "on", "step"))) if bending else "anywhere"
+        if place != "anywhere":
             u = draw(st.sampled_from(bending))
             if u.a2 != 0:
                 y = -(u.a1 * x + u.b) / F(u.a2)
+                if place == "step":
+                    # 60 is the lcm of _NUMBERS' denominators, so the step
+                    # is often the whole vertical's grid step.
+                    den = draw(st.sampled_from((1, 2, 5, 60)))
+                    rounded = math.floor(y * den) if draw(st.booleans()) else math.ceil(y * den)
+                    y = F(rounded, den)
+                else:
+                    assert u.a1 * x + u.a2 * y + u.b == 0
             else:
                 x = -(u.a2 * y + u.b) / F(u.a1)
-            assert u.a1 * x + u.a2 * y + u.b == 0
+                assert u.a1 * x + u.a2 * y + u.b == 0
         p = Point2(x, y)
         want = evaluate(net, p) if draw(st.booleans()) else (draw(_NUMBERS), draw(_NUMBERS))
         points.append((p, want))
     gamma = draw(st.sampled_from((0, F(1, 3), 2, 50)))
-    return net, TrainInstance(draw(st.integers(0, 7)), gamma, tuple(points))
+    return net, TrainInstance(draw(st.integers(0, 9)), gamma, tuple(points))
 
 
 @_FAIL_FAST
 @example((Network(()), TrainInstance(0, F(0), ((Point2(1, F(1, 2)), (F(0), 3)),))))
+@example((Network((HiddenNeuron(1, -1, F(1, 2), 2, 0),)), TrainInstance(1, F(0), ())))
+# Both units bend along x = 3y, through (1/2, 1/6). On x = 1/2 the points
+# have heights P = 4y, and the A2 < 0 unit's key ceil(4/6) = 1 rounds up to
+# the point at y = 1/4.
+@example((
+    Network((HiddenNeuron(1, -3, 0, 1, 2), HiddenNeuron(-2, 6, 0, 1, -1))),
+    TrainInstance(2, F(0), tuple(
+        (Point2(F(1, 2), y), (F(0), F(0))) for y in (F(-1, 4), F(0), F(1, 4), F(1, 2))
+    )),
+))
 @given(_fit_cases())
 def test_exact_fit_matches_evaluate(case):
     net, instance = case
@@ -147,6 +182,52 @@ def test_exact_fit_matches_evaluate(case):
     assert report == _reference_fit(net, instance)
     # FitReport equality compares values; the types must agree as well.
     assert all(type(v) is F for *_, got in report.violations for v in got)
+
+
+def _reference_networks():
+    """The reference formula's compiled instance and verify_stream's request
+    kinds on it: a witness, the witness rescaled, acceptance test 07's
+    perturbation, a random network and the witness padded over budget."""
+    bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
+    net = witness(bundle, {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)})
+    rng = random.Random(27)
+    rescaled = []
+    for u in net.neurons:
+        k = F(rng.randint(2, 5))
+        rescaled.append(HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1 / k, u.c2 / k))
+    # Unit 28's line bends under 507 of the 520 points once moved.
+    k = F(101, 100)
+    u = net.neurons[28]
+    bent = HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1, u.c2)
+    perturbed = net.neurons[:28] + (bent,) + net.neurons[29:]
+
+    def q(top, den):
+        return F(rng.randint(-top, top), rng.randint(1, den))
+
+    random_units = tuple(
+        HiddenNeuron(q(9, 5), q(9, 5), q(20000, 7), q(6, 5), q(6, 5))
+        for _ in net.neurons
+    )
+    dead = tuple(HiddenNeuron(F(0), F(0), F(-1), q(9, 4), q(9, 4)) for _ in range(3))
+    nets = {
+        "witness": net,
+        "rescaled": Network(tuple(rescaled)),
+        "perturbed": Network(perturbed),
+        "random": Network(random_units),
+        "padded": Network(net.neurons + dead),
+    }
+    return bundle.instance, nets
+
+
+def test_exact_fit_matches_evaluate_on_a_compiled_instance():
+    instance, nets = _reference_networks()
+    reports = {kind: exact_fit(net, instance) for kind, net in nets.items()}
+    for kind, net in nets.items():
+        assert reports[kind] == _reference_fit(net, instance), kind
+    assert reports["witness"].fits and reports["rescaled"].fits
+    assert not reports["padded"].fits and reports["padded"].total_loss == 0
+    assert len(reports["perturbed"].violations) == 507
+    assert not reports["random"].fits
 
 
 def test_gradient_bound_single_ridge():

@@ -47,6 +47,15 @@ missed point's squared error is summed as int numerators grouped by
 denominator, and Fractions are built only for each miss's outputs and for
 the total. Everything reads numerators and denominators, so weights,
 coordinates and labels must be ints or Fractions.
+
+max_gradient_norm_bound() walks the bend lines in the same ints. Unit i's
+gradients are (C1*A1, C1*A2, C2*A1, C2*A2) / K, so every cell's squared
+norms are int sums over K**2. Along unit u's line, moving in the direction
+(-A2_u, A1_u), unit v's pre-activation times L_v*|A_u|**2 > 0 is
+value + slope*t, with slope = A1_u*A2_v - A2_u*A1_v and
+value = B_v*|A_u|**2 - B_u*(A1_u*A1_v + A2_u*A2_v). v crosses the line at
+t = -value/slope; with M the lcm of the line's slopes, the int key
+-value*(M/slope) orders and groups the crossings exactly.
 """
 
 from __future__ import annotations
@@ -143,12 +152,9 @@ def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
     return FitReport(fits=fits, total_loss=loss, violations=tuple(violations))
 
 
-def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int, int]]:
-    """(N1, N2, D) with D > 0 for each point, in order: net's outputs there
-    are N1/D and N2/D. Lone points are summed unit by unit and shared
-    verticals swept, as the module docstring describes."""
-    # Unit u as integers (A1, A2, B) = L*(a1, a2, b) with L > 0, so the
-    # sign of its pre-activation is kept, and c/L = (C1, C2)/K.
+def _integer_units(net: Network) -> Tuple[List[Tuple[int, int, int, int, int]], int]:
+    """Each unit as ints (A1, A2, B, C1, C2), and K: (A1, A2, B) = L*(a1, a2,
+    b) with L > 0, so the sign of its pre-activation is kept, and c/L = C/K."""
     scaled = []
     for u in net.neurons:
         scale = lcm(u.a1.denominator, u.a2.denominator, u.b.denominator)
@@ -166,6 +172,14 @@ def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int
         (a1, a2, b, n1 * (k // d1), n2 * (k // d2))
         for a1, a2, b, n1, d1, n2, d2 in scaled
     ]
+    return units, k
+
+
+def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int, int]]:
+    """(N1, N2, D) with D > 0 for each point, in order: net's outputs there
+    are N1/D and N2/D. Lone points are summed unit by unit and shared
+    verticals swept, as the module docstring describes."""
+    units, k = _integer_units(net)
     verticals: Dict[Tuple[int, int], List[int]] = defaultdict(list)
     for i, p in enumerate(points):
         verticals[p.x1.numerator, p.x1.denominator].append(i)
@@ -263,50 +277,51 @@ def max_gradient_norm_bound(net: Network) -> Rational:
     switches on if it grows with t and off otherwise. So start on the edge
     before the first crossing and flip each group of equal t in turn.
     """
-    units = [u for u in net.neurons if u.a1 != 0 or u.a2 != 0]
-    grads = [(u.c1 * u.a1, u.c1 * u.a2, u.c2 * u.a1, u.c2 * u.a2) for u in units]
-
-    def add(acc: List[Fraction], k: int, sign: int) -> None:
-        for j in range(4):
-            acc[j] += sign * grads[k][j]
-
-    def read(g: List[Fraction], side: List[Fraction]) -> Fraction:
-        return max(
-            (g[0] + side[0]) ** 2 + (g[1] + side[1]) ** 2,
-            (g[2] + side[2]) ** 2 + (g[3] + side[3]) ** 2,
-        )
-
-    best = Fraction(0)
-    for u in units:
-        # p0: the point of u's line nearest the origin.
-        norm = u.a1 * u.a1 + u.a2 * u.a2
-        p1, p2 = -u.b * u.a1 / norm, -u.b * u.a2 / norm
+    units, k = _integer_units(net)
+    # Each line's (A1, A2, B), and its unit's gradients over K switching on and off.
+    lines = []
+    for a1, a2, b, c1, c2 in units:
+        if a1 or a2:
+            grad = (c1 * a1, c1 * a2, c2 * a1, c2 * a2)
+            lines.append((a1, a2, b, grad, tuple(-x for x in grad)))
+    best = 0
+    for a1, a2, b, *_ in lines:
+        norm = a1 * a1 + a2 * a2
         # g: units off the line, active along the current edge; plus and
-        # minus: units on the line, active on u's positive or negative side.
-        g = [Fraction(0)] * 4
-        plus = [Fraction(0)] * 4
-        minus = [Fraction(0)] * 4
-        crossings: List[Tuple[Fraction, int, int]] = []
-        for k, v in enumerate(units):
-            # v's pre-activation along the line is value + slope * t.
-            slope = u.a1 * v.a2 - u.a2 * v.a1
-            value = v.a1 * p1 + v.a2 * p2 + v.b
-            if slope == 0:
-                if value == 0:
-                    add(plus if u.a1 * v.a1 + u.a2 * v.a2 > 0 else minus, k, 1)
-                elif value > 0:
-                    add(g, k, 1)
-            else:
+        # minus: units on the line, active on its positive or negative side.
+        g = plus = minus = (0, 0, 0, 0)
+        crossings = []
+        for v1, v2, vb, on, off in lines:
+            # v's pre-activation along the line, scaled as the module docstring says.
+            slope = a1 * v2 - a2 * v1
+            value = vb * norm - b * (a1 * v1 + a2 * v2)
+            if slope:
+                crossings.append((value, slope, on if slope > 0 else off))
                 if slope < 0:
-                    add(g, k, 1)
-                crossings.append((-value / slope, k, 1 if slope > 0 else -1))
-        crossings.sort(key=itemgetter(0))
-        best = max(best, read(g, plus), read(g, minus))
-        for _, group in groupby(crossings, key=itemgetter(0)):
-            for _, k, sign in group:
-                add(g, k, sign)
-            best = max(best, read(g, plus), read(g, minus))
-    return best
+                    g = _add4(g, on)
+            elif value > 0:
+                g = _add4(g, on)
+            elif value == 0:
+                if a1 * v1 + a2 * v2 > 0:
+                    plus = _add4(plus, on)
+                else:
+                    minus = _add4(minus, on)
+        # Each crossing's t = -value/slope, times the lcm of the slopes.
+        common = lcm(*(slope for _, slope, _ in crossings))
+        keyed = sorted(((-value * (common // slope), change) for value, slope, change in crossings),
+                       key=itemgetter(0))
+        best = max(best, _squared_norm(g, plus), _squared_norm(g, minus))
+        for _, group in groupby(keyed, key=itemgetter(0)):
+            for _, change in group:
+                g = _add4(g, change)
+            best = max(best, _squared_norm(g, plus), _squared_norm(g, minus))
+    return Fraction(best, k * k)
+
+
+def _squared_norm(g: Tuple[int, ...], side: Tuple[int, ...]) -> int:
+    """The larger of both outputs' squared gradient norms on one side, times K**2."""
+    h = _add4(g, side)
+    return max(h[0] * h[0] + h[1] * h[1], h[2] * h[2] + h[3] * h[3])
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,32 @@ def test_gradient_bound_reads_both_sides_of_every_edge():
     assert _reference_bound(net) == F(612)
 
 
+def test_gradient_bound_is_exact_on_int_weights():
+    # Two parallel lines 3x + y = 2 and 3x + y = 0, both units active above
+    # the first: output 1 has gradient (9, 3) there. Plain ints must not fall
+    # back to float division, where the first unit's own line reads as
+    # parallel to itself and that cell is lost (bound 40).
+    net = Network((HiddenNeuron(3, 1, -2, 3, -3), HiddenNeuron(3, 1, 0, 0, 2)))
+    assert max_gradient_norm_bound(net) == F(90)
+    assert _reference_bound(net) == F(90)
+
+
+def _chain_witness(n):
+    """The witness of F_n = inv Ai Bi + add Hi Hi Ai (i < n) at A = B = 1, H = 1/2."""
+    text = "".join(f"inv A{i} B{i}\nadd H{i} H{i} A{i}\n" for i in range(n))
+    values = {name: value for i in range(n)
+              for name, value in ((f"A{i}", F(1)), (f"B{i}", F(1)), (f"H{i}", F(1, 2)))}
+    return witness(compile_formula(parse_formula(text)), values)
+
+
+def test_gradient_bound_of_witnesses_is_pinned():
+    reference = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
+    net = witness(reference, {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)})
+    assert max_gradient_norm_bound(net) == F(130369, 676)
+    assert max_gradient_norm_bound(_chain_witness(1)) == F(30772, 169)
+    assert max_gradient_norm_bound(_chain_witness(3)) == F(30772, 169)
+
+
 def _between(cuts):
     """One value in each open interval that the sorted cuts leave."""
     if not cuts:

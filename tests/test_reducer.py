@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
 from ernn.layout import layout_to_json, plan
-from ernn.network import HiddenNeuron, Network, evaluate, instance_to_json, network_to_json
+from ernn.network import (
+    HiddenNeuron,
+    Network,
+    evaluate,
+    instance_to_json,
+    max_gradient_norm_bound,
+    network_to_json,
+)
 from ernn.reducer import (
     DimensionMismatch,
     NotFitting,
@@ -284,3 +291,37 @@ def test_witness_of_a_random_solution_fits(case):
     assert report.fits and report.total_loss == 0
     assert len(net.neurons) == bundle.instance.hidden_neurons
     assert extract(bundle, net) == assignment
+
+
+def _assert_fits_as_the_witness(bundle, net, other, assignment):
+    report = verify(other, bundle.instance)
+    assert report.fits and report.total_loss == 0
+    assert extract(bundle, other) == assignment
+    assert max_gradient_norm_bound(other) == max_gradient_norm_bound(net)
+
+
+@_FAIL_FAST
+@given(_satisfiable(), st.data())
+def test_rescaled_witness_fits_and_extracts(case, data):
+    """ReLU(k*z) = k*ReLU(z) for k > 0, so (a, b)*k and c/k is the same network;
+    scales with distinct denominators give every unit its own lcm."""
+    formula, assignment = case
+    bundle = compile_formula(formula)
+    net = witness(bundle, assignment)
+    scales = data.draw(st.lists(
+        st.sampled_from((F(2), F(3, 2), F(5, 7))), min_size=len(net.neurons), max_size=len(net.neurons)
+    ))
+    rescaled = Network(tuple(
+        HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1 / k, u.c2 / k) for u, k in zip(net.neurons, scales)
+    ))
+    _assert_fits_as_the_witness(bundle, net, rescaled, assignment)
+
+
+@_FAIL_FAST
+@given(_satisfiable(), st.data())
+def test_permuted_witness_fits_and_extracts(case, data):
+    formula, assignment = case
+    bundle = compile_formula(formula)
+    net = witness(bundle, assignment)
+    permuted = Network(tuple(data.draw(st.permutations(net.neurons))))
+    _assert_fits_as_the_witness(bundle, net, permuted, assignment)

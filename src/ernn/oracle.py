@@ -20,14 +20,33 @@ gap holding the breakpoint between them. AtLeast labels are ignored, so
 the stage only over-approximates: a slot assignment it rules out has no
 fit at any real breakpoint positions, on the grid or off it.
 
-Grid stage. Each surviving assignment is expanded into the grid tuples
-that fall in its slots, and each tuple is solved exactly. Fixing the
-breakpoints makes each output's values linear in the unknowns (one anchor
-value and the piece slopes), and an incremental Gaussian elimination
-decides consistency. Underdetermined systems are closed by pinning the
-leftover free parameters to zero, and every candidate is re-verified
-against all labels before being returned, so the result is always sound;
-what is enumerated is one canonical representative per solution family.
+Grid stage. Each surviving assignment is searched depth first, one
+breakpoint at a time from the left, over the grid points its slots allow.
+Once breakpoints 0..j are placed, each output's values on pieces 0..j + 1
+are linear in the unknowns (one anchor value and the piece slopes), and
+the slots fix which positions those pieces hold. So placing breakpoint j
+adds the Exact labels of piece j + 1 (and of piece 0 when j = 0) to an
+incremental Gaussian elimination per output, each output's equations still
+arriving in ascending position order, and a contradiction drops every grid
+tuple that shares the prefix. Underdetermined systems are closed by
+pinning the leftover free parameters to zero, and every full tuple is
+re-verified against all labels before being returned, so the result is
+always sound; what is enumerated is one canonical representative per
+solution family.
+
+One rule skips solves: a forced breakpoint. Take breakpoint j in a gap.
+If in some output piece j's line is already fixed (piece 0's by its own
+Exact labels; a later piece's when its anchor and slope reduce to
+constants) and piece j + 1's Exact labels fix a line, breakpoint j can
+only sit where the two lines cross. It gets that one grid point if the
+crossing is a candidate in the gap, none if it is not or the lines are
+parallel and distinct, and keeps its range if they are equal. The rule
+drops only tuples whose Exact equations contradict: every solution of the
+equations so far puts piece j on the first line, piece j + 1's equations
+put piece j + 1 on the second, and the shared anchor makes both pass
+through the value at breakpoint j. A skipped tuple would have failed the
+moment piece j + 1's labels were added, so the rule changes how many
+tuples are solved, not which fits are found.
 
 The pinned solution does not depend on the order in which equations
 arrive. The solver always pivots on the largest free parameter id, so a
@@ -42,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, groupby, product
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .gadgets import AtLeast, Exact, Label
@@ -67,6 +86,8 @@ class FittingProfile:
 
 def evaluate_profile(p: FittingProfile, t: Rational, dim: int) -> Rational:
     """Value of the fit at t in output dimension dim (1 or 2)."""
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim!r}")
     d = dim - 1
     bps = p.breakpoints
     i = 0
@@ -184,7 +205,9 @@ def _range_lines(pts: Sequence[LabeledPosition], d: int) -> List[List[RangeLine]
 
 
 def _slot_survivors(
-    pts: Sequence[LabeledPosition], k: int
+    pts: Sequence[LabeledPosition],
+    k: int,
+    tables: Optional[Sequence[List[List[RangeLine]]]] = None,
 ) -> List[Tuple[int, ...]]:
     """Slot assignments of k breakpoints that no Exact label rules out.
 
@@ -192,10 +215,12 @@ def _slot_survivors(
     slot 2i + 1 the open gap between positions i and i + 1; the result
     lists non-decreasing slot tuples, a position slot at most once. An
     assignment missing here has no continuous fit with its breakpoints
-    anywhere in those slots.
+    anywhere in those slots. tables are the two outputs' _range_lines,
+    built here when not given.
     """
     n = len(pts)
-    tables = [_range_lines(pts, d) for d in range(2)]
+    if tables is None:
+        tables = [_range_lines(pts, d) for d in range(2)]
 
     def lines(first: int, last: int) -> Tuple[RangeLine, RangeLine]:
         if first > last:
@@ -250,54 +275,125 @@ def _slot_survivors(
     return survivors
 
 
-def _fit_at(
-    pts: Sequence[LabeledPosition], bps: Tuple[Fraction, ...]
-) -> Optional[FittingProfile]:
-    """The fit with breakpoints bps, free parameters pinned to zero.
+def _grid_fits(
+    pts: Sequence[LabeledPosition],
+    slots: Tuple[int, ...],
+    tables: Sequence[List[List[RangeLine]]],
+    gap_grid: Sequence[List[Fraction]],
+    g: int,
+) -> List[FittingProfile]:
+    """The grid fits whose breakpoints lie in `slots`, free parameters pinned to zero.
 
     Parameter ids per output: 0 is the anchor (value at the first
     breakpoint), 1 + j the slope of piece j. Piece j holds the positions in
     (bps[j - 1], bps[j]], so a label at a breakpoint enters once, through
-    the piece on its left. None when the Exact labels contradict each other
-    or the pinned fit misses an AtLeast label.
+    the piece on its left; the slots fix which positions those are.
     """
-    k = len(bps)
-    anchors = [_expr_param(0)]
-    for j in range(1, k):
-        anchors.append(
-            _expr_add(anchors[-1], _expr_scale(_expr_param(1 + j), bps[j] - bps[j - 1]))
-        )
-    slopes = []
-    values = []
-    for d in range(2):
-        solver = _Solver()
-        piece = 0
-        for t, labels in pts:
-            while piece < k and t > bps[piece]:
-                piece += 1
-            lab = labels[d]
-            if not isinstance(lab, Exact):
+    n, k = len(pts), len(slots)
+    for s, run in groupby(slots):
+        count = len(list(run))
+        if s % 2 and len(gap_grid[s // 2]) < count:
+            return []
+        if s % 2 == 0 and (pts[s // 2][0] * g).denominator != 1:
+            return []
+    firsts = [0] + [s // 2 + 1 for s in slots]  # piece p holds positions
+    lasts = [s // 2 for s in slots] + [n - 1]  # firsts[p]..lasts[p]
+    room = [slots[j + 1 :].count(slots[j]) for j in range(k)]  # later ones in the gap
+    bps: List[Fraction] = []
+    anchors: List[Expr] = []  # anchors[j]: value at bps[j]
+    results: List[FittingProfile] = []
+
+    def add_piece(solvers: List[_Solver], p: int) -> bool:
+        ref = max(p - 1, 0)  # the breakpoint this piece is anchored at
+        for t, labels in pts[firsts[p] : lasts[p] + 1]:
+            for solver, lab in zip(solvers, labels):
+                if isinstance(lab, Exact):
+                    expr = _expr_add(anchors[ref], _expr_scale(_expr_param(1 + p), t - bps[ref]))
+                    if not solver.add_equation(expr, lab.value):
+                        return False
+        return True
+
+    def pinned_line(solvers: List[_Solver], j: int, d: int) -> RangeLine:
+        """Piece j's line in output d + 1 if the equations so far fix it."""
+        if j == 0:
+            return tables[d][0][lasts[0]]
+        anchor, a_terms = solvers[d].reduce(anchors[j - 1])
+        slope, s_terms = solvers[d].reduce(_expr_param(1 + j))
+        if a_terms or s_terms:
+            return None
+        return slope, anchor - slope * bps[j - 1]
+
+    def forced(solvers: List[_Solver], j: int, lo: int, hi: int) -> Tuple[int, int]:
+        """Narrow grid indices lo..hi - 1 of breakpoint j to where its lines cross."""
+        grid = gap_grid[slots[j] // 2]
+        first, last = firsts[j + 1], lasts[j + 1]
+        for d in range(2):
+            right = tables[d][first][last] if first <= last else None
+            left = pinned_line(solvers, j, d) if right is not None else None
+            if left is None:
                 continue
-            ref = max(piece - 1, 0)  # the breakpoint this piece is anchored at
-            expr = _expr_add(anchors[ref], _expr_scale(_expr_param(1 + piece), t - bps[ref]))
-            if not solver.add_equation(expr, lab.value):
-                return None
-        slopes.append(tuple(solver.pinned_value(_expr_param(1 + j)) for j in range(k + 1)))
-        values.append(tuple(solver.pinned_value(a) for a in anchors))
-    prof = FittingProfile(bps, (slopes[0], slopes[1]), (values[0], values[1]))
+            if left[0] == right[0]:
+                if left[1] != right[1]:
+                    return 0, 0
+                continue
+            x = (right[1] - left[1]) / (left[0] - right[0])
+            if (x * g).denominator != 1:
+                return 0, 0
+            at = int((x - grid[0]) * g)
+            if not lo <= at < hi:
+                return 0, 0
+            lo, hi = at, at + 1
+        return lo, hi
+
+    def descend(j: int, lo: int, solvers: List[_Solver]) -> None:
+        """Place breakpoint j at grid index lo or later in its gap."""
+        s = slots[j]
+        if s % 2:
+            grid = gap_grid[s // 2]
+            lo, hi = forced(solvers, j, lo, len(grid) - room[j])
+            cands = enumerate(grid[lo:hi], lo)
+        else:
+            cands = [(-1, pts[s // 2][0])]
+        for at, b in cands:
+            if j == 0:
+                anchors.append(_expr_param(0))
+            else:
+                anchors.append(
+                    _expr_add(anchors[-1], _expr_scale(_expr_param(1 + j), b - bps[-1]))
+                )
+            bps.append(b)
+            branch = [solvers[0].clone(), solvers[1].clone()]
+            if (j > 0 or add_piece(branch, 0)) and add_piece(branch, j + 1):
+                if j + 1 < k:
+                    descend(j + 1, at + 1 if slots[j + 1] == s else 0, branch)
+                else:
+                    prof = FittingProfile(
+                        tuple(bps),
+                        tuple(
+                            tuple(sv.pinned_value(_expr_param(1 + p)) for p in range(k + 1))
+                            for sv in branch
+                        ),
+                        tuple(tuple(sv.pinned_value(a) for a in anchors) for sv in branch),
+                    )
+                    if _satisfies(prof, pts):
+                        results.append(prof)
+            bps.pop()
+            anchors.pop()
+
+    descend(0, 0, [_Solver(), _Solver()])
+    return results
+
+
+def _satisfies(prof: FittingProfile, pts: Sequence[LabeledPosition]) -> bool:
     for t, labels in pts:
-        for dim in (1, 2):
+        for dim, want in enumerate(labels, 1):
             got = evaluate_profile(prof, t, dim)
-            want = labels[dim - 1]
             if isinstance(want, Exact):
                 if got != want.value:
-                    return None
-            elif isinstance(want, AtLeast):
-                if got < want.value:
-                    return None
-            else:
-                raise TypeError(f"unknown label {want!r}")
-    return prof
+                    return False
+            elif got < want.value:
+                return False
+    return True
 
 
 def fit_cpwl_1d_oracle(
@@ -325,7 +421,15 @@ def fit_cpwl_1d_oracle(
     for (t1, _), (t2, _) in zip(pts, pts[1:]):
         if t1 == t2:
             raise ValueError(f"duplicate position {t1}")
+    for _t, labels in pts:
+        for lab in labels:
+            if not isinstance(lab, (Exact, AtLeast)):
+                raise TypeError(f"unknown label {lab!r}")
 
+    tables = [_range_lines(pts, d) for d in range(2)]
+    survivors = _slot_survivors(pts, breakpoints, tables)
+    if not survivors:
+        return ()
     g = grid_denominator
     # The grid points strictly inside each gap between neighbouring positions.
     gap_grid = [
@@ -333,17 +437,7 @@ def fit_cpwl_1d_oracle(
         for (a, _), (b, _) in zip(pts, pts[1:])
     ]
     results: List[FittingProfile] = []
-    for slots in _slot_survivors(pts, breakpoints):
-        choices = []
-        for s, run in groupby(slots):
-            if s % 2:
-                choices.append(combinations(gap_grid[s // 2], len(list(run))))
-            else:
-                t = pts[s // 2][0]
-                choices.append([(t,)] if (t * g).denominator == 1 else [])
-        for parts in product(*choices):
-            prof = _fit_at(pts, tuple(chain.from_iterable(parts)))
-            if prof is not None:
-                results.append(prof)
+    for slots in survivors:
+        results.extend(_grid_fits(pts, slots, tables, gap_grid, g))
     results.sort(key=lambda p: p.breakpoints)
     return tuple(results)

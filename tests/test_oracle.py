@@ -120,6 +120,124 @@ def test_profiles_come_back_sorted_and_verified():
             assert evaluate_profile(p, t, 1) == labels[0].value
 
 
+def test_rejects_unknown_labels_before_searching():
+    # no slot assignment survives (output 1 bends twice with k = 1)
+    no_survivor = [
+        (F(0), _exact(0)),
+        (F(1), (Exact(F(1)), "junk")),
+        (F(2), _exact(0)),
+        (F(3), (Exact(F(5)), Exact(F(0)))),
+    ]
+    # survivors, but the kink at 3/2 is off the integer grid: no tuple is solved
+    off_grid = [(F(t), _exact(abs(2 * t - 3))) for t in (0, 1, 2, 3)]
+    off_grid[1] = (F(1), (Exact(F(1)), "junk"))
+    for pts in (no_survivor, off_grid):
+        with pytest.raises(TypeError):
+            fit_cpwl_1d_oracle(pts, breakpoints=1, grid_denominator=1)
+
+
+def test_evaluate_profile_rejects_bad_dim():
+    p = FittingProfile((F(0),), ((F(1), F(1)), (F(2), F(2))), ((F(0),), (F(0),)))
+    assert evaluate_profile(p, F(1), 2) == 2
+    for dim in (0, 3):
+        with pytest.raises(ValueError):
+            evaluate_profile(p, F(1), dim)
+
+
+def test_lower_bound_fits_on_the_sixth_grid():
+    # Any V through (3, -1) and (5, -1) with feet in [2, 3) and (5, 6] fits,
+    # so most grid fits are not mirror images of themselves about t = 4.
+    fits = fit_cpwl_1d_oracle(_template_points("lower_bound_12"), 3, 6)
+    bps = [p.breakpoints for p in fits]
+    assert len(bps) == 18
+    assert sum(tuple(8 - b for b in reversed(t)) != t for t in bps) == 12
+    assert (F(2), F(13, 3), F(11, 2)) in bps
+
+
+def _sampled(ts, f1, f2):
+    """Exact labels of f1 and f2 at ts; None labels that output AtLeast(-10)."""
+    def label(f, t):
+        return AtLeast(F(-10)) if f is None else Exact(F(f(F(t))))
+
+    return [(F(t), (label(f1, t), label(f2, t))) for t in ts]
+
+
+def _both(ts, f):
+    return _sampled(ts, f, f)
+
+
+def _ramp_down(b1):
+    """0 up to 2, slope 1 up to b1, slope -1 after."""
+    return lambda t: 0 if t <= 2 else t - 2 if t <= b1 else 2 * b1 - 2 - t
+
+
+def _one_label_piece(tail):
+    """0 at 0 and 1, 1 at 3, then the line tail at 6 and 7.
+
+    The piece through (3, 1) has one label, so only the solver pins its line
+    once the first breakpoint is placed; where it meets tail then moves with
+    that breakpoint.
+    """
+    return lambda t: 0 if t <= 1 else 1 if t == 3 else tail(t)
+
+
+def _step_and_ramp(t):
+    """Flat 0, ramp to 2 between 2 and 4, flat to 7, then slope 1."""
+    return min(max(t - 2, 0), 2) + max(t - 7, 0)
+
+
+# (points, k, g, number of fits, breakpoints of some of them) for the
+# forced-breakpoint rule
+_FORCED = {
+    "crossing on the grid": (_both((0, 1, 3, 4, 6, 7), _ramp_down(5)), 2, 1, 1, [(2, 5)]),
+    "crossing off the grid": (_both((0, 1, 3, 4, 7, 8), _ramp_down(F(11, 2))), 2, 1, 0, []),
+    # the second line meets (3, 1) from b0: at b0 = 3/2 the lines cross at 15/2
+    "crossing outside the gap": (
+        _both((0, 1, 3, 6, 7), _one_label_piece(lambda t: 4)),
+        2,
+        2,
+        3,
+        [(2, 6), (2, F(13, 2)), (F(5, 2), F(9, 2))],
+    ),
+    # at b0 = 2 the lines are parallel
+    "parallel distinct lines": (
+        _both((0, 1, 3, 6, 7), _one_label_piece(lambda t: t - 1)),
+        2,
+        2,
+        1,
+        [(F(5, 2), 4)],
+    ),
+    # at b0 = 2 the lines are equal, and the second breakpoint slides
+    "parallel equal lines": (
+        _both((0, 1, 3, 6, 7), _one_label_piece(lambda t: t - 2)),
+        2,
+        2,
+        23,
+        [(2, F(7, 2)), (2, 4), (2, F(9, 2)), (2, 5), (2, F(11, 2))],
+    ),
+    "output 1 only": (_sampled((0, 1, 3, 4, 6, 7), _ramp_down(5), None), 2, 1, 1, [(2, 5)]),
+    "output 2 only": (_sampled((0, 1, 3, 4, 6, 7), None, _ramp_down(5)), 2, 1, 1, [(2, 5)]),
+    # the ramp's two bends share the gap (1, 5); the bend at 7 is forced
+    "two breakpoints in one gap": (
+        _both((0, 1, 5, 6, 8, 9), _step_and_ramp),
+        3,
+        1,
+        10,
+        [(2, 3, 7), (2, 4, 7), (3, 4, 7)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORCED))
+def test_forced_breakpoints_match_the_grid_walk(name):
+    pts, k, g, count, some = _FORCED[name]
+    got = fit_cpwl_1d_oracle(pts, k, g)
+    assert got == _reference_fit(pts, k, g)
+    assert len(got) == count
+    bps = [p.breakpoints for p in got]
+    assert all(tuple(F(b) for b in want) in bps for want in some)
+
+
 _FAIL_FAST = settings(
     max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
 )

@@ -42,6 +42,7 @@ from .reducer import (
     DimensionMismatch,
     NotFitting,
     compile_formula,
+    compile_layout,
     extract,
     verify,
     witness,
@@ -128,8 +129,8 @@ def _verify(args: argparse.Namespace) -> int:
 
 def _extract(args: argparse.Namespace) -> int:
     net = network_from_json(_read(args.network))
-    # The sidecar names the formula; compiling it again gives the instance.
-    bundle = compile_formula(layout_from_json(_read(args.layout)).formula)
+    # The sidecar names the formula, and the layout read from it gives the instance.
+    bundle = compile_layout(layout_from_json(_read(args.layout)))
     _put_assignment(extract(bundle, net), args.output)
     return 0
 

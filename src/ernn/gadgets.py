@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple, Union
 
 from .geometry import Direction, OrientedLine, Point2, Rational
@@ -96,6 +97,12 @@ class TemplateEntry:
     def is_weak(self) -> bool:
         return any(isinstance(l, AtLeast) for l in self.labels)
 
+    @cached_property
+    def values(self) -> Tuple[Rational, Rational]:
+        """The two label values: a data line's targets, one pair object per
+        entry, which every point realized on the line shares."""
+        return (self.labels[0].value, self.labels[1].value)
+
 
 @dataclass(frozen=True)
 class GadgetTemplate:
@@ -104,11 +111,11 @@ class GadgetTemplate:
     breakline_budget: int
     width: Rational
 
-    @property
+    @cached_property
     def data_entries(self) -> Tuple[TemplateEntry, ...]:
         return tuple(e for e in self.entries if not e.is_weak)
 
-    @property
+    @cached_property
     def weak_entries(self) -> Tuple[TemplateEntry, ...]:
         return tuple(e for e in self.entries if e.is_weak)
 
@@ -122,8 +129,8 @@ def _on_active_dims(kind: LowerBound, v: Rational) -> Tuple[Rational, Rational]:
     return tuple(v if d in kind.active_dims else Fraction(0) for d in (1, 2))
 
 
-def template(kind: GadgetKind) -> GadgetTemplate:
-    """The fixed data-line table for a gadget kind."""
+def _build_template(kind: GadgetKind) -> GadgetTemplate:
+    """The data-line table of a Variable, an Inversion or else a LowerBound."""
     if isinstance(kind, Variable):
         offsets = (0, 1, 2, 4, 6, 7, 8, 10, 12, 14, 15, 16)
         values = (0, 0, 0, 3, 6, 6, 6, 4, 2, 0, 0, 0)
@@ -146,16 +153,28 @@ def template(kind: GadgetKind) -> GadgetTemplate:
         )
         return GadgetTemplate(kind, entries, breakline_budget=5, width=Fraction(19))
 
-    if isinstance(kind, LowerBound):
-        offsets = (0, 1, 2, 3, 5, 6, 7, 8)
-        active = (0, 0, 0, -1, -1, 0, 0, 0)
-        entries = tuple(
-            TemplateEntry(Fraction(o), _exact_pair(*_on_active_dims(kind, Fraction(v))))
-            for o, v in zip(offsets, active)
-        )
-        return GadgetTemplate(kind, entries, breakline_budget=3, width=Fraction(8))
+    offsets = (0, 1, 2, 3, 5, 6, 7, 8)
+    active = (0, 0, 0, -1, -1, 0, 0, 0)
+    entries = tuple(
+        TemplateEntry(Fraction(o), _exact_pair(*_on_active_dims(kind, Fraction(v))))
+        for o, v in zip(offsets, active)
+    )
+    return GadgetTemplate(kind, entries, breakline_budget=3, width=Fraction(8))
 
-    raise GadgetError(f"unknown gadget kind {kind!r}")
+
+# Every gadget kind there is: LowerBound admits only these three dim sets.
+_TEMPLATES = {
+    kind: _build_template(kind)
+    for kind in (Variable(), Inversion(), LowerBound((1,)), LowerBound((2,)), LowerBound((1, 2)))
+}
+
+
+def template(kind: GadgetKind) -> GadgetTemplate:
+    """The fixed data-line table for a gadget kind, built once per kind."""
+    try:
+        return _TEMPLATES[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise GadgetError(f"unknown gadget kind {kind!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from math import lcm
+from typing import Optional, Tuple
 
 Rational = Fraction
 
@@ -54,7 +56,7 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(value: Rational) -> str:
     """Inverse of parse_rational; integers print without a denominator."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +83,17 @@ class Direction:
     def __post_init__(self) -> None:
         if self.n1 * self.n1 + self.n2 * self.n2 != 1:
             raise NotUnit(f"({self.n1}, {self.n2}) is not a rational unit vector")
+
+    @cached_property
+    def integer(self) -> Tuple[int, int, int]:
+        """(a, b, r) with r > 0 and (n1, n2) = (a, b)/r, r the lcm of the two
+        denominators (which are equal for a unit vector in lowest terms)."""
+        r = lcm(self.n1.denominator, self.n2.denominator)
+        return (
+            self.n1.numerator * (r // self.n1.denominator),
+            self.n2.numerator * (r // self.n2.denominator),
+            r,
+        )
 
 
 def make_direction(n1, n2) -> Direction:

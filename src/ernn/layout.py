@@ -320,36 +320,73 @@ class _StripeIndex:
     """Placements grouped by normal, each group sorted by stripe offset.
 
     Built in one pass over a placement tuple, it answers every stripe
-    question in this module. holders() is exact whenever the stripes within
-    each group are pairwise disjoint, which overlaps() checks.
+    question in this module in Python ints. holders() is exact whenever the
+    stripes within each group are pairwise disjoint, which overlaps() checks.
+
+    A group's normal is (a, b)/r with ints a, b and r > 0 (Direction.integer),
+    and D is the lcm of the denominators of its base offsets and widths. A
+    stripe bound t is held as the int key T = t*r*D, so for a point
+    p = (X1, X2)/W with W > 0, the stripe reads n.p*r*D = N/W with
+    N = (a*X1 + b*X2)*D. T is an int, so T < N/W iff T < ceil(N/W): bisecting
+    the lo keys at that ceiling finds the one stripe that can hold p, and
+    N < HI*W decides whether it does.
+
+    On the vertical x = V/Vd, Vd > 0, bound t sits at height
+    (t*r - a*x)/b = (T*Vd - a*V*D) / (b*D*Vd). With Q the lcm over the groups
+    of |b|*D, every height times Q*Vd is the int (T*Vd - a*V*D) * (Q/(b*D)),
+    so separation() sorts and subtracts ints over one common denominator.
+
+    Two groups with normals (a1, b1)/r1 and (a2, b2)/r2 have boundary lines
+    that cross, where the first reads s and the second t, at
+    x = (s*r1*b2 - t*r2*b1)/(a1*b2 - b1*a2). In the keys S and T that is
+    (S*b2*D2 - T*b1*D1) / ((a1*b2 - b1*a2)*D1*D2), linear in each, so the
+    sign of each coefficient picks the key that maximises x: the group's
+    least lo or its greatest hi.
     """
 
     def __init__(self, placements: Sequence[PlacedGadget]) -> None:
-        groups: Dict[Direction, List[Tuple[Rational, Rational, int]]] = {}
+        members: Dict[Direction, List[int]] = {}
         for i, pg in enumerate(placements):
-            groups.setdefault(pg.placement.normal, []).append(pg.placement.stripe() + (i,))
-        self._groups = [(n, sorted(stripes)) for n, stripes in groups.items()]
-        self._los = [[lo for lo, _hi, _i in stripes] for _n, stripes in self._groups]
+            members.setdefault(pg.placement.normal, []).append(i)
+        # Per normal: (a, b, D, r*D, stripes as (LO, HI, index) sorted, the LO keys).
+        self._groups = []
+        for normal, idxs in members.items():
+            a, b, r = normal.integer
+            pls = [placements[i].placement for i in idxs]
+            d = math.lcm(*(
+                t.denominator for pl in pls for t in (pl.base_offset, pl.template.width)
+            ))
+            stripes = []
+            for i, pl in zip(idxs, pls):
+                lo, width = pl.base_offset, pl.template.width
+                lo_key = lo.numerator * (d // lo.denominator) * r
+                stripes.append((lo_key, lo_key + width.numerator * (d // width.denominator) * r, i))
+            stripes.sort()
+            self._groups.append((a, b, d, r * d, stripes, [lo for lo, _hi, _i in stripes]))
 
     def overlaps(self) -> List[str]:
         """Pairs of parallel placements whose closed stripes meet."""
         out = []
-        for _n, stripes in self._groups:
+        for _a, _b, _d, scale, stripes, _los in self._groups:
             for (lo1, hi1, i1), (lo2, hi2, i2) in zip(stripes, stripes[1:]):
                 if lo2 <= hi1:
                     out.append(
                         f"parallel placements {i1} and {i2} have overlapping stripes "
-                        f"[{lo1}, {hi1}] and [{lo2}, {hi2}]"
+                        f"[{Fraction(lo1, scale)}, {Fraction(hi1, scale)}] and "
+                        f"[{Fraction(lo2, scale)}, {Fraction(hi2, scale)}]"
                     )
         return out
 
     def holders(self, p: Point2) -> List[int]:
         """Sorted indices of the placements whose open stripe contains p."""
+        w = math.lcm(p.x1.denominator, p.x2.denominator)
+        x1 = p.x1.numerator * (w // p.x1.denominator)
+        x2 = p.x2.numerator * (w // p.x2.denominator)
         out = []
-        for (n, stripes), los in zip(self._groups, self._los):
-            val = n.n1 * p.x1 + n.n2 * p.x2
-            k = bisect_left(los, val)
-            if k and val < stripes[k - 1][1]:
+        for a, b, d, _scale, stripes, los in self._groups:
+            n = (a * x1 + b * x2) * d
+            k = bisect_left(los, -(-n // w))
+            if k and n < stripes[k - 1][1] * w:
                 out.append(stripes[k - 1][2])
         return sorted(out)
 
@@ -360,35 +397,38 @@ class _StripeIndex:
         heights of its two boundary lines. The gap is None for fewer than
         two stripes and at most 0 where two cross-sections meet.
         """
+        vn, vd = v.numerator, v.denominator
+        q = math.lcm(*(abs(b) * d for _a, b, d, *_ in self._groups))
         sections = []
-        for n, stripes in self._groups:
+        for a, b, d, _scale, stripes, _los in self._groups:
+            shift, factor = a * vn * d, q // (b * d)
             for lo, hi, _i in stripes:
-                a, b = (lo - n.n1 * v) / n.n2, (hi - n.n1 * v) / n.n2
-                sections.append((a, b) if a < b else (b, a))
+                y_lo, y_hi = (lo * vd - shift) * factor, (hi * vd - shift) * factor
+                sections.append((y_lo, y_hi) if y_lo < y_hi else (y_hi, y_lo))
         sections.sort()
         gaps = [a2 - b1 for (_a1, b1), (a2, _b2) in zip(sections, sections[1:])]
-        widest = max((b - a for a, b in sections), default=Fraction(0))
-        return (min(gaps) if gaps else None), widest
+        widest = max((b - a for a, b in sections), default=0)
+        den = q * vd
+        return (Fraction(min(gaps), den) if gaps else None), Fraction(widest, den)
 
     def max_corner_x(self) -> Rational:
         """Rightmost x over all crossings of stripe boundary lines (at least 0).
 
-        For two fixed normals the crossing's x is linear in the two line
-        offsets, so the maximum is reached at each group's outermost
-        boundaries: its least lo and its greatest hi.
+        Each pair of non-parallel groups is read at the one crossing of
+        their outermost boundaries that the class docstring picks.
         """
         extremes = [
-            (n, (stripes[0][0], max(hi for _lo, hi, _i in stripes)))
-            for n, stripes in self._groups
+            (a, b, d, stripes[0][0], max(hi for _lo, hi, _i in stripes))
+            for a, b, d, _scale, stripes, _los in self._groups
         ]
         best = Fraction(0)
-        for j, (n, offsets_n) in enumerate(extremes):
-            for e, offsets_e in extremes[j + 1:]:
-                for a in offsets_n:
-                    for b in offsets_e:
-                        p = intersect(OrientedLine(n, a), OrientedLine(e, b))
-                        if isinstance(p, Point2):
-                            best = max(best, p.x1)
+        for j, (a1, b1, d1, lo1, hi1) in enumerate(extremes):
+            for a2, b2, d2, lo2, hi2 in extremes[j + 1:]:
+                det = a1 * b2 - b1 * a2
+                if det:
+                    s = hi1 if b2 * det > 0 else lo1
+                    t = hi2 if -b1 * det > 0 else lo2
+                    best = max(best, Fraction(s * b2 * d2 - t * b1 * d1, det * d1 * d2))
         return best
 
 
@@ -489,14 +529,20 @@ def realize(layout: Layout) -> Realization:
     layout plan() returns does.
     """
     points: List[LabeledPoint] = []
+    verticals = [(v, v.numerator, v.denominator) for v in layout.verticals]
     for pg in layout.placements:
         pl = pg.placement
-        n = pl.normal
+        a, b, r = pl.normal.integer
+        base = pl.base_offset
         for entry in pl.template.data_entries:
-            c = pl.base_offset + entry.offset
-            want = (entry.labels[0].value, entry.labels[1].value)
-            for v in layout.verticals:
-                points.append((Point2(v, (c - n.n1 * v) / n.n2), want))
+            # The line's offset C/E = base + entry.offset, and its height on
+            # x = V/Vd, (C/E - a*x/r) / (b/r), as one Fraction.
+            t = entry.offset
+            c = base.numerator * t.denominator + t.numerator * base.denominator
+            e = base.denominator * t.denominator
+            for v, vn, vd in verticals:
+                y = Fraction(r * c * vd - a * vn * e, b * e * vd)
+                points.append((Point2(v, y), entry.values))
     for cp in layout.constraint_points:
         points.append((cp.point, realized_labels(cp.purpose.labels)))
     return Realization(points=tuple(points))

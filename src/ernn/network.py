@@ -341,23 +341,30 @@ def _list(value) -> list:
     return value
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+# The writers format the bytes json.dumps(doc, indent=2) + "\n" gives for
+# their documents directly: with an indent json.dumps runs its pure-Python
+# encoder, and format_rational's digits, "-" and "/" need no escaping.
+_NEURON_JSON = (
+    '    {{\n      "a": [\n        "{}",\n        "{}"\n      ],\n'
+    '      "b": "{}",\n      "c": [\n        "{}",\n        "{}"\n      ]\n    }}'
+)
+_POINT_JSON = (
+    '    {{\n      "x": [\n        "{}",\n        "{}"\n      ],\n'
+    '      "y": [\n        "{}",\n        "{}"\n      ]\n    }}'
+)
+
+
+def _json_list(items: List[str]) -> str:
+    """A list of objects one level down, from the objects' indented texts."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def network_to_json(net: Network) -> str:
-    return _dumps(
-        {
-            "neurons": [
-                {
-                    "a": [format_rational(u.a1), format_rational(u.a2)],
-                    "b": format_rational(u.b),
-                    "c": [format_rational(u.c1), format_rational(u.c2)],
-                }
-                for u in net.neurons
-            ]
-        }
-    )
+    fr = format_rational
+    neurons = [
+        _NEURON_JSON.format(fr(u.a1), fr(u.a2), fr(u.b), fr(u.c1), fr(u.c2)) for u in net.neurons
+    ]
+    return '{\n  "neurons": ' + _json_list(neurons) + "\n}\n"
 
 
 def network_from_json(text: str) -> Network:
@@ -374,18 +381,13 @@ def network_from_json(text: str) -> Network:
 
 
 def instance_to_json(instance: TrainInstance) -> str:
-    return _dumps(
-        {
-            "hidden_neurons": instance.hidden_neurons,
-            "gamma": format_rational(instance.gamma),
-            "points": [
-                {
-                    "x": [format_rational(p.x1), format_rational(p.x2)],
-                    "y": [format_rational(y[0]), format_rational(y[1])],
-                }
-                for p, y in instance.points
-            ],
-        }
+    fr = format_rational
+    points = [
+        _POINT_JSON.format(fr(p.x1), fr(p.x2), fr(y1), fr(y2)) for p, (y1, y2) in instance.points
+    ]
+    return (
+        f'{{\n  "hidden_neurons": {json.dumps(instance.hidden_neurons)},\n'
+        f'  "gamma": "{fr(instance.gamma)}",\n  "points": {_json_list(points)}\n}}\n'
     )
 
 

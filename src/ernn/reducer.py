@@ -77,7 +77,13 @@ class ReductionBundle:
 
 def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
     """Deterministic reduction of a formula to a training instance."""
-    layout = plan(formula)
+    return compile_layout(plan(formula))
+
+
+def compile_layout(layout: Layout) -> ReductionBundle:
+    """The reduction of the formula a layout from plan() lays out, without
+    planning it again."""
+    formula = layout.formula
     realization = realize(layout)
 
     kinds = Counter(type(pg.placement.template.kind) for pg in layout.placements)
@@ -90,9 +96,11 @@ def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
     )
     # Normalised Fractions are equal iff their integer parts are, and ints
     # hash without the modular inverse that every Fraction hash recomputes.
+    # The points of one template entry share its label pair object, so each
+    # object is read once.
     label_parts = {
         (y1.numerator, y1.denominator, y2.numerator, y2.denominator)
-        for _p, (y1, y2) in instance.points
+        for y1, y2 in {id(y): y for _p, y in instance.points}.values()
     }
     counts = ReductionCounts(
         variable_gadgets=kinds[Variable],

@@ -48,6 +48,19 @@ def test_witness_verify_extract_chain(workspace, capsys):
     assert (workspace / "rec.txt").read_text() == ASSIGNMENT
 
 
+def test_extract_plans_the_sidecar_once(workspace, monkeypatch):
+    import ernn.layout
+
+    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+    calls = []
+    validate = ernn.layout.validate
+    monkeypatch.setattr(ernn.layout, "validate", lambda layout: calls.append(1) or validate(layout))
+    assert run(["extract", "net.json", "--layout", "inst.layout.json", "-o", "rec.txt"]) == 0
+    assert (workspace / "rec.txt").read_text() == ASSIGNMENT
+    assert len(calls) == 1
+
+
 def test_verify_rejects_with_exit_1(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ernn.formula import Add, EtrInvFormula, FormulaError, Inv, parse_formula
@@ -27,6 +27,7 @@ from ernn.layout import (
     INVERSION_NORMAL,
     PALETTE,
     WEAK,
+    Layout,
     LayoutError,
     PlacedGadget,
     PlacementFailure,
@@ -514,14 +515,49 @@ def _points(draw, placements):
     return p
 
 
+@st.composite
+def _index_cases(draw):
+    placements = draw(_disjoint_stripes())
+    return placements, [draw(_points(placements)) for _ in range(5)]
+
+
+def _placed(kind, normal, base):
+    return PlacedGadget(GadgetPlacement(template(kind), normal, base), "X")
+
+
+# INVERSION_NORMAL is (4, -3)/5, with n2 < 0. Along it placement 0 covers
+# [-3/5, 92/5] and placement 2 [20, 36]; canonical placement 1 covers
+# [5, 21]. Points: on placement 0's lo and hi boundaries, inside it by less
+# than one key unit (1/25) and well inside, on placement 2's lo boundary and
+# inside it, on placement 1's lo boundary at a non-integer x, and inside
+# both placements 0 and 1.
+_INVERSION_INDEX_CASE = (
+    (
+        _placed(Inversion(), INVERSION_NORMAL, F(-3, 5)),
+        _placed(Variable(), PALETTE[0], F(5)),
+        _placed(Variable(), INVERSION_NORMAL, F(20)),
+    ),
+    [
+        Point2(F(0), F(1)),
+        Point2(F(23), F(0)),
+        Point2(F(-11, 15), F(0)),
+        Point2(F(10), F(0)),
+        Point2(F(25), F(0)),
+        Point2(F(26), F(0)),
+        Point2(F(7, 3), F(5)),
+        Point2(F(10), F(6)),
+    ],
+)
+
+
 @_FAIL_FAST
-@given(st.data())
-def test_stripe_index_matches_linear_scans(data):
-    placements = data.draw(_disjoint_stripes())
+@given(_index_cases())
+@example(_INVERSION_INDEX_CASE)
+def test_stripe_index_matches_linear_scans(case):
+    placements, points = case
     index = _StripeIndex(placements)
     assert index.overlaps() == []
-    for _ in range(5):
-        p = data.draw(_points(placements))
+    for p in points:
         scan = [
             i
             for i, pg in enumerate(placements)
@@ -541,15 +577,40 @@ def test_stripe_index_matches_linear_scans(data):
     assert index.max_corner_x() == best
 
 
+def _height(pl, offset, v):
+    """Where the placement's line at offset crosses x = v, in plain Fractions."""
+    n = pl.normal
+    return (pl.base_offset + offset - n.n1 * v) / n.n2
+
+
 def _samples(placements, v):
     """(height, owner) of every data line of every placement on x = v, sorted."""
     samples = []
     for owner, pg in enumerate(placements):
         pl = pg.placement
-        n = pl.normal
         for entry in pl.template.data_entries:
-            samples.append(((pl.base_offset + entry.offset - n.n1 * v) / n.n2, owner))
+            samples.append((_height(pl, entry.offset, v), owner))
     return sorted(samples)
+
+
+@_FAIL_FAST
+@given(
+    _disjoint_stripes(),
+    st.fractions(-200, 200, max_denominator=7).filter(lambda v: v.denominator > 1),
+)
+def test_realize_matches_the_fraction_formula(placements, v):
+    verticals = (v, v + 1, v + 2)
+    layout = Layout(EtrInvFormula(("X",), ()), placements, (), verticals, ())
+    expected = [
+        (
+            Point2(u, _height(pg.placement, entry.offset, u)),
+            (entry.labels[0].value, entry.labels[1].value),
+        )
+        for pg in placements
+        for entry in pg.placement.template.data_entries
+        for u in verticals
+    ]
+    assert list(realize(layout).points) == expected
 
 
 def _sampled_separation(samples):

@@ -1,5 +1,6 @@
 """Networks, exact evaluation, fit checking, gradient bound, JSON formats."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -423,6 +424,43 @@ def test_instance_json_round_trip_and_shape():
     # a budget and a gamma of 0 are the smallest allowed
     empty = TrainInstance(0, F(0), ())
     assert instance_from_json(instance_to_json(empty)) == empty
+
+
+# Rationals with numerators and denominators past 2**64, ints among them.
+_json_rationals = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+@given(
+    st.lists(st.tuples(*[_json_rationals] * 5), max_size=4),
+    st.lists(st.tuples(*[_json_rationals] * 4), max_size=4),
+    st.integers(0, 2**70),
+    _json_rationals,
+)
+@example([], [], 0, F(0))
+def test_json_writers_match_json_dumps(neurons, points, budget, gamma):
+    def fr(value):  # format_rational as it was first written
+        return str(F(value))
+
+    net = Network(tuple(HiddenNeuron(*u) for u in neurons))
+    assert network_to_json(net) == json.dumps({
+        "neurons": [
+            {"a": [fr(u.a1), fr(u.a2)], "b": fr(u.b), "c": [fr(u.c1), fr(u.c2)]}
+            for u in net.neurons
+        ]
+    }, indent=2) + "\n"
+    inst = TrainInstance(
+        budget, gamma, tuple((Point2(x1, x2), (y1, y2)) for x1, x2, y1, y2 in points)
+    )
+    assert instance_to_json(inst) == json.dumps({
+        "hidden_neurons": budget,
+        "gamma": fr(gamma),
+        "points": [
+            {"x": [fr(p.x1), fr(p.x2)], "y": [fr(y[0]), fr(y[1])]} for p, y in inst.points
+        ],
+    }, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

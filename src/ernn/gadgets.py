@@ -33,6 +33,7 @@ DEPTH_MIN = Fraction(2)
 # Offset of a lower-bound gadget's notch: its deepest bend, where the weak
 # point it serves sits.
 NOTCH_CENTER = Fraction(4)
+_ZERO = Fraction(0)
 
 
 class GadgetError(ValueError):
@@ -126,7 +127,7 @@ def _exact_pair(v1, v2) -> Tuple[Label, Label]:
 
 def _on_active_dims(kind: LowerBound, v: Rational) -> Tuple[Rational, Rational]:
     """v in each output a lower-bound gadget acts on, 0 in the other."""
-    return tuple(v if d in kind.active_dims else Fraction(0) for d in (1, 2))
+    return tuple(v if d in kind.active_dims else _ZERO for d in (1, 2))
 
 
 def _build_template(kind: GadgetKind) -> GadgetTemplate:
@@ -247,15 +248,32 @@ def inversion_partner(s: Rational) -> Rational:
     return s / (s - 1)
 
 
-def ridge_changes(kind: GadgetKind, state: Rational) -> Tuple[Tuple[Rational, Tuple[Rational, Rational]], ...]:
+Ridges = Tuple[Tuple[Rational, Tuple[Rational, Rational]], ...]
+
+# The last two ridges of every variable and inversion profile: the descent
+# with slope -1 from the plateau at 6 starts at the first and ends at 0 at
+# the second.
+_VARIABLE_TAIL = (
+    (Fraction(8), (Fraction(-1), Fraction(-1))),
+    (Fraction(14), (Fraction(1), Fraction(1))),
+)
+_INVERSION_TAIL = (
+    (Fraction(11), (Fraction(-1), Fraction(-1))),
+    (Fraction(17), (Fraction(1), Fraction(1))),
+)
+
+
+def ridge_changes(kind: GadgetKind, state: Rational) -> Ridges:
     """Bend offsets and per-output slope changes of the gadget's profile.
 
     The state is one exact number: a variable gadget's ramp slope, an
     inversion gadget's dimension-1 slope, or a lower-bound gadget's notch
     depth. This is the one place a state is checked (InvalidState) and the
-    single source of truth for gadget shapes: profile() sums these ridges
-    directly and witness_neurons() turns each into one hidden unit, so the
-    two can never drift apart.
+    single source of truth for gadget shapes: ridge_sum() reads the profile
+    off these ridges and witness_neurons() turns each into one hidden unit,
+    so the two can never drift apart. profile() derives them on each call;
+    the reducer's witness() derives them once per distinct (kind, state) in
+    a call and reads both its weak points' profiles and its units off them.
     """
     if isinstance(kind, LowerBound):
         d = state
@@ -263,10 +281,11 @@ def ridge_changes(kind: GadgetKind, state: Rational) -> Tuple[Tuple[Rational, Tu
             raise InvalidState(f"depth {d} below {DEPTH_MIN}")
         u = d / (d - 1)
         arm = d - 1
+        side = _on_active_dims(kind, -arm)
         return (
-            (NOTCH_CENTER - u, _on_active_dims(kind, -arm)),
+            (NOTCH_CENTER - u, side),
             (NOTCH_CENTER, _on_active_dims(kind, 2 * arm)),
-            (NOTCH_CENTER + u, _on_active_dims(kind, -arm)),
+            (NOTCH_CENTER + u, side),
         )
 
     if not isinstance(kind, (Variable, Inversion)):
@@ -275,38 +294,39 @@ def ridge_changes(kind: GadgetKind, state: Rational) -> Tuple[Tuple[Rational, Tu
     if not (SLOPE_MIN <= s <= SLOPE_MAX):
         raise InvalidState(f"slope {s} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
 
+    half = 3 / s  # half the ramp's width, centred on offset 4
     if isinstance(kind, Variable):
-        return (
-            (4 - 3 / s, (s, s)),
-            (4 + 3 / s, (-s, -s)),
-            (Fraction(8), (Fraction(-1), Fraction(-1))),
-            (Fraction(14), (Fraction(1), Fraction(1))),
-        )
+        fall = -s
+        return ((4 - half, (s, s)), (4 + half, (fall, fall))) + _VARIABLE_TAIL
 
     s2 = inversion_partner(s)
-    b2 = 4 + 3 / s
+    b2 = 4 + half
     return (
-        (4 - 3 / s, (s, Fraction(0))),
+        (4 - half, (s, _ZERO)),
         (b2, (-s, s2)),
-        (b2 + 6 / s2, (Fraction(0), -s2)),
-        (Fraction(11), (Fraction(-1), Fraction(-1))),
-        (Fraction(17), (Fraction(1), Fraction(1))),
-    )
+        (b2 + 6 / s2, (_ZERO, -s2)),
+    ) + _INVERSION_TAIL
+
+
+def ridge_sum(ridges: Ridges, t: Rational) -> Tuple[Rational, Rational]:
+    """Both outputs at offset t of the profile that bends at ridges."""
+    f1 = f2 = _ZERO
+    for beta, (d1, d2) in ridges:
+        if t > beta:
+            rise = t - beta
+            f1 += d1 * rise
+            f2 += d2 * rise
+    return (f1, f2)
 
 
 def profile(kind: GadgetKind, state: Rational, t: Rational) -> Tuple[Rational, Rational]:
     """Both outputs of the gadget's cross-section at offset t from the base."""
-    f1 = Fraction(0)
-    f2 = Fraction(0)
-    for beta, (d1, d2) in ridge_changes(kind, state):
-        if t > beta:
-            f1 += d1 * (t - beta)
-            f2 += d2 * (t - beta)
-    return (f1, f2)
+    return ridge_sum(ridge_changes(kind, state), t)
 
 
-def witness_neurons(placement: GadgetPlacement, state: Rational) -> Tuple[HiddenNeuron, ...]:
-    """Hidden units realizing the gadget's profile across its stripe.
+def witness_neurons(placement: GadgetPlacement, ridges: Ridges) -> Tuple[HiddenNeuron, ...]:
+    """Hidden units realizing the placed gadget's profile, given its ridges
+    (ridge_changes() of its kind and state), across its stripe.
 
     Each bend of the cross-section becomes one unit whose zero line is the
     bend line and whose inactive side faces the low-offset end, so the
@@ -314,15 +334,8 @@ def witness_neurons(placement: GadgetPlacement, state: Rational) -> Tuple[Hidden
     slope changes of each profile sum to zero, past the other end as well.
     """
     n = placement.normal
-    out = []
-    for beta, (d1, d2) in ridge_changes(placement.template.kind, state):
-        out.append(
-            HiddenNeuron(
-                a1=n.n1,
-                a2=n.n2,
-                b=-(placement.base_offset + beta),
-                c1=d1,
-                c2=d2,
-            )
-        )
-    return tuple(out)
+    start = -placement.base_offset
+    return tuple(
+        HiddenNeuron(a1=n.n1, a2=n.n2, b=start - beta, c1=d1, c2=d2)
+        for beta, (d1, d2) in ridges
+    )

@@ -56,6 +56,14 @@ value + slope*t, with slope = A1_u*A2_v - A2_u*A1_v and
 value = B_v*|A_u|**2 - B_u*(A1_u*A1_v + A2_u*A2_v). v crosses the line at
 t = -value/slope; with M the lcm of the line's slopes, the int key
 -value*(M/slope) orders and groups the crossings exactly.
+
+instance_from_json() and network_from_json() read every rational node
+through one reader per document, which lives for that call only. It parses
+each distinct string once and returns the same Fraction for every repeat of
+it; the points of an instance that share a label pair share one tuple. A
+compiled instance holds at most 13 label pairs and few x1 values, so most
+nodes are repeats. A node that is not a string goes straight to
+parse_rational(), so a malformed node reads as parse_rational() names it.
 """
 
 from __future__ import annotations
@@ -341,6 +349,38 @@ def _list(value) -> list:
     return value
 
 
+class _Reader:
+    """Reads one JSON document's rational nodes, each distinct string once.
+
+    A reader lives for one call of a from_json function, so its memos never
+    outlive the document they read.
+    """
+
+    def __init__(self) -> None:
+        self._rationals: Dict[str, Rational] = {}
+        self._pairs: Dict[Tuple[str, str], Vec2] = {}
+
+    def rational(self, node) -> Rational:
+        """parse_rational(node), parsed once per distinct string; a node that
+        is not a string goes straight to parse_rational, which names it."""
+        if type(node) is not str:
+            return parse_rational(node)
+        value = self._rationals.get(node)
+        if value is None:
+            value = self._rationals[node] = parse_rational(node)
+        return value
+
+    def pair(self, node) -> Vec2:
+        """A list of two rational nodes."""
+        first, second = _list(node)
+        return self.rational(first), self.rational(second)
+
+    def shared_pair(self, node) -> Vec2:
+        """pair(node), as one tuple for every list of the same two strings."""
+        value = self.pair(node)
+        return self._pairs.setdefault(tuple(node), value)
+
+
 # The writers format the bytes json.dumps(doc, indent=2) + "\n" gives for
 # their documents directly: with an indent json.dumps runs its pure-Python
 # encoder, and format_rational's digits, "-" and "/" need no escaping.
@@ -370,11 +410,12 @@ def network_to_json(net: Network) -> str:
 def network_from_json(text: str) -> Network:
     try:
         data = json.loads(text)
+        read = _Reader()
         neurons = []
         for item in _list(data["neurons"]):
-            a1, a2 = (parse_rational(s) for s in _list(item["a"]))
-            c1, c2 = (parse_rational(s) for s in _list(item["c"]))
-            neurons.append(HiddenNeuron(a1, a2, parse_rational(item["b"]), c1, c2))
+            a1, a2 = read.pair(item["a"])
+            c1, c2 = read.pair(item["c"])
+            neurons.append(HiddenNeuron(a1, a2, read.rational(item["b"]), c1, c2))
         return Network(tuple(neurons))
     except _MALFORMED as exc:
         raise NetworkError(f"malformed network JSON: {exc!r}") from exc
@@ -395,13 +436,18 @@ def instance_from_json(text: str) -> TrainInstance:
     """Parse an instance; the budget must be a JSON integer and both it and gamma at least 0."""
     try:
         data = json.loads(text)
+        read = _Reader()
         points = []
-        for item in _list(data["points"]):
-            x1, x2 = (parse_rational(s) for s in _list(item["x"]))
-            y1, y2 = (parse_rational(s) for s in _list(item["y"]))
-            points.append((Point2(x1, x2), (y1, y2)))
+        items = _list(data["points"])
+        for i, item in enumerate(items):
+            # Drop each point's JSON objects once read: the cyclic garbage
+            # collector runs on the growth of live objects, so the points
+            # built here replace json.loads' objects instead of adding to them.
+            items[i] = None
+            x1, x2 = read.pair(item["x"])
+            points.append((Point2(x1, x2), read.shared_pair(item["y"])))
         budget = data["hidden_neurons"]
-        gamma = parse_rational(data["gamma"])
+        gamma = read.rational(data["gamma"])
     except _MALFORMED as exc:
         raise NetworkError(f"malformed instance JSON: {exc!r}") from exc
     # bool is a subclass of int, and JSON true must not read as a budget of 1

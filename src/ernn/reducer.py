@@ -15,10 +15,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Tuple
 
 from .formula import Assignment, EtrInvFormula, check_assignment
-from .gadgets import Inversion, LowerBound, Variable, profile, witness_neurons
+from .gadgets import (
+    GadgetKind,
+    Inversion,
+    LowerBound,
+    Ridges,
+    Variable,
+    ridge_changes,
+    ridge_sum,
+    witness_neurons,
+)
 from .geometry import Rational, signed_value
 from .layout import Layout, plan, realize, realized_labels
 from .network import FitReport, Network, TrainInstance, exact_fit, exact_outputs
@@ -137,6 +146,11 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     notch just deep enough to make its weak point's converted label exact.
     The witness has one unit per ridge of every placement, in placement order.
 
+    ridge_changes() runs once per distinct (kind, state) in a call. The weak
+    points read their members' profiles off those ridges (ridge_sum()), and
+    witness_neurons() turns each placement's ridges into its units. Nothing
+    is kept from one call to the next.
+
     A solution's values lie in [1/2, 2], so its slopes s lie in [3/2, 3], and
     every notch depth is then at least 2, which ridge_changes() checks with
     the rest of each state: a variable-kind weak point reads 3 - s/3 >= 2
@@ -154,10 +168,19 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
 
     layout = bundle.layout
     placements = layout.placements
+    derived: Dict[Tuple[GadgetKind, Rational], Ridges] = {}
+
+    def ridges_of(i: int, state: Rational) -> Ridges:
+        key = (placements[i].placement.template.kind, state)
+        got = derived.get(key)
+        if got is None:
+            got = derived[key] = ridge_changes(*key)
+        return got
+
     # Fraction(1) rather than a coercion of the value keeps an int
     # assignment exact and lets other exact number types through.
-    states: Dict[int, Rational] = {
-        i: assignment[pg.variable] + Fraction(1)
+    ridges: Dict[int, Ridges] = {
+        i: ridges_of(i, assignment[pg.variable] + Fraction(1))
         for i, pg in enumerate(placements)
         if pg.variable is not None
     }
@@ -176,15 +199,16 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
         for m in cp.member_of:
             if m != notch:
                 pl = placements[m].placement
-                f = profile(pl.template.kind, states[m], signed_value(pl.line_at(0), cp.point))
+                f = ridge_sum(ridges[m], signed_value(pl.line_at(0), cp.point))
                 contribution = (contribution[0] + f[0], contribution[1] + f[1])
         target = realized_labels(cp.purpose.labels)
         depths = {contribution[d - 1] - target[d - 1] for d in cp.weak_dims}
         assert len(depths) == 1, "weak dims need different depths"
-        (states[notch],) = depths
+        (depth,) = depths
+        ridges[notch] = ridges_of(notch, depth)
 
     net = Network(tuple(
-        u for i, pg in enumerate(placements) for u in witness_neurons(pg.placement, states[i])
+        u for i, pg in enumerate(placements) for u in witness_neurons(pg.placement, ridges[i])
     ))
     assert len(net.neurons) == bundle.instance.hidden_neurons
     return net

@@ -26,6 +26,7 @@ from ernn.gadgets import (
     LowerBound,
     Variable,
     profile,
+    ridge_changes,
     template,
     witness_neurons,
 )
@@ -204,7 +205,7 @@ def test_06_cpwl_network_equivalence():
             for _ in range(4):
                 st = draw()
                 pl = GadgetPlacement(template(kind), n, F(rng.randint(-400, 400), rng.randint(1, 5)))
-                net = Network(witness_neurons(pl, st))
+                net = Network(witness_neurons(pl, ridge_changes(kind, st)))
                 for lo, hi in ((-width, 0), (0, width), (width, 2 * width)):
                     for _ in range(5):
                         t = between(lo, hi)

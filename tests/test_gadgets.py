@@ -229,7 +229,7 @@ def test_witness_neurons_realize_profile_off_axis():
     d = make_direction(F(3, 5), F(4, 5))
     pl = GadgetPlacement(template(Variable()), d, F(7))
     st = F(9, 4)
-    net = Network(witness_neurons(pl, st))
+    net = Network(witness_neurons(pl, ridge_changes(Variable(), st)))
     for k in range(0, 33):
         t = F(k, 2)
         # a point whose signed offset inside the stripe is t
@@ -242,7 +242,7 @@ def test_witness_neurons_vanish_outside_stripe():
     d = make_direction(F(5, 13), F(12, 13))
     pl = GadgetPlacement(template(Inversion()), d, F(-3))
     st = F(2)
-    net = Network(witness_neurons(pl, st))
+    net = Network(witness_neurons(pl, ridge_changes(Inversion(), st)))
     for t in (F(-5), F(0), F(19), F(40)):
         p = Point2(F(5, 13) * (-3 + t), F(12, 13) * (-3 + t))
         assert evaluate(net, p) == (F(0), F(0))

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+import ernn.network as network
 from ernn.formula import parse_formula
-from ernn.geometry import Point2
+from ernn.geometry import Point2, format_rational, parse_rational
 from ernn.network import (
     FitReport,
     HiddenNeuron,
@@ -504,3 +505,120 @@ def test_network_json_rejects_malformed(text):
 def test_instance_json_rejects_malformed(text):
     with pytest.raises(NetworkError):
         instance_from_json(text)
+
+
+# Rational strings as a document may hold them: canonical, and other forms
+# that parse_rational reads to the same values.
+_TEXTS = st.one_of(
+    st.sampled_from(("0", "1", "3/4", "-7/3", "2/4", " 3/4", "+1", "-0", "0/5", "1/2 ")),
+    st.builds(format_rational, _json_rationals),
+)
+
+
+@st.composite
+def _repeating_document(draw, min_items=1):
+    """("instance" or "network", a document of that kind whose rational
+    strings come from a pool of at most four, so they repeat)."""
+    node = st.sampled_from(draw(st.lists(_TEXTS, min_size=1, max_size=4, unique=True)))
+    n = draw(st.integers(min_items, 6))
+    if draw(st.booleans()):
+        points = [{"x": [draw(node), draw(node)], "y": [draw(node), draw(node)]} for _ in range(n)]
+        return "instance", {"hidden_neurons": 1, "gamma": "0", "points": points}
+    neurons = [
+        {"a": [draw(node), draw(node)], "b": draw(node), "c": [draw(node), draw(node)]}
+        for _ in range(n)
+    ]
+    return "network", {"neurons": neurons}
+
+
+def _nodes(kind, doc):
+    """[(item index, key, slot or None)] for every rational node of an item."""
+    if kind == "instance":
+        return [(i, key, j) for i in range(len(doc["points"])) for key in "xy" for j in (0, 1)]
+    return [
+        (i, key, slot)
+        for i in range(len(doc["neurons"]))
+        for key, slot in (("a", 0), ("a", 1), ("b", None), ("c", 0), ("c", 1))
+    ]
+
+
+_READERS = {"instance": instance_from_json, "network": network_from_json}
+
+
+def _strings(node):
+    """Every string in a JSON document but its keys: in these documents, the rationals."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for child in node.values():
+            yield from _strings(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _strings(child)
+
+
+@given(_repeating_document())
+def test_readers_read_each_node_as_parse_rational_does(case):
+    kind, doc = case
+    got = _READERS[kind](json.dumps(doc))
+    if kind == "instance":
+        for (p, y), item in zip(got.points, doc["points"]):
+            assert (p.x1, p.x2) + y == tuple(parse_rational(t) for t in item["x"] + item["y"])
+            assert all(type(v) is Fraction for v in (p.x1, p.x2) + y)
+        # points that share a label pair's strings share one tuple
+        shared = {}
+        for (_p, y), item in zip(got.points, doc["points"]):
+            assert shared.setdefault(tuple(item["y"]), y) is y
+    else:
+        for u, item in zip(got.neurons, doc["neurons"]):
+            texts = item["a"] + [item["b"]] + item["c"]
+            assert (u.a1, u.a2, u.b, u.c1, u.c2) == tuple(parse_rational(t) for t in texts)
+            assert all(type(v) is Fraction for v in (u.a1, u.a2, u.b, u.c1, u.c2))
+
+
+@given(_repeating_document(min_items=2), st.data())
+def test_readers_name_a_non_string_node_even_after_its_text(case, data):
+    """A JSON number or a list where the document's first rational string
+    already stood reads as parse_rational names it on its own."""
+    kind, doc = case
+    nodes = _nodes(kind, doc)
+    items = doc["points" if kind == "instance" else "neurons"]
+    i, key, slot = nodes[0]
+    text = items[i][key][slot]
+    value = parse_rational(text)
+    number = int(value) if value.denominator == 1 else float(value)
+    bad = data.draw(st.sampled_from((number, [text])))
+    # a node of a later item, so the reader has met the text before it
+    i, key, slot = data.draw(st.sampled_from([n for n in nodes if n[0] > 0]))
+    if slot is None:
+        items[i][key] = bad
+    else:
+        items[i][key][slot] = bad
+    with pytest.raises(ValueError) as alone:
+        parse_rational(bad)
+    with pytest.raises(NetworkError) as exc:
+        _READERS[kind](json.dumps(doc))
+    assert str(exc.value) == f"malformed {kind} JSON: {alone.value!r}"
+
+
+@pytest.mark.parametrize("kind", ["instance", "network"])
+def test_readers_parse_each_distinct_string_once_per_document(monkeypatch, kind):
+    bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
+    if kind == "instance":
+        text = instance_to_json(bundle.instance)
+    else:
+        text = network_to_json(witness(bundle, {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)}))
+    strings = set(_strings(json.loads(text)))
+    calls = []
+    parse = network.parse_rational
+
+    def counted(node):
+        calls.append(node)
+        return parse(node)
+
+    monkeypatch.setattr(network, "parse_rational", counted)
+    first = _READERS[kind](text)
+    assert sorted(calls) == sorted(strings)
+    # A second read parses them all again: no memo outlives its document.
+    assert _READERS[kind](text) == first
+    assert len(calls) == 2 * len(strings)

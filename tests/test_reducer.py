@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import ernn.reducer as reducer
 from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
 from ernn.layout import layout_to_json, plan
 from ernn.network import (
@@ -245,6 +246,42 @@ def test_width_budget_is_part_of_the_fit():
         extract(bundle, wide)
 
 
+def test_split_unit_fits_but_exceeds_the_budget():
+    # Two copies of a unit with c/2 each compute the unit itself, so the loss
+    # stays 0 and only the unit count can reject the network.
+    bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
+    net = witness(bundle, {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)})
+    u = net.neurons[0]
+    half = dataclasses.replace(u, c1=u.c1 / 2, c2=u.c2 / 2)
+    split = Network((half, half) + net.neurons[1:])
+    report = verify(split, bundle.instance)
+    assert report.total_loss == 0 and report.violations == ()
+    assert not report.fits
+    with pytest.raises(NotFitting, match="61 hidden units exceed the budget of 60"):
+        extract(bundle, split)
+
+
+def test_witness_derives_each_kind_and_state_once_per_call(monkeypatch):
+    bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
+    assignment = {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)}
+    calls = []
+    derive = reducer.ridge_changes
+
+    def counted(kind, state):
+        calls.append((kind, state))
+        return derive(kind, state)
+
+    monkeypatch.setattr(reducer, "ridge_changes", counted)
+    first = witness(bundle, assignment)
+    # 17 placements and 11 member profiles at weak points read 9 distinct
+    # (kind, state) pairs.
+    assert len(calls) == len(set(calls)) == 9
+    # The next call derives them all again: nothing is kept between calls.
+    second = witness(bundle, assignment)
+    assert calls[9:] == calls[:9]
+    assert second == first
+
+
 # Each example compiles, witnesses and verifies a whole instance, so the
 # property below reports its first failing example as drawn, unshrunk.
 _FAIL_FAST = settings(
@@ -325,3 +362,24 @@ def test_permuted_witness_fits_and_extracts(case, data):
     net = witness(bundle, assignment)
     permuted = Network(tuple(data.draw(st.permutations(net.neurons))))
     _assert_fits_as_the_witness(bundle, net, permuted, assignment)
+
+
+@_FAIL_FAST
+@given(_satisfiable(), st.data())
+def test_flipped_gadget_fits_and_extracts(case, data):
+    """ReLU(-z) = ReLU(z) - z, so flipping (a, b) to (-a, -b) in every unit
+    of one gadget, c kept, adds the affine term -sum(c*z). A gadget's slope
+    changes sum to zero, and so do their moments, so that term is zero."""
+    formula, assignment = case
+    bundle = compile_formula(formula)
+    net = witness(bundle, assignment)
+    # The witness holds each placement's units in placement order.
+    budgets = [pg.placement.template.breakline_budget for pg in bundle.layout.placements]
+    g = data.draw(st.integers(0, len(budgets) - 1))
+    start = sum(budgets[:g])
+    stop = start + budgets[g]
+    flipped = Network(tuple(
+        dataclasses.replace(u, a1=-u.a1, a2=-u.a2, b=-u.b) if start <= i < stop else u
+        for i, u in enumerate(net.neurons)
+    ))
+    _assert_fits_as_the_witness(bundle, net, flipped, assignment)

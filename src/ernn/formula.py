@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .geometry import Rational, parse_rational
+from .geometry import Rational, format_rational, parse_rational
 
 VALUE_MIN = Fraction(1, 2)
 VALUE_MAX = Fraction(2)
@@ -158,8 +158,13 @@ def parse_formula(text: str) -> EtrInvFormula:
     return EtrInvFormula(tuple(variables), tuple(constraints))
 
 
+def format_constraint(c: Constraint) -> str:
+    """The constraint as the text format writes it, such as "add X Y Z"."""
+    return " ".join((c.head, *c.variables()))
+
+
 def format_formula(formula: EtrInvFormula) -> str:
-    return "".join(" ".join((c.head, *c.variables())) + "\n" for c in formula.constraints)
+    return "".join(format_constraint(c) + "\n" for c in formula.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +176,16 @@ class SatisfactionReport:
     satisfied: bool
     range_violations: Tuple[Tuple[str, Rational], ...]
     residuals: Tuple[Tuple[Constraint, Rational], ...]
+
+
+def format_failures(report: SatisfactionReport) -> str:
+    """What a report finds wrong, such as
+    "X = 3 is outside [1/2, 2]; add X Y Z is off by 1/2"."""
+    bounds = f"[{format_rational(VALUE_MIN)}, {format_rational(VALUE_MAX)}]"
+    return "; ".join([
+        *(f"{v} = {format_rational(x)} is outside {bounds}" for v, x in report.range_violations),
+        *(f"{format_constraint(c)} is off by {format_rational(r)}" for c, r in report.residuals),
+    ])
 
 
 def constraint_residual(c: Constraint, values: Assignment) -> Rational:

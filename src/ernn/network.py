@@ -28,17 +28,19 @@ The points that share a vertical x1 = V/Q, Q > 0, are swept together; the
 instances compile_formula writes hold nearly all their points on a few
 such verticals. There unit i's pre-activation times Q is A2*Q*x2 + E, with
 E = A1*V + B*Q. With S the lcm of the x2 denominators on the vertical,
-each point has an integer height P = x2*S, and unit i is active
+each point has an integer height P = x2*S. A unit with A2 = 0 is active
+all along the vertical iff E > 0, and a unit with A2 > 0 is active
 
-    if A2 > 0:  iff P > floor(-E*S / (A2*Q))
-    if A2 < 0:  iff P < ceil(-E*S / (A2*Q))
-    if A2 = 0:  iff E > 0, all along the vertical.
+    iff P > floor(-E*S / (A2*Q)),     its up key.
 
-P is an integer, so these integer switch keys decide activity exactly, and
-the strict comparisons keep ReLU(0) = 0 on a bend line. With the up keys
-and the down keys sorted, prefix sums over the up units and suffix sums
-over the down units of (C_j*E, C_j*A2) give each point's active sums E_j
-and G_j with two bisects, and at x2 = r/s
+A unit with A2 < 0 is read as relu(z) = z + relu(-z): its linear part z is
+summed all along the vertical, and -z, whose A2 is -A2 > 0 and whose E is
+-E, is an up unit with key floor(E*S / (-A2*Q)). P is an integer, so the
+keys decide activity exactly, and the strict comparison keeps relu(0) = 0
+on a bend line, where z + relu(-z) reads 0 + 0. With the up keys sorted,
+prefix sums of (C_j*E, C_j*A2) over the up units, starting from the sums
+over what is active all along, give each point's active sums E_j and G_j
+with one bisect, and at x2 = r/s
 
     f_j = (G_j*Q*r + E_j*s) / (K*Q*s).
 
@@ -219,43 +221,35 @@ def _lone(units: List[Tuple[int, ...]], k: int, p: Point2) -> Tuple[int, int, in
 def _sweep(
     units: List[Tuple[int, ...]], k: int, v: int, q: int, heights: Sequence[Rational]
 ) -> List[Tuple[int, int, int]]:
-    """Outputs at (v/q, x2) for each x2 in heights, q > 0, read off the
-    switch keys and prefix sums of the module docstring."""
+    """Outputs at (v/q, x2) for each x2 in heights, q > 0, read off the up
+    keys and prefix sums of the module docstring: a unit with A2 < 0 is read
+    as z + relu(-z), so each height costs one bisect into one sorted list."""
     parts = [(y.numerator, y.denominator) for y in heights]
     s = lcm(*(t for _r, t in parts))
-    # (key, C1*E, C2*E, C1*A2, C2*A2) of units switching on above or below a key.
+    # (key, C1*E, C2*E, C1*A2, C2*A2) of each unit that switches on above its key.
     up = []
-    down = []
-    e1 = e2 = 0  # units with A2 = 0 that are active all along the vertical
+    base = (0, 0, 0, 0)  # the same sums over what is active all along the vertical
     for a1, a2, b, c1, c2 in units:
         e = a1 * v + b * q
+        row = (c1 * e, c2 * e, c1 * a2, c2 * a2)
         if a2 > 0:
-            up.append(((-e * s) // (a2 * q), c1 * e, c2 * e, c1 * a2, c2 * a2))
+            up.append(((-e * s) // (a2 * q), *row))
         elif a2 < 0:
-            down.append((-((e * s) // (a2 * q)), c1 * e, c2 * e, c1 * a2, c2 * a2))
+            # relu(z) = z + relu(-z): z is active all along, and -z switches on above.
+            base = _add4(base, row)
+            up.append(((e * s) // (-a2 * q), -row[0], -row[1], -row[2], -row[3]))
         elif e > 0:
-            e1 += c1 * e
-            e2 += c2 * e
+            base = _add4(base, row)
     up.sort(key=itemgetter(0))
-    down.sort(key=itemgetter(0), reverse=True)
-    # below[i]: sums over the constant units and the first i up units;
-    # above[i]: sums over the i down units with the largest keys.
-    below = list(accumulate((u[1:] for u in up), _add4, initial=(e1, e2, 0, 0)))
-    above = list(accumulate((u[1:] for u in down), _add4, initial=(0, 0, 0, 0)))
-    up_keys = [u[0] for u in up]
-    down_keys = [-u[0] for u in down]
+    # below[i]: sums over what is active all along and the first i up units.
+    below = list(accumulate((u[1:] for u in up), _add4, initial=base))
+    keys = [u[0] for u in up]
     out = []
     for r, t in parts:
-        height = r * (s // t)
-        # Up units with key < height and down units with key > height are active.
-        ue1, ue2, ug1, ug2 = below[bisect_left(up_keys, height)]
-        de1, de2, dg1, dg2 = above[bisect_left(down_keys, -height)]
+        # The up units with key < height are active.
+        e1, e2, g1, g2 = below[bisect_left(keys, r * (s // t))]
         qr = q * r
-        out.append((
-            (ug1 + dg1) * qr + (ue1 + de1) * t,
-            (ug2 + dg2) * qr + (ue2 + de2) * t,
-            k * q * t,
-        ))
+        out.append((g1 * qr + e1 * t, g2 * qr + e2 * t, k * q * t))
     return out
 
 
@@ -280,10 +274,13 @@ def max_gradient_norm_bound(net: Network) -> Rational:
     its edges therefore reads every cell, bounded or not.
 
     Along unit u's line p0 + t*d, d = (-a2, a1), every other unit either
-    lies on the same line (active on one side only), runs parallel to it
-    (active on both sides or neither) or crosses it at one t, where it
-    switches on if it grows with t and off otherwise. So start on the edge
-    before the first crossing and flip each group of equal t in turn.
+    lies on the same line, runs parallel to it (active on both sides or
+    neither) or crosses it at one t, where it switches on if it grows with t
+    and off otherwise. A unit on the line that faces u's way is active on
+    the positive side only; one that faces the other way is read as
+    relu(z) = z + relu(-z), z active on both sides and -z on the positive
+    one. So start on the edge before the first crossing and flip each group
+    of equal t in turn.
     """
     units, k = _integer_units(net)
     # Each line's (A1, A2, B), and its unit's gradients over K switching on and off.
@@ -295,9 +292,9 @@ def max_gradient_norm_bound(net: Network) -> Rational:
     best = 0
     for a1, a2, b, *_ in lines:
         norm = a1 * a1 + a2 * a2
-        # g: units off the line, active along the current edge; plus and
-        # minus: units on the line, active on its positive or negative side.
-        g = plus = minus = (0, 0, 0, 0)
+        # g: the active units' gradients on the current edge's negative
+        # side; plus: what the units on the line add on its positive side.
+        g = plus = (0, 0, 0, 0)
         crossings = []
         for v1, v2, vb, on, off in lines:
             # v's pre-activation along the line, scaled as the module docstring says.
@@ -313,23 +310,28 @@ def max_gradient_norm_bound(net: Network) -> Rational:
                 if a1 * v1 + a2 * v2 > 0:
                     plus = _add4(plus, on)
                 else:
-                    minus = _add4(minus, on)
+                    # relu(z) = z + relu(-z): z is active on both sides, -z on the positive one.
+                    g = _add4(g, on)
+                    plus = _add4(plus, off)
         # Each crossing's t = -value/slope, times the lcm of the slopes.
         common = lcm(*(slope for _, slope, _ in crossings))
         keyed = sorted(((-value * (common // slope), change) for value, slope, change in crossings),
                        key=itemgetter(0))
-        best = max(best, _squared_norm(g, plus), _squared_norm(g, minus))
+        best = max(best, _squared_norm(g, plus))
         for _, group in groupby(keyed, key=itemgetter(0)):
             for _, change in group:
                 g = _add4(g, change)
-            best = max(best, _squared_norm(g, plus), _squared_norm(g, minus))
+            best = max(best, _squared_norm(g, plus))
     return Fraction(best, k * k)
 
 
-def _squared_norm(g: Tuple[int, ...], side: Tuple[int, ...]) -> int:
-    """The larger of both outputs' squared gradient norms on one side, times K**2."""
-    h = _add4(g, side)
-    return max(h[0] * h[0] + h[1] * h[1], h[2] * h[2] + h[3] * h[3])
+def _squared_norm(g: Tuple[int, ...], plus: Tuple[int, ...]) -> int:
+    """The largest of both outputs' squared gradient norms on both sides of
+    an edge, times K**2: the gradients are g on the line's negative side and
+    g + plus on its positive side."""
+    h = _add4(g, plus)
+    return max(g[0] * g[0] + g[1] * g[1], g[2] * g[2] + g[3] * g[3],
+               h[0] * h[0] + h[1] * h[1], h[2] * h[2] + h[3] * h[3])
 
 
 # ---------------------------------------------------------------------------

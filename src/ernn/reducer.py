@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .formula import Assignment, EtrInvFormula, check_assignment
+from .formula import Assignment, EtrInvFormula, check_assignment, format_failures
 from .gadgets import (
     GadgetKind,
     Inversion,
@@ -161,9 +161,7 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     report = check_assignment(bundle.formula, assignment)
     if not report.satisfied:
         raise UnsatisfiedAssignment(
-            f"assignment does not satisfy the formula: "
-            f"range violations {report.range_violations}, "
-            f"residuals {[(c, str(r)) for c, r in report.residuals]}"
+            f"assignment does not satisfy the formula: {format_failures(report)}"
         )
 
     layout = bundle.layout
@@ -244,8 +242,6 @@ def extract(bundle: ReductionBundle, net: Network) -> Dict[str, Fraction]:
     final = check_assignment(bundle.formula, out)
     if not final.satisfied:
         raise ExtractionError(
-            f"extracted values do not satisfy the formula: "
-            f"range violations {final.range_violations}, "
-            f"residuals {[(c, str(r)) for c, r in final.residuals]}"
+            f"extracted values do not satisfy the formula: {format_failures(final)}"
         )
     return out

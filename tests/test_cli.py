@@ -152,6 +152,16 @@ def test_unsatisfying_assignment_is_exit_2(workspace, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unsatisfying_assignment_names_each_failure(workspace, capsys):
+    (workspace / "wrong.txt").write_text("X = 3\nY = 1/2\nZ = 3/2\nW = 1\n")
+    assert run(["witness", "f.ec", "wrong.txt", "-o", "net.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: assignment does not satisfy the formula: "
+        "X = 3 is outside [1/2, 2]; add X Y Z is off by 2; inv X W is off by 2\n"
+    )
+    assert not (workspace / "net.json").exists()
+
+
 def test_stray_assignment_name_is_exit_2(workspace, capsys):
     (workspace / "stray.txt").write_text(ASSIGNMENT + "Q = 7\n")
     assert run(["witness", "f.ec", "stray.txt", "-o", "net.json"]) == 2

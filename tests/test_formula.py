@@ -18,6 +18,8 @@ from ernn.formula import (
     NotFoundAtScale,
     check_assignment,
     format_assignment,
+    format_constraint,
+    format_failures,
     format_formula,
     grid_solve,
     grid_values,
@@ -152,6 +154,24 @@ def test_check_assignment_range_enforced():
     report = check_assignment(f, {"X": Fraction(4), "Y": Fraction(1, 4)})
     assert not report.satisfied
     assert report.range_violations
+
+
+def test_format_constraint_writes_the_text_format():
+    assert format_constraint(Add("X", "Y", "Z")) == "add X Y Z"
+    assert format_constraint(Inv("X", "X")) == "inv X X"
+
+
+def test_format_failures_names_values_and_residuals():
+    f = parse_formula("add X Y Z\ninv X W\n")
+    values = {"X": Fraction(3), "Y": Fraction(1, 2), "Z": Fraction(3), "W": Fraction(1, 3)}
+    assert format_failures(check_assignment(f, values)) == (
+        "X = 3 is outside [1/2, 2]; Z = 3 is outside [1/2, 2]; W = 1/3 is outside [1/2, 2]; "
+        "add X Y Z is off by 1/2"
+    )
+    # An int assignment reads as its Fraction would, a negative residual with its sign.
+    values = {"X": 1, "Y": 1, "Z": 2, "W": Fraction(1, 2)}
+    assert format_failures(check_assignment(f, values)) == "inv X W is off by -1/2"
+    assert format_failures(check_assignment(f, {**values, "W": 1})) == ""
 
 
 def test_check_assignment_missing_variable():

@@ -177,6 +177,19 @@ def _fit_cases(draw):
         (Point2(F(1, 2), y), (F(0), F(0))) for y in (F(-1, 4), F(0), F(1, 4), F(1, 2))
     )),
 ))
+# Every unit has A2 < 0, and the first two share the bend line x = 2y, so
+# both switch at y = 1/2 on x = 1. The points sit on each bend line and one
+# grid step of 1/4 on either side of it.
+@example((
+    Network((
+        HiddenNeuron(1, -2, 0, 3, -1),
+        HiddenNeuron(F(1, 2), -1, 0, -2, F(5, 3)),
+        HiddenNeuron(-1, -3, 1, 1, 1),
+    )),
+    TrainInstance(3, F(0), tuple(
+        (Point2(F(1), y), (F(0), F(0))) for y in (F(-1, 4), F(0), F(1, 4), F(1, 2), F(3, 4))
+    )),
+))
 @given(_fit_cases())
 def test_exact_fit_matches_evaluate(case):
     net, instance = case
@@ -293,6 +306,22 @@ def test_gradient_bound_reads_both_sides_of_every_edge():
     )
     assert max_gradient_norm_bound(net) == F(612)
     assert _reference_bound(net) == F(612)
+
+
+def test_gradient_bound_reads_units_facing_both_ways_on_one_line():
+    # The first two units bend along x = 0, one active for x > 0 and one
+    # for x < 0, and the third crosses it along y = 0. Output 1's gradient is
+    # (2, 1) for x, y > 0, (-3, 1) for x < 0 < y, (2, 0) and (-3, 0) below;
+    # output 2's is (-1, 2) above and (-1, 0) below.
+    net = Network(
+        (
+            HiddenNeuron(F(1), F(0), F(0), F(2), F(-1)),
+            HiddenNeuron(F(-2), F(0), F(0), F(3, 2), F(1, 2)),
+            HiddenNeuron(F(0), F(1), F(0), F(1), F(2)),
+        )
+    )
+    assert max_gradient_norm_bound(net) == F(10)
+    assert _reference_bound(net) == F(10)
 
 
 def test_gradient_bound_is_exact_on_int_weights():

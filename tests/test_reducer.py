@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import ernn.reducer as reducer
 from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
+from ernn.gadgets import NOTCH_CENTER, LowerBound, ridge_changes, ridge_sum, witness_neurons
 from ernn.layout import layout_to_json, plan
 from ernn.network import (
     HiddenNeuron,
     Network,
+    TrainInstance,
     evaluate,
     instance_to_json,
     max_gradient_norm_bound,
@@ -21,6 +23,7 @@ from ernn.network import (
 )
 from ernn.reducer import (
     DimensionMismatch,
+    ExtractionError,
     NotFitting,
     UnsatisfiedAssignment,
     compile_formula,
@@ -80,6 +83,30 @@ def test_witness_rejects_unsatisfying_assignment(inv_bundle):
     # product is right
     with pytest.raises(UnsatisfiedAssignment):
         witness(inv_bundle, {"X": F(4), "Y": F(1, 4)})
+
+
+def test_unsatisfied_assignment_names_each_failure(inv_bundle):
+    with pytest.raises(UnsatisfiedAssignment) as info:
+        witness(inv_bundle, {"X": F(1), "Y": F(2)})
+    assert str(info.value) == "assignment does not satisfy the formula: inv X Y is off by 1"
+    with pytest.raises(UnsatisfiedAssignment) as info:
+        witness(inv_bundle, {"X": F(4), "Y": F(1, 4)})
+    assert str(info.value) == (
+        "assignment does not satisfy the formula: "
+        "X = 4 is outside [1/2, 2]; Y = 1/4 is outside [1/2, 2]"
+    )
+
+
+def test_extracted_non_solution_names_each_failure(inv_bundle):
+    # With no data any network fits, and a constant 7 reads 7 - 4 = 3 at both probes.
+    hollow = dataclasses.replace(inv_bundle, instance=TrainInstance(1, F(0), ()))
+    constant = Network((HiddenNeuron(F(0), F(0), F(1), F(7), F(7)),))
+    with pytest.raises(ExtractionError) as info:
+        extract(hollow, constant)
+    assert str(info.value) == (
+        "extracted values do not satisfy the formula: "
+        "X = 3 is outside [1/2, 2]; Y = 3 is outside [1/2, 2]; inv X Y is off by 8"
+    )
 
 
 def test_extract_recovers_assignment(inv_bundle, inv_witness):
@@ -259,6 +286,35 @@ def test_split_unit_fits_but_exceeds_the_budget():
     assert not report.fits
     with pytest.raises(NotFitting, match="61 hidden units exceed the budget of 60"):
         extract(bundle, split)
+
+
+def test_asymmetric_notch_fits_and_extracts():
+    # A lower-bound gadget's data pin its notch only at offsets 3 and 5
+    # (value -1) and its weak point only at NOTCH_CENTER (value -depth), so
+    # an asymmetric V fits as well. Placement 8 digs depth 7/3 with bends at
+    # 9/4, 4 and 23/4; this V keeps the left arm and the value at 4, moves
+    # the vertex to 9/2 and climbs back to 0 at 21/4. It changes the network
+    # off the data, so the gradient bound may change.
+    bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
+    assignment = {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)}
+    net = witness(bundle, assignment)
+    placement = bundle.layout.placements[8].placement
+    assert placement.template.kind == LowerBound((1, 2))
+    start = sum(pg.placement.template.breakline_budget for pg in bundle.layout.placements[:8])
+    symmetric = ridge_changes(LowerBound((1, 2)), F(7, 3))
+    assert witness_neurons(placement, symmetric) == net.neurons[start:start + 3]
+    v = (
+        (F(9, 4), (F(-4, 3), F(-4, 3))),
+        (F(9, 2), (F(16, 3), F(16, 3))),
+        (F(21, 4), (F(-4), F(-4))),
+    )
+    for t in (F(3), NOTCH_CENTER, F(5), F(6)):
+        assert ridge_sum(v, t) == ridge_sum(symmetric, t)
+    assert ridge_sum(v, F(9, 2)) == (F(-3), F(-3)) != ridge_sum(symmetric, F(9, 2))
+    notched = Network(net.neurons[:start] + witness_neurons(placement, v) + net.neurons[start + 3:])
+    report = verify(notched, bundle.instance)
+    assert report.fits and report.total_loss == 0
+    assert extract(bundle, notched) == assignment
 
 
 def test_witness_derives_each_kind_and_state_once_per_call(monkeypatch):

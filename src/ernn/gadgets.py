@@ -245,7 +245,8 @@ def inversion_partner(s: Rational) -> Rational:
     s * s2 = s + s2, so the encoded values s - 1 and s2 - 1 multiply to 1;
     the map takes [3/2, 3] onto itself.
     """
-    return s / (s - 1)
+    p, q = s.numerator, s.denominator
+    return Fraction(p, p - q)
 
 
 Ridges = Tuple[Tuple[Rational, Tuple[Rational, Rational]], ...]
@@ -279,13 +280,16 @@ def ridge_changes(kind: GadgetKind, state: Rational) -> Ridges:
         d = state
         if d < DEPTH_MIN:
             raise InvalidState(f"depth {d} below {DEPTH_MIN}")
-        u = d / (d - 1)
-        arm = d - 1
-        side = _on_active_dims(kind, -arm)
+        # With d = p/q, the arms fall and rise d - 1 = arm/q and reach 0 at
+        # u = d/(d - 1) = p/arm either side of the centre c = k/m.
+        p, q = d.numerator, d.denominator
+        k, m = NOTCH_CENTER.numerator, NOTCH_CENTER.denominator
+        arm = p - q
+        side = _on_active_dims(kind, Fraction(-arm, q))
         return (
-            (NOTCH_CENTER - u, side),
-            (NOTCH_CENTER, _on_active_dims(kind, 2 * arm)),
-            (NOTCH_CENTER + u, side),
+            (Fraction(k * arm - m * p, m * arm), side),
+            (NOTCH_CENTER, _on_active_dims(kind, Fraction(2 * arm, q))),
+            (Fraction(k * arm + m * p, m * arm), side),
         )
 
     if not isinstance(kind, (Variable, Inversion)):
@@ -294,29 +298,43 @@ def ridge_changes(kind: GadgetKind, state: Rational) -> Ridges:
     if not (SLOPE_MIN <= s <= SLOPE_MAX):
         raise InvalidState(f"slope {s} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
 
-    half = 3 / s  # half the ramp's width, centred on offset 4
+    # The ramp rises from offset 4 - 3/s to 4 + 3/s; with s = p/q those
+    # are (4p -+ 3q)/p.
+    p, q = s.numerator, s.denominator
+    b1, b2 = Fraction(4 * p - 3 * q, p), Fraction(4 * p + 3 * q, p)
     if isinstance(kind, Variable):
         fall = -s
-        return ((4 - half, (s, s)), (4 + half, (fall, fall))) + _VARIABLE_TAIL
+        return ((b1, (s, s)), (b2, (fall, fall))) + _VARIABLE_TAIL
 
+    # Dimension 2 rises with slope s2 from b2 to 6, which it reaches 6/s2
+    # = 6(p - q)/p later, at (10p - 3q)/p.
     s2 = inversion_partner(s)
-    b2 = 4 + half
     return (
-        (4 - half, (s, _ZERO)),
+        (b1, (s, _ZERO)),
         (b2, (-s, s2)),
-        (b2 + 6 / s2, (_ZERO, -s2)),
+        (Fraction(10 * p - 3 * q, p), (_ZERO, -s2)),
     ) + _INVERSION_TAIL
 
 
 def ridge_sum(ridges: Ridges, t: Rational) -> Tuple[Rational, Rational]:
-    """Both outputs at offset t of the profile that bends at ridges."""
-    f1 = f2 = _ZERO
+    """Both outputs at offset t of the profile that bends at ridges.
+
+    Each ridge beta < t adds d*(t - beta) in each output. The sums run in
+    ints, each output over its own running denominator, and only the two
+    results are built as Fractions.
+    """
+    tn, td = t.numerator, t.denominator
+    n1 = n2 = 0
+    e1 = e2 = 1
     for beta, (d1, d2) in ridges:
-        if t > beta:
-            rise = t - beta
-            f1 += d1 * rise
-            f2 += d2 * rise
-    return (f1, f2)
+        bd = beta.denominator
+        rise = tn * bd - beta.numerator * td  # (t - beta) * td * bd
+        if rise > 0:
+            e = td * bd
+            q1, q2 = d1.denominator * e, d2.denominator * e
+            n1, e1 = n1 * q1 + d1.numerator * rise * e1, e1 * q1
+            n2, e2 = n2 * q2 + d2.numerator * rise * e2, e2 * q2
+    return (Fraction(n1, e1), Fraction(n2, e2))
 
 
 def profile(kind: GadgetKind, state: Rational, t: Rational) -> Tuple[Rational, Rational]:

@@ -63,8 +63,11 @@ from .geometry import (
     format_rational,
     intersect,
     make_direction,
-    signed_value,
 )
+# Not called here: perfbench/spans.py counts the calls to
+# ernn.layout.signed_value, and tests/test_trace_targets.py checks that every
+# traced name resolves.
+from .geometry import signed_value  # noqa: F401
 
 
 class LayoutError(ValueError):
@@ -121,6 +124,9 @@ _KIND_OF_PART = {
 # The variable template's weak entry: where every variable-kind gadget's
 # weak point sits across its stripe, and the at-least labels it carries.
 _VARIABLE_WEAK = template(Variable()).weak_entries[0]
+# The canonical gadget's upper measuring line, where its copy and inversion
+# copy points and its probe read it.
+_CANONICAL_READING = measuring_offset(Variable(), 1, "upper")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +322,24 @@ def _build(formula: EtrInvFormula) -> Layout:
     )
 
 
+def _integer_point(p: Point2) -> Tuple[int, int, int]:
+    """(X1, X2, W) with ints and W > 0 the lcm of the denominators, p = (X1, X2)/W."""
+    w = math.lcm(p.x1.denominator, p.x2.denominator)
+    return p.x1.numerator * (w // p.x1.denominator), p.x2.numerator * (w // p.x2.denominator), w
+
+
+def _on_line(pl: GadgetPlacement, t: Rational, x1: int, x2: int, w: int) -> bool:
+    """Whether p = (X1, X2)/W lies on the placement's line at template offset t.
+
+    With the normal (a, b)/r, the base offset B/E and t = T/U, that line is
+    n.p = B/E + T/U, so p lies on it iff (a*X1 + b*X2)*E*U = (B*U + T*E)*r*W.
+    """
+    a, b, r = pl.normal.integer
+    base = pl.base_offset
+    e, u = base.denominator, t.denominator
+    return (a * x1 + b * x2) * e * u == (base.numerator * u + t.numerator * e) * r * w
+
+
 class _StripeIndex:
     """Placements grouped by normal, each group sorted by stripe offset.
 
@@ -379,9 +403,7 @@ class _StripeIndex:
 
     def holders(self, p: Point2) -> List[int]:
         """Sorted indices of the placements whose open stripe contains p."""
-        w = math.lcm(p.x1.denominator, p.x2.denominator)
-        x1 = p.x1.numerator * (w // p.x1.denominator)
-        x2 = p.x2.numerator * (w // p.x2.denominator)
+        x1, x2, w = _integer_point(p)
         out = []
         for a, b, d, _scale, stripes, los in self._groups:
             n = (a * x1 + b * x2) * d
@@ -560,23 +582,30 @@ def _part(purpose: Purpose, pg: PlacedGadget) -> str:
     return part
 
 
-def _line(purpose: Purpose, pg: PlacedGadget) -> OrientedLine:
-    """The line a constraint point lies on in a member it reads, by part."""
-    part, pl = pg.part, pg.placement
+def reading_offset(purpose: Purpose, pg: PlacedGadget) -> Rational:
+    """The template offset of the line a constraint point of this purpose
+    lies on in a member, by the member's part.
+
+    validate() checks that every point of a layout lies on the line at this
+    offset in each of its members, so for a layout that passes, the offset is
+    also where the member's profile is read at the point: witness() reads it
+    here instead of measuring the point.
+    """
+    part, kind = pg.part, pg.placement.template.kind
     if part == "lower bound":
-        return pl.line_at(NOTCH_CENTER)
+        return NOTCH_CENTER
     if purpose is WEAK:
-        return pl.line_at(_VARIABLE_WEAK.offset)
+        return _VARIABLE_WEAK.offset
     if part == "inversion":
         # the measuring line of the output whose label is exact
-        return measuring_line(pl, 1 if isinstance(purpose.labels[0], Exact) else 2, "lower")
+        return measuring_offset(kind, 1 if isinstance(purpose.labels[0], Exact) else 2, "lower")
     if part == "canonical":
-        return measuring_line(pl, 1, "upper")
+        return _CANONICAL_READING
     # An addition copy's lower line meets its canonical gadget's upper one;
     # at the addition point the operands read their upper lines, the sum its
     # lower one.
-    upper = purpose is ADDITION and pl.normal != COPY_NORMALS[2]
-    return measuring_line(pl, 1, "upper" if upper else "lower")
+    upper = purpose is ADDITION and pg.placement.normal != COPY_NORMALS[2]
+    return measuring_offset(kind, 1, "upper" if upper else "lower")
 
 
 def validate(layout: Layout) -> Tuple[str, ...]:
@@ -623,7 +652,7 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         if missing:
             out.append(f"constraint point {ci} names placements {missing}, which do not exist")
             continue
-        weak = cp.weak_dims
+        weak, xw = cp.weak_dims, _integer_point(cp.point)
         parts = sorted(_part(cp.purpose, placements[i]) for i in cp.member_of)
         reads = sorted(cp.purpose.reads + ("lower bound",) * bool(weak))
         if parts != reads:
@@ -633,7 +662,7 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         else:
             for i in cp.member_of:
                 pg = placements[i]
-                if signed_value(_line(cp.purpose, pg), cp.point) != 0:
+                if not _on_line(pg.placement, reading_offset(cp.purpose, pg), *xw):
                     out.append(
                         f"constraint point {ci} misses the line of its "
                         f"{_part(cp.purpose, pg)} member {i}"
@@ -665,8 +694,7 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         if own is None:
             out.append(f"probe for unknown variable {var}")
             continue
-        upper = _canonical_upper(placements, own)
-        if signed_value(upper, p) != 0:
+        if not _on_line(placements[own].placement, _CANONICAL_READING, *_integer_point(p)):
             out.append(f"probe for {var} is off its measuring line")
         for idx in index.holders(p):
             if idx != own:

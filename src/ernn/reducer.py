@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .formula import Assignment, EtrInvFormula, check_assignment, format_failures
 from .gadgets import (
@@ -28,8 +28,8 @@ from .gadgets import (
     ridge_sum,
     witness_neurons,
 )
-from .geometry import Rational, signed_value
-from .layout import Layout, plan, realize, realized_labels
+from .geometry import Rational
+from .layout import Layout, plan, reading_offset, realize, realized_labels
 from .network import FitReport, Network, TrainInstance, exact_fit, exact_outputs
 # Not called here: perfbench/spans.py traces ernn.reducer.evaluate, and
 # tests/test_trace_targets.py checks that every traced name resolves.
@@ -138,6 +138,17 @@ def compile_layout(layout: Layout) -> ReductionBundle:
     return ReductionBundle(layout=layout, instance=instance, counts=counts)
 
 
+def _depth(
+    ramps: List[Tuple[Rational, Rational]], target: Tuple[Rational, Rational], d: int
+) -> Rational:
+    """How far the ramps' profiles at a weak point sum above its realized
+    label in output d: the depth its notch must dig there."""
+    value = ramps[0][d - 1]
+    for f in ramps[1:]:
+        value += f[d - 1]
+    return value - target[d - 1]
+
+
 def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     """A network fitting the compiled instance exactly, from a solution.
 
@@ -150,6 +161,13 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     points read their members' profiles off those ridges (ridge_sum()), and
     witness_neurons() turns each placement's ridges into its units. Nothing
     is kept from one call to the next.
+
+    A weak point reads each member at the template offset that
+    layout.reading_offset() gives for its purpose and the member's part: the
+    offset of the line the point lies on in that member. No point is
+    measured here; this relies on validate(), which checks at plan time that
+    every constraint point lies on those lines, for every layout plan()
+    returns.
 
     A solution's values lie in [1/2, 2], so its slopes s lie in [3/2, 3], and
     every notch depth is then at least 2, which ridge_changes() checks with
@@ -168,45 +186,60 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     placements = layout.placements
     derived: Dict[Tuple[GadgetKind, Rational], Ridges] = {}
 
-    def ridges_of(i: int, state: Rational) -> Ridges:
-        key = (placements[i].placement.template.kind, state)
+    def ridges_of(kind: GadgetKind, state: Rational) -> Ridges:
+        key = (kind, state)
         got = derived.get(key)
         if got is None:
-            got = derived[key] = ridge_changes(*key)
+            got = derived[key] = ridge_changes(kind, state)
         return got
 
     # Fraction(1) rather than a coercion of the value keeps an int
     # assignment exact and lets other exact number types through.
-    ridges: Dict[int, Ridges] = {
-        i: ridges_of(i, assignment[pg.variable] + Fraction(1))
-        for i, pg in enumerate(placements)
-        if pg.variable is not None
-    }
+    one = Fraction(1)
+    states = {v: assignment[v] + one for v in bundle.formula.variables}
+    ridges: List[Optional[Ridges]] = [
+        None if pg.variable is None else ridges_of(pg.placement.template.kind, states[pg.variable])
+        for pg in placements
+    ]
 
     # A gadget's units vanish outside its open stripe, and a weak point lies
     # in the open stripes of its members and no others (validate checks
     # that at plan time). So the network's value there is the sum of its
-    # members' profiles: its ramps, read here, and its one lower-bound
-    # member's notch, the member with no variable, dug just deep enough to
-    # bring the ramps down to the realized label.
+    # members' profiles: its ramps, each read at the offset of the line the
+    # point lies on in it, and its one lower-bound member's notch, the
+    # member with no variable, dug just deep enough to bring the ramps down
+    # to the realized label. Per call, each purpose's weak dims and labels
+    # are read once, and each ramp once per offset.
+    by_purpose: Dict[int, Tuple[Tuple[int, ...], Tuple[Rational, Rational]]] = {}
+    read: Dict[Tuple[int, Rational], Tuple[Rational, Rational]] = {}
     for cp in layout.constraint_points:
-        if not cp.weak_dims:
+        purpose = cp.purpose
+        got = by_purpose.get(id(purpose))
+        if got is None:
+            got = by_purpose[id(purpose)] = (cp.weak_dims, realized_labels(purpose.labels))
+        weak, target = got
+        if not weak:
             continue
-        (notch,) = [m for m in cp.member_of if placements[m].variable is None]
-        contribution = (Fraction(0), Fraction(0))
+        notches, ramps = [], []
         for m in cp.member_of:
-            if m != notch:
-                pl = placements[m].placement
-                f = ridge_sum(ridges[m], signed_value(pl.line_at(0), cp.point))
-                contribution = (contribution[0] + f[0], contribution[1] + f[1])
-        target = realized_labels(cp.purpose.labels)
-        depths = {contribution[d - 1] - target[d - 1] for d in cp.weak_dims}
-        assert len(depths) == 1, "weak dims need different depths"
-        (depth,) = depths
-        ridges[notch] = ridges_of(notch, depth)
+            pg = placements[m]
+            if pg.variable is None:
+                notches.append(m)
+                continue
+            r, t = ridges[m], reading_offset(purpose, pg)
+            f = read.get((id(r), t))
+            if f is None:
+                f = read[id(r), t] = ridge_sum(r, t)
+            ramps.append(f)
+        (notch,) = notches
+        depth = _depth(ramps, target, weak[0])
+        assert all(_depth(ramps, target, d) == depth for d in weak[1:]), (
+            "weak dims disagree on the depth"
+        )
+        ridges[notch] = ridges_of(placements[notch].placement.template.kind, depth)
 
     net = Network(tuple(
-        u for i, pg in enumerate(placements) for u in witness_neurons(pg.placement, ridges[i])
+        u for pg, r in zip(placements, ridges) for u in witness_neurons(pg.placement, r)
     ))
     assert len(net.neurons) == bundle.instance.hidden_neurons
     return net

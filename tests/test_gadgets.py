@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ernn.gadgets import (
     DEPTH_MIN,
@@ -20,6 +22,7 @@ from ernn.gadgets import (
     measuring_line,
     profile,
     ridge_changes,
+    ridge_sum,
     template,
     witness_neurons,
 )
@@ -193,6 +196,75 @@ def test_lower_bound_profile_notch():
         assert profile(kind, st, F(4) + u) == (F(0), F(0))
         assert profile(kind, st, F(0)) == (F(0), F(0))
         assert profile(kind, st, F(8)) == (F(0), F(0))
+
+
+def _fraction_ridges(kind, state):
+    """ridge_changes()' shapes, written in Fraction arithmetic."""
+    if isinstance(kind, LowerBound):
+        d = state
+        u, arm = d / (d - 1), d - 1
+
+        def on(v):
+            return tuple(v if dim in kind.active_dims else F(0) for dim in (1, 2))
+
+        return ((4 - u, on(-arm)), (F(4), on(2 * arm)), (4 + u, on(-arm)))
+    s = state
+    half = 3 / s
+    if isinstance(kind, Variable):
+        return ((4 - half, (s, s)), (4 + half, (-s, -s)), (F(8), (F(-1),) * 2), (F(14), (F(1),) * 2))
+    s2 = s / (s - 1)
+    return (
+        (4 - half, (s, F(0))),
+        (4 + half, (-s, s2)),
+        (4 + half + 6 / s2, (F(0), -s2)),
+        (F(11), (F(-1),) * 2),
+        (F(17), (F(1),) * 2),
+    )
+
+
+def _fraction_sum(ridges, t):
+    f1 = f2 = F(0)
+    for beta, (d1, d2) in ridges:
+        if t > beta:
+            f1 += d1 * (t - beta)
+            f2 += d2 * (t - beta)
+    return (f1, f2)
+
+
+_OFFSETS = st.fractions(-2, 21, max_denominator=30)
+
+
+@given(
+    st.sampled_from([Variable(), Inversion()]),
+    st.fractions(SLOPE_MIN, SLOPE_MAX, max_denominator=60),
+    st.lists(_OFFSETS, max_size=4),
+)
+def test_ramp_ridges_match_the_fraction_formulas(kind, slope, offsets):
+    ridges = ridge_changes(kind, slope)
+    assert ridges == _fraction_ridges(kind, slope)
+    for t in offsets + [beta for beta, _ in ridges]:
+        assert ridge_sum(ridges, t) == _fraction_sum(ridges, t)
+
+
+@given(
+    st.sampled_from([LowerBound((1,)), LowerBound((2,)), LowerBound((1, 2))]),
+    st.fractions(DEPTH_MIN, 40, max_denominator=60),
+    st.lists(_OFFSETS, max_size=4),
+)
+def test_notch_ridges_match_the_fraction_formulas(kind, depth, offsets):
+    ridges = ridge_changes(kind, depth)
+    assert ridges == _fraction_ridges(kind, depth)
+    for t in offsets + [beta for beta, _ in ridges]:
+        assert ridge_sum(ridges, t) == _fraction_sum(ridges, t)
+
+
+@given(
+    st.lists(st.tuples(_OFFSETS, st.tuples(_OFFSETS, _OFFSETS)), max_size=6),
+    _OFFSETS,
+)
+def test_ridge_sum_reads_any_ridges_in_any_order(ridges, t):
+    assert ridge_sum(tuple(ridges), t) == _fraction_sum(ridges, t)
+    assert ridge_sum(tuple(ridges), t.numerator) == _fraction_sum(ridges, F(t.numerator))
 
 
 def test_lower_bound_minimum_depth():

@@ -12,9 +12,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ernn"
 
-# Imported but not read: perfbench/spans.py traces ernn.reducer.evaluate,
-# and tests/test_trace_targets.py checks that every traced name resolves.
-KEPT = {("reducer", "evaluate")}
+# Imported but not read: perfbench/spans.py traces ernn.reducer.evaluate and
+# ernn.layout.signed_value, and tests/test_trace_targets.py checks that every
+# traced name resolves.
+KEPT = {("reducer", "evaluate"), ("layout", "signed_value")}
 
 
 def _imported(tree):

@@ -16,6 +16,7 @@ from ernn.gadgets import (
     Inversion,
     LowerBound,
     Variable,
+    placed_through,
     template,
 )
 from ernn.geometry import Point2, intersect, make_direction, signed_value
@@ -408,6 +409,56 @@ def test_validate_reports_bad_constraint_point_wiring(ci, member_of, messages):
     points[ci] = dataclasses.replace(points[ci], member_of=member_of)
     bad = dataclasses.replace(layout, constraint_points=tuple(points))
     assert validate(bad) == messages
+
+
+def _moved_along(layout, ci, direction, step):
+    """The layout with constraint point ci moved by step along direction, and
+    its lower-bound member placed again so its notch line passes through
+    the moved point."""
+    import dataclasses
+
+    cp = layout.constraint_points[ci]
+    p = Point2(cp.point.x1 + step * direction[0], cp.point.x2 + step * direction[1])
+    points = list(layout.constraint_points)
+    points[ci] = dataclasses.replace(cp, point=p)
+    placements = list(layout.placements)
+    (lb,) = [i for i in cp.member_of if placements[i].part == "lower bound"]
+    old = placements[lb].placement
+    placements[lb] = dataclasses.replace(
+        placements[lb], placement=placed_through(old.template, old.normal, NOTCH_CENTER, p)
+    )
+    return dataclasses.replace(
+        layout, placements=tuple(placements), constraint_points=tuple(points)
+    )
+
+
+@pytest.mark.parametrize(
+    "ci, direction, message",
+    [
+        # Weak point 1 of copy 4 slides along its notch line, off the line
+        # at the weak offset.
+        (1, (F(-5, 13), F(12, 13)), "constraint point 1 misses the line of its variable member 4"),
+        # Inversion copy point 7 slides along canonical X's upper measuring
+        # line, off inversion 7's lower measuring line of dimension 1.
+        (7, (F(1), F(0)), "constraint point 7 misses the line of its inversion member 7"),
+    ],
+    ids=["weak-point-off-its-weak-line", "inversion-copy-point-off-its-measuring-line"],
+)
+def test_validate_reports_a_point_off_the_line_it_reads(ci, direction, message):
+    layout = plan(parse_formula(REFERENCE))
+    assert validate(_moved_along(layout, ci, direction, F(0))) == ()
+    assert validate(_moved_along(layout, ci, direction, F(1, 2))) == (message,)
+
+
+def test_validate_reports_a_probe_off_its_measuring_line():
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    var, p = layout.probes[0]
+    probes = ((var, Point2(p.x1, p.x2 + F(1, 2))),) + layout.probes[1:]
+    assert validate(dataclasses.replace(layout, probes=probes)) == (
+        "probe for X is off its measuring line",
+    )
 
 
 def _rotate_about(pg, p, normal):

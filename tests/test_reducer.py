@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 
 import ernn.reducer as reducer
 from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
-from ernn.gadgets import NOTCH_CENTER, LowerBound, ridge_changes, ridge_sum, witness_neurons
-from ernn.layout import layout_to_json, plan
+from ernn.gadgets import (
+    NOTCH_CENTER,
+    LowerBound,
+    profile,
+    ridge_changes,
+    ridge_sum,
+    witness_neurons,
+)
+from ernn.geometry import signed_value
+from ernn.layout import layout_to_json, plan, reading_offset, realized_labels
 from ernn.network import (
     HiddenNeuron,
     Network,
@@ -384,6 +392,56 @@ def test_witness_of_a_random_solution_fits(case):
     assert report.fits and report.total_loss == 0
     assert len(net.neurons) == bundle.instance.hidden_neurons
     assert extract(bundle, net) == assignment
+
+
+def _reference_witness(bundle, assignment):
+    """The witness read through geometry: each member's profile at the
+    offset of the weak point measured along its normal (signed_value), with
+    profile() deriving each state afresh."""
+    placements = bundle.layout.placements
+    kinds = [pg.placement.template.kind for pg in placements]
+    states = {
+        i: assignment[pg.variable] + F(1) for i, pg in enumerate(placements) if pg.variable is not None
+    }
+    for cp in bundle.layout.constraint_points:
+        if not cp.weak_dims:
+            continue
+        (notch,) = [m for m in cp.member_of if placements[m].variable is None]
+        contribution = (F(0), F(0))
+        for m in cp.member_of:
+            if m != notch:
+                t = signed_value(placements[m].placement.line_at(0), cp.point)
+                f = profile(kinds[m], states[m], t)
+                contribution = (contribution[0] + f[0], contribution[1] + f[1])
+        target = realized_labels(cp.purpose.labels)
+        (states[notch],) = {contribution[d - 1] - target[d - 1] for d in cp.weak_dims}
+    return Network(tuple(
+        u
+        for i, pg in enumerate(placements)
+        for u in witness_neurons(pg.placement, ridge_changes(kinds[i], states[i]))
+    ))
+
+
+def _assert_matches_the_reference(formula, assignment):
+    """Every member offset reading_offset() gives is the one measured at the
+    point, and witness() builds the reference's network."""
+    bundle = compile_formula(formula)
+    for cp in bundle.layout.constraint_points:
+        for m in cp.member_of:
+            pg = bundle.layout.placements[m]
+            assert reading_offset(cp.purpose, pg) == signed_value(pg.placement.line_at(0), cp.point)
+    assert witness(bundle, assignment) == _reference_witness(bundle, assignment)
+
+
+@pytest.mark.parametrize("text, assignment", [(t, a) for t, _i, _s, a, _n in _PINNED])
+def test_witness_matches_the_geometric_reference_on_pinned_cases(text, assignment):
+    _assert_matches_the_reference(parse_formula(text), assignment)
+
+
+@_FAIL_FAST
+@given(_satisfiable())
+def test_witness_matches_the_geometric_reference(case):
+    _assert_matches_the_reference(*case)
 
 
 def _assert_fits_as_the_witness(bundle, net, other, assignment):

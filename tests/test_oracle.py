@@ -4,15 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ernn.gadgets import AtLeast, Exact, Inversion, LowerBound, Variable, template
 from ernn.oracle import (
     FittingProfile,
-    _expr_add,
-    _expr_param,
-    _expr_scale,
     _slot_survivors,
     _Solver,
     evaluate_profile,
@@ -34,6 +31,42 @@ def test_rejects_bad_arguments():
         fit_cpwl_1d_oracle(pts, breakpoints=1, grid_denominator=0)
     with pytest.raises(ValueError):
         fit_cpwl_1d_oracle(pts + [(F(0), _exact(2))], 1, 1)
+
+
+@pytest.mark.parametrize(
+    "points, k, g, message",
+    [
+        ([(0.1, _exact(0))], 1, 1, "position 0.1 is not an int or Fraction"),
+        (
+            [(F(0), _exact(0)), (1, (Exact(0.5), Exact(F(1))))],
+            1,
+            1,
+            "label Exact(value=0.5) at position 1 is not an int or Fraction",
+        ),
+        (
+            [(F(1, 2), (Exact(F(1)), AtLeast("1")))],
+            1,
+            1,
+            "label AtLeast(value='1') at position 1/2 is not an int or Fraction",
+        ),
+        ([(F(0), _exact(0))], 1, 2.0, "grid_denominator must be an int, got 2.0"),
+        ([(F(0), _exact(0))], 1, True, "grid_denominator must be an int, got True"),
+        ([(F(0), _exact(0))], 1.0, 1, "breakpoints must be an int, got 1.0"),
+        ([(F(0), _exact(0))], True, 1, "breakpoints must be an int, got True"),
+    ],
+)
+def test_rejects_inexact_arguments(points, k, g, message):
+    with pytest.raises(TypeError) as err:
+        fit_cpwl_1d_oracle(points, k, g)
+    assert str(err.value) == message
+
+
+def test_int_positions_and_values_come_back_as_fractions():
+    pts = [(t, (Exact(abs(t - 2)), AtLeast(0))) for t in (0, 1, 3, 4)]
+    (p,) = fit_cpwl_1d_oracle(pts, 1, 1)
+    assert p == fit_cpwl_1d_oracle([(F(t), labels) for t, labels in pts], 1, 1)[0]
+    for part in (p.breakpoints, *p.slopes, *p.breakpoint_values):
+        assert all(type(x) is Fraction for x in part)
 
 
 def test_single_kink_vee():
@@ -286,8 +319,42 @@ def _fit_inputs(draw):
     return draw(st.permutations(pts)), k, g
 
 
+# |t - 2| at 0, 1, 3 and 4 with a weak label at 2: the two fixed lines cross
+# at position 2, an end of gaps (1, 2) and (2, 3), so only a breakpoint at 2
+# itself can join them.
+_CROSSING_AT_A_POSITION = [
+    (F(0), _exact(2)),
+    (F(1), _exact(1)),
+    (F(2), (AtLeast(F(-1)), AtLeast(F(0)))),
+    (F(3), _exact(1)),
+    (F(4), _exact(2)),
+]
+
+# Positions in thirds on the half grid (G = 6), values in thirds: output 1 is
+# t up to its bend at 1, inside the gap (1/3, 4/3), then 2 - t.
+_THIRDS = [
+    (F(0), (Exact(F(0)), Exact(F(1, 3)))),
+    (F(1, 3), (Exact(F(1, 3)), AtLeast(F(0)))),
+    (F(4, 3), (Exact(F(2, 3)), Exact(F(1, 3)))),
+    (F(2), (Exact(F(0)), Exact(F(1, 3)))),
+    (F(3), (Exact(F(-1)), AtLeast(F(1, 3)))),
+]
+
+
+def test_lines_crossing_at_a_position_do_not_meet_in_its_gaps():
+    # The grid stage would drop gap slots 3 and 5 too; only the slot stage
+    # shows that the sign test at the gap ends is strict.
+    assert _slot_survivors(_CROSSING_AT_A_POSITION, 1) == [(4,)]
+    (p,) = fit_cpwl_1d_oracle(_CROSSING_AT_A_POSITION, 1, 2)
+    assert p.breakpoints == (F(2),)
+
+
 @_FAIL_FAST
 @given(_fit_inputs())
+@example((_CROSSING_AT_A_POSITION, 1, 2))
+@example((_CROSSING_AT_A_POSITION, 2, 3))
+@example((_THIRDS, 1, 2))
+@example((_THIRDS, 2, 2))
 def test_matches_the_grid_walk(case):
     pts, k, g = case
     assert fit_cpwl_1d_oracle(pts, k, g) == _reference_fit(pts, k, g)
@@ -331,6 +398,115 @@ def test_slot_stage_proves_the_breakline_budget(name):
     pts = sorted(((F(t), labels) for t, labels in _template_points(name)), key=lambda p: p[0])
     assert _slot_survivors(pts, budget - 1) == []
     assert _slot_survivors(pts, budget) != []
+
+
+class _FractionSolver:
+    """Incremental exact Gaussian elimination over Fraction.
+
+    The reference's own elimination, kept apart from the oracle's int
+    solver. solved maps a parameter id to an expression over parameters
+    that are still free; the invariant that solved expressions never
+    mention solved parameters keeps substitution single-pass.
+    """
+
+    __slots__ = ("solved",)
+
+    def __init__(self, solved=None):
+        self.solved = solved if solved is not None else {}
+
+    def clone(self):
+        return _FractionSolver({p: (c, dict(t)) for p, (c, t) in self.solved.items()})
+
+    def reduce(self, expr):
+        const, terms = expr
+        out = {}
+        for p, coef in terms.items():
+            if coef == 0:
+                continue
+            hit = self.solved.get(p)
+            if hit is None:
+                out[p] = out.get(p, Fraction(0)) + coef
+            else:
+                const += coef * hit[0]
+                for q, qc in hit[1].items():
+                    out[q] = out.get(q, Fraction(0)) + coef * qc
+        return const, {p: c for p, c in out.items() if c != 0}
+
+    def add_equation(self, expr, rhs):
+        """Require expr == rhs; False means contradiction."""
+        const, terms = self.reduce(expr)
+        if not terms:
+            return const == rhs
+        pivot = max(terms)
+        coef = terms.pop(pivot)
+        entry = (
+            (rhs - const) / coef,
+            {p: -c / coef for p, c in terms.items()},
+        )
+        for p, (c, t) in list(self.solved.items()):
+            hit = t.pop(pivot, None)
+            if hit is not None:
+                c += hit * entry[0]
+                for q, qc in entry[1].items():
+                    t[q] = t.get(q, Fraction(0)) + hit * qc
+                self.solved[p] = (c, {q: qc for q, qc in t.items() if qc != 0})
+        self.solved[pivot] = entry
+        return True
+
+    def pinned_value(self, expr):
+        """Value of expr with every remaining free parameter set to 0."""
+        const, _terms = self.reduce(expr)
+        return const
+
+
+def _expr_param(p):
+    return (Fraction(0), {p: Fraction(1)})
+
+
+def _expr_add(a, b):
+    const = a[0] + b[0]
+    terms = dict(a[1])
+    for p, c in b[1].items():
+        terms[p] = terms.get(p, Fraction(0)) + c
+    return const, terms
+
+
+def _expr_scale(a, k):
+    return (a[0] * k, {p: c * k for p, c in a[1].items()})
+
+
+def _int_pinned(solver, p):
+    den, const, _free = solver.reduce({p: 1})
+    return Fraction(const, den)
+
+
+_PARAMS = 5
+
+
+@_FAIL_FAST
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-3, 3), min_size=_PARAMS, max_size=_PARAMS),
+            st.fractions(min_value=-4, max_value=4, max_denominator=5),
+        ),
+        max_size=8,
+    )
+)
+def test_int_solver_matches_the_fraction_solver(equations):
+    exact, reference = _Solver(), _FractionSolver()
+    for coefs, rhs in equations:
+        before = exact.clone()
+        pinned_before = [_int_pinned(before, p) for p in range(_PARAMS)]
+        expr = {p: c for p, c in enumerate(coefs) if c}
+        ref_expr = (Fraction(0), {p: Fraction(c) for p, c in expr.items()})
+        assert exact.add_equation(expr, rhs) == reference.add_equation(ref_expr, rhs)
+        for p in range(_PARAMS):
+            assert _int_pinned(exact, p) == reference.pinned_value(_expr_param(p))
+        # a clone shares rows, so adding to the original must leave it unchanged
+        assert [_int_pinned(before, p) for p in range(_PARAMS)] == pinned_before
+        for den, const, terms in exact.solved.values():
+            assert den > 0 and math.gcd(den, const, *terms.values()) == 1
 
 
 def _reference_fit(points, breakpoints, grid_denominator):
@@ -495,5 +671,5 @@ def _reference_fit(points, breakpoints, grid_denominator):
                 bps.pop()
         return
 
-    descend(0, 0, 0, [], [_Solver(), _Solver()], ((), ()))
+    descend(0, 0, 0, [], [_FractionSolver(), _FractionSolver()], ((), ()))
     return tuple(results)

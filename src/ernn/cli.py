@@ -84,10 +84,12 @@ def _layout_sidecar(instance_path: str) -> str:
 
 
 def _compile(args: argparse.Namespace) -> int:
+    layout_path = args.layout or _layout_sidecar(args.output)
+    if Path(layout_path).resolve() == Path(args.output).resolve():
+        raise ValueError(f"--output {args.output} and --layout {layout_path} name the same file")
     formula = parse_formula(_read(args.formula))
     bundle = compile_formula(formula)
     _write(args.output, instance_to_json(bundle.instance))
-    layout_path = args.layout or _layout_sidecar(args.output)
     _write(layout_path, layout_to_json(bundle.layout))
     c = bundle.counts
     print(

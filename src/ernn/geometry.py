@@ -69,6 +69,13 @@ class Point2:
     x2: Rational
 
 
+def integer_point(p: Point2) -> Tuple[int, int, int]:
+    """(X1, X2, W) with ints and W > 0 the lcm of the denominators, p = (X1, X2)/W."""
+    x1, x2 = p.x1, p.x2
+    w = lcm(x1.denominator, x2.denominator)
+    return x1.numerator * (w // x1.denominator), x2.numerator * (w // x2.denominator), w
+
+
 @dataclass(frozen=True)
 class Direction:
     """Unit vector with rational coordinates (a Pythagorean direction).

@@ -9,14 +9,16 @@ exactly on the intersections of the right measuring lines. A placement's
 normal names its part: canonical, addition copy (one normal per operand
 slot), inversion or lower bound. Each such constraint point has one of
 five purposes, COPY, ADDITION, INVERSION_COPY[1] and [2], and WEAK: a
-Purpose record of the parts it reads and the labels it pins.
+Purpose record of the parts it reads and the labels it pins, which also
+holds the weak dims and training targets those labels give.
 
 plan() lays a formula out in one deterministic pass: bands of x from left
 to right for the probes, the canonical weak points, each inversion and
 each addition, then three sample verticals at unit spacing a fixed margin
 right of every stripe crossing; its docstring argues why that validates.
-realize() turns a layout into labeled data points: three per data line,
-on the verticals, plus one per constraint point. On each vertical every gap
+realize() turns a layout into its training instance: labeled data points,
+three per data line on the verticals plus one per constraint point, and the
+sum of its placements' unit budgets. On each vertical every gap
 between neighbouring stripe cross-sections exceeds the widest
 cross-section, so data from different gadgets cannot be confused.
 validate() re-checks every geometric invariant the reduction's correctness
@@ -61,6 +63,7 @@ from .geometry import (
     Point2,
     Rational,
     format_rational,
+    integer_point,
     intersect,
     make_direction,
 )
@@ -68,6 +71,7 @@ from .geometry import (
 # ernn.layout.signed_value, and tests/test_trace_targets.py checks that every
 # traced name resolves.
 from .geometry import signed_value  # noqa: F401
+from .network import TrainInstance
 
 
 class LayoutError(ValueError):
@@ -142,6 +146,22 @@ class Purpose:
     reads: Tuple[str, ...]
     labels: Tuple[Label, Label]
 
+    @cached_property
+    def weak_dims(self) -> Tuple[int, ...]:
+        """The outputs whose label is AtLeast; a lower-bound gadget is active in these."""
+        return tuple(d for d in (1, 2) if isinstance(self.labels[d - 1], AtLeast))
+
+    @cached_property
+    def targets(self) -> Tuple[Rational, Rational]:
+        """The training label pair, one tuple shared by every point of the purpose.
+
+        Exact labels pass through; an AtLeast(y) weak label becomes the exact
+        label y - DEPTH_MIN, the lower-bound gadget underneath supplying the slack.
+        """
+        return tuple(
+            lab.value if isinstance(lab, Exact) else lab.value - DEPTH_MIN for lab in self.labels
+        )
+
 
 _SIX, _FREE = Exact(Fraction(6)), AtLeast(Fraction(0))
 # A canonical gadget's value copied into an addition copy.
@@ -176,10 +196,6 @@ class ConstraintPoint:
     purpose: Purpose
     member_of: Tuple[int, ...]  # the placements it ties together; their open stripes hold it
 
-    @property
-    def weak_dims(self) -> Tuple[int, ...]:
-        return tuple(d for d in (1, 2) if isinstance(self.purpose.labels[d - 1], AtLeast))
-
 
 @dataclass(frozen=True)
 class Layout:
@@ -196,26 +212,6 @@ class Layout:
 
 
 LabeledPoint = Tuple[Point2, Tuple[Rational, Rational]]
-
-
-@dataclass(frozen=True)
-class Realization:
-    points: Tuple[LabeledPoint, ...]
-
-
-def realized_labels(labels: Tuple[Label, Label]) -> Tuple[Rational, Rational]:
-    """Training labels for a constraint point.
-
-    Exact labels pass through; an AtLeast(y) weak label becomes the exact
-    label y - DEPTH_MIN, the lower-bound gadget underneath supplying the slack.
-    """
-    out = []
-    for lab in labels:
-        if isinstance(lab, Exact):
-            out.append(lab.value)
-        else:
-            out.append(lab.value - DEPTH_MIN)
-    return (out[0], out[1])
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +298,10 @@ def _build(formula: EtrInvFormula) -> Layout:
 
     # Lower-bound gadgets, one per weak constraint point, all parallel.
     for cp_idx, cp in enumerate(cpoints):
-        if not cp.weak_dims:
+        weak = cp.purpose.weak_dims
+        if not weak:
             continue
-        lb_template = template(LowerBound(cp.weak_dims))
+        lb_template = template(LowerBound(weak))
         placement = placed_through(lb_template, LOWER_BOUND_NORMAL, NOTCH_CENTER, cp.point)
         lb_idx = place(placement, None)
         cpoints[cp_idx] = replace(cp, member_of=cp.member_of + (lb_idx,))
@@ -320,12 +317,6 @@ def _build(formula: EtrInvFormula) -> Layout:
         verticals=(v1, v1 + 1, v1 + 2),
         probes=tuple(probes),
     )
-
-
-def _integer_point(p: Point2) -> Tuple[int, int, int]:
-    """(X1, X2, W) with ints and W > 0 the lcm of the denominators, p = (X1, X2)/W."""
-    w = math.lcm(p.x1.denominator, p.x2.denominator)
-    return p.x1.numerator * (w // p.x1.denominator), p.x2.numerator * (w // p.x2.denominator), w
 
 
 def _on_line(pl: GadgetPlacement, t: Rational, x1: int, x2: int, w: int) -> bool:
@@ -403,7 +394,7 @@ class _StripeIndex:
 
     def holders(self, p: Point2) -> List[int]:
         """Sorted indices of the placements whose open stripe contains p."""
-        x1, x2, w = _integer_point(p)
+        x1, x2, w = integer_point(p)
         out = []
         for a, b, d, _scale, stripes, los in self._groups:
             n = (a * x1 + b * x2) * d
@@ -543,8 +534,10 @@ def plan(formula: EtrInvFormula) -> Layout:
 # Realization
 # ---------------------------------------------------------------------------
 
-def realize(layout: Layout) -> Realization:
-    """Labeled training points for a layout: 3 per data line + constraints.
+def realize(layout: Layout) -> TrainInstance:
+    """The layout's training instance: 3 labeled points per data line, one
+    per constraint point with its purpose's targets, a hidden unit budget of
+    the sum of the placements' breakline budgets, and target loss 0.
 
     The data lines are sampled at layout.verticals as they stand, which
     separate the gadgets only in a layout that passes validate(), as every
@@ -566,8 +559,9 @@ def realize(layout: Layout) -> Realization:
                 y = Fraction(r * c * vd - a * vn * e, b * e * vd)
                 points.append((Point2(v, y), entry.values))
     for cp in layout.constraint_points:
-        points.append((cp.point, realized_labels(cp.purpose.labels)))
-    return Realization(points=tuple(points))
+        points.append((cp.point, cp.purpose.targets))
+    budget = sum(pg.placement.template.breakline_budget for pg in layout.placements)
+    return TrainInstance(hidden_neurons=budget, gamma=Fraction(0), points=tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +646,7 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         if missing:
             out.append(f"constraint point {ci} names placements {missing}, which do not exist")
             continue
-        weak, xw = cp.weak_dims, _integer_point(cp.point)
+        weak, xw = cp.purpose.weak_dims, integer_point(cp.point)
         parts = sorted(_part(cp.purpose, placements[i]) for i in cp.member_of)
         reads = sorted(cp.purpose.reads + ("lower bound",) * bool(weak))
         if parts != reads:
@@ -694,7 +688,7 @@ def validate(layout: Layout) -> Tuple[str, ...]:
         if own is None:
             out.append(f"probe for unknown variable {var}")
             continue
-        if not _on_line(placements[own].placement, _CANONICAL_READING, *_integer_point(p)):
+        if not _on_line(placements[own].placement, _CANONICAL_READING, *integer_point(p)):
             out.append(f"probe for {var} is off its measuring line")
         for idx in index.holders(p):
             if idx != own:

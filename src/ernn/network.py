@@ -80,7 +80,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
-from .geometry import Point2, Rational, format_rational, parse_rational
+from .geometry import Point2, Rational, format_rational, integer_point, parse_rational
 
 Vec2 = Tuple[Rational, Rational]
 
@@ -206,9 +206,7 @@ def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int
 
 def _lone(units: List[Tuple[int, ...]], k: int, p: Point2) -> Tuple[int, int, int]:
     """Outputs at p = (X1, X2) / W: sum(C_j * max(0, z)) / (K * W)."""
-    w = lcm(p.x1.denominator, p.x2.denominator)
-    x1 = p.x1.numerator * (w // p.x1.denominator)
-    x2 = p.x2.numerator * (w // p.x2.denominator)
+    x1, x2, w = integer_point(p)
     s1 = s2 = 0
     for a1, a2, b, c1, c2 in units:
         z = a1 * x1 + a2 * x2 + b * w

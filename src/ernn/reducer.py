@@ -29,7 +29,7 @@ from .gadgets import (
     witness_neurons,
 )
 from .geometry import Rational
-from .layout import Layout, plan, reading_offset, realize, realized_labels
+from .layout import Layout, plan, reading_offset, realize
 from .network import FitReport, Network, TrainInstance, exact_fit, exact_outputs
 # Not called here: perfbench/spans.py traces ernn.reducer.evaluate, and
 # tests/test_trace_targets.py checks that every traced name resolves.
@@ -93,20 +93,13 @@ def compile_layout(layout: Layout) -> ReductionBundle:
     """The reduction of the formula a layout from plan() lays out, without
     planning it again."""
     formula = layout.formula
-    realization = realize(layout)
-
+    instance = realize(layout)
     kinds = Counter(type(pg.placement.template.kind) for pg in layout.placements)
-    budget = sum(pg.placement.template.breakline_budget for pg in layout.placements)
 
-    instance = TrainInstance(
-        hidden_neurons=budget,
-        gamma=Fraction(0),
-        points=realization.points,
-    )
     # Normalised Fractions are equal iff their integer parts are, and ints
     # hash without the modular inverse that every Fraction hash recomputes.
-    # The points of one template entry share its label pair object, so each
-    # object is read once.
+    # The points of one template entry or one purpose share its label pair
+    # object, so each object is read once.
     label_parts = {
         (y1.numerator, y1.denominator, y2.numerator, y2.denominator)
         for y1, y2 in {id(y): y for _p, y in instance.points}.values()
@@ -115,7 +108,7 @@ def compile_layout(layout: Layout) -> ReductionBundle:
         variable_gadgets=kinds[Variable],
         inversion_gadgets=kinds[Inversion],
         lower_bound_gadgets=kinds[LowerBound],
-        hidden_neurons=budget,
+        hidden_neurons=instance.hidden_neurons,
         data_points=len(instance.points),
         distinct_labels=len(label_parts),
     )
@@ -138,17 +131,6 @@ def compile_layout(layout: Layout) -> ReductionBundle:
     return ReductionBundle(layout=layout, instance=instance, counts=counts)
 
 
-def _depth(
-    ramps: List[Tuple[Rational, Rational]], target: Tuple[Rational, Rational], d: int
-) -> Rational:
-    """How far the ramps' profiles at a weak point sum above its realized
-    label in output d: the depth its notch must dig there."""
-    value = ramps[0][d - 1]
-    for f in ramps[1:]:
-        value += f[d - 1]
-    return value - target[d - 1]
-
-
 def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     """A network fitting the compiled instance exactly, from a solution.
 
@@ -159,8 +141,7 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
 
     ridge_changes() runs once per distinct (kind, state) in a call. The weak
     points read their members' profiles off those ridges (ridge_sum()), and
-    witness_neurons() turns each placement's ridges into its units. Nothing
-    is kept from one call to the next.
+    witness_neurons() turns each placement's ridges into its units.
 
     A weak point reads each member at the template offset that
     layout.reading_offset() gives for its purpose and the member's part: the
@@ -208,16 +189,10 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     # members' profiles: its ramps, each read at the offset of the line the
     # point lies on in it, and its one lower-bound member's notch, the
     # member with no variable, dug just deep enough to bring the ramps down
-    # to the realized label. Per call, each purpose's weak dims and labels
-    # are read once, and each ramp once per offset.
-    by_purpose: Dict[int, Tuple[Tuple[int, ...], Tuple[Rational, Rational]]] = {}
-    read: Dict[Tuple[int, Rational], Tuple[Rational, Rational]] = {}
+    # to its training target.
     for cp in layout.constraint_points:
         purpose = cp.purpose
-        got = by_purpose.get(id(purpose))
-        if got is None:
-            got = by_purpose[id(purpose)] = (cp.weak_dims, realized_labels(purpose.labels))
-        weak, target = got
+        weak = purpose.weak_dims
         if not weak:
             continue
         notches, ramps = [], []
@@ -225,17 +200,17 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
             pg = placements[m]
             if pg.variable is None:
                 notches.append(m)
-                continue
-            r, t = ridges[m], reading_offset(purpose, pg)
-            f = read.get((id(r), t))
-            if f is None:
-                f = read[id(r), t] = ridge_sum(r, t)
-            ramps.append(f)
+            else:
+                ramps.append(ridge_sum(ridges[m], reading_offset(purpose, pg)))
         (notch,) = notches
-        depth = _depth(ramps, target, weak[0])
-        assert all(_depth(ramps, target, d) == depth for d in weak[1:]), (
-            "weak dims disagree on the depth"
-        )
+        # How far the ramps sum above the target in each weak dim: the depth
+        # the notch must dig there.
+        target = purpose.targets
+        depths = {
+            sum((f[d - 1] for f in ramps[1:]), ramps[0][d - 1]) - target[d - 1] for d in weak
+        }
+        assert len(depths) == 1, "weak dims disagree on the depth"
+        (depth,) = depths
         ridges[notch] = ridges_of(placements[notch].placement.template.kind, depth)
 
     net = Network(tuple(

@@ -37,6 +37,16 @@ def test_compile_is_deterministic(workspace):
     assert (workspace / "la.json").read_bytes() == (workspace / "lb.json").read_bytes()
 
 
+@pytest.mark.parametrize("layout", ["a.json", "./a.json", "sub/../a.json"])
+def test_compile_refuses_one_file_for_instance_and_sidecar(workspace, capsys, layout):
+    (workspace / "sub").mkdir()
+    assert run(["compile", "f.ec", "-o", "a.json", "--layout", layout]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --output a.json and --layout {layout} name the same file\n"
+    )
+    assert not (workspace / "a.json").exists()
+
+
 def test_witness_verify_extract_chain(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0

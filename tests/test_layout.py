@@ -70,6 +70,27 @@ def test_purposes_pin_the_construction_labels():
     assert {id(cp.purpose) for cp in layout.constraint_points} == {id(p) for p in PURPOSES}
 
 
+@pytest.mark.parametrize(
+    "purpose", PURPOSES, ids=["COPY", "ADDITION", "INVERSION_COPY[1]", "INVERSION_COPY[2]", "WEAK"]
+)
+def test_a_purpose_states_its_weak_dims_and_targets(purpose):
+    # An Exact(y) label is trained at y; an AtLeast(y) one makes its output a
+    # weak dim and is trained at y - 2, the notch underneath taking the slack.
+    assert all(isinstance(lab, (Exact, AtLeast)) for lab in purpose.labels)
+    assert purpose.weak_dims == tuple(
+        d for d, lab in zip((1, 2), purpose.labels) if isinstance(lab, AtLeast)
+    )
+    assert purpose.targets == tuple(
+        lab.value - 2 if isinstance(lab, AtLeast) else lab.value for lab in purpose.labels
+    )
+    # realize() gives every point of the purpose that one tuple
+    layout = plan(parse_formula(REFERENCE))
+    cps = layout.constraint_points
+    points = realize(layout).points[-len(cps):]
+    got = [y for (_p, y), cp in zip(points, cps) if cp.purpose is purpose]
+    assert got and all(y is purpose.targets for y in got)
+
+
 def test_addition_layout_counts():
     layout = plan(parse_formula("add X Y Z\n"))
     parts = [pg.part for pg in layout.placements]
@@ -117,10 +138,10 @@ def test_weak_points_get_centered_notch_gadgets():
     notches = []
     for cp in layout.constraint_points:
         lbs = [i for i in cp.member_of if layout.placements[i].part == "lower bound"]
-        assert len(lbs) == bool(cp.weak_dims)
+        assert len(lbs) == bool(cp.purpose.weak_dims)
         for i in lbs:
             pl = layout.placements[i].placement
-            assert pl.template.kind == LowerBound(cp.weak_dims)
+            assert pl.template.kind == LowerBound(cp.purpose.weak_dims)
             assert signed_value(pl.line_at(NOTCH_CENTER), cp.point) == 0
         notches += lbs
     lower = [i for i, pg in enumerate(layout.placements) if pg.part == "lower bound"]
@@ -334,7 +355,7 @@ def test_validate_flags_a_notch_naming_a_non_weak_point():
     import dataclasses
 
     layout = plan(parse_formula(REFERENCE))
-    assert layout.constraint_points[6].weak_dims == ()  # the addition point
+    assert layout.constraint_points[6].purpose.weak_dims == ()  # the addition point
     # Move notch 11 from inversion copy point 7 to addition point 6.
     points = list(layout.constraint_points)
     points[6] = dataclasses.replace(points[6], member_of=(4, 5, 6, 11))

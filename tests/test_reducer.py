@@ -12,6 +12,7 @@ import ernn.reducer as reducer
 from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
 from ernn.gadgets import (
     NOTCH_CENTER,
+    AtLeast,
     LowerBound,
     profile,
     ridge_changes,
@@ -19,7 +20,7 @@ from ernn.gadgets import (
     witness_neurons,
 )
 from ernn.geometry import signed_value
-from ernn.layout import layout_to_json, plan, reading_offset, realized_labels
+from ernn.layout import layout_to_json, plan, reading_offset
 from ernn.network import (
     HiddenNeuron,
     Network,
@@ -397,14 +398,15 @@ def test_witness_of_a_random_solution_fits(case):
 def _reference_witness(bundle, assignment):
     """The witness read through geometry: each member's profile at the
     offset of the weak point measured along its normal (signed_value), with
-    profile() deriving each state afresh."""
+    profile() deriving each state afresh, and each AtLeast(y) label trained
+    at y - 2."""
     placements = bundle.layout.placements
     kinds = [pg.placement.template.kind for pg in placements]
     states = {
         i: assignment[pg.variable] + F(1) for i, pg in enumerate(placements) if pg.variable is not None
     }
     for cp in bundle.layout.constraint_points:
-        if not cp.weak_dims:
+        if not cp.purpose.weak_dims:
             continue
         (notch,) = [m for m in cp.member_of if placements[m].variable is None]
         contribution = (F(0), F(0))
@@ -413,8 +415,10 @@ def _reference_witness(bundle, assignment):
                 t = signed_value(placements[m].placement.line_at(0), cp.point)
                 f = profile(kinds[m], states[m], t)
                 contribution = (contribution[0] + f[0], contribution[1] + f[1])
-        target = realized_labels(cp.purpose.labels)
-        (states[notch],) = {contribution[d - 1] - target[d - 1] for d in cp.weak_dims}
+        target = [
+            lab.value - 2 if isinstance(lab, AtLeast) else lab.value for lab in cp.purpose.labels
+        ]
+        (states[notch],) = {contribution[d - 1] - target[d - 1] for d in cp.purpose.weak_dims}
     return Network(tuple(
         u
         for i, pg in enumerate(placements)

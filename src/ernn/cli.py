@@ -2,16 +2,18 @@
 
 Subcommands:
 
-    compile    formula -> training instance (+ layout sidecar)
+    compile    formula -> training instance
     witness    formula + satisfying assignment -> exact-fit network
     verify     network + instance -> accept/reject at the instance's gamma and budget
-    extract    fitting network + layout sidecar -> recovered assignment
+    extract    fitting network + formula -> recovered assignment
     solve      search the bounded rational grid for a satisfying assignment
     roundtrip  compile, witness, verify, extract, compare, all in one go
-    render     layout sidecar -> SVG picture
+    render     formula -> SVG picture of its layout
 
-Exit codes: 0 on success/accept, 1 on reject or unsatisfiable-at-scale,
-2 on usage, parse, and validation errors.
+The layout is a function of the formula, so every subcommand that needs
+one lays the formula out again. Exit codes: 0 on success/accept, 1 on
+reject or unsatisfiable-at-scale, 2 on usage, parse, and validation errors,
+and on an -o that names one of the command's own input files.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .formula import (
     parse_formula,
 )
 from .geometry import format_rational
-from .layout import layout_from_json, layout_to_json
+from .layout import plan
 from .network import (
     instance_from_json,
     instance_to_json,
@@ -42,7 +44,6 @@ from .reducer import (
     DimensionMismatch,
     NotFitting,
     compile_formula,
-    compile_layout,
     extract,
     verify,
     witness,
@@ -78,19 +79,20 @@ def _put_assignment(assignment: Assignment, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _layout_sidecar(instance_path: str) -> str:
-    p = Path(instance_path)
-    return str(p.with_name(p.stem + ".layout.json"))
+def _refuse_to_overwrite_an_input(args: argparse.Namespace) -> None:
+    """Raise if -o names one of the files the command reads."""
+    if not getattr(args, "output", None):
+        return
+    output = Path(args.output).resolve()
+    for name in args.inputs:
+        given = getattr(args, name)
+        if Path(given).resolve() == output:
+            raise ValueError(f"--output {args.output} names the input file {given}")
 
 
 def _compile(args: argparse.Namespace) -> int:
-    layout_path = args.layout or _layout_sidecar(args.output)
-    if Path(layout_path).resolve() == Path(args.output).resolve():
-        raise ValueError(f"--output {args.output} and --layout {layout_path} name the same file")
-    formula = parse_formula(_read(args.formula))
-    bundle = compile_formula(formula)
+    bundle = compile_formula(parse_formula(_read(args.formula)))
     _write(args.output, instance_to_json(bundle.instance))
-    _write(layout_path, layout_to_json(bundle.layout))
     c = bundle.counts
     print(
         f"compiled: {c.variable_gadgets} variable + {c.inversion_gadgets} inversion + "
@@ -99,7 +101,6 @@ def _compile(args: argparse.Namespace) -> int:
         f"{c.distinct_labels} distinct labels"
     )
     print(f"instance: {args.output}")
-    print(f"layout:   {layout_path}")
     return 0
 
 
@@ -131,8 +132,7 @@ def _verify(args: argparse.Namespace) -> int:
 
 def _extract(args: argparse.Namespace) -> int:
     net = network_from_json(_read(args.network))
-    # The sidecar names the formula, and the layout read from it gives the instance.
-    bundle = compile_layout(layout_from_json(_read(args.layout)))
+    bundle = compile_formula(parse_formula(_read(args.formula)))
     _put_assignment(extract(bundle, net), args.output)
     return 0
 
@@ -170,8 +170,7 @@ def _roundtrip(args: argparse.Namespace) -> int:
 
 
 def _render(args: argparse.Namespace) -> int:
-    layout = layout_from_json(_read(args.layout))
-    _write(args.output, render_svg(layout))
+    _write(args.output, render_svg(plan(parse_formula(_read(args.formula)))))
     print(f"svg -> {args.output}")
     return 0
 
@@ -188,31 +187,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compile", help="formula file -> training instance JSON")
     p.add_argument("formula")
     p.add_argument("-o", "--output", default="instance.json")
-    p.add_argument("--layout", default=None, help="layout sidecar path (default: <output>.layout.json)")
-    p.set_defaults(func=_compile)
+    p.set_defaults(func=_compile, inputs=("formula",))
 
     p = subs.add_parser("witness", help="formula + assignment -> exact-fit network JSON")
     p.add_argument("formula")
     p.add_argument("assignment")
     p.add_argument("-o", "--output", default="network.json")
-    p.set_defaults(func=_witness)
+    p.set_defaults(func=_witness, inputs=("formula", "assignment"))
 
     p = subs.add_parser("verify", help="network + instance -> accept/reject")
     p.add_argument("network")
     p.add_argument("instance")
     p.set_defaults(func=_verify)
 
-    p = subs.add_parser("extract", help="fitting network + layout sidecar -> assignment")
+    p = subs.add_parser("extract", help="fitting network + formula -> assignment")
     p.add_argument("network")
-    p.add_argument("--layout", required=True, help="layout sidecar written by compile")
+    p.add_argument("formula")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_extract)
+    p.set_defaults(func=_extract, inputs=("network", "formula"))
 
     p = subs.add_parser("solve", help="search bounded-denominator rationals for a solution")
     p.add_argument("formula")
     p.add_argument("--denom-bound", type=_positive, default=12)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_solve)
+    p.set_defaults(func=_solve, inputs=("formula",))
 
     p = subs.add_parser("roundtrip", help="compile -> witness -> verify -> extract -> compare")
     p.add_argument("formula")
@@ -220,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denom-bound", type=_positive, default=12)
     p.set_defaults(func=_roundtrip)
 
-    p = subs.add_parser("render", help="layout sidecar -> SVG")
-    p.add_argument("layout", help="layout sidecar written by compile")
+    p = subs.add_parser("render", help="formula -> SVG of its layout")
+    p.add_argument("formula")
     p.add_argument("-o", "--output", default="layout.svg")
-    p.set_defaults(func=_render)
+    p.set_defaults(func=_render, inputs=("formula",))
 
     return parser
 
@@ -231,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_to_overwrite_an_input(args)
         return args.func(args)
     except (NotFitting, DimensionMismatch, NotFoundAtScale) as exc:
         print(str(exc), file=sys.stderr)

@@ -77,7 +77,7 @@ class Inv:
 
 Constraint = Union[Add, Inv]
 
-# Each constraint shape by its head word, the text format's and the sidecar's.
+# Each constraint shape by its head word, the text format's and the JSON codec's.
 CONSTRAINTS = {c.head: c for c in (Add, Inv)}
 
 

@@ -25,9 +25,11 @@ validate() re-checks every geometric invariant the reduction's correctness
 argument leans on, from scratch, and reports violations as strings rather
 than failing fast; plan() runs it on every layout it returns.
 
-The layout is a function of the formula, so the JSON sidecar stores only
-the formula (its variables in order and its constraints) beside the fixed
-geometry, and layout_from_json() re-derives the layout with plan().
+The layout is a function of the formula, so the command line lays the
+formula out again wherever it needs a layout and writes no layout file.
+The library's JSON codec stores only the formula (its variables in order
+and its constraints) beside the fixed geometry, and layout_from_json()
+re-derives the layout with plan().
 """
 
 from __future__ import annotations
@@ -698,14 +700,19 @@ def validate(layout: Layout) -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# JSON sidecar
+# JSON codec
 # ---------------------------------------------------------------------------
+
+# No module of the package calls the codec: perfbench/workloads.py round-trips
+# every roundtrip op's layout through layout_to_json and layout_from_json, and
+# perfbench/spans.py wraps both, so they stay until the benchmark round-trips
+# the formula text instead.
 
 def _direction_to_json(d: Direction) -> List[str]:
     return [format_rational(d.n1), format_rational(d.n2)]
 
 
-# The sidecar's "config" block: the fixed geometry every layout is built on.
+# The codec's "config" block: the fixed geometry every layout is built on.
 _GEOMETRY_JSON = {
     "spacing": format_rational(SPACING),
     "vertical_margin": format_rational(VERTICAL_MARGIN),
@@ -719,7 +726,7 @@ _GEOMETRY_JSON = {
 
 
 def layout_to_json(layout: Layout) -> str:
-    """The sidecar: the fixed geometry and the formula plan() lays out."""
+    """The fixed geometry and the formula plan() lays out, as JSON."""
     formula = layout.formula
     doc = {
         "config": _GEOMETRY_JSON,
@@ -737,7 +744,7 @@ def _constraint_from_json(item) -> Constraint:
 
 
 def layout_from_json(text: str) -> Layout:
-    """The layout plan() derives from a sidecar's formula.
+    """The layout plan() derives from the formula in layout_to_json() output.
 
     A document of the wrong shape or nested too deep, or with another config
     block, raises LayoutError; a constraint with an unknown head or the wrong

@@ -86,13 +86,7 @@ class ReductionBundle:
 
 def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
     """Deterministic reduction of a formula to a training instance."""
-    return compile_layout(plan(formula))
-
-
-def compile_layout(layout: Layout) -> ReductionBundle:
-    """The reduction of the formula a layout from plan() lays out, without
-    planning it again."""
-    formula = layout.formula
+    layout = plan(formula)
     instance = realize(layout)
     kinds = Counter(type(pg.placement.template.kind) for pg in layout.placements)
 

@@ -31,7 +31,7 @@ from ernn.gadgets import (
     witness_neurons,
 )
 from ernn.geometry import Point2, signed_value
-from ernn.layout import PALETTE, layout_to_json
+from ernn.layout import PALETTE
 from ernn.network import Network, evaluate, instance_to_json, max_gradient_norm_bound
 from ernn.oracle import evaluate_profile, fit_cpwl_1d_oracle
 from ernn.reducer import compile_formula, extract, verify, witness
@@ -263,30 +263,10 @@ def test_10_deterministic_compile(tmp_path):
         d.mkdir()
         f = d / "formula.ec"
         f.write_text(REFERENCE_FORMULA)
-        code = run(
-            [
-                "compile",
-                str(f),
-                "-o",
-                str(d / "instance.json"),
-                "--layout",
-                str(d / "layout.json"),
-            ]
-        )
-        outs.append(
-            (
-                code,
-                (d / "instance.json").read_bytes(),
-                (d / "layout.json").read_bytes(),
-            )
-        )
-    ok = (
-        outs[0][0] == outs[1][0] == 0
-        and outs[0][1] == outs[1][1]
-        and outs[0][2] == outs[1][2]
-    )
+        code = run(["compile", str(f), "-o", str(d / "instance.json")])
+        outs.append((code, (d / "instance.json").read_bytes()))
+    ok = outs[0][0] == outs[1][0] == 0 and outs[0][1] == outs[1][1]
     # and the in-memory serialization matches what the CLI wrote
     bundle, _ = _reference_artifacts()
     ok = ok and outs[0][1] == instance_to_json(bundle.instance).encode()
-    ok = ok and outs[0][2] == layout_to_json(bundle.layout).encode()
     _report(10, "deterministic compile", ok, f"{len(outs[0][1])} instance bytes")

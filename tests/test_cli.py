@@ -1,5 +1,6 @@
 """Command line behavior: files in, files out, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -27,24 +28,43 @@ def test_compile_writes_instance_and_sidecar(workspace, capsys):
     assert data["gamma"] == "0"
     assert data["hidden_neurons"] == 60
     assert len(data["points"]) == 520
-    assert (workspace / "inst.layout.json").exists()
+    # the instance is the one file compile writes: no layout sidecar
+    assert sorted(f.name for f in workspace.iterdir()) == ["a.txt", "f.ec", "inst.json"]
+    assert "layout" not in out
 
 
 def test_compile_is_deterministic(workspace):
-    assert run(["compile", "f.ec", "-o", "a.json", "--layout", "la.json"]) == 0
-    assert run(["compile", "f.ec", "-o", "b.json", "--layout", "lb.json"]) == 0
+    assert run(["compile", "f.ec", "-o", "a.json"]) == 0
+    assert run(["compile", "f.ec", "-o", "b.json"]) == 0
     assert (workspace / "a.json").read_bytes() == (workspace / "b.json").read_bytes()
-    assert (workspace / "la.json").read_bytes() == (workspace / "lb.json").read_bytes()
 
 
-@pytest.mark.parametrize("layout", ["a.json", "./a.json", "sub/../a.json"])
-def test_compile_refuses_one_file_for_instance_and_sidecar(workspace, capsys, layout):
+# Each command that writes -o, its argv up to -o, and one of its input files.
+_WRITERS = {
+    "compile": (["compile", "f.ec", "-o"], "f.ec"),
+    "witness-formula": (["witness", "f.ec", "a.txt", "-o"], "f.ec"),
+    "witness-assignment": (["witness", "f.ec", "a.txt", "-o"], "a.txt"),
+    "extract-network": (["extract", "net.json", "f.ec", "-o"], "net.json"),
+    "extract-formula": (["extract", "net.json", "f.ec", "-o"], "f.ec"),
+    "solve": (["solve", "f.ec", "-o"], "f.ec"),
+    "render": (["render", "f.ec", "-o"], "f.ec"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["{}", "./{}", "sub/../{}"], ids=["plain", "dot", "parent"])
+@pytest.mark.parametrize("case", sorted(_WRITERS))
+def test_output_naming_an_input_is_refused(workspace, capsys, case, spelling):
     (workspace / "sub").mkdir()
-    assert run(["compile", "f.ec", "-o", "a.json", "--layout", layout]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --output a.json and --layout {layout} name the same file\n"
-    )
-    assert not (workspace / "a.json").exists()
+    (workspace / "net.json").write_text('{"neurons": []}')
+    files = {f.name: f.read_bytes() for f in workspace.iterdir() if f.is_file()}
+    argv, given = _WRITERS[case]
+    output = spelling.format(given)
+    assert run(argv + [output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --output {output} names the input file {given}\n"
+    # every input is unchanged, and nothing is written
+    assert {f.name: f.read_bytes() for f in workspace.iterdir() if f.is_file()} == files
 
 
 def test_witness_verify_extract_chain(workspace, capsys):
@@ -54,19 +74,18 @@ def test_witness_verify_extract_chain(workspace, capsys):
     out = capsys.readouterr().out
     assert "loss = 0" in out
     assert "accept" in out
-    assert run(["extract", "net.json", "--layout", "inst.layout.json", "-o", "rec.txt"]) == 0
+    assert run(["extract", "net.json", "f.ec", "-o", "rec.txt"]) == 0
     assert (workspace / "rec.txt").read_text() == ASSIGNMENT
 
 
-def test_extract_plans_the_sidecar_once(workspace, monkeypatch):
+def test_extract_plans_the_formula_once(workspace, monkeypatch):
     import ernn.layout
 
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
     calls = []
     validate = ernn.layout.validate
     monkeypatch.setattr(ernn.layout, "validate", lambda layout: calls.append(1) or validate(layout))
-    assert run(["extract", "net.json", "--layout", "inst.layout.json", "-o", "rec.txt"]) == 0
+    assert run(["extract", "net.json", "f.ec", "-o", "rec.txt"]) == 0
     assert (workspace / "rec.txt").read_text() == ASSIGNMENT
     assert len(calls) == 1
 
@@ -131,13 +150,16 @@ def test_roundtrip_solves_when_no_assignment_given(workspace, capsys):
     assert "roundtrip OK" in capsys.readouterr().out
 
 
-def test_render_from_sidecar(workspace):
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["render", "inst.layout.json", "-o", "pic.svg"]) == 0
+def test_render_from_formula(workspace):
+    assert run(["render", "f.ec", "-o", "pic.svg"]) == 0
     svg = (workspace / "pic.svg").read_text()
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     assert "<polygon" in svg and "<circle" in svg
+    # the reference formula's digest in tests/test_reducer.py::test_svg_bytes_are_pinned
+    assert hashlib.sha256((workspace / "pic.svg").read_bytes()).hexdigest() == (
+        "cba693bf6d034c4cd08ccdf09bf7d4c5fc0251245626facb1c83cec01e1014d3"
+    )
 
 
 def test_parse_error_is_exit_2(workspace, capsys):
@@ -201,11 +223,14 @@ def test_non_positive_denom_bound_is_usage_error(workspace, capsys, command, bou
 @pytest.mark.parametrize(
     "argv",
     [["verify", "net.json", "inst.json", "--gamma", "1"],
-     ["render", "inst.layout.json", "-o", "pic.svg", "--scale", "1"]],
-    ids=["verify-gamma", "render-scale"],
+     ["render", "f.ec", "-o", "pic.svg", "--scale", "1"],
+     ["compile", "f.ec", "-o", "pic.svg", "--layout", "lay.json"],
+     ["extract", "net.json", "f.ec", "-o", "pic.svg", "--layout", "inst.layout.json"]],
+    ids=["verify-gamma", "render-scale", "compile-layout", "extract-layout"],
 )
 def test_removed_knobs_are_usage_errors(workspace, capsys, argv):
-    # gamma lives in the instance, and the SVG has one scale
+    # gamma lives in the instance, the SVG has one scale, and the formula
+    # is the layout's only input
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -222,7 +247,7 @@ HUGE = "1e100000000"  # Fraction() would expand it into a 332-million-bit intege
     [
         (["verify", "net.json", "huge.json"],
          f"malformed instance JSON: ValueError(\"not a rational number: '{HUGE}'\")"),
-        (["extract", "hugenet.json", "--layout", "inst.layout.json"],
+        (["extract", "hugenet.json", "f.ec"],
          f"malformed network JSON: ValueError(\"not a rational number: '{HUGE}'\")"),
         (["witness", "f.ec", "huge.txt", "-o", "out.json"], f"line 1, column 4: bad rational '{HUGE}'"),
         (["roundtrip", "f.ec", "--assignment", "huge.txt"], f"line 1, column 4: bad rational '{HUGE}'"),
@@ -297,7 +322,7 @@ def test_verify_rejects_network_over_width_budget(workspace, capsys):
     # a looser loss target does not buy width
     _with_gamma(workspace, "loose.json", "1")
     assert run(["verify", "wide.json", "loose.json"]) == 1
-    assert run(["extract", "wide.json", "--layout", "inst.layout.json"]) == 1
+    assert run(["extract", "wide.json", "f.ec"]) == 1
     assert "exceed the budget of 60" in capsys.readouterr().err
 
 
@@ -315,16 +340,6 @@ def test_self_inverse_formula_is_exit_2(workspace, capsys):
     assert not (workspace / "inst.json").exists()
 
 
-def test_extract_rejects_sidecar_without_gadgets(workspace, capsys):
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    doc = json.loads((workspace / "inst.layout.json").read_text())
-    doc.update(variables=[], constraints=[])
-    (workspace / "bare.json").write_text(json.dumps(doc))
-    (workspace / "net.json").write_text('{"neurons": []}')
-    assert run(["extract", "net.json", "--layout", "bare.json"]) == 2
-    assert capsys.readouterr().err == "error: formula has no variables\n"
-
-
 @pytest.mark.parametrize("flag", ["--spacing", "--vertical-margin"])
 def test_layout_geometry_flags_are_gone(workspace, flag):
     with pytest.raises(SystemExit) as exc:
@@ -340,39 +355,12 @@ def test_witness_takes_no_sidecar(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda doc: doc.pop("variables"), "malformed layout JSON: KeyError('variables')"),
-        (lambda doc: doc.update(constraints="add X Y Z"), "constraints 'add X Y Z' is not a list"),
-        (lambda doc: doc["constraints"][0].__setitem__(0, "mul"), "unknown constraint 'mul' (expected 'add' or 'inv')"),
-        (lambda doc: doc["constraints"][1].append("Y"), "inv takes 2 variables, got 3"),
-        (lambda doc: doc["variables"].remove("W"), "constraint mentions undeclared variable 'W'"),
-        (lambda doc: doc["variables"].__setitem__(1, "A B"), "variables ['X', 'A B', 'Z', 'W'] is not a list of names"),
-        (lambda doc: doc["variables"].__setitem__(1, ""), "variables ['X', '', 'Z', 'W'] is not a list of names"),
-    ],
-    ids=["missing-key", "constraints-not-a-list", "unknown-head", "wrong-arity", "undeclared", "spaced-name", "empty-name"],
-)
-def test_extract_rejects_malformed_sidecar(workspace, capsys, edit, message):
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
-    doc = json.loads((workspace / "inst.layout.json").read_text())
-    edit(doc)
-    (workspace / "bad.layout.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(["extract", "net.json", "--layout", "bad.layout.json"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert run(["render", "bad.layout.json", "-o", "pic.svg"]) == 2
-    assert not (workspace / "pic.svg").exists()
-
-
-@pytest.mark.parametrize(
     "argv, message",
     [
         (["verify", "deep.json", "deep.json"], "malformed instance JSON: RecursionError("),
-        (["extract", "deep.json", "--layout", "deep.json"], "malformed network JSON: RecursionError("),
-        (["render", "deep.json", "-o", "pic.svg"], "malformed layout JSON: RecursionError("),
+        (["extract", "deep.json", "f.ec"], "malformed network JSON: RecursionError("),
     ],
-    ids=["verify", "extract", "render"],
+    ids=["verify", "extract"],
 )
 def test_deeply_nested_json_is_a_validation_error(workspace, capsys, argv, message):
     (workspace / "deep.json").write_text("[" * 200000 + "\n")
@@ -380,16 +368,24 @@ def test_deeply_nested_json_is_a_validation_error(workspace, capsys, argv, messa
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
-    assert not (workspace / "pic.svg").exists()
 
 
-def test_extract_rejects_sidecar_with_other_geometry(workspace, capsys):
-    assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
-    assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
-    doc = json.loads((workspace / "inst.layout.json").read_text())
-    doc["config"]["spacing"] = "2000"
-    (workspace / "wide.layout.json").write_text(json.dumps(doc))
-    assert run(["extract", "net.json", "--layout", "wide.layout.json"]) == 2
-    assert "config block differs" in capsys.readouterr().err
-
-
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("frobnicate X\n", "line 1, column 1: unknown constraint 'frobnicate' (expected 'add' or 'inv')"),
+        ("# no constraints\n\n", "formula has no variables"),
+        ("inv X X\n", "could not place gadgets cleanly; rejected before placement:\n"
+         "  constraint 0: inv X X inverts X into itself; both of its copy points would "
+         "sit on the measuring line of X"),
+    ],
+    ids=["syntax-error", "comment-only", "self-inverse"],
+)
+@pytest.mark.parametrize("command", ["extract", "render"])
+def test_formula_that_cannot_be_laid_out_is_exit_2(workspace, capsys, command, text, message):
+    (workspace / "g.ec").write_text(text)
+    (workspace / "net.json").write_text('{"neurons": []}')
+    argv = {"extract": ["extract", "net.json", "g.ec"], "render": ["render", "g.ec"]}[command]
+    assert run(argv + ["-o", "out.txt"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workspace / "out.txt").exists()

@@ -1,4 +1,4 @@
-"""Placement planning: stripes, constraint points, verticals, sidecar JSON."""
+"""Placement planning: stripes, constraint points, verticals, the JSON codec."""
 
 import json
 from fractions import Fraction
@@ -260,8 +260,37 @@ def test_layout_json_reads_constraints_as_the_text_format_does(constraint, messa
 def test_layout_json_rejects_other_geometry():
     doc = json.loads(layout_to_json(plan(parse_formula("inv X Y\n"))))
     doc["config"]["spacing"] = "2000"
-    with pytest.raises(LayoutError, match="config block"):
+    with pytest.raises(LayoutError) as info:
         layout_from_json(json.dumps(doc))
+    assert str(info.value) == "sidecar config block differs from the fixed layout geometry"
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda doc: doc.pop("variables"), LayoutError, "malformed layout JSON: KeyError('variables')"),
+        (lambda doc: doc.update(constraints="add X Y Z"), LayoutError, "constraints 'add X Y Z' is not a list"),
+        (lambda doc: doc["variables"].remove("W"), FormulaError, "constraint mentions undeclared variable 'W'"),
+        (lambda doc: doc["variables"].__setitem__(1, "A B"), LayoutError,
+         "variables ['X', 'A B', 'Z', 'W'] is not a list of names"),
+        (lambda doc: doc["variables"].__setitem__(1, ""), LayoutError,
+         "variables ['X', '', 'Z', 'W'] is not a list of names"),
+        (lambda doc: doc.update(variables=[], constraints=[]), LayoutError, "formula has no variables"),
+    ],
+    ids=["missing-key", "constraints-not-a-list", "undeclared", "spaced-name", "empty-name",
+         "no-variables"],
+)
+def test_layout_json_rejects_a_malformed_formula(edit, error, message):
+    doc = json.loads(layout_to_json(plan(parse_formula(REFERENCE))))
+    edit(doc)
+    with pytest.raises(error) as info:
+        layout_from_json(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_layout_json_rejects_deep_nesting():
+    with pytest.raises(LayoutError, match=r"^malformed layout JSON: RecursionError\("):
+        layout_from_json("[" * 200000 + "\n")
 
 
 def test_layout_carries_its_formula():

@@ -270,15 +270,20 @@ def test_layout_json_rejects_other_geometry():
     [
         (lambda doc: doc.pop("variables"), LayoutError, "malformed layout JSON: KeyError('variables')"),
         (lambda doc: doc.update(constraints="add X Y Z"), LayoutError, "constraints 'add X Y Z' is not a list"),
+        (lambda doc: doc["constraints"][0].__setitem__(0, "mul"), FormulaError,
+         "unknown constraint 'mul' (expected 'add' or 'inv')"),
+        (lambda doc: doc["constraints"][1].append("Y"), FormulaError, "inv takes 2 variables, got 3"),
         (lambda doc: doc["variables"].remove("W"), FormulaError, "constraint mentions undeclared variable 'W'"),
         (lambda doc: doc["variables"].__setitem__(1, "A B"), LayoutError,
          "variables ['X', 'A B', 'Z', 'W'] is not a list of names"),
         (lambda doc: doc["variables"].__setitem__(1, ""), LayoutError,
          "variables ['X', '', 'Z', 'W'] is not a list of names"),
         (lambda doc: doc.update(variables=[], constraints=[]), LayoutError, "formula has no variables"),
+        (lambda doc: doc["config"].__setitem__("spacing", "2000"), LayoutError,
+         "sidecar config block differs from the fixed layout geometry"),
     ],
-    ids=["missing-key", "constraints-not-a-list", "undeclared", "spaced-name", "empty-name",
-         "no-variables"],
+    ids=["missing-key", "constraints-not-a-list", "unknown-head", "wrong-arity", "undeclared",
+         "spaced-name", "empty-name", "no-variables", "other-geometry"],
 )
 def test_layout_json_rejects_a_malformed_formula(edit, error, message):
     doc = json.loads(layout_to_json(plan(parse_formula(REFERENCE))))

@@ -11,18 +11,30 @@ maximum squared gradient norm over every cell of the bend-line
 arrangement, and reads and writes networks and instances as JSON.
 
 evaluate() is the reference: one point, in whatever exact number type the
-weights and coordinates have. exact_outputs() reads many points at once in
-Python ints, built afresh on each call; exact_fit() and the reducer's
-extract() read points only through it.
+weights and coordinates have. exact_fit() and exact_outputs() read many
+points at once in Python ints, through one kernel, and the reducer's
+extract() reads points only through them. Their work comes in three
+layers, each done once for what it depends on:
+
+- once per instance, TrainInstance.table: its points as ints, grouped by
+  x1, each with its index and its label's numerators and denominators;
+- once per network, Network.integer: its units as ints, turned to face
+  one way per direction and grouped into parallel classes;
+- per (network, instance): each shared vertical's and each class's sorted
+  keys and prefix sums. Then a point costs one bisect on a vertical, or
+  one bisect per class of two or more units when it is alone on its x1.
 
 Unit i's (a1, a2, b) is scaled by L_i > 0, the lcm of their denominators,
 into integers (A1, A2, B); a positive scale keeps the sign of the
 pre-activation. c is divided by the same L_i, and every c/L_i is put on one
 common denominator K, as integers C/K.
 
-A point alone on its x1 is written (X1, X2, W) with x = X/W and W > 0, and
-
-    f_j(p) = sum_i  C[i][j] * max(0, A1*X1 + A2*X2 + B*W)  /  (K * W).
+A unit faces its direction's way if A2 > 0, or A2 = 0 < A1. One that faces
+the other way is read as relu(z) = z + relu(-z): z's linear part
+C*(A1, A2, B) joins a linear term that applies at every point, and -z
+faces the right way. A unit with A1 = A2 = 0 adds C*B to the linear term
+if B > 0 and nothing otherwise. Every comparison below is strict, which
+keeps relu(0) = 0 on a bend line, where z + relu(-z) reads 0 + 0.
 
 The points that share a vertical x1 = V/Q, Q > 0, are swept together; the
 instances compile_formula writes hold nearly all their points on a few
@@ -33,22 +45,33 @@ all along the vertical iff E > 0, and a unit with A2 > 0 is active
 
     iff P > floor(-E*S / (A2*Q)),     its up key.
 
-A unit with A2 < 0 is read as relu(z) = z + relu(-z): its linear part z is
-summed all along the vertical, and -z, whose A2 is -A2 > 0 and whose E is
--E, is an up unit with key floor(E*S / (-A2*Q)). P is an integer, so the
-keys decide activity exactly, and the strict comparison keeps relu(0) = 0
-on a bend line, where z + relu(-z) reads 0 + 0. With the up keys sorted,
-prefix sums of (C_j*E, C_j*A2) over the up units, starting from the sums
-over what is active all along, give each point's active sums E_j and G_j
-with one bisect, and at x2 = r/s
+With the up keys sorted, prefix sums of (C_j*E, C_j*A2) over the up units,
+starting from the linear term's sums and those over what is active all
+along, give each point's active sums E_j and G_j with one bisect, and
 
-    f_j = (G_j*Q*r + E_j*s) / (K*Q*s).
+    f_j = (E_j*S + G_j*Q*P) / (K*Q*S).
 
-exact_fit() compares each output with its label by cross-multiplying. A
-missed point's squared error is summed as int numerators grouped by
-denominator, and Fractions are built only for each miss's outputs and for
-the total. Everything reads numerators and denominators, so weights,
-coordinates and labels must be ints or Fractions.
+Every point alone on its x1 is written (X1, X2)/W on one common
+denominator W > 0, the lcm of all their coordinates' denominators. The
+units that bend are grouped by primitive integer direction
+(α1, α2) = (A1, A2)/g, g = gcd(A1, A2) > 0. Within a class, unit i's
+pre-activation times W is g*T + B*W with the int T = α1*X1 + α2*X2, so it
+is active
+
+    iff T > floor(-B*W / g),     its class key,
+
+and with a class's keys sorted, prefix sums of (C_j*g, C_j*B*W) give the
+class's share of f_j*K*W as G_j*T + B_j with one bisect. A class of one
+unit is summed directly. A witness's units lie on the six palette
+normals, so a lone point costs a few bisects; a network whose directions
+are all distinct costs one term per unit, as a direct sum does.
+
+The kernel compares each output with its label by cross-multiplying and
+hands exact_fit() only the misses. A missed point's squared error is
+summed as int numerators grouped by denominator, and Fractions are built
+only for each miss's outputs and for the total. Everything reads
+numerators and denominators, so weights, coordinates and labels must be
+ints or Fractions.
 
 max_gradient_norm_bound() walks the bend lines in the same ints. Unit i's
 gradients are (C1*A1, C1*A2, C2*A1, C2*A2) / K, so every cell's squared
@@ -75,14 +98,17 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, groupby
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .geometry import Point2, Rational, format_rational, integer_point, parse_rational
+from .geometry import Point2, Rational, format_rational, parse_rational
 
 Vec2 = Tuple[Rational, Rational]
+# A label pair as (Y1, y1, Y2, y2): the outputs Y1/y1 and Y2/y2.
+LabelInts = Tuple[int, int, int, int]
 
 
 class NetworkError(ValueError):
@@ -102,64 +128,58 @@ class HiddenNeuron:
     c2: Rational
 
 
+class IntegerNetwork(NamedTuple):
+    """A network's units in ints, as the module docstring describes."""
+
+    # (A1, A2, B, C1, C2) of each unit as given, in order; and K.
+    units: List[Tuple[int, int, int, int, int]]
+    k: int
+    # (C1*A1, C1*A2, C1*B, C2*A1, C2*A2, C2*B), summed over the linear term.
+    linear: Tuple[int, int, int, int, int, int]
+    # (A1, A2, B, C1, C2) of each unit that bends, turned to face its direction's way.
+    bending: List[Tuple[int, int, int, int, int]]
+    # (α1, α2, [(g, B, C1, C2), ...]) of each parallel class of two or more units.
+    classes: List[Tuple[int, int, List[Tuple[int, int, int, int]]]]
+    # (A1, A2, B, C1, C2) of each unit alone in its class.
+    singles: List[Tuple[int, int, int, int, int]]
+
+
 @dataclass(frozen=True)
 class Network:
     neurons: Tuple[HiddenNeuron, ...]
 
-
-def evaluate(net: Network, p: Point2) -> Vec2:
-    """Both outputs at p, exactly."""
-    f1 = Fraction(0)
-    f2 = Fraction(0)
-    for u in net.neurons:
-        pre = u.a1 * p.x1 + u.a2 * p.x2 + u.b
-        if pre > 0:
-            f1 += u.c1 * pre
-            f2 += u.c2 * pre
-    return (f1, f2)
-
-
-# ---------------------------------------------------------------------------
-# Training instances
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrainInstance:
-    hidden_neurons: int
-    gamma: Rational
-    points: Tuple[Tuple[Point2, Vec2], ...]
-
-
-@dataclass(frozen=True)
-class FitReport:
-    fits: bool
-    total_loss: Rational
-    violations: Tuple[Tuple[int, Point2, Vec2, Vec2], ...]
-
-
-def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
-    """Exact squared-error loss of net on the instance's points.
-
-    fits is True iff total loss <= gamma and the network has at most the
-    instance's hidden_neurons units; with gamma = 0 the loss condition means
-    every labeled point is hit exactly. violations lists (index, point,
-    wanted, got) for each missed point.
-    """
-    outputs = exact_outputs(net, [p for p, _want in instance.points])
-    violations: List[Tuple[int, Point2, Vec2, Vec2]] = []
-    # Squared errors as int numerators, summed per denominator.
-    errors: Dict[int, int] = defaultdict(int)
-    for i, ((n1, n2, d), (p, want)) in enumerate(zip(outputs, instance.points)):
-        y1, y2 = want
-        e1 = n1 * y1.denominator - y1.numerator * d
-        e2 = n2 * y2.denominator - y2.numerator * d
-        if e1 or e2:
-            violations.append((i, p, want, (Fraction(n1, d), Fraction(n2, d))))
-            errors[(d * y1.denominator) ** 2] += e1 * e1
-            errors[(d * y2.denominator) ** 2] += e2 * e2
-    loss = sum((Fraction(n, d) for d, n in errors.items()), Fraction(0))
-    fits = loss <= instance.gamma and len(net.neurons) <= instance.hidden_neurons
-    return FitReport(fits=fits, total_loss=loss, violations=tuple(violations))
+    @cached_property
+    def integer(self) -> IntegerNetwork:
+        """The units in ints and grouped by direction, built on first use;
+        it lives as long as the network, and neurons must stay the tuple it
+        was built from."""
+        units, k = _integer_units(self)
+        l1x = l1y = l1w = l2x = l2y = l2w = 0
+        bending = []
+        by_direction: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = defaultdict(list)
+        for a1, a2, b, c1, c2 in units:
+            if a2 < 0 or (a2 == 0 and a1 < 0):
+                # relu(z) = z + relu(-z): z joins the linear term, and -z faces the right way.
+                l1x, l1y, l1w = l1x + c1 * a1, l1y + c1 * a2, l1w + c1 * b
+                l2x, l2y, l2w = l2x + c2 * a1, l2y + c2 * a2, l2w + c2 * b
+                a1, a2, b = -a1, -a2, -b
+            elif a2 == 0 == a1:
+                if b > 0:
+                    l1w, l2w = l1w + c1 * b, l2w + c2 * b
+                continue
+            bending.append((a1, a2, b, c1, c2))
+            g = gcd(a1, a2)
+            by_direction[a1 // g, a2 // g].append((g, b, c1, c2))
+        classes, singles = [], []
+        for (a1, a2), members in by_direction.items():
+            if len(members) > 1:
+                classes.append((a1, a2, members))
+            else:
+                ((g, b, c1, c2),) = members
+                singles.append((a1 * g, a2 * g, b, c1, c2))
+        return IntegerNetwork(
+            units, k, (l1x, l1y, l1w, l2x, l2y, l2w), bending, classes, singles
+        )
 
 
 def _integer_units(net: Network) -> Tuple[List[Tuple[int, int, int, int, int]], int]:
@@ -185,70 +205,219 @@ def _integer_units(net: Network) -> Tuple[List[Tuple[int, int, int, int, int]], 
     return units, k
 
 
+def evaluate(net: Network, p: Point2) -> Vec2:
+    """Both outputs at p, exactly."""
+    f1 = Fraction(0)
+    f2 = Fraction(0)
+    for u in net.neurons:
+        pre = u.a1 * p.x1 + u.a2 * p.x2 + u.b
+        if pre > 0:
+            f1 += u.c1 * pre
+            f2 += u.c2 * pre
+    return (f1, f2)
+
+
+# ---------------------------------------------------------------------------
+# Training instances
+# ---------------------------------------------------------------------------
+
+class PointTable(NamedTuple):
+    """Points as ints, as the module docstring describes, in columns. Each
+    point keeps its index and its label's ints, or None if it is read
+    without a label."""
+
+    # (V, Q, S, heights P, indices, labels) of each vertical x1 = V/Q that
+    # two or more points share, with S the lcm of the x2 denominators there.
+    verticals: List[Tuple[int, int, int, List[int], List[int], List[Optional[LabelInts]]]]
+    # W, and (X1, X2, indices, labels) of the points alone on their x1.
+    w: int
+    lone: Tuple[List[int], List[int], List[int], List[Optional[LabelInts]]]
+
+
+def _point_table(points: Sequence[Point2], labels: Sequence[Optional[Vec2]]) -> PointTable:
+    """The table of points[i] with labels[i]; a label of None stays None."""
+    # A label pair's ints, once per pair object: the points of one purpose share one.
+    ints: Dict[int, Optional[LabelInts]] = {id(None): None}
+    by_x1: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+    for i, (p, y) in enumerate(zip(points, labels)):
+        x1 = p.x1
+        by_x1[x1.numerator, x1.denominator].append(i)
+        if id(y) not in ints:
+            y1, y2 = y
+            ints[id(y)] = (y1.numerator, y1.denominator, y2.numerator, y2.denominator)
+    verticals = []
+    alone: List[int] = []
+    for (v, q), members in by_x1.items():
+        if len(members) == 1:
+            alone += members
+            continue
+        heights = [points[i].x2 for i in members]
+        s = lcm(*(y.denominator for y in heights))
+        verticals.append((
+            v, q, s,
+            [y.numerator * (s // y.denominator) for y in heights],
+            members,
+            [ints[id(labels[i])] for i in members],
+        ))
+    lone = [points[i] for i in alone]
+    w = lcm(*(d for p in lone for d in (p.x1.denominator, p.x2.denominator)))
+    return PointTable(verticals, w, (
+        [p.x1.numerator * (w // p.x1.denominator) for p in lone],
+        [p.x2.numerator * (w // p.x2.denominator) for p in lone],
+        alone,
+        [ints[id(labels[i])] for i in alone],
+    ))
+
+
+@dataclass(frozen=True)
+class TrainInstance:
+    """An instance of the training problem: fit every labeled point with
+    loss at most gamma, using at most hidden_neurons units.
+
+    table, its points as ints for exact_fit(), is built on first use and
+    lives exactly as long as the instance; points must stay the tuple it
+    was built from. It is no field, so it takes no part in == or hash().
+    """
+
+    hidden_neurons: int
+    gamma: Rational
+    points: Tuple[Tuple[Point2, Vec2], ...]
+
+    @cached_property
+    def table(self) -> PointTable:
+        return _point_table([p for p, _y in self.points], [y for _p, y in self.points])
+
+
+@dataclass(frozen=True)
+class FitReport:
+    fits: bool
+    total_loss: Rational
+    violations: Tuple[Tuple[int, Point2, Vec2, Vec2], ...]
+
+
+def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
+    """Exact squared-error loss of net on the instance's points.
+
+    fits is True iff total loss <= gamma and the network has at most the
+    instance's hidden_neurons units; with gamma = 0 the loss condition means
+    every labeled point is hit exactly. violations lists (index, point,
+    wanted, got) for each missed point, in index order.
+    """
+    misses = []
+    # Squared errors as int numerators, summed per denominator.
+    errors: Dict[int, int] = defaultdict(int)
+    for i, (y1, t1, y2, t2), n1, n2, d in _outputs(net.integer, instance.table):
+        misses.append((i, n1, n2, d))
+        e1 = n1 * t1 - y1 * d
+        e2 = n2 * t2 - y2 * d
+        errors[(d * t1) ** 2] += e1 * e1
+        errors[(d * t2) ** 2] += e2 * e2
+    misses.sort(key=itemgetter(0))
+    points = instance.points
+    violations = tuple(
+        (i, *points[i], (Fraction(n1, d), Fraction(n2, d))) for i, n1, n2, d in misses
+    )
+    loss = sum((Fraction(n, d) for d, n in errors.items()), Fraction(0))
+    fits = loss <= instance.gamma and len(net.neurons) <= instance.hidden_neurons
+    return FitReport(fits=fits, total_loss=loss, violations=violations)
+
+
 def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int, int]]:
     """(N1, N2, D) with D > 0 for each point, in order: net's outputs there
-    are N1/D and N2/D. Lone points are summed unit by unit and shared
-    verticals swept, as the module docstring describes."""
-    units, k = _integer_units(net)
-    verticals: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-    for i, p in enumerate(points):
-        verticals[p.x1.numerator, p.x1.denominator].append(i)
+    are N1/D and N2/D. The points' table is built afresh on each call, with
+    no labels, and read by the same kernel as exact_fit()'s; the network's
+    ints are the ones Network.integer holds."""
     out: List[Tuple[int, int, int]] = [(0, 0, 1)] * len(points)
-    for (v, q), members in verticals.items():
-        if len(members) == 1:
-            (i,) = members
-            out[i] = _lone(units, k, points[i])
-        else:
-            for i, got in zip(members, _sweep(units, k, v, q, [points[i].x2 for i in members])):
-                out[i] = got
+    for i, _none, n1, n2, d in _outputs(net.integer, _point_table(points, [None] * len(points))):
+        out[i] = (n1, n2, d)
     return out
 
 
-def _lone(units: List[Tuple[int, ...]], k: int, p: Point2) -> Tuple[int, int, int]:
-    """Outputs at p = (X1, X2) / W: sum(C_j * max(0, z)) / (K * W)."""
-    x1, x2, w = integer_point(p)
-    s1 = s2 = 0
-    for a1, a2, b, c1, c2 in units:
-        z = a1 * x1 + a2 * x2 + b * w
-        if z > 0:
-            s1 += c1 * z
-            s2 += c2 * z
-    return s1, s2, k * w
+def _outputs(
+    net: IntegerNetwork, table: PointTable
+) -> Iterator[Tuple[int, Optional[LabelInts], int, int, int]]:
+    """(index, label, N1, N2, D) for each row of the table that has no label
+    or whose label (Y1/y1, Y2/y2) the outputs N1/D and N2/D miss, vertical by
+    vertical and then the lone points. Labels are compared by
+    cross-multiplying, N1*y1 against Y1*D."""
+    k = net.k
+    for v, q, s, heights, indices, labels in table.verticals:
+        keys, sums = _vertical_sums(net, v, q, s)
+        d = k * q * s
+        for p, i, y in zip(heights, indices, labels):
+            # The up units with key < P are active.
+            e1, e2, g1, g2 = sums[bisect_left(keys, p)]
+            n1 = e1 + g1 * p
+            n2 = e2 + g2 * p
+            if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
+                yield i, y, n1, n2, d
+    x1s, x2s, indices, labels = table.lone
+    if not indices:
+        return
+    w = table.w
+    l1x, l1y, l1w, l2x, l2y, l2w = net.linear
+    l1w *= w
+    l2w *= w
+    singles = [(a1, a2, b * w, c1, c2) for a1, a2, b, c1, c2 in net.singles]
+    classes = [(a1, a2, *_class_sums(members, w)) for a1, a2, members in net.classes]
+    d = k * w
+    for x1, x2, i, y in zip(x1s, x2s, indices, labels):
+        n1 = l1x * x1 + l1y * x2 + l1w
+        n2 = l2x * x1 + l2y * x2 + l2w
+        for a1, a2, bw, c1, c2 in singles:
+            z = a1 * x1 + a2 * x2 + bw
+            if z > 0:
+                n1 += c1 * z
+                n2 += c2 * z
+        for a1, a2, keys, sums in classes:
+            t = a1 * x1 + a2 * x2
+            # The class's units with key < T are active.
+            g1, g2, b1, b2 = sums[bisect_left(keys, t)]
+            n1 += g1 * t + b1
+            n2 += g2 * t + b2
+        if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
+            yield i, y, n1, n2, d
 
 
-def _sweep(
-    units: List[Tuple[int, ...]], k: int, v: int, q: int, heights: Sequence[Rational]
-) -> List[Tuple[int, int, int]]:
-    """Outputs at (v/q, x2) for each x2 in heights, q > 0, read off the up
-    keys and prefix sums of the module docstring: a unit with A2 < 0 is read
-    as z + relu(-z), so each height costs one bisect into one sorted list."""
-    parts = [(y.numerator, y.denominator) for y in heights]
-    s = lcm(*(t for _r, t in parts))
-    # (key, C1*E, C2*E, C1*A2, C2*A2) of each unit that switches on above its key.
+def _vertical_sums(
+    net: IntegerNetwork, v: int, q: int, s: int
+) -> Tuple[List[int], List[Tuple[int, int, int, int]]]:
+    """The sorted up keys on the vertical x1 = v/q, and below each key i the
+    sums (E1*S, E2*S, G1*Q, G2*Q) over the linear term, what is active all
+    along and the first i up units."""
+    l1x, l1y, l1w, l2x, l2y, l2w = net.linear
+    e1, e2 = l1x * v + l1w * q, l2x * v + l2w * q
     up = []
-    base = (0, 0, 0, 0)  # the same sums over what is active all along the vertical
-    for a1, a2, b, c1, c2 in units:
+    for a1, a2, b, c1, c2 in net.bending:
         e = a1 * v + b * q
-        row = (c1 * e, c2 * e, c1 * a2, c2 * a2)
-        if a2 > 0:
-            up.append(((-e * s) // (a2 * q), *row))
-        elif a2 < 0:
-            # relu(z) = z + relu(-z): z is active all along, and -z switches on above.
-            base = _add4(base, row)
-            up.append(((e * s) // (-a2 * q), -row[0], -row[1], -row[2], -row[3]))
+        if a2:
+            es, gq = e * s, a2 * q
+            up.append((-es // gq, c1 * es, c2 * es, c1 * gq, c2 * gq))
         elif e > 0:
-            base = _add4(base, row)
-    up.sort(key=itemgetter(0))
-    # below[i]: sums over what is active all along and the first i up units.
-    below = list(accumulate((u[1:] for u in up), _add4, initial=base))
-    keys = [u[0] for u in up]
-    out = []
-    for r, t in parts:
-        # The up units with key < height are active.
-        e1, e2, g1, g2 = below[bisect_left(keys, r * (s // t))]
-        qr = q * r
-        out.append((g1 * qr + e1 * t, g2 * qr + e2 * t, k * q * t))
-    return out
+            e1 += c1 * e
+            e2 += c2 * e
+    return _sorted_sums(up, (e1 * s, e2 * s, l1y * q, l2y * q))
+
+
+def _class_sums(
+    members: List[Tuple[int, int, int, int]], w: int
+) -> Tuple[List[int], List[Tuple[int, int, int, int]]]:
+    """A class's sorted keys floor(-B*W/g), and below each key i the sums
+    (C1*g, C2*g, C1*B*W, C2*B*W) over the first i units."""
+    rows = []
+    for g, b, c1, c2 in members:
+        bw = b * w
+        rows.append((-bw // g, c1 * g, c2 * g, c1 * bw, c2 * bw))
+    return _sorted_sums(rows, (0, 0, 0, 0))
+
+
+def _sorted_sums(
+    rows: List[Tuple[int, int, int, int, int]], base: Tuple[int, int, int, int]
+) -> Tuple[List[int], List[Tuple[int, int, int, int]]]:
+    """The rows' keys, each row's first item, in order, and below each key i
+    the sums of the rows' other four items over base and the first i rows."""
+    rows.sort(key=itemgetter(0))
+    return [r[0] for r in rows], list(accumulate((r[1:] for r in rows), _add4, initial=base))
 
 
 def _add4(acc: Tuple[int, ...], row: Tuple[int, ...]) -> Tuple[int, int, int, int]:
@@ -280,7 +449,7 @@ def max_gradient_norm_bound(net: Network) -> Rational:
     one. So start on the edge before the first crossing and flip each group
     of equal t in turn.
     """
-    units, k = _integer_units(net)
+    units, k = net.integer.units, net.integer.k
     # Each line's (A1, A2, B), and its unit's gradients over K switching on and off.
     lines = []
     for a1, a2, b, c1, c2 in units:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from ernn.network import (
     network_from_json,
     network_to_json,
 )
-from ernn.reducer import compile_formula, witness
+from ernn.reducer import compile_formula, extract, witness
 
 F = Fraction
 
@@ -126,19 +127,30 @@ def _units(draw):
 
 @st.composite
 def _fit_cases(draw):
-    """A network and an instance whose points share a few x values, up to
-    24 on one, labeled half by the network itself. Some units repeat
-    another's bend line, facing either way, so several switch at one height.
-    A point may lie exactly on a unit's bend line or on the grid step of a
-    drawn denominator just above or below it."""
+    """A network and an instance, labeled half by the network itself.
+
+    Some units take another's direction, rescaled by a positive or negative
+    factor, with its b rescaled too (the same bend line, facing either way)
+    or drawn afresh (a parallel line): parallel classes of several units
+    that face both ways. Most points share a few x values, up to 24 on one,
+    so several units switch at one height there, and a point may lie
+    exactly on a unit's bend line or on the grid step of a drawn
+    denominator just above or below it. Up to 6 more sit each alone on its
+    own x1, on a grid of step 1/W with W the lcm of drawn denominators, and
+    may lie on a unit's bend line or a step or two beside it."""
     units = draw(st.lists(_units(), max_size=6))
-    for _ in range(draw(st.integers(0, 3)) if units else 0):
+    for _ in range(draw(st.integers(0, 5)) if units else 0):
         u = draw(st.sampled_from(units))
         k = draw(st.sampled_from((F(-2), F(-1, 3), F(1, 2), F(3))))
-        units.append(HiddenNeuron(k * u.a1, k * u.a2, k * u.b, draw(_NUMBERS), draw(_NUMBERS)))
+        b = k * u.b if draw(st.booleans()) else draw(_NUMBERS)
+        units.append(HiddenNeuron(k * u.a1, k * u.a2, b, draw(_NUMBERS), draw(_NUMBERS)))
     net = Network(tuple(units))
-    xs = draw(st.lists(_NUMBERS, min_size=1, max_size=3))
     bending = [u for u in net.neurons if u.a1 != 0 or u.a2 != 0]
+
+    def labeled(p):
+        return p, evaluate(net, p) if draw(st.booleans()) else (draw(_NUMBERS), draw(_NUMBERS))
+
+    xs = draw(st.lists(_NUMBERS, min_size=1, max_size=3))
     points = []
     for _ in range(draw(st.integers(0, 24))):
         x, y = draw(st.sampled_from(xs)), draw(_NUMBERS)
@@ -158,9 +170,21 @@ def _fit_cases(draw):
             else:
                 x = -(u.a2 * y + u.b) / F(u.a1)
                 assert u.a1 * x + u.a2 * y + u.b == 0
-        p = Point2(x, y)
-        want = evaluate(net, p) if draw(st.booleans()) else (draw(_NUMBERS), draw(_NUMBERS))
-        points.append((p, want))
+        points.append(labeled(Point2(x, y)))
+    w = math.lcm(*draw(st.lists(st.sampled_from((1, 2, 3, 5, 7)), min_size=1, max_size=3)))
+    slanted = [u for u in bending if u.a2 != 0]
+    taken = {p.x1 for p, _want in points}
+    for _ in range(draw(st.integers(0, 6))):
+        x = F(draw(st.integers(-4 * w, 4 * w)), w)
+        y = F(draw(st.integers(-4 * w, 4 * w)), w)
+        if slanted and draw(st.booleans()):
+            u = draw(st.sampled_from(slanted))
+            # floor(y*W) is on the line or just below it.
+            near = math.floor(-(u.a1 * x + u.b) / F(u.a2) * w)
+            y = F(near + draw(st.integers(-1, 2)), w)
+        if x not in taken:
+            taken.add(x)
+            points.append(labeled(Point2(x, y)))
     gamma = draw(st.sampled_from((0, F(1, 3), 2, 50)))
     return net, TrainInstance(draw(st.integers(0, 9)), gamma, tuple(points))
 
@@ -188,6 +212,37 @@ def _fit_cases(draw):
     )),
     TrainInstance(3, F(0), tuple(
         (Point2(F(1), y), (F(0), F(0))) for y in (F(-1, 4), F(0), F(1, 4), F(1, 2), F(3, 4))
+    )),
+))
+# Three units bend along x + 2y = 1, the second facing the other way: one
+# class, all three with key floor(-B*W/g) = 6 at W = 6. The points sit each
+# alone on its x1, on the line (T = X1 + 2*X2 = 6) and a step of 1/6 below
+# and above it.
+@example((
+    Network((
+        HiddenNeuron(1, 2, -1, 2, -1),
+        HiddenNeuron(-2, -4, 2, 1, 3),
+        HiddenNeuron(F(1, 2), 1, F(-1, 2), -3, F(1, 2)),
+    )),
+    TrainInstance(3, F(0), tuple(
+        (Point2(x, y), (F(0), F(0))) for x, y in ((1, 0), (2, F(-2, 3)), (F(1, 3), F(1, 2)))
+    )),
+))
+# All three units have direction (1, 1), the third facing the other way. At
+# W = 12 their keys floor(-B*W/g) are -24, floor(-36/5) = -8 and -9, and
+# (-1/2, -3/2) and (0, -3/4) lie on the first's and the third's lines
+# (T = X1 + X2 = -24 and -9). The other two points sit one step of 1/6 in
+# x1 beside the first.
+@example((
+    Network((
+        HiddenNeuron(1, 1, 2, 1, -1),
+        HiddenNeuron(5, 5, 3, -2, 1),
+        HiddenNeuron(-4, -4, -3, 1, 1),
+    )),
+    TrainInstance(3, F(0), tuple(
+        (Point2(x, y), (F(0), F(0)))
+        for x, y in ((F(-1, 2), F(-3, 2)), (F(-1, 3), F(-3, 2)), (F(-2, 3), F(-3, 2)),
+                     (0, F(-3, 4)))
     )),
 ))
 @given(_fit_cases())
@@ -236,6 +291,7 @@ def _reference_networks():
 
 def test_exact_fit_matches_evaluate_on_a_compiled_instance():
     instance, nets = _reference_networks()
+    # One instance object, its table built by the first call, for every kind in turn.
     reports = {kind: exact_fit(net, instance) for kind, net in nets.items()}
     for kind, net in nets.items():
         assert reports[kind] == _reference_fit(net, instance), kind
@@ -243,6 +299,64 @@ def test_exact_fit_matches_evaluate_on_a_compiled_instance():
     assert not reports["padded"].fits and reports["padded"].total_loss == 0
     assert len(reports["perturbed"].violations) == 507
     assert not reports["random"].fits
+
+
+def test_an_instance_table_holds_no_network_state():
+    """The test above reads five networks through one instance's table;
+    here one network reads two instances, and equal instances stay equal."""
+    instance, nets = _reference_networks()
+    net = nets["witness"]
+    fit = FitReport(fits=True, total_loss=F(0), violations=())
+    assert exact_fit(net, instance) == fit
+    table = instance.table
+    # replace() builds the second instance from new points, every other one
+    # a step of 1/7 up, and it gets a table of its own.
+    moved = replace(instance, points=tuple(
+        (Point2(p.x1, p.x2 + F(1, 7)) if i % 2 else p, want)
+        for i, (p, want) in enumerate(instance.points)
+    ))
+    report = exact_fit(net, moved)
+    assert report == _reference_fit(net, moved) and report.violations
+    assert moved.table is not table and instance.table is table
+    assert exact_fit(net, instance) == fit
+    # A served instance reads back equal by value, and stays equal, with an
+    # equal hash, once its own table is built.
+    served = instance_from_json(instance_to_json(instance))
+    assert served == instance and hash(served) == hash(instance)
+    assert exact_fit(nets["perturbed"], served) == _reference_fit(nets["perturbed"], instance)
+    assert served.table is not table
+    assert served == instance and hash(served) == hash(instance)
+
+
+def test_lone_points_read_by_class_on_a_compiled_chain():
+    text = "".join(f"inv A{i} B{i}\nadd H{i} H{i} A{i}\n" for i in range(2))
+    bundle = compile_formula(parse_formula(text))
+    assignment = {name: value for i in range(2)
+                  for name, value in ((f"A{i}", F(1)), (f"B{i}", F(1)), (f"H{i}", F(1, 2)))}
+    net = witness(bundle, assignment)
+    instance = bundle.instance
+    # The witness's 106 units lie on six directions, none alone on its own.
+    assert len(net.integer.classes) == 6 and not net.integer.singles
+    assert instance.table.lone[2]
+    rng = random.Random(39)
+    rescaled = Network(tuple(
+        HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1 / k, u.c2 / k)
+        for u in net.neurons for k in [F(rng.randint(2, 5))]
+    ))
+    # Acceptance test 07's perturbation of a unit whose line holds a lone point.
+    lone = [instance.points[i][0] for i in instance.table.lone[2]]
+    i = next(i for i, u in enumerate(net.neurons)
+             if any(u.a1 * p.x1 + u.a2 * p.x2 + u.b == 0 for p in lone))
+    u, k = net.neurons[i], F(101, 100)
+    bent = HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1, u.c2)
+    perturbed = Network(net.neurons[:i] + (bent,) + net.neurons[i + 1:])
+    # The rescaled witness computes the witness's function, so one reference serves both.
+    fit = _reference_fit(net, instance)
+    assert exact_fit(net, instance) == fit and exact_fit(rescaled, instance) == fit
+    report = exact_fit(perturbed, instance)
+    assert report == _reference_fit(perturbed, instance) and not report.fits
+    assert extract(bundle, net) == assignment
+    assert extract(bundle, rescaled) == assignment
 
 
 def test_gradient_bound_single_ridge():

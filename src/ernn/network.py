@@ -19,10 +19,11 @@ layers, each done once for what it depends on:
 - once per instance, TrainInstance.table: its points as ints, grouped by
   x1, each with its index and its label's numerators and denominators;
 - once per network, Network.integer: its units as ints, turned to face
-  one way per direction and grouped into parallel classes;
-- per (network, instance): each shared vertical's and each class's sorted
-  keys and prefix sums. Then a point costs one bisect on a vertical, or
-  one bisect per class of two or more units when it is alone on its x1.
+  one way per direction and grouped into parallel classes, each with its
+  sorted thresholds and prefix sums;
+- per (network, instance): each shared vertical's sorted keys and prefix
+  sums. Then a point costs one bisect on a vertical, or one bisect per
+  class when it is alone on its x1.
 
 Unit i's (a1, a2, b) is scaled by L_i > 0, the lcm of their denominators,
 into integers (A1, A2, B); a positive scale keeps the sign of the
@@ -51,20 +52,21 @@ along, give each point's active sums E_j and G_j with one bisect, and
 
     f_j = (E_j*S + G_j*Q*P) / (K*Q*S).
 
-Every point alone on its x1 is written (X1, X2)/W on one common
-denominator W > 0, the lcm of all their coordinates' denominators. The
-units that bend are grouped by primitive integer direction
-(α1, α2) = (A1, A2)/g, g = gcd(A1, A2) > 0. Within a class, unit i's
-pre-activation times W is g*T + B*W with the int T = α1*X1 + α2*X2, so it
-is active
+Every point alone on its x1 is written (X1, X2)/W on its own denominator
+W > 0, the lcm of its coordinates' denominators. The units that bend are
+grouped into parallel classes by primitive integer direction
+(α1, α2) = (A1, A2)/g, g = gcd(A1, A2) > 0. Unit i's pre-activation times
+W is g*T + B*W with the int T = α1*X1 + α2*X2, so with M the lcm of its
+class's g it is active
 
-    iff T > floor(-B*W / g),     its class key,
+    iff T*M > τ*W,  that is iff τ < ceil(T*M / W),     τ = -B*M/g its threshold.
 
-and with a class's keys sorted, prefix sums of (C_j*g, C_j*B*W) give the
-class's share of f_j*K*W as G_j*T + B_j with one bisect. A class of one
-unit is summed directly. A witness's units lie on the six palette
-normals, so a lone point costs a few bisects; a network whose directions
-are all distinct costs one term per unit, as a direct sum does.
+Each class's thresholds are sorted once per network, with prefix sums of
+(C_j*g, C_j*B) over them, so a class's share of f_j*K*W is G_j*T + B_j*W
+with one bisect. A lone point's ints stay the size of its own
+coordinates, whatever the other points' denominators. A witness's units
+lie on the six palette normals, so a lone point costs a few bisects; a
+network whose directions are all distinct costs one bisect per unit.
 
 The kernel compares each output with its label by cross-multiplying and
 hands exact_fit() only the misses. A missed point's squared error is
@@ -138,10 +140,10 @@ class IntegerNetwork(NamedTuple):
     linear: Tuple[int, int, int, int, int, int]
     # (A1, A2, B, C1, C2) of each unit that bends, turned to face its direction's way.
     bending: List[Tuple[int, int, int, int, int]]
-    # (α1, α2, [(g, B, C1, C2), ...]) of each parallel class of two or more units.
-    classes: List[Tuple[int, int, List[Tuple[int, int, int, int]]]]
-    # (A1, A2, B, C1, C2) of each unit alone in its class.
-    singles: List[Tuple[int, int, int, int, int]]
+    # (α1, α2, M, thresholds, sums) of each parallel class: its units' -B*M/g
+    # sorted, and below threshold i the sums (C1*g, C2*g, C1*B, C2*B) of the
+    # first i units.
+    classes: List[Tuple[int, int, int, List[int], List[Tuple[int, int, int, int]]]]
 
 
 @dataclass(frozen=True)
@@ -170,16 +172,12 @@ class Network:
             bending.append((a1, a2, b, c1, c2))
             g = gcd(a1, a2)
             by_direction[a1 // g, a2 // g].append((g, b, c1, c2))
-        classes, singles = [], []
+        classes = []
         for (a1, a2), members in by_direction.items():
-            if len(members) > 1:
-                classes.append((a1, a2, members))
-            else:
-                ((g, b, c1, c2),) = members
-                singles.append((a1 * g, a2 * g, b, c1, c2))
-        return IntegerNetwork(
-            units, k, (l1x, l1y, l1w, l2x, l2y, l2w), bending, classes, singles
-        )
+            m = lcm(*(g for g, *_ in members))
+            rows = [(-b * (m // g), c1 * g, c2 * g, c1 * b, c2 * b) for g, b, c1, c2 in members]
+            classes.append((a1, a2, m, *_sorted_sums(rows, (0, 0, 0, 0))))
+        return IntegerNetwork(units, k, (l1x, l1y, l1w, l2x, l2y, l2w), bending, classes)
 
 
 def _integer_units(net: Network) -> Tuple[List[Tuple[int, int, int, int, int]], int]:
@@ -222,34 +220,39 @@ def evaluate(net: Network, p: Point2) -> Vec2:
 # ---------------------------------------------------------------------------
 
 class PointTable(NamedTuple):
-    """Points as ints, as the module docstring describes, in columns. Each
-    point keeps its index and its label's ints, or None if it is read
-    without a label."""
+    """Points as ints, as the module docstring describes. Each point keeps
+    its index and its label's ints, or None if it is read without a label."""
 
     # (V, Q, S, heights P, indices, labels) of each vertical x1 = V/Q that
     # two or more points share, with S the lcm of the x2 denominators there.
     verticals: List[Tuple[int, int, int, List[int], List[int], List[Optional[LabelInts]]]]
-    # W, and (X1, X2, indices, labels) of the points alone on their x1.
-    w: int
-    lone: Tuple[List[int], List[int], List[int], List[Optional[LabelInts]]]
+    # (W, X1, X2, index, label) of each point alone on its x1, with W the lcm
+    # of its coordinates' denominators.
+    lone: List[Tuple[int, int, int, int, Optional[LabelInts]]]
 
 
 def _point_table(points: Sequence[Point2], labels: Sequence[Optional[Vec2]]) -> PointTable:
     """The table of points[i] with labels[i]; a label of None stays None."""
-    # A label pair's ints, once per pair object: the points of one purpose share one.
-    ints: Dict[int, Optional[LabelInts]] = {id(None): None}
+    # One tuple per distinct label: a compiled instance has at most 13, and
+    # a tuple per point would raise the peak of building F_1024's table by 36 MB.
+    shared: Dict[LabelInts, LabelInts] = {}
+    ints: List[Optional[LabelInts]] = []
+    for y in labels:
+        if y is not None:
+            y = (y[0].numerator, y[0].denominator, y[1].numerator, y[1].denominator)
+            y = shared.setdefault(y, y)
+        ints.append(y)
     by_x1: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-    for i, (p, y) in enumerate(zip(points, labels)):
-        x1 = p.x1
-        by_x1[x1.numerator, x1.denominator].append(i)
-        if id(y) not in ints:
-            y1, y2 = y
-            ints[id(y)] = (y1.numerator, y1.denominator, y2.numerator, y2.denominator)
+    for i, p in enumerate(points):
+        by_x1[p.x1.numerator, p.x1.denominator].append(i)
     verticals = []
-    alone: List[int] = []
+    lone = []
     for (v, q), members in by_x1.items():
         if len(members) == 1:
-            alone += members
+            (i,) = members
+            x2 = points[i].x2
+            w = lcm(q, x2.denominator)
+            lone.append((w, v * (w // q), x2.numerator * (w // x2.denominator), i, ints[i]))
             continue
         heights = [points[i].x2 for i in members]
         s = lcm(*(y.denominator for y in heights))
@@ -257,16 +260,9 @@ def _point_table(points: Sequence[Point2], labels: Sequence[Optional[Vec2]]) -> 
             v, q, s,
             [y.numerator * (s // y.denominator) for y in heights],
             members,
-            [ints[id(labels[i])] for i in members],
+            [ints[i] for i in members],
         ))
-    lone = [points[i] for i in alone]
-    w = lcm(*(d for p in lone for d in (p.x1.denominator, p.x2.denominator)))
-    return PointTable(verticals, w, (
-        [p.x1.numerator * (w // p.x1.denominator) for p in lone],
-        [p.x2.numerator * (w // p.x2.denominator) for p in lone],
-        alone,
-        [ints[id(labels[i])] for i in alone],
-    ))
+    return PointTable(verticals, lone)
 
 
 @dataclass(frozen=True)
@@ -351,30 +347,17 @@ def _outputs(
             n2 = e2 + g2 * p
             if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
                 yield i, y, n1, n2, d
-    x1s, x2s, indices, labels = table.lone
-    if not indices:
-        return
-    w = table.w
     l1x, l1y, l1w, l2x, l2y, l2w = net.linear
-    l1w *= w
-    l2w *= w
-    singles = [(a1, a2, b * w, c1, c2) for a1, a2, b, c1, c2 in net.singles]
-    classes = [(a1, a2, *_class_sums(members, w)) for a1, a2, members in net.classes]
-    d = k * w
-    for x1, x2, i, y in zip(x1s, x2s, indices, labels):
-        n1 = l1x * x1 + l1y * x2 + l1w
-        n2 = l2x * x1 + l2y * x2 + l2w
-        for a1, a2, bw, c1, c2 in singles:
-            z = a1 * x1 + a2 * x2 + bw
-            if z > 0:
-                n1 += c1 * z
-                n2 += c2 * z
-        for a1, a2, keys, sums in classes:
+    for w, x1, x2, i, y in table.lone:
+        n1 = l1x * x1 + l1y * x2 + l1w * w
+        n2 = l2x * x1 + l2y * x2 + l2w * w
+        for a1, a2, m, thresholds, sums in net.classes:
             t = a1 * x1 + a2 * x2
-            # The class's units with key < T are active.
-            g1, g2, b1, b2 = sums[bisect_left(keys, t)]
-            n1 += g1 * t + b1
-            n2 += g2 * t + b2
+            # The class's units with threshold < ceil(T*M/W) are active.
+            g1, g2, b1, b2 = sums[bisect_left(thresholds, -(-t * m // w))]
+            n1 += g1 * t + b1 * w
+            n2 += g2 * t + b2 * w
+        d = k * w
         if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
             yield i, y, n1, n2, d
 
@@ -397,18 +380,6 @@ def _vertical_sums(
             e1 += c1 * e
             e2 += c2 * e
     return _sorted_sums(up, (e1 * s, e2 * s, l1y * q, l2y * q))
-
-
-def _class_sums(
-    members: List[Tuple[int, int, int, int]], w: int
-) -> Tuple[List[int], List[Tuple[int, int, int, int]]]:
-    """A class's sorted keys floor(-B*W/g), and below each key i the sums
-    (C1*g, C2*g, C1*B*W, C2*B*W) over the first i units."""
-    rows = []
-    for g, b, c1, c2 in members:
-        bw = b * w
-        rows.append((-bw // g, c1 * g, c2 * g, c1 * bw, c2 * bw))
-    return _sorted_sums(rows, (0, 0, 0, 0))
 
 
 def _sorted_sums(

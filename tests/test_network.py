@@ -136,8 +136,9 @@ def _fit_cases(draw):
     so several units switch at one height there, and a point may lie
     exactly on a unit's bend line or on the grid step of a drawn
     denominator just above or below it. Up to 6 more sit each alone on its
-    own x1, on a grid of step 1/W with W the lcm of drawn denominators, and
-    may lie on a unit's bend line or a step or two beside it."""
+    own x1, on a grid of step 1/W with W the lcm of drawn denominators, so
+    that some share their own denominator and some do not, and may lie on a
+    unit's bend line or a step or two beside it."""
     units = draw(st.lists(_units(), max_size=6))
     for _ in range(draw(st.integers(0, 5)) if units else 0):
         u = draw(st.sampled_from(units))
@@ -215,9 +216,9 @@ def _fit_cases(draw):
     )),
 ))
 # Three units bend along x + 2y = 1, the second facing the other way: one
-# class, all three with key floor(-B*W/g) = 6 at W = 6. The points sit each
-# alone on its x1, on the line (T = X1 + 2*X2 = 6) and a step of 1/6 below
-# and above it.
+# class with M = 2, all three with threshold -B*M/g = 2. The points sit each
+# alone on its x1 and on its own denominator W = 1, 3 and 6: on the line
+# (T = X1 + 2*X2 = W, so ceil(T*M/W) = 2) and 1/3 below and above it.
 @example((
     Network((
         HiddenNeuron(1, 2, -1, 2, -1),
@@ -228,11 +229,12 @@ def _fit_cases(draw):
         (Point2(x, y), (F(0), F(0))) for x, y in ((1, 0), (2, F(-2, 3)), (F(1, 3), F(1, 2)))
     )),
 ))
-# All three units have direction (1, 1), the third facing the other way. At
-# W = 12 their keys floor(-B*W/g) are -24, floor(-36/5) = -8 and -9, and
-# (-1/2, -3/2) and (0, -3/4) lie on the first's and the third's lines
-# (T = X1 + X2 = -24 and -9). The other two points sit one step of 1/6 in
-# x1 beside the first.
+# All three units have direction (1, 1), the third facing the other way:
+# M = 20, and their thresholds -B*M/g are -40, -12 and -15. (-1/2, -3/2),
+# at W = 2, lies on the first's line (T = X1 + X2 = -4, ceil(T*M/W) = -40),
+# and (0, -3/4), at W = 4, on the third's (T = -3, ceil(-60/4) = -15). The
+# other two points, at W = 6, sit 1/6 in x1 beside the first, where
+# T*M/W = -110/3 and -130/3 round up to -36 and -43.
 @example((
     Network((
         HiddenNeuron(1, 1, 2, 1, -1),
@@ -335,16 +337,18 @@ def test_lone_points_read_by_class_on_a_compiled_chain():
                   for name, value in ((f"A{i}", F(1)), (f"B{i}", F(1)), (f"H{i}", F(1, 2)))}
     net = witness(bundle, assignment)
     instance = bundle.instance
-    # The witness's 106 units lie on six directions, none alone on its own.
-    assert len(net.integer.classes) == 6 and not net.integer.singles
-    assert instance.table.lone[2]
+    # The witness's 106 units lie on six directions, none alone on its own,
+    # and the lone points sit on several denominators.
+    assert len(net.integer.classes) == 6
+    assert all(len(thresholds) > 1 for *_, thresholds, _sums in net.integer.classes)
+    assert len({w for w, *_ in instance.table.lone}) > 1
     rng = random.Random(39)
     rescaled = Network(tuple(
         HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1 / k, u.c2 / k)
         for u in net.neurons for k in [F(rng.randint(2, 5))]
     ))
     # Acceptance test 07's perturbation of a unit whose line holds a lone point.
-    lone = [instance.points[i][0] for i in instance.table.lone[2]]
+    lone = [instance.points[i][0] for *_, i, _label in instance.table.lone]
     i = next(i for i, u in enumerate(net.neurons)
              if any(u.a1 * p.x1 + u.a2 * p.x2 + u.b == 0 for p in lone))
     u, k = net.neurons[i], F(101, 100)

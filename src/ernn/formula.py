@@ -331,17 +331,19 @@ def grid_solve(formula: EtrInvFormula, denom_bound: int) -> Dict[str, Fraction]:
 def parse_assignment(text: str) -> Dict[str, Fraction]:
     out: Dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
+        # Columns count on the raw line, as parse_formula's do.
+        start = len(line) - len(line.lstrip()) + 1
         if "=" not in line:
-            raise FormulaSyntaxError("expected 'name = value'", lineno, 1)
+            raise FormulaSyntaxError("expected 'name = value'", lineno, start)
         name, _, value = line.partition("=")
         name = name.strip()
         if not _is_name(name):
-            raise FormulaSyntaxError(f"bad variable name {name!r}", lineno, 1)
+            raise FormulaSyntaxError(f"bad variable name {name!r}", lineno, start)
         if name in out:
-            raise FormulaSyntaxError(f"variable {name!r} is assigned twice", lineno, 1)
+            raise FormulaSyntaxError(f"variable {name!r} is assigned twice", lineno, start)
         try:
             out[name] = parse_rational(value)
         except ValueError:

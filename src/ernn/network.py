@@ -17,13 +17,12 @@ extract() reads points only through them. Their work comes in three
 layers, each done once for what it depends on:
 
 - once per instance, TrainInstance.table: its points as ints, grouped by
-  x1, each with its index and its label's numerators and denominators;
+  x1 into verticals, each point with its index and its label's numerators
+  and denominators;
 - once per network, Network.integer: its units as ints, turned to face
   one way per direction and grouped into parallel classes, each with its
   sorted thresholds and prefix sums;
-- per (network, instance): each shared vertical's sorted keys and prefix
-  sums. Then a point costs one bisect on a vertical, or one bisect per
-  class when it is alone on its x1.
+- per (network, instance): each vertical's path, chosen from its counts.
 
 Unit i's (a1, a2, b) is scaled by L_i > 0, the lcm of their denominators,
 into integers (A1, A2, B); a positive scale keeps the sign of the
@@ -37,12 +36,20 @@ faces the right way. A unit with A1 = A2 = 0 adds C*B to the linear term
 if B > 0 and nothing otherwise. Every comparison below is strict, which
 keeps relu(0) = 0 on a bend line, where z + relu(-z) reads 0 + 0.
 
-The points that share a vertical x1 = V/Q, Q > 0, are swept together; the
-instances compile_formula writes hold nearly all their points on a few
-such verticals. There unit i's pre-activation times Q is A2*Q*x2 + E, with
-E = A1*V + B*Q. With S the lcm of the x2 denominators on the vertical,
-each point has an integer height P = x2*S. A unit with A2 = 0 is active
-all along the vertical iff E > 0, and a unit with A2 > 0 is active
+The points on a vertical x1 = V/Q, Q > 0, are read together, a point
+alone on its x1 included; with S the lcm of their x2 denominators, each
+has an integer height P = x2*S. With U units that bend, in C parallel
+classes, a vertical of n points is swept if n*C > U: one key per unit,
+sorted, then one bisect per point. Otherwise it is read by class, one
+bisect per class per point. A call on N points on V verticals thus costs
+O((N + the verticals' sum of min(n*C, U)) * log U) int operations, at
+most O(N*(C + 1) * log U) and at most O((N + V*U) * log U). On a
+compiled instance a network within its budget sweeps the three sample
+verticals and reads every other point, each alone on its x1, by class.
+
+On a swept vertical unit i's pre-activation times Q is A2*Q*x2 + E, with
+E = A1*V + B*Q. A unit with A2 = 0 is active all along the vertical iff
+E > 0, and a unit with A2 > 0 is active
 
     iff P > floor(-E*S / (A2*Q)),     its up key.
 
@@ -52,21 +59,19 @@ along, give each point's active sums E_j and G_j with one bisect, and
 
     f_j = (E_j*S + G_j*Q*P) / (K*Q*S).
 
-Every point alone on its x1 is written (X1, X2)/W on its own denominator
-W > 0, the lcm of its coordinates' denominators. The units that bend are
-grouped into parallel classes by primitive integer direction
-(α1, α2) = (A1, A2)/g, g = gcd(A1, A2) > 0. Unit i's pre-activation times
-W is g*T + B*W with the int T = α1*X1 + α2*X2, so with M the lcm of its
-class's g it is active
+A vertical read by class writes each of its points as (X1, X2)/W, with
+W = lcm(Q, S) > 0, so a point alone on its x1 keeps its own denominators.
+The units that bend are grouped into parallel classes by primitive
+integer direction (α1, α2) = (A1, A2)/g, g = gcd(A1, A2) > 0. Unit i's
+pre-activation times W is g*T + B*W with the int T = α1*X1 + α2*X2, so
+with M the lcm of its class's g it is active
 
     iff T*M > τ*W,  that is iff τ < ceil(T*M / W),     τ = -B*M/g its threshold.
 
 Each class's thresholds are sorted once per network, with prefix sums of
 (C_j*g, C_j*B) over them, so a class's share of f_j*K*W is G_j*T + B_j*W
-with one bisect. A lone point's ints stay the size of its own
-coordinates, whatever the other points' denominators. A witness's units
-lie on the six palette normals, so a lone point costs a few bisects; a
-network whose directions are all distinct costs one bisect per unit.
+with one bisect. A witness's units lie on the six palette normals; a
+network whose directions are all distinct has a class per unit.
 
 The kernel compares each output with its label by cross-multiplying and
 hands exact_fit() only the misses. A missed point's squared error is
@@ -75,11 +80,12 @@ only for each miss's outputs and for the total. Everything reads
 numerators and denominators, so weights, coordinates and labels must be
 ints or Fractions.
 
-max_gradient_norm_bound() walks the bend lines in the same ints. Unit i's
-gradients are (C1*A1, C1*A2, C2*A1, C2*A2) / K, so every cell's squared
-norms are int sums over K**2. Along unit u's line, moving in the direction
-(-A2_u, A1_u), unit v's pre-activation times L_v*|A_u|**2 > 0 is
-value + slope*t, with slope = A1_u*A2_v - A2_u*A1_v and
+max_gradient_norm_bound() walks the same ints. A bending unit's gradients
+are (C1*A1, C1*A2, C2*A1, C2*A2) / K and the linear term's are its sums
+over K, so every cell's squared norms are int sums over K**2. Along unit
+u's line, moving in the direction (-A2_u, A1_u), unit v's pre-activation
+times L_v*|A_u|**2 > 0 is value + slope*t, with
+slope = A1_u*A2_v - A2_u*A1_v and
 value = B_v*|A_u|**2 - B_u*(A1_u*A1_v + A2_u*A2_v). v crosses the line at
 t = -value/slope; with M the lcm of the line's slopes, the int key
 -value*(M/slope) orders and groups the crossings exactly.
@@ -133,8 +139,6 @@ class HiddenNeuron:
 class IntegerNetwork(NamedTuple):
     """A network's units in ints, as the module docstring describes."""
 
-    # (A1, A2, B, C1, C2) of each unit as given, in order; and K.
-    units: List[Tuple[int, int, int, int, int]]
     k: int
     # (C1*A1, C1*A2, C1*B, C2*A1, C2*A2, C2*B), summed over the linear term.
     linear: Tuple[int, int, int, int, int, int]
@@ -177,7 +181,7 @@ class Network:
             m = lcm(*(g for g, *_ in members))
             rows = [(-b * (m // g), c1 * g, c2 * g, c1 * b, c2 * b) for g, b, c1, c2 in members]
             classes.append((a1, a2, m, *_sorted_sums(rows, (0, 0, 0, 0))))
-        return IntegerNetwork(units, k, (l1x, l1y, l1w, l2x, l2y, l2w), bending, classes)
+        return IntegerNetwork(k, (l1x, l1y, l1w, l2x, l2y, l2w), bending, classes)
 
 
 def _integer_units(net: Network) -> Tuple[List[Tuple[int, int, int, int, int]], int]:
@@ -223,12 +227,9 @@ class PointTable(NamedTuple):
     """Points as ints, as the module docstring describes. Each point keeps
     its index and its label's ints, or None if it is read without a label."""
 
-    # (V, Q, S, heights P, indices, labels) of each vertical x1 = V/Q that
-    # two or more points share, with S the lcm of the x2 denominators there.
+    # (V, Q, S, heights P, indices, labels) of each vertical x1 = V/Q the
+    # points hold, with S the lcm of the x2 denominators there.
     verticals: List[Tuple[int, int, int, List[int], List[int], List[Optional[LabelInts]]]]
-    # (W, X1, X2, index, label) of each point alone on its x1, with W the lcm
-    # of its coordinates' denominators.
-    lone: List[Tuple[int, int, int, int, Optional[LabelInts]]]
 
 
 def _point_table(points: Sequence[Point2], labels: Sequence[Optional[Vec2]]) -> PointTable:
@@ -246,23 +247,16 @@ def _point_table(points: Sequence[Point2], labels: Sequence[Optional[Vec2]]) -> 
     for i, p in enumerate(points):
         by_x1[p.x1.numerator, p.x1.denominator].append(i)
     verticals = []
-    lone = []
     for (v, q), members in by_x1.items():
-        if len(members) == 1:
-            (i,) = members
-            x2 = points[i].x2
-            w = lcm(q, x2.denominator)
-            lone.append((w, v * (w // q), x2.numerator * (w // x2.denominator), i, ints[i]))
-            continue
         heights = [points[i].x2 for i in members]
-        s = lcm(*(y.denominator for y in heights))
+        s = lcm(*[y.denominator for y in heights])
         verticals.append((
             v, q, s,
             [y.numerator * (s // y.denominator) for y in heights],
             members,
             [ints[i] for i in members],
         ))
-    return PointTable(verticals, lone)
+    return PointTable(verticals)
 
 
 @dataclass(frozen=True)
@@ -334,32 +328,36 @@ def _outputs(
 ) -> Iterator[Tuple[int, Optional[LabelInts], int, int, int]]:
     """(index, label, N1, N2, D) for each row of the table that has no label
     or whose label (Y1/y1, Y2/y2) the outputs N1/D and N2/D miss, vertical by
-    vertical and then the lone points. Labels are compared by
-    cross-multiplying, N1*y1 against Y1*D."""
-    k = net.k
+    vertical, each swept or read by class as its counts choose. Labels are
+    compared by cross-multiplying, N1*y1 against Y1*D."""
+    k, classes = net.k, net.classes
+    l1x, l1y, l1w, l2x, l2y, l2w = net.linear
     for v, q, s, heights, indices, labels in table.verticals:
-        keys, sums = _vertical_sums(net, v, q, s)
-        d = k * q * s
+        if len(heights) * len(classes) > len(net.bending):
+            keys, sums = _vertical_sums(net, v, q, s)
+            d = k * q * s
+            for p, i, y in zip(heights, indices, labels):
+                # The up units with key < P are active.
+                e1, e2, g1, g2 = sums[bisect_left(keys, p)]
+                n1 = e1 + g1 * p
+                n2 = e2 + g2 * p
+                if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
+                    yield i, y, n1, n2, d
+            continue
+        w = lcm(q, s)
+        x1, d = v * (w // q), k * w
         for p, i, y in zip(heights, indices, labels):
-            # The up units with key < P are active.
-            e1, e2, g1, g2 = sums[bisect_left(keys, p)]
-            n1 = e1 + g1 * p
-            n2 = e2 + g2 * p
+            x2 = p * (w // s)
+            n1 = l1x * x1 + l1y * x2 + l1w * w
+            n2 = l2x * x1 + l2y * x2 + l2w * w
+            for a1, a2, m, thresholds, sums in classes:
+                t = a1 * x1 + a2 * x2
+                # The class's units with threshold < ceil(T*M/W) are active.
+                g1, g2, b1, b2 = sums[bisect_left(thresholds, -(-t * m // w))]
+                n1 += g1 * t + b1 * w
+                n2 += g2 * t + b2 * w
             if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
                 yield i, y, n1, n2, d
-    l1x, l1y, l1w, l2x, l2y, l2w = net.linear
-    for w, x1, x2, i, y in table.lone:
-        n1 = l1x * x1 + l1y * x2 + l1w * w
-        n2 = l2x * x1 + l2y * x2 + l2w * w
-        for a1, a2, m, thresholds, sums in net.classes:
-            t = a1 * x1 + a2 * x2
-            # The class's units with threshold < ceil(T*M/W) are active.
-            g1, g2, b1, b2 = sums[bisect_left(thresholds, -(-t * m // w))]
-            n1 += g1 * t + b1 * w
-            n2 += g2 * t + b2 * w
-        d = k * w
-        if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
-            yield i, y, n1, n2, d
 
 
 def _vertical_sums(
@@ -411,28 +409,29 @@ def max_gradient_norm_bound(net: Network) -> Rational:
     lines. Walking every line and reading the cells on both sides of each of
     its edges therefore reads every cell, bounded or not.
 
-    Along unit u's line p0 + t*d, d = (-a2, a1), every other unit either
-    lies on the same line, runs parallel to it (active on both sides or
+    It reads the kernel's units, Network.integer: the linear term, whose
+    gradient applies in every cell, and the units that bend, each facing its
+    direction's way. Along unit u's line p0 + t*d, d = (-a2, a1), every
+    other unit either lies on the same line, facing u's way and active on
+    the positive side only, runs parallel to it (active on both sides or
     neither) or crosses it at one t, where it switches on if it grows with t
-    and off otherwise. A unit on the line that faces u's way is active on
-    the positive side only; one that faces the other way is read as
-    relu(z) = z + relu(-z), z active on both sides and -z on the positive
-    one. So start on the edge before the first crossing and flip each group
-    of equal t in turn.
+    and off otherwise. So start on the edge before the first crossing and
+    flip each group of equal t in turn.
     """
-    units, k = net.integer.units, net.integer.k
+    integer = net.integer
+    l1x, l1y, _l1w, l2x, l2y, _l2w = integer.linear
     # Each line's (A1, A2, B), and its unit's gradients over K switching on and off.
     lines = []
-    for a1, a2, b, c1, c2 in units:
-        if a1 or a2:
-            grad = (c1 * a1, c1 * a2, c2 * a1, c2 * a2)
-            lines.append((a1, a2, b, grad, tuple(-x for x in grad)))
+    for a1, a2, b, c1, c2 in integer.bending:
+        grad = (c1 * a1, c1 * a2, c2 * a1, c2 * a2)
+        lines.append((a1, a2, b, grad, tuple(-x for x in grad)))
     best = 0
     for a1, a2, b, *_ in lines:
         norm = a1 * a1 + a2 * a2
-        # g: the active units' gradients on the current edge's negative
-        # side; plus: what the units on the line add on its positive side.
-        g = plus = (0, 0, 0, 0)
+        # g: the gradients on the current edge's negative side, the linear
+        # term's and the active units'; plus: what the units on the line add
+        # on its positive side.
+        g, plus = (l1x, l1y, l2x, l2y), (0, 0, 0, 0)
         crossings = []
         for v1, v2, vb, on, off in lines:
             # v's pre-activation along the line, scaled as the module docstring says.
@@ -445,12 +444,7 @@ def max_gradient_norm_bound(net: Network) -> Rational:
             elif value > 0:
                 g = _add4(g, on)
             elif value == 0:
-                if a1 * v1 + a2 * v2 > 0:
-                    plus = _add4(plus, on)
-                else:
-                    # relu(z) = z + relu(-z): z is active on both sides, -z on the positive one.
-                    g = _add4(g, on)
-                    plus = _add4(plus, off)
+                plus = _add4(plus, on)
         # Each crossing's t = -value/slope, times the lcm of the slopes.
         common = lcm(*(slope for _, slope, _ in crossings))
         keyed = sorted(((-value * (common // slope), change) for value, slope, change in crossings),
@@ -460,7 +454,7 @@ def max_gradient_norm_bound(net: Network) -> Rational:
             for _, change in group:
                 g = _add4(g, change)
             best = max(best, _squared_norm(g, plus))
-    return Fraction(best, k * k)
+    return Fraction(best, integer.k ** 2)
 
 
 def _squared_norm(g: Tuple[int, ...], plus: Tuple[int, ...]) -> int:

@@ -59,6 +59,24 @@ def test_syntax_error_carries_position():
     assert "line 2" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "line, column, message",
+    [
+        ("    X = abc", 8, "bad rational 'abc'"),
+        ("   1X = 2", 4, "bad variable name '1X'"),
+        ("\tX 1", 2, "expected 'name = value'"),
+        ("  Y = 3", 3, "variable 'Y' is assigned twice"),
+        ("\u3000 = 1", 3, "bad variable name ''"),
+    ],
+    ids=["bad-rational", "bad-name", "no-equals", "repeated", "no-name"],
+)
+def test_assignment_columns_count_the_indent(line, column, message):
+    # Columns count on the raw line, as parse_formula's do.
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse_assignment("Y = 1\n" + line + "\n")
+    assert str(info.value) == f"line 2, column {column}: {message}"
+
+
 def test_wrong_arity_is_a_syntax_error():
     with pytest.raises(FormulaSyntaxError):
         parse_formula("add X Y\n")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ernn.network as network
 from ernn.formula import parse_formula
-from ernn.geometry import Point2, format_rational, parse_rational
+from ernn.geometry import Point2, format_rational, integer_point, parse_rational
 from ernn.network import (
     FitReport,
     HiddenNeuron,
@@ -247,6 +247,38 @@ def _fit_cases(draw):
                      (0, F(-3, 4)))
     )),
 ))
+# Three units in one class bend along 2x + 3y = 2, 4x + 6y = 3 (facing the
+# other way) and 2x + 3y = 0. The vertical x = 1/2 holds 2 points, and
+# 2 points times 1 class is below 3 units, so they are read by class on
+# W = lcm(Q, S) = lcm(2, 6) = 6, not Q*S = 12; (1/2, 1/3) lies on the first
+# line.
+@example((
+    Network((
+        HiddenNeuron(2, 3, -2, 1, -2),
+        HiddenNeuron(-4, -6, 3, F(1, 2), 3),
+        HiddenNeuron(2, 3, 0, -1, 1),
+    )),
+    TrainInstance(3, F(0), tuple(
+        (Point2(F(1, 2), y), (F(0), F(0))) for y in (F(1, 3), F(1, 2))
+    )),
+))
+# Two classes of two units each, one unit of each facing the other way. On
+# x = 1, 2 points times 2 classes equal the 4 units, the boundary, so they are
+# read by class, one on each of the first class's lines; on x = 1/3, 3 points
+# times 2 classes exceed it and are swept, each on a line of either class.
+@example((
+    Network((
+        HiddenNeuron(1, -1, 0, 1, 2),
+        HiddenNeuron(-2, 2, 1, 3, -1),
+        HiddenNeuron(0, 1, -1, 2, 1),
+        HiddenNeuron(0, -2, F(-1, 2), -1, 1),
+    )),
+    TrainInstance(4, F(0), tuple(
+        (p, (F(0), F(0)))
+        for p in (Point2(1, 1), Point2(1, F(1, 2)),
+                  Point2(F(1, 3), F(1, 3)), Point2(F(1, 3), 1), Point2(F(1, 3), F(-1, 4)))
+    )),
+))
 @given(_fit_cases())
 def test_exact_fit_matches_evaluate(case):
     net, instance = case
@@ -256,18 +288,33 @@ def test_exact_fit_matches_evaluate(case):
     assert all(type(v) is F for *_, got in report.violations for v in got)
 
 
+_REFERENCE = ("add X Y Z\ninv X W\n", {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)})
+
+
+def _chain(n):
+    """F_n, inv Ai Bi and add Hi Hi Ai for i < n, and a satisfying assignment."""
+    text = "".join(f"inv A{i} B{i}\nadd H{i} H{i} A{i}\n" for i in range(n))
+    assignment = {name: value for i in range(n)
+                  for name, value in ((f"A{i}", F(1)), (f"B{i}", F(1)), (f"H{i}", F(1, 2)))}
+    return text, assignment
+
+
 def _reference_networks():
     """The reference formula's compiled instance and verify_stream's request
-    kinds on it: a witness, the witness rescaled, acceptance test 07's
-    perturbation, a random network and the witness padded over budget."""
-    bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
-    net = witness(bundle, {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)})
-    rng = random.Random(27)
+    kinds on it."""
+    bundle = compile_formula(parse_formula(_REFERENCE[0]))
+    return bundle.instance, _request_networks(witness(bundle, _REFERENCE[1]), random.Random(27))
+
+
+def _request_networks(net, rng):
+    """verify_stream's request kinds around a witness: the witness, the
+    witness rescaled, acceptance test 07's perturbation, a random network
+    of the witness's width and the witness padded over budget."""
     rescaled = []
     for u in net.neurons:
         k = F(rng.randint(2, 5))
         rescaled.append(HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1 / k, u.c2 / k))
-    # Unit 28's line bends under 507 of the 520 points once moved.
+    # On the reference instance unit 28's line bends under 507 of the 520 points once moved.
     k = F(101, 100)
     u = net.neurons[28]
     bent = HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1, u.c2)
@@ -288,7 +335,7 @@ def _reference_networks():
         "random": Network(random_units),
         "padded": Network(net.neurons + dead),
     }
-    return bundle.instance, nets
+    return nets
 
 
 def test_exact_fit_matches_evaluate_on_a_compiled_instance():
@@ -330,25 +377,87 @@ def test_an_instance_table_holds_no_network_state():
     assert served == instance and hash(served) == hash(instance)
 
 
-def test_lone_points_read_by_class_on_a_compiled_chain():
-    text = "".join(f"inv A{i} B{i}\nadd H{i} H{i} A{i}\n" for i in range(2))
+def _counted_sweeps(monkeypatch):
+    """The (network, V, Q, S) of each vertical the kernel sweeps from now on;
+    _outputs looks _vertical_sums up as a module global on each vertical."""
+    swept = []
+    vertical_sums = network._vertical_sums
+
+    def counted(*args):
+        swept.append(args)
+        return vertical_sums(*args)
+
+    monkeypatch.setattr(network, "_vertical_sums", counted)
+    return swept
+
+
+# F_3 is the chain verify_stream serves beside the reference formula.
+@pytest.mark.parametrize("formula", [_REFERENCE, _chain(3)], ids=["reference", "F_3"])
+def test_kernel_sweeps_only_the_sample_verticals(monkeypatch, formula):
+    """The kernel sweeps a vertical only when its points times the classes
+    outnumber the units that bend: on a compiled instance, for every
+    request kind verify_stream serves, that is its three sample verticals,
+    and every other point is read by class."""
+    text, assignment = formula
     bundle = compile_formula(parse_formula(text))
-    assignment = {name: value for i in range(2)
-                  for name, value in ((f"A{i}", F(1)), (f"B{i}", F(1)), (f"H{i}", F(1, 2)))}
+    nets = _request_networks(witness(bundle, assignment), random.Random(41))
+    swept = _counted_sweeps(monkeypatch)
+    for kind, net in nets.items():
+        del swept[:]
+        exact_fit(net, bundle.instance)
+        assert sorted(F(v, q) for _net, v, q, _s in swept) == list(bundle.layout.verticals), kind
+    # extract's probes go by class, so it sweeps only exact_fit's three.
+    for kind in ("witness", "rescaled"):
+        del swept[:]
+        assert extract(bundle, nets[kind]) == assignment
+        assert sorted(F(v, q) for _net, v, q, _s in swept) == list(bundle.layout.verticals), kind
+
+
+def test_points_in_pairs_are_read_by_class(monkeypatch):
+    """Two points on each x1 cost two bisects per class, not a sort of the
+    F_2 witness's 106 units per x1."""
+    text, assignment = _chain(2)
+    net = witness(compile_formula(parse_formula(text)), assignment)
+    slanted = [u for u in net.neurons if u.a2 != 0]
+    rng = random.Random(41)
+    xs = {F(rng.randint(-4000, 4000), rng.randint(1, 60)) for _ in range(250)}
+    points = []
+    for x in sorted(xs)[:200]:
+        points.append(Point2(x, F(rng.randint(-4000, 4000), rng.randint(1, 60))))
+        # The second point of a pair lies on a unit's bend line half the time.
+        u = rng.choice(slanted)
+        on = -(u.a1 * x + u.b) / u.a2
+        points.append(Point2(x, on if rng.random() < 0.5 else on + F(1, rng.randint(1, 60))))
+    labeled = tuple(
+        (p, evaluate(net, p) if rng.random() < 0.5 else (F(rng.randint(0, 9)), F(0)))
+        for p in points
+    )
+    instance = TrainInstance(len(net.neurons), F(0), labeled)
+    swept = _counted_sweeps(monkeypatch)
+    assert len(instance.table.verticals) == 200
+    assert exact_fit(net, instance) == _reference_fit(net, instance)
+    assert swept == []
+
+
+def test_lone_points_read_by_class_on_a_compiled_chain():
+    text, assignment = _chain(2)
+    bundle = compile_formula(parse_formula(text))
     net = witness(bundle, assignment)
     instance = bundle.instance
     # The witness's 106 units lie on six directions, none alone on its own,
-    # and the lone points sit on several denominators.
+    # and the points alone on their x1 sit on several denominators.
     assert len(net.integer.classes) == 6
     assert all(len(thresholds) > 1 for *_, thresholds, _sums in net.integer.classes)
-    assert len({w for w, *_ in instance.table.lone}) > 1
+    lone = [instance.points[i][0]
+            for *_, indices, _labels in instance.table.verticals if len(indices) == 1
+            for i in indices]
+    assert len({integer_point(p)[2] for p in lone}) > 1
     rng = random.Random(39)
     rescaled = Network(tuple(
         HiddenNeuron(u.a1 * k, u.a2 * k, u.b * k, u.c1 / k, u.c2 / k)
         for u in net.neurons for k in [F(rng.randint(2, 5))]
     ))
     # Acceptance test 07's perturbation of a unit whose line holds a lone point.
-    lone = [instance.points[i][0] for *_, i, _label in instance.table.lone]
     i = next(i for i, u in enumerate(net.neurons)
              if any(u.a1 * p.x1 + u.a2 * p.x2 + u.b == 0 for p in lone))
     u, k = net.neurons[i], F(101, 100)

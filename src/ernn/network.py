@@ -16,12 +16,13 @@ points at once in Python ints, through one kernel, and the reducer's
 extract() reads points only through them. Their work comes in three
 layers, each done once for what it depends on:
 
-- once per instance, TrainInstance.table: its points as ints, grouped by
-  x1 into verticals, each point with its index and its label's numerators
-  and denominators;
-- once per network, Network.integer: its units as ints, turned to face
-  one way per direction and grouped into parallel classes, each with its
-  sorted thresholds and prefix sums;
+- once per instance, TrainInstance.table: its list of verticals, the
+  points as ints grouped by x1 in one pass, each point with its index and
+  its label's numerators and denominators;
+- once per network, Network.integer: its units as ints, scaled in one pass
+  over them, then turned to face one way per direction and grouped into
+  parallel classes, each with its sorted thresholds and prefix sums, in a
+  second;
 - per (network, instance): each vertical's path, chosen from its counts.
 
 Unit i's (a1, a2, b) is scaled by L_i > 0, the lcm of their denominators,
@@ -110,7 +111,7 @@ from functools import cached_property
 from itertools import accumulate, groupby
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import Point2, Rational, format_rational, parse_rational
 
@@ -159,11 +160,18 @@ class Network:
         """The units in ints and grouped by direction, built on first use;
         it lives as long as the network, and neurons must stay the tuple it
         was built from."""
-        units, k = _integer_units(self)
+        # Unit i's scale L_i, and K, the lcm of every c's denominator times its L_i.
+        scales = [lcm(u.a1.denominator, u.a2.denominator, u.b.denominator) for u in self.neurons]
+        k = lcm(*(c.denominator * s for u, s in zip(self.neurons, scales) for c in (u.c1, u.c2)))
         l1x = l1y = l1w = l2x = l2y = l2w = 0
         bending = []
         by_direction: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = defaultdict(list)
-        for a1, a2, b, c1, c2 in units:
+        for u, s in zip(self.neurons, scales):
+            a1 = u.a1.numerator * (s // u.a1.denominator)
+            a2 = u.a2.numerator * (s // u.a2.denominator)
+            b = u.b.numerator * (s // u.b.denominator)
+            c1 = u.c1.numerator * (k // (u.c1.denominator * s))
+            c2 = u.c2.numerator * (k // (u.c2.denominator * s))
             if a2 < 0 or (a2 == 0 and a1 < 0):
                 # relu(z) = z + relu(-z): z joins the linear term, and -z faces the right way.
                 l1x, l1y, l1w = l1x + c1 * a1, l1y + c1 * a2, l1w + c1 * b
@@ -184,29 +192,6 @@ class Network:
         return IntegerNetwork(k, (l1x, l1y, l1w, l2x, l2y, l2w), bending, classes)
 
 
-def _integer_units(net: Network) -> Tuple[List[Tuple[int, int, int, int, int]], int]:
-    """Each unit as ints (A1, A2, B, C1, C2), and K: (A1, A2, B) = L*(a1, a2,
-    b) with L > 0, so the sign of its pre-activation is kept, and c/L = C/K."""
-    scaled = []
-    for u in net.neurons:
-        scale = lcm(u.a1.denominator, u.a2.denominator, u.b.denominator)
-        scaled.append((
-            u.a1.numerator * (scale // u.a1.denominator),
-            u.a2.numerator * (scale // u.a2.denominator),
-            u.b.numerator * (scale // u.b.denominator),
-            u.c1.numerator,
-            u.c1.denominator * scale,
-            u.c2.numerator,
-            u.c2.denominator * scale,
-        ))
-    k = lcm(*(d for *_, d1, _n2, d2 in scaled for d in (d1, d2)))
-    units = [
-        (a1, a2, b, n1 * (k // d1), n2 * (k // d2))
-        for a1, a2, b, n1, d1, n2, d2 in scaled
-    ]
-    return units, k
-
-
 def evaluate(net: Network, p: Point2) -> Vec2:
     """Both outputs at p, exactly."""
     f1 = Fraction(0)
@@ -223,40 +208,33 @@ def evaluate(net: Network, p: Point2) -> Vec2:
 # Training instances
 # ---------------------------------------------------------------------------
 
-class PointTable(NamedTuple):
-    """Points as ints, as the module docstring describes. Each point keeps
-    its index and its label's ints, or None if it is read without a label."""
-
-    # (V, Q, S, heights P, indices, labels) of each vertical x1 = V/Q the
-    # points hold, with S the lcm of the x2 denominators there.
-    verticals: List[Tuple[int, int, int, List[int], List[int], List[Optional[LabelInts]]]]
+# A vertical x1 = V/Q as (V, Q, S, heights P, indices, labels): S is the lcm
+# of its points' x2 denominators, each point's P = x2*S, and each keeps its
+# index and its label's ints, or None if it is read without a label.
+Vertical = Tuple[int, int, int, List[int], List[int], List[Optional[LabelInts]]]
 
 
-def _point_table(points: Sequence[Point2], labels: Sequence[Optional[Vec2]]) -> PointTable:
-    """The table of points[i] with labels[i]; a label of None stays None."""
+def _point_table(rows: Iterable[Tuple[Point2, Optional[Vec2]]]) -> List[Vertical]:
+    """The verticals of the (point, label) rows, in the order their x1 first
+    appears, each listing its points in row order; a label of None stays None."""
     # One tuple per distinct label: a compiled instance has at most 13, and
     # a tuple per point would raise the peak of building F_1024's table by 36 MB.
     shared: Dict[LabelInts, LabelInts] = {}
-    ints: List[Optional[LabelInts]] = []
-    for y in labels:
+    # Each (V, Q)'s x2 values, indices and labels.
+    by_x1 = defaultdict(lambda: ([], [], []))
+    for i, (p, y) in enumerate(rows):
         if y is not None:
             y = (y[0].numerator, y[0].denominator, y[1].numerator, y[1].denominator)
             y = shared.setdefault(y, y)
-        ints.append(y)
-    by_x1: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-    for i, p in enumerate(points):
-        by_x1[p.x1.numerator, p.x1.denominator].append(i)
+        column = by_x1[p.x1.numerator, p.x1.denominator]
+        column[0].append(p.x2)
+        column[1].append(i)
+        column[2].append(y)
     verticals = []
-    for (v, q), members in by_x1.items():
-        heights = [points[i].x2 for i in members]
-        s = lcm(*[y.denominator for y in heights])
-        verticals.append((
-            v, q, s,
-            [y.numerator * (s // y.denominator) for y in heights],
-            members,
-            [ints[i] for i in members],
-        ))
-    return PointTable(verticals)
+    for (v, q), (x2s, indices, labels) in by_x1.items():
+        s = lcm(*[y.denominator for y in x2s])
+        verticals.append((v, q, s, [y.numerator * (s // y.denominator) for y in x2s], indices, labels))
+    return verticals
 
 
 @dataclass(frozen=True)
@@ -264,7 +242,7 @@ class TrainInstance:
     """An instance of the training problem: fit every labeled point with
     loss at most gamma, using at most hidden_neurons units.
 
-    table, its points as ints for exact_fit(), is built on first use and
+    table, its list of verticals for exact_fit(), is built on first use and
     lives exactly as long as the instance; points must stay the tuple it
     was built from. It is no field, so it takes no part in == or hash().
     """
@@ -274,8 +252,8 @@ class TrainInstance:
     points: Tuple[Tuple[Point2, Vec2], ...]
 
     @cached_property
-    def table(self) -> PointTable:
-        return _point_table([p for p, _y in self.points], [y for _p, y in self.points])
+    def table(self) -> List[Vertical]:
+        return _point_table(self.points)
 
 
 @dataclass(frozen=True)
@@ -318,13 +296,13 @@ def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int
     no labels, and read by the same kernel as exact_fit()'s; the network's
     ints are the ones Network.integer holds."""
     out: List[Tuple[int, int, int]] = [(0, 0, 1)] * len(points)
-    for i, _none, n1, n2, d in _outputs(net.integer, _point_table(points, [None] * len(points))):
+    for i, _none, n1, n2, d in _outputs(net.integer, _point_table((p, None) for p in points)):
         out[i] = (n1, n2, d)
     return out
 
 
 def _outputs(
-    net: IntegerNetwork, table: PointTable
+    net: IntegerNetwork, table: List[Vertical]
 ) -> Iterator[Tuple[int, Optional[LabelInts], int, int, int]]:
     """(index, label, N1, N2, D) for each row of the table that has no label
     or whose label (Y1/y1, Y2/y2) the outputs N1/D and N2/D miss, vertical by
@@ -332,7 +310,7 @@ def _outputs(
     compared by cross-multiplying, N1*y1 against Y1*D."""
     k, classes = net.k, net.classes
     l1x, l1y, l1w, l2x, l2y, l2w = net.linear
-    for v, q, s, heights, indices, labels in table.verticals:
+    for v, q, s, heights, indices, labels in table:
         if len(heights) * len(classes) > len(net.bending):
             keys, sums = _vertical_sums(net, v, q, s)
             d = k * q * s

@@ -28,9 +28,13 @@ left to right, closes one piece per breakpoint and drops a prefix as soon
 as a closed piece's Exact labels are not collinear in some output (a label
 at a breakpoint belongs to both neighbouring pieces), or as soon as two
 neighbouring pieces have fixed lines that fail the sign test at the ends
-of the gap holding the breakpoint between them. AtLeast labels are
-ignored, so the stage only over-approximates: a slot assignment it rules
-out has no fit at any real breakpoint positions, on the grid or off it.
+of the gap holding the breakpoint between them. What a suffix of the walk
+finds depends only on where its first piece starts, the lowest slot left,
+the previous piece's lines when the breakpoint before it is in a gap, and
+the breakpoints left, so each such state is walked once per call. AtLeast
+labels are ignored, so the stage only over-approximates: a slot assignment
+it rules out has no fit at any real breakpoint positions, on the grid or
+off it.
 
 Grid stage. Each surviving assignment is searched depth first, one
 breakpoint at a time from the left, over the grid points its slots allow.
@@ -75,6 +79,7 @@ unscaled one, scaled.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -298,16 +303,16 @@ def _slot_survivors(
                 return False  # parallel and distinct, or crossing outside the open gap
         return True
 
-    survivors: List[Tuple[int, ...]] = []
-    chosen: List[int] = []
+    @functools.cache
+    def walk(first: int, before: Optional[Lines], lowest: int, left: int) -> List[Tuple[int, ...]]:
+        """The slots of the last `left` breakpoints, the first of which
+        closes the piece whose labels start at position `first`.
 
-    def walk(first: int, before: Optional[Lines], lowest: int) -> None:
-        """Close the piece whose labels start at position `first`.
-
-        Its breakpoint goes in slot `lowest` or later. before holds the
+        That breakpoint goes in slot `lowest` or later. before holds the
         lines of the piece left of it when the breakpoint between the two
         is in the gap slot `lowest`, and is None otherwise.
         """
+        out: List[Tuple[int, ...]] = []
         for s in range(lowest, 2 * n - 1):
             last = s // 2
             piece = table[first][last] if first <= last else _NO_LINES
@@ -315,17 +320,18 @@ def _slot_survivors(
                 break  # every later slot widens the piece
             if before is not None and not meet_in_gap(before, piece, lowest // 2):
                 continue
-            chosen.append(s)
             rest = (s + 1) // 2  # the next piece's first position
-            if len(chosen) < k:
-                walk(rest, piece if s % 2 else None, s if s % 2 else s + 1)
+            if left > 1:
+                after = walk(rest, piece if s % 2 else None, s if s % 2 else s + 1, left - 1)
+                out.extend((s, *slots) for slots in after)
             else:
                 tail = table[rest][n - 1]
                 if tail is not _BROKEN and (s % 2 == 0 or meet_in_gap(piece, tail, last)):
-                    survivors.append(tuple(chosen))
-            chosen.pop()
+                    out.append((s,))
+        return out
 
-    walk(0, None, 0)
+    survivors = walk(0, None, 0, k)
+    walk.cache_clear()  # walk refers to itself, so its memo would outlive the call
     return survivors
 
 

@@ -12,14 +12,14 @@ so fitting and extraction are decided exactly, never numerically.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .formula import Assignment, EtrInvFormula, check_assignment, format_failures
 from .gadgets import (
-    GadgetKind,
     Inversion,
     LowerBound,
     Ridges,
@@ -159,14 +159,7 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
 
     layout = bundle.layout
     placements = layout.placements
-    derived: Dict[Tuple[GadgetKind, Rational], Ridges] = {}
-
-    def ridges_of(kind: GadgetKind, state: Rational) -> Ridges:
-        key = (kind, state)
-        got = derived.get(key)
-        if got is None:
-            got = derived[key] = ridge_changes(kind, state)
-        return got
+    ridges_of = functools.cache(ridge_changes)
 
     # Fraction(1) rather than a coercion of the value keeps an int
     # assignment exact and lets other exact number types through.

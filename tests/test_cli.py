@@ -132,6 +132,12 @@ def test_solve_writes_assignment(workspace, capsys):
     assert (workspace / "sol.txt").read_text() == "A = 1/2\nB = 2\n"
 
 
+def test_solve_prints_assignment_without_output(workspace, capsys):
+    (workspace / "g.ec").write_text("inv A B\n")
+    assert run(["solve", "g.ec", "--denom-bound", "3"]) == 0
+    assert capsys.readouterr().out == "A = 1/2\nB = 2\n"
+
+
 def test_solve_not_found_is_exit_1(workspace, capsys):
     (workspace / "hard.ec").write_text("add X X Y\ninv X Y\n")
     assert run(["solve", "hard.ec", "--denom-bound", "20"]) == 1
@@ -148,6 +154,28 @@ def test_roundtrip_solves_when_no_assignment_given(workspace, capsys):
     (workspace / "g.ec").write_text("inv A B\n")
     assert run(["roundtrip", "g.ec", "--denom-bound", "2"]) == 0
     assert "roundtrip OK" in capsys.readouterr().out
+
+
+def test_roundtrip_rejects_a_network_that_does_not_fit(workspace, capsys, monkeypatch):
+    from ernn.network import Network
+
+    monkeypatch.setattr("ernn.cli.witness", lambda bundle, assignment: Network(()))
+    assert run(["roundtrip", "f.ec", "--assignment", "a.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "reject\n"
+    assert "extracted" not in captured.out
+
+
+def test_roundtrip_reports_an_extracted_mismatch(workspace, capsys, monkeypatch):
+    import ernn.cli
+
+    real = ernn.cli.extract
+    monkeypatch.setattr("ernn.cli.extract", lambda bundle, net: {**real(bundle, net), "W": Fraction(2)})
+    assert run(["roundtrip", "f.ec", "--assignment", "a.txt"]) == 1
+    captured = capsys.readouterr()
+    assert "extracted W = 2\n" in captured.out
+    assert "roundtrip OK" not in captured.out
+    assert captured.err == "roundtrip mismatch: extracted assignment differs\n"
 
 
 def test_render_from_formula(workspace):
@@ -212,7 +240,7 @@ def test_repeated_assignment_name_is_exit_2(workspace, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "roundtrip"])
-@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("bound", ["0", "-3", "abc"])
 def test_non_positive_denom_bound_is_usage_error(workspace, capsys, command, bound):
     with pytest.raises(SystemExit) as exc:
         run([command, "f.ec", "--denom-bound", bound])

@@ -132,6 +132,12 @@ def test_make_constraint_rejects(head, names, message):
     assert str(info.value) == message
 
 
+def test_formula_rejects_a_duplicate_variable():
+    with pytest.raises(FormulaError) as info:
+        EtrInvFormula(("X", "Y", "X"), ())
+    assert str(info.value) == "duplicate variable 'X'"
+
+
 def test_format_formula_text():
     f = parse_formula("add   X Y Z  # sum\n\ninv\tY W\nadd W W X\n")
     assert format_formula(f) == "add X Y Z\ninv Y W\nadd W W X\n"

@@ -12,6 +12,7 @@ from ernn.gadgets import (
     SLOPE_MIN,
     AtLeast,
     Exact,
+    GadgetError,
     GadgetPlacement,
     InvalidState,
     Inversion,
@@ -81,6 +82,30 @@ def test_unit_budget_matches_the_ridges(kind, ends):
     # stands in for a deep notch.
     for st in ends:
         assert len(ridge_changes(kind, st)) == template(kind).breakline_budget
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((), "bad active dims ()"),
+        ((1, 3), "bad active dims (1, 3)"),
+        ((2, 1), "active dims must be sorted and unique: (2, 1)"),
+        ((1, 1), "active dims must be sorted and unique: (1, 1)"),
+    ],
+)
+def test_lower_bound_rejects_bad_dims(dims, message):
+    with pytest.raises(GadgetError) as info:
+        LowerBound(dims)
+    assert str(info.value) == message
+
+
+# A string, None and an unhashable list are no gadget kind.
+@pytest.mark.parametrize("kind", ["variable", None, [1]])
+def test_unknown_kind_is_a_gadget_error(kind):
+    for call in (template, lambda kind: ridge_changes(kind, F(2))):
+        with pytest.raises(GadgetError) as info:
+            call(kind)
+        assert str(info.value) == f"unknown gadget kind {kind!r}"
 
 
 def test_variable_entry_labels_match_both_dims():

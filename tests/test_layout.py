@@ -270,6 +270,8 @@ def test_layout_json_rejects_other_geometry():
     [
         (lambda doc: doc.pop("variables"), LayoutError, "malformed layout JSON: KeyError('variables')"),
         (lambda doc: doc.update(constraints="add X Y Z"), LayoutError, "constraints 'add X Y Z' is not a list"),
+        (lambda doc: doc["constraints"].__setitem__(0, "add X Y Z"), LayoutError,
+         "constraint 'add X Y Z' is not a non-empty list"),
         (lambda doc: doc["constraints"][0].__setitem__(0, "mul"), FormulaError,
          "unknown constraint 'mul' (expected 'add' or 'inv')"),
         (lambda doc: doc["constraints"][1].append("Y"), FormulaError, "inv takes 2 variables, got 3"),
@@ -282,8 +284,8 @@ def test_layout_json_rejects_other_geometry():
         (lambda doc: doc["config"].__setitem__("spacing", "2000"), LayoutError,
          "sidecar config block differs from the fixed layout geometry"),
     ],
-    ids=["missing-key", "constraints-not-a-list", "unknown-head", "wrong-arity", "undeclared",
-         "spaced-name", "empty-name", "no-variables", "other-geometry"],
+    ids=["missing-key", "constraints-not-a-list", "constraint-not-a-list", "unknown-head",
+         "wrong-arity", "undeclared", "spaced-name", "empty-name", "no-variables", "other-geometry"],
 )
 def test_layout_json_rejects_a_malformed_formula(edit, error, message):
     doc = json.loads(layout_to_json(plan(parse_formula(REFERENCE))))
@@ -514,6 +516,25 @@ def test_validate_reports_a_probe_off_its_measuring_line():
     assert validate(dataclasses.replace(layout, probes=probes)) == (
         "probe for X is off its measuring line",
     )
+
+
+@pytest.mark.parametrize(
+    "probe, message",
+    [
+        (lambda layout: ("Q", layout.probes[0][1]), "probe for unknown variable Q"),
+        # Constraint point 0 is X's copy point: on X's measuring line, but
+        # inside the stripe of its copy, placement 4.
+        (lambda layout: ("X", layout.constraint_points[0].point),
+         "probe for X strays into the stripe of placement 4"),
+    ],
+    ids=["unknown-variable", "on-a-copy-point"],
+)
+def test_validate_reports_a_stray_probe(probe, message):
+    import dataclasses
+
+    layout = plan(parse_formula(REFERENCE))
+    probes = (probe(layout),) + layout.probes[1:]
+    assert validate(dataclasses.replace(layout, probes=probes)) == (message,)
 
 
 def _rotate_about(pg, p, normal):

@@ -434,7 +434,7 @@ def test_points_in_pairs_are_read_by_class(monkeypatch):
     )
     instance = TrainInstance(len(net.neurons), F(0), labeled)
     swept = _counted_sweeps(monkeypatch)
-    assert len(instance.table.verticals) == 200
+    assert len(instance.table) == 200
     assert exact_fit(net, instance) == _reference_fit(net, instance)
     assert swept == []
 
@@ -449,7 +449,7 @@ def test_lone_points_read_by_class_on_a_compiled_chain():
     assert len(net.integer.classes) == 6
     assert all(len(thresholds) > 1 for *_, thresholds, _sums in net.integer.classes)
     lone = [instance.points[i][0]
-            for *_, indices, _labels in instance.table.verticals if len(indices) == 1
+            for *_, indices, _labels in instance.table if len(indices) == 1
             for i in indices]
     assert len({integer_point(p)[2] for p in lone}) > 1
     rng = random.Random(39)

@@ -61,6 +61,10 @@ def test_rejects_inexact_arguments(points, k, g, message):
     assert str(err.value) == message
 
 
+def test_no_points_have_no_fits():
+    assert fit_cpwl_1d_oracle([], breakpoints=1, grid_denominator=1) == ()
+
+
 def test_int_positions_and_values_come_back_as_fractions():
     pts = [(t, (Exact(abs(t - 2)), AtLeast(0))) for t in (0, 1, 3, 4)]
     (p,) = fit_cpwl_1d_oracle(pts, 1, 1)
@@ -388,6 +392,26 @@ def _template_points(name):
 def test_template_fits_match_the_grid_walk(name, k, g):
     pts = _template_points(name)
     assert fit_cpwl_1d_oracle(pts, k, g) == _reference_fit(pts, k, g)
+
+
+@pytest.mark.parametrize(
+    "name, k, count",
+    [
+        ("variable", 3, 0),
+        ("variable", 4, 7),
+        ("lower_bound_1", 3, 4),
+        ("lower_bound_2", 3, 4),
+        ("lower_bound_12", 3, 4),
+        ("inversion", 5, 6),
+    ],
+)
+def test_slot_survivor_counts_are_pinned(name, k, count):
+    # The certify benchmark's template cases: how many slot assignments
+    # reach the grid stage. The count does not depend on the grid.
+    pts = sorted(((F(t), labels) for t, labels in _template_points(name)), key=lambda p: p[0])
+    survivors = _slot_survivors(pts, k)
+    assert len(survivors) == count
+    assert survivors == sorted(set(survivors))
 
 
 @pytest.mark.parametrize("name", sorted(_KINDS))

@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .formula import Constraint, EtrInvFormula, Inv, _is_name, make_constraint
 from .gadgets import (
@@ -73,7 +73,7 @@ from .geometry import (
 # ernn.layout.signed_value, and tests/test_trace_targets.py checks that every
 # traced name resolves.
 from .geometry import signed_value  # noqa: F401
-from .network import TrainInstance
+from .network import LabelInts, TrainInstance, label_ints, point_table
 
 
 class LayoutError(ValueError):
@@ -211,9 +211,6 @@ class Layout:
         return {
             pg.variable: i for i, pg in enumerate(self.placements) if pg.part == "canonical"
         }
-
-
-LabeledPoint = Tuple[Point2, Tuple[Rational, Rational]]
 
 
 # ---------------------------------------------------------------------------
@@ -543,27 +540,34 @@ def realize(layout: Layout) -> TrainInstance:
 
     The data lines are sampled at layout.verticals as they stand, which
     separate the gadgets only in a layout that passes validate(), as every
-    layout plan() returns does.
+    layout plan() returns does. The points go straight into the instance's
+    table, in ints: no Fraction or Point2 is built per point.
     """
-    points: List[LabeledPoint] = []
-    verticals = [(v, v.numerator, v.denominator) for v in layout.verticals]
+    budget = sum(pg.placement.template.breakline_budget for pg in layout.placements)
+    return TrainInstance(hidden_neurons=budget, gamma=Fraction(0), table=point_table(_rows(layout)))
+
+
+def _rows(layout: Layout) -> Iterator[Tuple[int, int, int, int, LabelInts]]:
+    """realize()'s points as point_table() rows, in index order."""
+    verticals = [(v.numerator, v.denominator) for v in layout.verticals]
     for pg in layout.placements:
         pl = pg.placement
         a, b, r = pl.normal.integer
         base = pl.base_offset
         for entry in pl.template.data_entries:
             # The line's offset C/E = base + entry.offset, and its height on
-            # x = V/Vd, (C/E - a*x/r) / (b/r), as one Fraction.
+            # x = V/Vd, (C/E - a*x/r) / (b/r), over the denominator b*E*Vd.
             t = entry.offset
             c = base.numerator * t.denominator + t.numerator * base.denominator
             e = base.denominator * t.denominator
-            for v, vn, vd in verticals:
-                y = Fraction(r * c * vd - a * vn * e, b * e * vd)
-                points.append((Point2(v, y), entry.values))
+            y = label_ints(entry.values)
+            for vn, vd in verticals:
+                yield vn, vd, r * c * vd - a * vn * e, b * e * vd, y
     for cp in layout.constraint_points:
-        points.append((cp.point, cp.purpose.targets))
-    budget = sum(pg.placement.template.breakline_budget for pg in layout.placements)
-    return TrainInstance(hidden_neurons=budget, gamma=Fraction(0), points=tuple(points))
+        p = cp.point
+        yield p.x1.numerator, p.x1.denominator, p.x2.numerator, p.x2.denominator, label_ints(
+            cp.purpose.targets
+        )
 
 
 # ---------------------------------------------------------------------------

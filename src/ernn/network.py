@@ -16,9 +16,9 @@ points at once in Python ints, through one kernel, and the reducer's
 extract() reads points only through them. Their work comes in three
 layers, each done once for what it depends on:
 
-- once per instance, TrainInstance.table: its list of verticals, the
-  points as ints grouped by x1 in one pass, each point with its index and
-  its label's numerators and denominators;
+- once per instance, TrainInstance.table, the instance's one stored form:
+  its verticals, the points as ints grouped by x1, each point with its
+  index and its label's numerators and denominators;
 - once per network, Network.integer: its units as ints, scaled in one pass
   over them, then turned to face one way per direction and grouped into
   parallel classes, each with its sorted thresholds and prefix sums, in a
@@ -76,8 +76,9 @@ network whose directions are all distinct has a class per unit.
 
 The kernel compares each output with its label by cross-multiplying and
 hands exact_fit() only the misses. A missed point's squared error is
-summed as int numerators grouped by denominator, and Fractions are built
-only for each miss's outputs and for the total. Everything reads
+summed as int numerators grouped by denominator, and a Fraction is built
+for the total; each miss's point, label and outputs become Fractions only
+when the report's violations are first read. Everything reads
 numerators and denominators, so weights, coordinates and labels must be
 ints or Fractions.
 
@@ -91,26 +92,37 @@ value = B_v*|A_u|**2 - B_u*(A1_u*A1_v + A2_u*A2_v). v crosses the line at
 t = -value/slope; with M the lcm of the line's slopes, the int key
 -value*(M/slope) orders and groups the crossings exactly.
 
-instance_from_json() and network_from_json() read every rational node
-through one reader per document, which lives for that call only. It parses
-each distinct string once and returns the same Fraction for every repeat of
-it; the points of an instance that share a label pair share one tuple. A
-compiled instance holds at most 13 label pairs and few x1 values, so most
-nodes are repeats. A node that is not a string goes straight to
-parse_rational(), so a malformed node reads as parse_rational() names it.
+An instance's file, format 2, is its table as compact JSON (the C encoder
+writes it), with one vertical per object and each distinct label once:
+
+    {"format":2,"hidden_neurons":60,"gamma":"0","labels":[["0","0"],...],
+     "verticals":[{"x1":"30734","den":S,"x2":[P,...],"at":[i,...],"y":[j,...]},...]}
+
+x1, gamma and the labels are rational strings; den (S), the heights x2,
+the indices at and the label indices y are JSON integers. instance_from_json()
+reads it straight into the table: it checks every node and the canonical
+order, and names the node at fault by its path, as in
+"verticals[2].x2[7]: expected a JSON integer, got "1/2"". A file without
+"format": 2, such as one written before format 2, is refused: compile its
+formula again.
+
+Both readers read rational nodes through one reader per document, which
+lives for that call only and parses each distinct string once. A node
+that is not a string goes straight to parse_rational(), so a malformed
+node reads as parse_rational() names it.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import defaultdict
+from collections import abc, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby, islice
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import Point2, Rational, format_rational, parse_rational
@@ -211,30 +223,45 @@ def evaluate(net: Network, p: Point2) -> Vec2:
 # A vertical x1 = V/Q as (V, Q, S, heights P, indices, labels): S is the lcm
 # of its points' x2 denominators, each point's P = x2*S, and each keeps its
 # index and its label's ints, or None if it is read without a label.
-Vertical = Tuple[int, int, int, List[int], List[int], List[Optional[LabelInts]]]
+Vertical = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...], Tuple[Optional[LabelInts], ...]]
 
 
-def _point_table(rows: Iterable[Tuple[Point2, Optional[Vec2]]]) -> List[Vertical]:
-    """The verticals of the (point, label) rows, in the order their x1 first
-    appears, each listing its points in row order; a label of None stays None."""
-    # One tuple per distinct label: a compiled instance has at most 13, and
-    # a tuple per point would raise the peak of building F_1024's table by 36 MB.
+def label_ints(y: Vec2) -> LabelInts:
+    """A label pair (y1, y2) of ints or Fractions as (Y1, y1, Y2, y2)."""
+    return y[0].numerator, y[0].denominator, y[1].numerator, y[1].denominator
+
+
+def point_table(rows: Iterable[Tuple[int, int, int, int, Optional[LabelInts]]]) -> Tuple[Vertical, ...]:
+    """The verticals of the rows (x1 numerator, x1 denominator, x2 numerator,
+    x2 denominator, label), x1 in lowest terms over a positive denominator
+    and x2 over any nonzero one, in the order their x1 first appears, each
+    listing its points in row order. S is the lcm of the x2 denominators,
+    divided once with the heights by their gcd, which leaves the lcm of the
+    denominators in lowest terms. Equal labels share one tuple; a label of
+    None stays None."""
     shared: Dict[LabelInts, LabelInts] = {}
-    # Each (V, Q)'s x2 values, indices and labels.
-    by_x1 = defaultdict(lambda: ([], [], []))
-    for i, (p, y) in enumerate(rows):
-        if y is not None:
-            y = (y[0].numerator, y[0].denominator, y[1].numerator, y[1].denominator)
-            y = shared.setdefault(y, y)
-        column = by_x1[p.x1.numerator, p.x1.denominator]
-        column[0].append(p.x2)
-        column[1].append(i)
-        column[2].append(y)
+    # Each x1's x2 numerators, x2 denominators, indices and labels.
+    columns = defaultdict(lambda: ([], [], [], []))
+    for i, (v, q, n, d, y) in enumerate(rows):
+        nums, dens, indices, labels = columns[v, q]
+        nums.append(n)
+        dens.append(d)
+        indices.append(i)
+        labels.append(y if y is None else shared.setdefault(y, y))
     verticals = []
-    for (v, q), (x2s, indices, labels) in by_x1.items():
-        s = lcm(*[y.denominator for y in x2s])
-        verticals.append((v, q, s, [y.numerator * (s // y.denominator) for y in x2s], indices, labels))
-    return verticals
+    for (v, q), (nums, dens, indices, labels) in columns.items():
+        s = lcm(*dens)
+        s, heights = _lowest(s, [n * (s // d) for n, d in zip(nums, dens)])
+        verticals.append((v, q, s, heights, tuple(indices), tuple(labels)))
+    return tuple(verticals)
+
+
+def _lowest(s: int, heights: List[int]) -> Tuple[int, Tuple[int, ...]]:
+    """S > 0 and the heights, divided by their gcd."""
+    g = gcd(s, *heights)
+    if g == 1:
+        return s, tuple(heights)
+    return s // g, tuple(p // g for p in heights)
 
 
 @dataclass(frozen=True)
@@ -242,25 +269,100 @@ class TrainInstance:
     """An instance of the training problem: fit every labeled point with
     loss at most gamma, using at most hidden_neurons units.
 
-    table, its list of verticals for exact_fit(), is built on first use and
-    lives exactly as long as the instance; points must stay the tuple it
-    was built from. It is no field, so it takes no part in == or hash().
+    table is the instance's one stored form: its points as ints, grouped by
+    x1 into verticals, in canonical form:
+    - verticals in the order of their first point's index, and indices
+      ascending within a vertical; all indices together are 0..N-1;
+    - Q > 0 and gcd(V, Q) = 1;
+    - S is the lcm of the x2 denominators in lowest terms, so S and the
+      heights share no factor;
+    - each label is (Y1, y1, Y2, y2) in lowest terms, one tuple per
+      distinct label.
+    Equal instances thus have equal tables, and == and hash() compare values.
+
+    points is a view: the (Point2, (y1, y2)) pairs in index order, holding
+    Fractions, built from the table when first read and kept as long as the
+    instance lives. exact_fit() and the JSON functions never read it.
+    from_points() builds an instance from exact values.
     """
 
     hidden_neurons: int
     gamma: Rational
-    points: Tuple[Tuple[Point2, Vec2], ...]
+    table: Tuple[Vertical, ...]
+
+    @classmethod
+    def from_points(
+        cls, hidden_neurons: int, gamma: Rational, points: Iterable[Tuple[Point2, Vec2]]
+    ) -> "TrainInstance":
+        """The instance of these labeled points, whose coordinates and label
+        values are ints or Fractions."""
+        return cls(hidden_neurons, gamma, point_table(
+            (p.x1.numerator, p.x1.denominator, p.x2.numerator, p.x2.denominator, label_ints(y))
+            for p, y in points
+        ))
 
     @cached_property
-    def table(self) -> List[Vertical]:
-        return _point_table(self.points)
+    def points(self) -> Tuple[Tuple[Point2, Vec2], ...]:
+        out: List[Tuple[Point2, Vec2]] = [None] * sum(len(t[4]) for t in self.table)
+        pairs = _LabelPairs()
+        for v, q, s, heights, indices, labels in self.table:
+            x1 = Fraction(v, q)
+            for p, i, y in zip(heights, indices, labels):
+                out[i] = (Point2(x1, Fraction(p, s)), pairs[y])
+        return tuple(out)
+
+
+class _LabelPairs(dict):
+    """Each label's (y1, y2) as Fractions, one tuple per label, made on first use."""
+
+    def __missing__(self, y: LabelInts) -> Vec2:
+        pair = self[y] = (Fraction(y[0], y[1]), Fraction(y[2], y[3]))
+        return pair
+
+
+class Violations(abc.Sequence):
+    """exact_fit()'s violations, (index, point, wanted, got) per missed
+    point in index order, with Fraction values. exact_fit() hands over the
+    kernel's ints, and the Point2s and Fractions are built from them when
+    the items are first read, so a caller that reads only fits, total_loss
+    or len() builds none. Equal to the tuple of its items."""
+
+    def __init__(self, misses: List[Tuple[int, int, int, int, int, LabelInts, int, int, int]]) -> None:
+        # (index, V, Q, P, S, label, N1, N2, D): the point (V/Q, P/S) reads N1/D and N2/D.
+        self._misses = misses
+
+    @cached_property
+    def _items(self) -> Tuple[Tuple[int, Point2, Vec2, Vec2], ...]:
+        pairs = _LabelPairs()
+        return tuple(
+            (i, Point2(Fraction(v, q), Fraction(p, s)), pairs[y], (Fraction(n1, d), Fraction(n2, d)))
+            for i, v, q, p, s, y, n1, n2, d in self._misses
+        )
+
+    def __len__(self) -> int:
+        return len(self._misses)
+
+    def __getitem__(self, k):
+        return self._items[k]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other) -> bool:
+        return self._items == (other._items if isinstance(other, Violations) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
 
 
 @dataclass(frozen=True)
 class FitReport:
     fits: bool
     total_loss: Rational
-    violations: Tuple[Tuple[int, Point2, Vec2, Vec2], ...]
+    violations: Sequence[Tuple[int, Point2, Vec2, Vec2]]
 
 
 def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
@@ -269,25 +371,23 @@ def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
     fits is True iff total loss <= gamma and the network has at most the
     instance's hidden_neurons units; with gamma = 0 the loss condition means
     every labeled point is hit exactly. violations lists (index, point,
-    wanted, got) for each missed point, in index order.
+    wanted, got) for each missed point, in index order, built from the
+    table's ints for the missed points alone when first read.
     """
     misses = []
     # Squared errors as int numerators, summed per denominator.
     errors: Dict[int, int] = defaultdict(int)
-    for i, (y1, t1, y2, t2), n1, n2, d in _outputs(net.integer, instance.table):
-        misses.append((i, n1, n2, d))
+    for miss in _outputs(net.integer, instance.table):
+        misses.append(miss)
+        (y1, t1, y2, t2), n1, n2, d = miss[5:]
         e1 = n1 * t1 - y1 * d
         e2 = n2 * t2 - y2 * d
         errors[(d * t1) ** 2] += e1 * e1
         errors[(d * t2) ** 2] += e2 * e2
     misses.sort(key=itemgetter(0))
-    points = instance.points
-    violations = tuple(
-        (i, *points[i], (Fraction(n1, d), Fraction(n2, d))) for i, n1, n2, d in misses
-    )
     loss = sum((Fraction(n, d) for d, n in errors.items()), Fraction(0))
     fits = loss <= instance.gamma and len(net.neurons) <= instance.hidden_neurons
-    return FitReport(fits=fits, total_loss=loss, violations=violations)
+    return FitReport(fits=fits, total_loss=loss, violations=Violations(misses))
 
 
 def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int, int]]:
@@ -295,19 +395,23 @@ def exact_outputs(net: Network, points: Sequence[Point2]) -> List[Tuple[int, int
     are N1/D and N2/D. The points' table is built afresh on each call, with
     no labels, and read by the same kernel as exact_fit()'s; the network's
     ints are the ones Network.integer holds."""
+    table = point_table(
+        (p.x1.numerator, p.x1.denominator, p.x2.numerator, p.x2.denominator, None) for p in points
+    )
     out: List[Tuple[int, int, int]] = [(0, 0, 1)] * len(points)
-    for i, _none, n1, n2, d in _outputs(net.integer, _point_table((p, None) for p in points)):
+    for i, *_, n1, n2, d in _outputs(net.integer, table):
         out[i] = (n1, n2, d)
     return out
 
 
 def _outputs(
-    net: IntegerNetwork, table: List[Vertical]
-) -> Iterator[Tuple[int, Optional[LabelInts], int, int, int]]:
-    """(index, label, N1, N2, D) for each row of the table that has no label
-    or whose label (Y1/y1, Y2/y2) the outputs N1/D and N2/D miss, vertical by
-    vertical, each swept or read by class as its counts choose. Labels are
-    compared by cross-multiplying, N1*y1 against Y1*D."""
+    net: IntegerNetwork, table: Sequence[Vertical]
+) -> Iterator[Tuple[int, int, int, int, int, Optional[LabelInts], int, int, int]]:
+    """(index, V, Q, P, S, label, N1, N2, D) for each row (V/Q, P/S) of the
+    table that has no label or whose label (Y1/y1, Y2/y2) the outputs N1/D
+    and N2/D miss, vertical by vertical, each swept or read by class as its
+    counts choose. Labels are compared by cross-multiplying, N1*y1 against
+    Y1*D."""
     k, classes = net.k, net.classes
     l1x, l1y, l1w, l2x, l2y, l2w = net.linear
     for v, q, s, heights, indices, labels in table:
@@ -320,7 +424,7 @@ def _outputs(
                 n1 = e1 + g1 * p
                 n2 = e2 + g2 * p
                 if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
-                    yield i, y, n1, n2, d
+                    yield i, v, q, p, s, y, n1, n2, d
             continue
         w = lcm(q, s)
         x1, d = v * (w // q), k * w
@@ -335,7 +439,7 @@ def _outputs(
                 n1 += g1 * t + b1 * w
                 n2 += g2 * t + b2 * w
             if y is None or n1 * y[1] != y[0] * d or n2 * y[3] != y[2] * d:
-                yield i, y, n1, n2, d
+                yield i, v, q, p, s, y, n1, n2, d
 
 
 def _vertical_sums(
@@ -448,8 +552,8 @@ def _squared_norm(g: Tuple[int, ...], plus: Tuple[int, ...]) -> int:
 # JSON formats
 # ---------------------------------------------------------------------------
 
-# What reading a JSON document of the wrong shape raises: a missing key, a
-# list where an object belongs, too few items, a number where a string
+# What reading a network document of the wrong shape raises: a missing key,
+# a list where an object belongs, too few items, a number where a string
 # belongs, a string that is not a rational, or nesting too deep for json.loads.
 _MALFORMED = (KeyError, TypeError, IndexError, ValueError, RecursionError)
 
@@ -464,13 +568,12 @@ def _list(value) -> list:
 class _Reader:
     """Reads one JSON document's rational nodes, each distinct string once.
 
-    A reader lives for one call of a from_json function, so its memos never
-    outlive the document they read.
+    A reader lives for one call of a from_json function, so its memo never
+    outlives the document it reads.
     """
 
     def __init__(self) -> None:
         self._rationals: Dict[str, Rational] = {}
-        self._pairs: Dict[Tuple[str, str], Vec2] = {}
 
     def rational(self, node) -> Rational:
         """parse_rational(node), parsed once per distinct string; a node that
@@ -487,28 +590,15 @@ class _Reader:
         first, second = _list(node)
         return self.rational(first), self.rational(second)
 
-    def shared_pair(self, node) -> Vec2:
-        """pair(node), as one tuple for every list of the same two strings."""
-        value = self.pair(node)
-        return self._pairs.setdefault(tuple(node), value)
 
-
-# The writers format the bytes json.dumps(doc, indent=2) + "\n" gives for
-# their documents directly: with an indent json.dumps runs its pure-Python
-# encoder, and format_rational's digits, "-" and "/" need no escaping.
+# The network writer formats the bytes json.dumps(doc, indent=2) + "\n"
+# gives for its document directly: with an indent json.dumps runs its
+# pure-Python encoder, and format_rational's digits, "-" and "/" need no
+# escaping.
 _NEURON_JSON = (
     '    {{\n      "a": [\n        "{}",\n        "{}"\n      ],\n'
     '      "b": "{}",\n      "c": [\n        "{}",\n        "{}"\n      ]\n    }}'
 )
-_POINT_JSON = (
-    '    {{\n      "x": [\n        "{}",\n        "{}"\n      ],\n'
-    '      "y": [\n        "{}",\n        "{}"\n      ]\n    }}'
-)
-
-
-def _json_list(items: List[str]) -> str:
-    """A list of objects one level down, from the objects' indented texts."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def network_to_json(net: Network) -> str:
@@ -516,7 +606,8 @@ def network_to_json(net: Network) -> str:
     neurons = [
         _NEURON_JSON.format(fr(u.a1), fr(u.a2), fr(u.b), fr(u.c1), fr(u.c2)) for u in net.neurons
     ]
-    return '{\n  "neurons": ' + _json_list(neurons) + "\n}\n"
+    listed = "[\n" + ",\n".join(neurons) + "\n  ]" if neurons else "[]"
+    return '{\n  "neurons": ' + listed + "\n}\n"
 
 
 def network_from_json(text: str) -> Network:
@@ -534,37 +625,171 @@ def network_from_json(text: str) -> Network:
 
 
 def instance_to_json(instance: TrainInstance) -> str:
-    fr = format_rational
-    points = [
-        _POINT_JSON.format(fr(p.x1), fr(p.x2), fr(y1), fr(y2)) for p, (y1, y2) in instance.points
-    ]
-    return (
-        f'{{\n  "hidden_neurons": {json.dumps(instance.hidden_neurons)},\n'
-        f'  "gamma": "{fr(instance.gamma)}",\n  "points": {_json_list(points)}\n}}\n'
-    )
+    """The instance in format 2, as the module docstring shows it.
+
+    An int of more digits than Python writes as text (4 300 by default)
+    cannot be written: that raises NetworkError, naming the vertical that
+    holds it.
+    """
+    table = instance.table
+    # Each distinct label's index, in the order the labels first appear.
+    index = {y: j for j, y in enumerate(dict.fromkeys(chain.from_iterable(t[5] for t in table)))}
+    try:
+        doc = {
+            "format": 2,
+            "hidden_neurons": instance.hidden_neurons,
+            "gamma": format_rational(instance.gamma),
+            "labels": [[_ratio(y1, t1), _ratio(y2, t2)] for y1, t1, y2, t2 in index],
+            "verticals": [
+                {"x1": _ratio(v, q), "den": s, "x2": heights, "at": indices,
+                 "y": list(map(index.__getitem__, labels))}
+                for v, q, s, heights, indices, labels in table
+            ],
+        }
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+    except ValueError as exc:
+        for j, (v, q, s, heights, *_) in enumerate(table):
+            try:
+                json.dumps((v, q, s, heights))
+            except ValueError:
+                raise NetworkError(f"cannot write verticals[{j}]: {exc}") from exc
+        raise NetworkError(f"cannot write the instance: {exc}") from exc
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d, in lowest terms with d > 0, as format_rational writes it."""
+    return f"{n}/{d}" if d != 1 else str(n)
+
+
+def _bad(path: str, what: str) -> NetworkError:
+    return NetworkError(f"malformed instance JSON: {path}: {what}")
+
+
+def _shown(node) -> str:
+    """A JSON node as a message shows it: a scalar as the file spells it, cut short."""
+    if type(node) is list:
+        return "a list"
+    if type(node) is dict:
+        return "an object"
+    text = json.dumps(node)
+    return text if len(text) <= 40 else text[:36] + "..."
+
+
+def _key(node: dict, key: str, path: str):
+    """node[key], the node at path; a missing key is named."""
+    try:
+        return node[key]
+    except KeyError:
+        raise _bad(path, "missing") from None
+
+
+def _array(node, path: str) -> list:
+    if type(node) is not list:
+        raise _bad(path, f"expected a list, got {_shown(node)}")
+    return node
+
+
+def _rational_at(read: _Reader, node, path: str) -> Rational:
+    try:
+        return read.rational(node)
+    except ValueError as exc:
+        raise _bad(path, str(exc)) from None
+
+
+def _ints(node: dict, key: str, path: str) -> list:
+    """node[key], a list of JSON integers at path."""
+    items = _array(_key(node, key, path), path)
+    # One C pass over the types; bool is a subclass of int but not its type.
+    if set(map(type, items)) - {int}:
+        k = next(k for k, x in enumerate(items) if type(x) is not int)
+        raise _bad(f"{path}[{k}]", f"expected a JSON integer, got {_shown(items[k])}")
+    return items
 
 
 def instance_from_json(text: str) -> TrainInstance:
-    """Parse an instance; the budget must be a JSON integer and both it and gamma at least 0."""
+    """Parse a format-2 instance into its table, checking every node and the
+    canonical order; a rejection names the node at fault by its path. The
+    budget must be a JSON integer and both it and gamma at least 0."""
     try:
-        data = json.loads(text)
-        read = _Reader()
-        points = []
-        items = _list(data["points"])
-        for i, item in enumerate(items):
-            # Drop each point's JSON objects once read: the cyclic garbage
-            # collector runs on the growth of live objects, so the points
-            # built here replace json.loads' objects instead of adding to them.
-            items[i] = None
-            x1, x2 = read.pair(item["x"])
-            points.append((Point2(x1, x2), read.shared_pair(item["y"])))
-        budget = data["hidden_neurons"]
-        gamma = read.rational(data["gamma"])
-    except _MALFORMED as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise NetworkError(f"malformed instance JSON: {exc!r}") from exc
+    if type(doc) is not dict:
+        raise _bad("document", f"expected an object, got {_shown(doc)}")
+    if doc.get("format") != 2 or type(doc["format"]) is not int:
+        got = f"format {_shown(doc['format'])}" if "format" in doc else "no format key"
+        raise _bad("format", f"expected 2, got {got}; this reader reads format 2 only, "
+                             "so compile the formula again (ernn compile) to write it")
+    budget = _key(doc, "hidden_neurons", "hidden_neurons")
     # bool is a subclass of int, and JSON true must not read as a budget of 1
     if type(budget) is not int or budget < 0:
         raise NetworkError(f"malformed instance JSON: hidden_neurons {budget!r} is not an integer >= 0")
+    read = _Reader()
+    gamma = _rational_at(read, _key(doc, "gamma", "gamma"), "gamma")
     if gamma < 0:
         raise NetworkError(f"malformed instance JSON: gamma {format_rational(gamma)} is below 0")
-    return TrainInstance(hidden_neurons=budget, gamma=gamma, points=tuple(points))
+
+    shared: Dict[LabelInts, LabelInts] = {}
+    labels = []
+    for j, node in enumerate(_array(_key(doc, "labels", "labels"), "labels")):
+        path = f"labels[{j}]"
+        if len(_array(node, path)) != 2:
+            raise _bad(path, f"expected 2 rational strings, got {len(node)} items")
+        y = label_ints([_rational_at(read, node[k], f"{path}[{k}]") for k in (0, 1)])
+        labels.append(shared.setdefault(y, y))
+
+    table = []
+    where: Dict[Tuple[int, int], int] = {}  # each x1's vertical
+    first = -1
+    for j, node in enumerate(_array(_key(doc, "verticals", "verticals"), "verticals")):
+        path = f"verticals[{j}]"
+        if type(node) is not dict:
+            raise _bad(path, f"expected an object, got {_shown(node)}")
+        x1 = _rational_at(read, _key(node, "x1", path + ".x1"), path + ".x1")
+        den = _key(node, "den", path + ".den")
+        if type(den) is not int or den <= 0:
+            raise _bad(path + ".den", f"expected a JSON integer above 0, got {_shown(den)}")
+        heights = _ints(node, "x2", path + ".x2")
+        if not heights:
+            raise _bad(path + ".x2", "expected at least one height, got none")
+        indices = _ints(node, "at", path + ".at")
+        ys = _ints(node, "y", path + ".y")
+        for key, column in (("at", indices), ("y", ys)):
+            if len(column) != len(heights):
+                raise _bad(f"{path}.{key}", f"has {len(column)} items, but {path}.x2 has {len(heights)}")
+        v, q = x1.numerator, x1.denominator
+        if where.setdefault((v, q), j) != j:
+            raise _bad(path + ".x1", f"{format_rational(x1)} is also the x1 of verticals[{where[v, q]}]")
+        if indices[0] <= first:
+            raise _bad(path + ".at[0]", f"index {indices[0]} is below 0" if j == 0 else
+                       _not_above(indices[0], f"verticals[{j - 1}].at[0]", first,
+                                  "verticals go in the order of their first index"))
+        first = indices[0]
+        if not all(map(lt, indices, islice(indices, 1, None))):
+            k = next(k for k in range(1, len(indices)) if indices[k] <= indices[k - 1])
+            raise _bad(f"{path}.at[{k}]", _not_above(indices[k], f"{path}.at[{k - 1}]", indices[k - 1],
+                                                     "indices ascend within a vertical"))
+        if min(ys) < 0 or max(ys) >= len(labels):
+            k = next(k for k, y in enumerate(ys) if not 0 <= y < len(labels))
+            raise _bad(f"{path}.y[{k}]", f"label index {ys[k]} is not one of the {len(labels)} labels")
+        table.append((v, q, *_lowest(den, heights), tuple(indices), tuple(map(labels.__getitem__, ys))))
+
+    # Each vertical's indices ascend from above -1; together they must be 0..N-1.
+    n = sum(len(t[4]) for t in table)
+    if any(t[4][-1] >= n for t in table) or len(set(chain.from_iterable(t[4] for t in table))) != n:
+        seen: Dict[int, str] = {}
+        for j, t in enumerate(table):
+            for k, i in enumerate(t[4]):
+                path = f"verticals[{j}].at[{k}]"
+                if i >= n:
+                    raise _bad(path, f"index {i} is not below the point count {n}")
+                if seen.setdefault(i, path) != path:
+                    raise _bad(path, f"index {i} appears twice, also at {seen[i]}")
+    return TrainInstance(hidden_neurons=budget, gamma=gamma, table=tuple(table))
+
+
+def _not_above(index: int, path: str, before: int, rule: str) -> str:
+    """Why an index may not follow the index before at path."""
+    if index == before:
+        return f"index {index} appears twice, also at {path}"
+    return f"index {index} is not above {path}, {before}: {rule}"

@@ -90,21 +90,15 @@ def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
     instance = realize(layout)
     kinds = Counter(type(pg.placement.template.kind) for pg in layout.placements)
 
-    # Normalised Fractions are equal iff their integer parts are, and ints
-    # hash without the modular inverse that every Fraction hash recomputes.
-    # The points of one template entry or one purpose share its label pair
-    # object, so each object is read once.
-    label_parts = {
-        (y1.numerator, y1.denominator, y2.numerator, y2.denominator)
-        for y1, y2 in {id(y): y for _p, y in instance.points}.values()
-    }
+    # The table's labels are ints in lowest terms, so equal labels are equal tuples.
+    distinct_labels = set().union(*(labels for *_, labels in instance.table))
     counts = ReductionCounts(
         variable_gadgets=kinds[Variable],
         inversion_gadgets=kinds[Inversion],
         lower_bound_gadgets=kinds[LowerBound],
         hidden_neurons=instance.hidden_neurons,
-        data_points=len(instance.points),
-        distinct_labels=len(label_parts),
+        data_points=sum(len(indices) for *_, indices, _labels in instance.table),
+        distinct_labels=len(distinct_labels),
     )
 
     k = len(formula.variables)

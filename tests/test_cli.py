@@ -27,7 +27,8 @@ def test_compile_writes_instance_and_sidecar(workspace, capsys):
     data = json.loads((workspace / "inst.json").read_text())
     assert data["gamma"] == "0"
     assert data["hidden_neurons"] == 60
-    assert len(data["points"]) == 520
+    assert data["format"] == 2
+    assert sum(len(v["x2"]) for v in data["verticals"]) == 520
     # the instance is the one file compile writes: no layout sidecar
     assert sorted(f.name for f in workspace.iterdir()) == ["a.txt", "f.ec", "inst.json"]
     assert "layout" not in out
@@ -274,7 +275,7 @@ HUGE = "1e100000000"  # Fraction() would expand it into a 332-million-bit intege
     "argv, message",
     [
         (["verify", "net.json", "huge.json"],
-         f"malformed instance JSON: ValueError(\"not a rational number: '{HUGE}'\")"),
+         f"malformed instance JSON: gamma: not a rational number: '{HUGE}'"),
         (["extract", "hugenet.json", "f.ec"],
          f"malformed network JSON: ValueError(\"not a rational number: '{HUGE}'\")"),
         (["witness", "f.ec", "huge.txt", "-o", "out.json"], f"line 1, column 4: bad rational '{HUGE}'"),
@@ -322,8 +323,8 @@ def test_json_number_gamma_is_exit_2(workspace, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: malformed instance JSON: ValueError("
-        "'not a rational number: expected a string like \"3/4\", got int 0')\n"
+        "error: malformed instance JSON: gamma: "
+        "not a rational number: expected a string like \"3/4\", got int 0\n"
     )
 
 

@@ -83,12 +83,13 @@ def test_a_purpose_states_its_weak_dims_and_targets(purpose):
     assert purpose.targets == tuple(
         lab.value - 2 if isinstance(lab, AtLeast) else lab.value for lab in purpose.labels
     )
-    # realize() gives every point of the purpose that one tuple
+    # realize() gives every point of the purpose its targets, and they share
+    # one label pair in the points view
     layout = plan(parse_formula(REFERENCE))
     cps = layout.constraint_points
     points = realize(layout).points[-len(cps):]
     got = [y for (_p, y), cp in zip(points, cps) if cp.purpose is purpose]
-    assert got and all(y is purpose.targets for y in got)
+    assert got and all(y == purpose.targets and y is got[0] for y in got)
 
 
 def test_addition_layout_counts():

@@ -1,8 +1,13 @@
 """Networks, exact evaluation, fit checking, gradient bound, JSON formats."""
 
+import io
 import json
 import math
 import random
+import re
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,7 +32,8 @@ from ernn.network import (
     network_from_json,
     network_to_json,
 )
-from ernn.reducer import compile_formula, extract, witness
+from ernn.cli import run
+from ernn.reducer import compile_formula, extract, verify, witness
 
 F = Fraction
 
@@ -53,9 +59,9 @@ def test_exact_fit_is_all_or_nothing():
         (Point2(F(1), F(0)), (F(1), F(0))),
         (Point2(F(2), F(5)), (F(2), F(0))),
     )
-    inst = TrainInstance(1, F(0), pts)
+    inst = TrainInstance.from_points(1, F(0), pts)
     assert exact_fit(net, inst).fits
-    bad = TrainInstance(
+    bad = TrainInstance.from_points(
         1, F(0), pts + ((Point2(F(3), F(0)), (F(3), F(1, 7))),)
     )
     report = exact_fit(net, bad)
@@ -68,8 +74,8 @@ def test_exact_fit_is_all_or_nothing():
 def test_gamma_allows_slack():
     net = Network((HiddenNeuron(F(1), F(0), F(0), F(1), F(0)),))
     pts = ((Point2(F(1), F(0)), (F(1), F(1, 10))),)
-    tight = TrainInstance(1, F(0), pts)
-    loose = TrainInstance(1, F(1, 100), pts)
+    tight = TrainInstance.from_points(1, F(0), pts)
+    loose = TrainInstance.from_points(1, F(1, 100), pts)
     assert not exact_fit(net, tight).fits
     assert exact_fit(net, loose).fits
 
@@ -187,18 +193,18 @@ def _fit_cases(draw):
             taken.add(x)
             points.append(labeled(Point2(x, y)))
     gamma = draw(st.sampled_from((0, F(1, 3), 2, 50)))
-    return net, TrainInstance(draw(st.integers(0, 9)), gamma, tuple(points))
+    return net, TrainInstance.from_points(draw(st.integers(0, 9)), gamma, tuple(points))
 
 
 @_FAIL_FAST
-@example((Network(()), TrainInstance(0, F(0), ((Point2(1, F(1, 2)), (F(0), 3)),))))
-@example((Network((HiddenNeuron(1, -1, F(1, 2), 2, 0),)), TrainInstance(1, F(0), ())))
+@example((Network(()), TrainInstance.from_points(0, F(0), ((Point2(1, F(1, 2)), (F(0), 3)),))))
+@example((Network((HiddenNeuron(1, -1, F(1, 2), 2, 0),)), TrainInstance.from_points(1, F(0), ())))
 # Both units bend along x = 3y, through (1/2, 1/6). On x = 1/2 the points
 # have heights P = 4y, and the A2 < 0 unit's key ceil(4/6) = 1 rounds up to
 # the point at y = 1/4.
 @example((
     Network((HiddenNeuron(1, -3, 0, 1, 2), HiddenNeuron(-2, 6, 0, 1, -1))),
-    TrainInstance(2, F(0), tuple(
+    TrainInstance.from_points(2, F(0), tuple(
         (Point2(F(1, 2), y), (F(0), F(0))) for y in (F(-1, 4), F(0), F(1, 4), F(1, 2))
     )),
 ))
@@ -211,7 +217,7 @@ def _fit_cases(draw):
         HiddenNeuron(F(1, 2), -1, 0, -2, F(5, 3)),
         HiddenNeuron(-1, -3, 1, 1, 1),
     )),
-    TrainInstance(3, F(0), tuple(
+    TrainInstance.from_points(3, F(0), tuple(
         (Point2(F(1), y), (F(0), F(0))) for y in (F(-1, 4), F(0), F(1, 4), F(1, 2), F(3, 4))
     )),
 ))
@@ -225,7 +231,7 @@ def _fit_cases(draw):
         HiddenNeuron(-2, -4, 2, 1, 3),
         HiddenNeuron(F(1, 2), 1, F(-1, 2), -3, F(1, 2)),
     )),
-    TrainInstance(3, F(0), tuple(
+    TrainInstance.from_points(3, F(0), tuple(
         (Point2(x, y), (F(0), F(0))) for x, y in ((1, 0), (2, F(-2, 3)), (F(1, 3), F(1, 2)))
     )),
 ))
@@ -241,7 +247,7 @@ def _fit_cases(draw):
         HiddenNeuron(5, 5, 3, -2, 1),
         HiddenNeuron(-4, -4, -3, 1, 1),
     )),
-    TrainInstance(3, F(0), tuple(
+    TrainInstance.from_points(3, F(0), tuple(
         (Point2(x, y), (F(0), F(0)))
         for x, y in ((F(-1, 2), F(-3, 2)), (F(-1, 3), F(-3, 2)), (F(-2, 3), F(-3, 2)),
                      (0, F(-3, 4)))
@@ -258,7 +264,7 @@ def _fit_cases(draw):
         HiddenNeuron(-4, -6, 3, F(1, 2), 3),
         HiddenNeuron(2, 3, 0, -1, 1),
     )),
-    TrainInstance(3, F(0), tuple(
+    TrainInstance.from_points(3, F(0), tuple(
         (Point2(F(1, 2), y), (F(0), F(0))) for y in (F(1, 3), F(1, 2))
     )),
 ))
@@ -273,7 +279,7 @@ def _fit_cases(draw):
         HiddenNeuron(0, 1, -1, 2, 1),
         HiddenNeuron(0, -2, F(-1, 2), -1, 1),
     )),
-    TrainInstance(4, F(0), tuple(
+    TrainInstance.from_points(4, F(0), tuple(
         (p, (F(0), F(0)))
         for p in (Point2(1, 1), Point2(1, F(1, 2)),
                   Point2(F(1, 3), F(1, 3)), Point2(F(1, 3), 1), Point2(F(1, 3), F(-1, 4)))
@@ -358,9 +364,9 @@ def test_an_instance_table_holds_no_network_state():
     fit = FitReport(fits=True, total_loss=F(0), violations=())
     assert exact_fit(net, instance) == fit
     table = instance.table
-    # replace() builds the second instance from new points, every other one
-    # a step of 1/7 up, and it gets a table of its own.
-    moved = replace(instance, points=tuple(
+    # The second instance is built from new points, every other one a step
+    # of 1/7 up, and it has a table of its own.
+    moved = TrainInstance.from_points(instance.hidden_neurons, instance.gamma, (
         (Point2(p.x1, p.x2 + F(1, 7)) if i % 2 else p, want)
         for i, (p, want) in enumerate(instance.points)
     ))
@@ -368,13 +374,31 @@ def test_an_instance_table_holds_no_network_state():
     assert report == _reference_fit(net, moved) and report.violations
     assert moved.table is not table and instance.table is table
     assert exact_fit(net, instance) == fit
-    # A served instance reads back equal by value, and stays equal, with an
-    # equal hash, once its own table is built.
+    # A served instance reads back equal by value, with an equal hash, and
+    # its own table; reading it builds no points view.
     served = instance_from_json(instance_to_json(instance))
     assert served == instance and hash(served) == hash(instance)
     assert exact_fit(nets["perturbed"], served) == _reference_fit(nets["perturbed"], instance)
-    assert served.table is not table
-    assert served == instance and hash(served) == hash(instance)
+    assert served.table is not table and "points" not in served.__dict__
+    assert served.points == instance.points
+
+
+@pytest.mark.parametrize("formula", [_REFERENCE, _chain(2)], ids=["reference", "F_2"])
+def test_the_benchmark_round_trip_builds_no_points_view(formula):
+    """compile -> dump -> load -> witness -> verify -> extract, as the
+    benchmark's roundtrip chains them, reads the instances' tables only."""
+    text, assignment = formula
+    bundle = compile_formula(parse_formula(text))
+    served = replace(bundle, instance=instance_from_json(instance_to_json(bundle.instance)))
+    net = witness(served, assignment)
+    report = verify(net, served.instance)
+    assert report.fits and extract(served, net) == assignment
+    assert served.instance == bundle.instance
+    assert "points" not in bundle.instance.__dict__ and "points" not in served.instance.__dict__
+    # The misses of other networks still read as one evaluate per point reads them.
+    nets = _request_networks(net, random.Random(44))
+    for kind in ("perturbed", "random"):
+        assert exact_fit(nets[kind], served.instance) == _reference_fit(nets[kind], served.instance)
 
 
 def _counted_sweeps(monkeypatch):
@@ -432,7 +456,7 @@ def test_points_in_pairs_are_read_by_class(monkeypatch):
         (p, evaluate(net, p) if rng.random() < 0.5 else (F(rng.randint(0, 9)), F(0)))
         for p in points
     )
-    instance = TrainInstance(len(net.neurons), F(0), labeled)
+    instance = TrainInstance.from_points(len(net.neurons), F(0), labeled)
     swept = _counted_sweeps(monkeypatch)
     assert len(instance.table) == 200
     assert exact_fit(net, instance) == _reference_fit(net, instance)
@@ -665,21 +689,32 @@ def test_network_json_round_trip():
 
 
 def test_instance_json_round_trip_and_shape():
-    inst = TrainInstance(
+    inst = TrainInstance.from_points(
         3,
         F(0),
         (
             (Point2(F(1), F(2)), (F(0), F(6))),
             (Point2(F(-1, 2), F(5, 3)), (F(3), F(4))),
+            (Point2(F(1), F(1, 4)), (F(0), F(6))),
         ),
     )
     s = instance_to_json(inst)
     assert instance_from_json(s) == inst
-    assert s.endswith("\n")
-    # rationals travel as strings
-    assert '"1"' in s and '"5/3"' in s
+    assert s.endswith("\n") and "\n" not in s[:-1]
+    # x1, gamma and the labels are rational strings; each vertical's heights
+    # are ints over its den, with each point's index and label index
+    assert json.loads(s) == {
+        "format": 2,
+        "hidden_neurons": 3,
+        "gamma": "0",
+        "labels": [["0", "6"], ["3", "4"]],
+        "verticals": [
+            {"x1": "1", "den": 4, "x2": [8, 1], "at": [0, 2], "y": [0, 0]},
+            {"x1": "-1/2", "den": 3, "x2": [5], "at": [1], "y": [1]},
+        ],
+    }
     # a budget and a gamma of 0 are the smallest allowed
-    empty = TrainInstance(0, F(0), ())
+    empty = TrainInstance.from_points(0, F(0), ())
     assert instance_from_json(instance_to_json(empty)) == empty
 
 
@@ -690,14 +725,40 @@ _json_rationals = st.one_of(
 )
 
 
+def _format_2(budget, gamma, points):
+    """The format-2 document of the labeled points, written out by hand:
+    verticals in the order their x1 first appears, each den the lcm of its
+    x2 denominators, and labels in the order they first appear in the
+    verticals read in turn."""
+    def fr(value):  # format_rational as it was first written
+        return str(F(value))
+
+    labels, columns = {}, {}
+    for i, (p, (y1, y2)) in enumerate(points):
+        columns.setdefault(F(p.x1), []).append((F(p.x2), i, (fr(y1), fr(y2))))
+    verticals = []
+    for x1, rows in columns.items():
+        den = math.lcm(*(x2.denominator for x2, _i, _y in rows))
+        verticals.append({
+            "x1": fr(x1),
+            "den": den,
+            "x2": [int(x2 * den) for x2, _i, _y in rows],
+            "at": [i for _x2, i, _y in rows],
+            "y": [labels.setdefault(y, len(labels)) for _x2, _i, y in rows],
+        })
+    return {"format": 2, "hidden_neurons": budget, "gamma": fr(gamma),
+            "labels": [list(pair) for pair in labels], "verticals": verticals}
+
+
 @given(
     st.lists(st.tuples(*[_json_rationals] * 5), max_size=4),
-    st.lists(st.tuples(*[_json_rationals] * 4), max_size=4),
+    st.lists(st.tuples(st.integers(0, 2), *[_json_rationals] * 3), max_size=6),
+    st.tuples(*[_json_rationals] * 3),
     st.integers(0, 2**70),
     _json_rationals,
 )
-@example([], [], 0, F(0))
-def test_json_writers_match_json_dumps(neurons, points, budget, gamma):
+@example([], [], (0, 0, 0), 0, F(0))
+def test_json_writers_match_json_dumps(neurons, rows, xs, budget, gamma):
     def fr(value):  # format_rational as it was first written
         return str(F(value))
 
@@ -708,16 +769,11 @@ def test_json_writers_match_json_dumps(neurons, points, budget, gamma):
             for u in net.neurons
         ]
     }, indent=2) + "\n"
-    inst = TrainInstance(
-        budget, gamma, tuple((Point2(x1, x2), (y1, y2)) for x1, x2, y1, y2 in points)
-    )
-    assert instance_to_json(inst) == json.dumps({
-        "hidden_neurons": budget,
-        "gamma": fr(gamma),
-        "points": [
-            {"x": [fr(p.x1), fr(p.x2)], "y": [fr(y[0]), fr(y[1])]} for p, y in inst.points
-        ],
-    }, indent=2) + "\n"
+    # x1 from a pool of three, so that points share verticals
+    points = [(Point2(xs[k], x2), (y1, y2)) for k, x2, y1, y2 in rows]
+    inst = TrainInstance.from_points(budget, gamma, points)
+    expected = json.dumps(_format_2(budget, gamma, points), separators=(",", ":")) + "\n"
+    assert instance_to_json(inst) == expected
 
 
 @pytest.mark.parametrize(
@@ -740,6 +796,8 @@ def test_network_json_rejects_malformed(text):
         network_from_json(text)
 
 
+# Documents without "format": 2. Each is also malformed in its own way, but
+# the reader refuses it by its format before it reads any field.
 @pytest.mark.parametrize(
     "text",
     [
@@ -756,11 +814,228 @@ def test_network_json_rejects_malformed(text):
         '{"hidden_neurons": 5, "gamma": "0", "points": {}}',
         '{"hidden_neurons": 5, "gamma": "0", "points": [{"x": "12", "y": ["0", "0"]}]}',
         '{"hidden_neurons": 5, "gamma": "0", "points": [{"x": ["1", "2"], "y": "00"}]}',
+        # a well-formed file in the format written before format 2
+        '{\n  "hidden_neurons": 60,\n  "gamma": "0",\n  "points": [\n    {\n      "x": [\n'
+        '        "30734",\n        "0"\n      ],\n      "y": [\n        "0",\n        "0"\n'
+        '      ]\n    }\n  ]\n}\n',
     ],
 )
 def test_instance_json_rejects_malformed(text):
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError) as exc:
         instance_from_json(text)
+    message = str(exc.value)
+    if text != "[]":
+        assert message.startswith("malformed instance JSON: format: expected 2, got no format key")
+        assert "compile the formula again" in message
+
+
+_VALID = json.loads(
+    '{"format": 2, "hidden_neurons": 5, "gamma": "1/2", "labels": [["0", "0"], ["3", "-1/2"]],'
+    ' "verticals": [{"x1": "7", "den": 2, "x2": [1, 4], "at": [0, 2], "y": [1, 0]},'
+    ' {"x1": "-1/3", "den": 1, "x2": [5], "at": [1], "y": [0]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("format",), 1, "format: expected 2, got format 1"),
+        (("format",), True, "format: expected 2, got format true"),
+        (("labels",), {}, "labels: expected a list, got an object"),
+        (("labels", 1), ["3"], "labels[1]: expected 2 rational strings, got 1 items"),
+        (("labels", 1, 1), "1/0", "labels[1][1]: not a rational number: '1/0'"),
+        (("verticals", 1), [], "verticals[1]: expected an object, got a list"),
+        (("verticals", 0, "x1"), 7, 'verticals[0].x1: not a rational number: expected a string'),
+        (("verticals", 1, "x1"), "14/2", "verticals[1].x1: 7 is also the x1 of verticals[0]"),
+        (("verticals", 0, "den"), 0, "verticals[0].den: expected a JSON integer above 0, got 0"),
+        (("verticals", 0, "den"), "2", 'verticals[0].den: expected a JSON integer above 0, got "2"'),
+        (("verticals", 0, "x2", 1), "1/2", 'verticals[0].x2[1]: expected a JSON integer, got "1/2"'),
+        (("verticals", 0, "x2", 1), 4.0, "verticals[0].x2[1]: expected a JSON integer, got 4.0"),
+        (("verticals", 0, "y", 0), True, "verticals[0].y[0]: expected a JSON integer, got true"),
+        (("verticals", 1, "x2"), [], "verticals[1].x2: expected at least one height, got none"),
+        (("verticals", 0, "at"), [0], "verticals[0].at: has 1 items, but verticals[0].x2 has 2"),
+        (("verticals", 0, "at", 1), 0, "verticals[0].at[1]: index 0 appears twice, also at "
+                                       "verticals[0].at[0]"),
+        (("verticals", 0, "at", 1), 1, "verticals[1].at[0]: index 1 appears twice, also at "
+                                       "verticals[0].at[1]"),
+        (("verticals", 0, "at", 1), -2, "verticals[0].at[1]: index -2 is not above "
+                                        "verticals[0].at[0], 0: indices ascend within a vertical"),
+        (("verticals", 0, "at", 1), 3, "verticals[0].at[1]: index 3 is not below the point count 3"),
+        (("verticals", 0, "at", 0), -1, "verticals[0].at[0]: index -1 is below 0"),
+        (("verticals", 1, "at", 0), 0, "verticals[1].at[0]: index 0 appears twice, also at "
+                                       "verticals[0].at[0]"),
+        (("verticals",), _VALID["verticals"][::-1],
+         "verticals[1].at[0]: index 0 is not above verticals[0].at[0], 1: verticals go in the "
+         "order of their first index"),
+        (("verticals", 0, "y", 1), 2, "verticals[0].y[1]: label index 2 is not one of the 2 labels"),
+        (("verticals", 0, "y", 1), -1, "verticals[0].y[1]: label index -1 is not one of the 2 labels"),
+    ],
+)
+def test_format_2_instance_json_rejects_malformed(path, value, message):
+    doc = json.loads(json.dumps(_VALID))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(NetworkError) as exc:
+        instance_from_json(json.dumps(doc))
+    assert str(exc.value).startswith(f"malformed instance JSON: {message}")
+
+
+def test_a_valid_format_2_document_reads_in_lowest_terms():
+    # den 2 over x2 [1, 4] reads as 1/2 and 2; the first vertical's S stays 2
+    inst = instance_from_json(json.dumps(_VALID))
+    assert inst.table == (
+        (7, 1, 2, (1, 4), (0, 2), ((3, 1, -1, 2), (0, 1, 0, 1))),
+        (-1, 3, 1, (5,), (1,), ((0, 1, 0, 1),)),
+    )
+    assert inst.points == (
+        (Point2(7, F(1, 2)), (F(3), F(-1, 2))),
+        (Point2(F(-1, 3), 5), (F(0), F(0))),
+        (Point2(7, 2), (F(0), F(0))),
+    )
+    # a den and heights with a common factor read in lowest terms
+    doc = json.loads(json.dumps(_VALID))
+    doc["verticals"][0].update(den=6, x2=[3, 12])
+    assert instance_from_json(json.dumps(doc)) == inst
+
+
+def test_an_int_past_the_digit_limit_names_its_vertical():
+    """A vertical whose S has more digits than Python writes as text cannot be written."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this Python writes ints of any length")
+    inst = TrainInstance.from_points(1, F(0), (
+        (Point2(1, 2), (F(0), F(0))),
+        (Point2(3, F(1, 10 ** limit)), (F(0), F(0))),
+    ))
+    with pytest.raises(NetworkError, match=r"^cannot write verticals\[1\]: "):
+        instance_to_json(inst)
+
+
+_BIG = st.integers(-(2**70), 2**70)
+# Small and past 2**64, negative and positive, ints and Fractions.
+_COORDINATES = st.one_of(
+    st.integers(-50, 50),
+    _BIG,
+    st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(F, _BIG, st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def _labeled_points(draw, max_points=30):
+    """Points alone on their x1 and points sharing one of a few, with up to
+    20 distinct labels."""
+    xs = draw(st.lists(_COORDINATES, min_size=1, max_size=4))
+    labels = draw(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=20))
+    points = []
+    for _ in range(draw(st.integers(0, max_points))):
+        x1 = draw(st.sampled_from(xs) if draw(st.booleans()) else _COORDINATES)
+        points.append((Point2(x1, draw(_COORDINATES)), draw(st.sampled_from(labels))))
+    return points
+
+
+@given(_labeled_points(), st.integers(0, 2**70), st.sampled_from((0, F(1, 3), F(10**30, 7))))
+@example(
+    [(Point2(i % 3, F(i, 7)), (F(i), F(-i, 2))) for i in range(20)], 60, 0
+)
+def test_instances_round_trip_through_format_2(points, budget, gamma):
+    instance = TrainInstance.from_points(budget, gamma, points)
+    served = instance_from_json(instance_to_json(instance))
+    assert served == instance and hash(served) == hash(instance)
+    assert served.points == tuple(points) == instance.points
+
+
+def _document_nodes(doc):
+    """(path, parent, key, kind) for every node of a format-2 document but
+    the document itself."""
+    nodes = [("format", doc, "format", "int"), ("hidden_neurons", doc, "hidden_neurons", "int"),
+             ("gamma", doc, "gamma", "rational"), ("labels", doc, "labels", "list"),
+             ("verticals", doc, "verticals", "list")]
+    for j, pair in enumerate(doc["labels"]):
+        nodes.append((f"labels[{j}]", doc["labels"], j, "pair"))
+        nodes += [(f"labels[{j}][{k}]", pair, k, "rational") for k in (0, 1)]
+    for j, vertical in enumerate(doc["verticals"]):
+        path = f"verticals[{j}]"
+        nodes += [(path, doc["verticals"], j, "object"), (path + ".x1", vertical, "x1", "rational"),
+                  (path + ".den", vertical, "den", "int")]
+        for key in ("x2", "at", "y"):
+            nodes.append((f"{path}.{key}", vertical, key, "column"))
+            nodes += [(f"{path}.{key}[{k}]", vertical[key], k, key) for k in range(len(vertical[key]))]
+    return nodes
+
+
+_SWAPS = {
+    "int": ("1/2", 1.5, [1], None), "x2": ("1/2", 1.5, [1], None), "at": ("1/2", 1.5, [1], None),
+    "y": ("1/2", 1.5, [1], None), "rational": (3, 1.5, ["1"], None), "list": ("x", 3, {}),
+    "pair": ("x", 3, {}), "column": ("x", 3, {}), "object": ("x", 3, []),
+}
+
+
+@st.composite
+def _mutated_document(draw):
+    """(a format-2 document with one node mutated, the path of that node)."""
+    points = draw(_labeled_points(max_points=8).filter(lambda points: len(points) >= 2))
+    doc = json.loads(instance_to_json(TrainInstance.from_points(3, F(1, 2), points)))
+    nodes = _document_nodes(doc)
+    n = len(points)
+    mutation = draw(st.sampled_from(
+        ("type", "length", "missing key", "rational", "bool", "repeated", "missing", "label")
+    ))
+    if mutation == "type":
+        path, parent, key, kind = draw(st.sampled_from(nodes))
+        parent[key] = draw(st.sampled_from(_SWAPS[kind]))
+    elif mutation == "length":
+        path, parent, key, kind = draw(st.sampled_from([x for x in nodes if x[3] in ("pair", "column")]))
+        if draw(st.booleans()):
+            parent[key].append("0" if kind == "pair" else 0)
+        else:
+            parent[key].pop()
+    elif mutation == "missing key":
+        path, parent, key, _kind = draw(st.sampled_from([x for x in nodes if type(x[2]) is str]))
+        del parent[key]
+    elif mutation == "rational":
+        path, parent, key, _kind = draw(st.sampled_from([x for x in nodes if x[3] == "rational"]))
+        parent[key] = draw(st.sampled_from(("1/0", "1.5", "x", "1e5", "")))
+    elif mutation == "bool":
+        ints = [x for x in nodes if x[3] in ("int", "x2", "at", "y")]
+        path, parent, key, _kind = draw(st.sampled_from(ints))
+        parent[key] = draw(st.booleans())
+    else:
+        kind = "y" if mutation == "label" else "at"
+        path, parent, key, _kind = draw(st.sampled_from([x for x in nodes if x[3] == kind]))
+        if mutation == "repeated":
+            parent[key] = draw(st.sampled_from([i for i in range(n) if i != parent[key]]))
+        elif mutation == "missing":
+            parent[key] = n + draw(st.integers(0, 3))
+        else:
+            labels = len(doc["labels"])
+            parent[key] = draw(st.sampled_from((labels, labels + 2, -1, -3)))
+    return doc, path
+
+
+@settings(deadline=None)
+@given(_mutated_document())
+def test_a_mutated_instance_file_is_named_where_it_is_wrong(case):
+    doc, path = case
+    text = json.dumps(doc)
+    with pytest.raises(NetworkError) as exc:
+        instance_from_json(text)
+    message = str(exc.value)
+    assert message.startswith("malformed instance JSON: ")
+    assert re.search(re.escape(path) + r"(?![\w\[.])", message), (path, message)
+    # The command line prints that one line and exits 2, with no traceback.
+    with tempfile.TemporaryDirectory() as where:
+        with open(f"{where}/net.json", "w") as f:
+            f.write('{"neurons": []}')
+        with open(f"{where}/bad.json", "w") as f:
+            f.write(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run(["verify", f"{where}/net.json", f"{where}/bad.json"])
+    assert code == 2
+    assert err.getvalue() == f"error: {message}\n"
 
 
 # Rational strings as a document may hold them: canonical, and other forms
@@ -774,12 +1049,16 @@ _TEXTS = st.one_of(
 @st.composite
 def _repeating_document(draw, min_items=1):
     """("instance" or "network", a document of that kind whose rational
-    strings come from a pool of at most four, so they repeat)."""
+    strings come from a pool of at most four, so they repeat). An instance
+    has min_items to 6 labels and one point per label, on one vertical."""
     node = st.sampled_from(draw(st.lists(_TEXTS, min_size=1, max_size=4, unique=True)))
     n = draw(st.integers(min_items, 6))
     if draw(st.booleans()):
-        points = [{"x": [draw(node), draw(node)], "y": [draw(node), draw(node)]} for _ in range(n)]
-        return "instance", {"hidden_neurons": 1, "gamma": "0", "points": points}
+        labels = [[draw(node), draw(node)] for _ in range(n)]
+        vertical = {"x1": draw(node), "den": 1, "x2": list(range(n)), "at": list(range(n)),
+                    "y": list(range(n))}
+        return "instance", {"format": 2, "hidden_neurons": 1, "gamma": "0", "labels": labels,
+                            "verticals": [vertical]}
     neurons = [
         {"a": [draw(node), draw(node)], "b": draw(node), "c": [draw(node), draw(node)]}
         for _ in range(n)
@@ -788,12 +1067,15 @@ def _repeating_document(draw, min_items=1):
 
 
 def _nodes(kind, doc):
-    """[(item index, key, slot or None)] for every rational node of an item."""
+    """[(the node's parent, its key, its path, its item)] for every rational
+    node but gamma, an item being a label or a neuron."""
     if kind == "instance":
-        return [(i, key, j) for i in range(len(doc["points"])) for key in "xy" for j in (0, 1)]
+        vertical = doc["verticals"][0]
+        labels = [(pair, k, f"labels[{j}][{k}]", j) for j, pair in enumerate(doc["labels"]) for k in (0, 1)]
+        return labels + [(vertical, "x1", "verticals[0].x1", len(doc["labels"]))]
     return [
-        (i, key, slot)
-        for i in range(len(doc["neurons"]))
+        (neuron[key] if slot is not None else neuron, key if slot is None else slot, None, i)
+        for i, neuron in enumerate(doc["neurons"])
         for key, slot in (("a", 0), ("a", 1), ("b", None), ("c", 0), ("c", 1))
     ]
 
@@ -818,13 +1100,14 @@ def test_readers_read_each_node_as_parse_rational_does(case):
     kind, doc = case
     got = _READERS[kind](json.dumps(doc))
     if kind == "instance":
-        for (p, y), item in zip(got.points, doc["points"]):
-            assert (p.x1, p.x2) + y == tuple(parse_rational(t) for t in item["x"] + item["y"])
+        x1 = parse_rational(doc["verticals"][0]["x1"])
+        for (p, y), pair in zip(got.points, doc["labels"]):
+            assert (p.x1, *y) == (x1, *map(parse_rational, pair))
             assert all(type(v) is Fraction for v in (p.x1, p.x2) + y)
-        # points that share a label pair's strings share one tuple
+        # labels of equal values share one tuple in the table
         shared = {}
-        for (_p, y), item in zip(got.points, doc["points"]):
-            assert shared.setdefault(tuple(item["y"]), y) is y
+        for y in got.table[0][5]:
+            assert shared.setdefault(y, y) is y
     else:
         for u, item in zip(got.neurons, doc["neurons"]):
             texts = item["a"] + [item["b"]] + item["c"]
@@ -835,26 +1118,26 @@ def test_readers_read_each_node_as_parse_rational_does(case):
 @given(_repeating_document(min_items=2), st.data())
 def test_readers_name_a_non_string_node_even_after_its_text(case, data):
     """A JSON number or a list where the document's first rational string
-    already stood reads as parse_rational names it on its own."""
+    already stood reads as parse_rational names it on its own; the instance
+    reader names the node's path as well."""
     kind, doc = case
     nodes = _nodes(kind, doc)
-    items = doc["points" if kind == "instance" else "neurons"]
-    i, key, slot = nodes[0]
-    text = items[i][key][slot]
+    parent, key, _path, _item = nodes[0]
+    text = parent[key]
     value = parse_rational(text)
     number = int(value) if value.denominator == 1 else float(value)
     bad = data.draw(st.sampled_from((number, [text])))
     # a node of a later item, so the reader has met the text before it
-    i, key, slot = data.draw(st.sampled_from([n for n in nodes if n[0] > 0]))
-    if slot is None:
-        items[i][key] = bad
-    else:
-        items[i][key][slot] = bad
+    parent, key, path, _item = data.draw(st.sampled_from([n for n in nodes if n[3] > 0]))
+    parent[key] = bad
     with pytest.raises(ValueError) as alone:
         parse_rational(bad)
     with pytest.raises(NetworkError) as exc:
         _READERS[kind](json.dumps(doc))
-    assert str(exc.value) == f"malformed {kind} JSON: {alone.value!r}"
+    if kind == "instance":
+        assert str(exc.value) == f"malformed instance JSON: {path}: {alone.value}"
+    else:
+        assert str(exc.value) == f"malformed network JSON: {alone.value!r}"
 
 
 @pytest.mark.parametrize("kind", ["instance", "network"])

@@ -19,8 +19,8 @@ from ernn.gadgets import (
     ridge_sum,
     witness_neurons,
 )
-from ernn.geometry import signed_value
-from ernn.layout import layout_to_json, plan, reading_offset
+from ernn.geometry import Point2, signed_value
+from ernn.layout import layout_to_json, plan, reading_offset, realize
 from ernn.network import (
     HiddenNeuron,
     Network,
@@ -191,7 +191,7 @@ def test_chained_formula_counts():
 _PINNED = [
     (
         "add X Y Z\ninv X W\n",
-        "27ce303814821402599efa32412168c15ed3947df3e61a1b220b3d7ec54d1e09",
+        "bd09ecc90821e9ee9c0245c0ffaa0cc4cf6a3f196f81bf24ee9ed4e8612b676a",
         "f8f48eabe7d0dc9f9ad0958e008b29e16444cc37037076a94cb319cff3270ad4",
         {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)},
         "3235249bc687161cfd12fb9a597dda6a55f3ead3547a57f0d4bf146b90e5fc74",
@@ -199,7 +199,7 @@ _PINNED = [
     (
         # F_2: two inversion bands, then two addition bands
         "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
-        "717de80fd01ae8e80c736767352d1f91e93a44751b6a6c7186311f198215076d",
+        "d48b117303e501558ac91a5c2a56f31df4c51ee99d545108117635bef68b1e97",
         "01b6e4f92aac937e45d3942a0e2439971bffab6d7183c05396257407a4060d53",
         {"A0": F(1), "B0": F(1), "H0": F(1, 2), "A1": F(1), "B1": F(1), "H1": F(1, 2)},
         "e6fa4c06eb56145c359c67932e7aece3986e0f53b77b5cfdb92d4144f13adb7a",
@@ -207,7 +207,7 @@ _PINNED = [
     (
         # additions only, so the addition bands start at x = 3kS
         "add B C A\nadd B A D\n",
-        "761b1396c26ce252998efed89ddba01624c3b25c026f3ead6877405736f032fb",
+        "4c4b76c1e25734a5e6fd6cc055e72e1bc38ac06dccb13eb67d025e139e58a4a9",
         "d823d94885a0171d869b9386528de4098fc36eb4b6d80a9b355dc93fffe0b3b8",
         {"B": F(1, 2), "C": F(1, 2), "A": F(1), "D": F(3, 2)},
         "70e9ef77b850000eb1e86f5a43153c46308ab8a7cd49deda5ae449bc3021218a",
@@ -215,7 +215,7 @@ _PINNED = [
     (
         # inversions only, A read in two of the three bands
         "inv A B\ninv C A\ninv E D\n",
-        "e712c409ccf468b72ab85ca6e7cd4a027ce9e4e63a447643e21e26085306b9a3",
+        "1762064768f8f5f41f8dc06d4cb6507ab40b34ee67370e7b6b57b3fef70693a7",
         "c03ca7c0414f360187c5da532fe8f0ced8701fbfae101f23c155ac6ad5a12fbc",
         {"A": F(2), "B": F(1, 2), "C": F(1, 2), "E": F(3, 2), "D": F(2, 3)},
         "f54f6c7bed4599cb93be3bd7420d32c63dbac151b329c9e7fb84db1905ad8372",
@@ -393,6 +393,39 @@ def test_witness_of_a_random_solution_fits(case):
     assert report.fits and report.total_loss == 0
     assert len(net.neurons) == bundle.instance.hidden_neurons
     assert extract(bundle, net) == assignment
+
+
+def _fraction_realization(layout):
+    """realize() as it was written before the instance table: one Fraction
+    height and one Point2 per data line and vertical, then each constraint
+    point with its purpose's targets."""
+    points = []
+    verticals = [(v, v.numerator, v.denominator) for v in layout.verticals]
+    for pg in layout.placements:
+        pl = pg.placement
+        a, b, r = pl.normal.integer
+        base = pl.base_offset
+        for entry in pl.template.data_entries:
+            t = entry.offset
+            c = base.numerator * t.denominator + t.numerator * base.denominator
+            e = base.denominator * t.denominator
+            for v, vn, vd in verticals:
+                points.append((Point2(v, F(r * c * vd - a * vn * e, b * e * vd)), entry.values))
+    for cp in layout.constraint_points:
+        points.append((cp.point, cp.purpose.targets))
+    return tuple(points)
+
+
+@_FAIL_FAST
+@given(_satisfiable())
+def test_realize_writes_the_fraction_points_into_the_table(case):
+    formula, _assignment = case
+    layout = plan(formula)
+    instance = realize(layout)
+    expected = _fraction_realization(layout)
+    assert instance.points == expected
+    rebuilt = TrainInstance.from_points(instance.hidden_neurons, instance.gamma, expected)
+    assert instance == rebuilt and hash(instance) == hash(rebuilt)
 
 
 def _reference_witness(bundle, assignment):

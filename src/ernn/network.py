@@ -696,14 +696,15 @@ def _rational_at(read: _Reader, node, path: str) -> Rational:
         raise _bad(path, str(exc)) from None
 
 
-def _ints(node: dict, key: str, path: str) -> list:
-    """node[key], a list of JSON integers at path."""
-    items = _array(_key(node, key, path), path)
-    # One C pass over the types; bool is a subclass of int but not its type.
-    if set(map(type, items)) - {int}:
-        k = next(k for k, x in enumerate(items) if type(x) is not int)
-        raise _bad(f"{path}[{k}]", f"expected a JSON integer, got {_shown(items[k])}")
-    return items
+_VERTICAL = itemgetter("x1", "den", "x2", "at", "y")
+
+
+def _not_ints(path: str, column) -> NetworkError:
+    """Why column, the node at path, is not a list of JSON integers."""
+    if type(column) is not list:
+        return _bad(path, f"expected a list, got {_shown(column)}")
+    k = next(k for k, x in enumerate(column) if type(x) is not int)
+    return _bad(f"{path}[{k}]", f"expected a JSON integer, got {_shown(column[k])}")
 
 
 def instance_from_json(text: str) -> TrainInstance:
@@ -741,37 +742,54 @@ def instance_from_json(text: str) -> TrainInstance:
     table = []
     where: Dict[Tuple[int, int], int] = {}  # each x1's vertical
     first = -1
-    for j, node in enumerate(_array(_key(doc, "verticals", "verticals"), "verticals")):
-        path = f"verticals[{j}]"
+    nodes = _array(_key(doc, "verticals", "verticals"), "verticals")
+    for j, node in enumerate(nodes):
+        # Drop each vertical's JSON objects once read: the cyclic garbage
+        # collector runs on the growth of live objects, so the table built
+        # here replaces json.loads' objects instead of adding to them.
+        nodes[j] = None
+        # A path is spelled out only for the node at fault, which keeps the
+        # many verticals of one point each in a big file cheap to read.
         if type(node) is not dict:
-            raise _bad(path, f"expected an object, got {_shown(node)}")
-        x1 = _rational_at(read, _key(node, "x1", path + ".x1"), path + ".x1")
-        den = _key(node, "den", path + ".den")
+            raise _bad(f"verticals[{j}]", f"expected an object, got {_shown(node)}")
+        try:
+            x1, den, heights, indices, ys = _VERTICAL(node)
+        except KeyError as exc:
+            raise _bad(f"verticals[{j}].{exc.args[0]}", "missing") from None
+        try:
+            x1 = read.rational(x1)
+        except ValueError as exc:
+            raise _bad(f"verticals[{j}].x1", str(exc)) from None
         if type(den) is not int or den <= 0:
-            raise _bad(path + ".den", f"expected a JSON integer above 0, got {_shown(den)}")
-        heights = _ints(node, "x2", path + ".x2")
+            raise _bad(f"verticals[{j}].den", f"expected a JSON integer above 0, got {_shown(den)}")
+        for key, column in ("x2", heights), ("at", indices), ("y", ys):
+            # One C pass over the types; bool is a subclass of int but not its type.
+            if type(column) is not list or {*map(type, column)} - {int}:
+                raise _not_ints(f"verticals[{j}].{key}", column)
         if not heights:
-            raise _bad(path + ".x2", "expected at least one height, got none")
-        indices = _ints(node, "at", path + ".at")
-        ys = _ints(node, "y", path + ".y")
-        for key, column in (("at", indices), ("y", ys)):
+            raise _bad(f"verticals[{j}].x2", "expected at least one height, got none")
+        for key, column in ("at", indices), ("y", ys):
             if len(column) != len(heights):
-                raise _bad(f"{path}.{key}", f"has {len(column)} items, but {path}.x2 has {len(heights)}")
+                raise _bad(f"verticals[{j}].{key}",
+                           f"has {len(column)} items, but verticals[{j}].x2 has {len(heights)}")
         v, q = x1.numerator, x1.denominator
         if where.setdefault((v, q), j) != j:
-            raise _bad(path + ".x1", f"{format_rational(x1)} is also the x1 of verticals[{where[v, q]}]")
+            raise _bad(f"verticals[{j}].x1",
+                       f"{format_rational(x1)} is also the x1 of verticals[{where[v, q]}]")
         if indices[0] <= first:
-            raise _bad(path + ".at[0]", f"index {indices[0]} is below 0" if j == 0 else
+            raise _bad(f"verticals[{j}].at[0]", f"index {indices[0]} is below 0" if j == 0 else
                        _not_above(indices[0], f"verticals[{j - 1}].at[0]", first,
                                   "verticals go in the order of their first index"))
         first = indices[0]
         if not all(map(lt, indices, islice(indices, 1, None))):
             k = next(k for k in range(1, len(indices)) if indices[k] <= indices[k - 1])
-            raise _bad(f"{path}.at[{k}]", _not_above(indices[k], f"{path}.at[{k - 1}]", indices[k - 1],
-                                                     "indices ascend within a vertical"))
+            raise _bad(f"verticals[{j}].at[{k}]",
+                       _not_above(indices[k], f"verticals[{j}].at[{k - 1}]", indices[k - 1],
+                                  "indices ascend within a vertical"))
         if min(ys) < 0 or max(ys) >= len(labels):
             k = next(k for k, y in enumerate(ys) if not 0 <= y < len(labels))
-            raise _bad(f"{path}.y[{k}]", f"label index {ys[k]} is not one of the {len(labels)} labels")
+            raise _bad(f"verticals[{j}].y[{k}]",
+                       f"label index {ys[k]} is not one of the {len(labels)} labels")
         table.append((v, q, *_lowest(den, heights), tuple(indices), tuple(map(labels.__getitem__, ys))))
 
     # Each vertical's indices ascend from above -1; together they must be 0..N-1.

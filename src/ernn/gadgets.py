@@ -127,7 +127,8 @@ def _exact_pair(v1, v2) -> Tuple[Label, Label]:
 
 def _on_active_dims(kind: LowerBound, v: Rational) -> Tuple[Rational, Rational]:
     """v in each output a lower-bound gadget acts on, 0 in the other."""
-    return tuple(v if d in kind.active_dims else _ZERO for d in (1, 2))
+    dims = kind.active_dims
+    return (v if 1 in dims else _ZERO, v if 2 in dims else _ZERO)
 
 
 def _build_template(kind: GadgetKind) -> GadgetTemplate:
@@ -270,19 +271,19 @@ def ridge_changes(kind: GadgetKind, state: Rational) -> Ridges:
     The state is one exact number: a variable gadget's ramp slope, an
     inversion gadget's dimension-1 slope, or a lower-bound gadget's notch
     depth. This is the one place a state is checked (InvalidState) and the
-    single source of truth for gadget shapes: ridge_sum() reads the profile
+    single source of truth for gadget shapes: ridge_sums() reads the profile
     off these ridges and witness_neurons() turns each into one hidden unit,
     so the two can never drift apart. profile() derives them on each call;
-    the reducer's witness() derives them once per distinct (kind, state) in
-    a call and reads both its weak points' profiles and its units off them.
+    the reducer's gadget_network() derives them once per distinct (kind,
+    state) in a call and reads both its weak points' profiles and its units
+    off them.
     """
+    p, q = state.numerator, state.denominator
     if isinstance(kind, LowerBound):
-        d = state
-        if d < DEPTH_MIN:
-            raise InvalidState(f"depth {d} below {DEPTH_MIN}")
+        if p * DEPTH_MIN.denominator < DEPTH_MIN.numerator * q:
+            raise InvalidState(f"depth {state} below {DEPTH_MIN}")
         # With d = p/q, the arms fall and rise d - 1 = arm/q and reach 0 at
         # u = d/(d - 1) = p/arm either side of the centre c = k/m.
-        p, q = d.numerator, d.denominator
         k, m = NOTCH_CENTER.numerator, NOTCH_CENTER.denominator
         arm = p - q
         side = _on_active_dims(kind, Fraction(-arm, q))
@@ -295,12 +296,14 @@ def ridge_changes(kind: GadgetKind, state: Rational) -> Ridges:
     if not isinstance(kind, (Variable, Inversion)):
         raise GadgetError(f"unknown gadget kind {kind!r}")
     s = state
-    if not (SLOPE_MIN <= s <= SLOPE_MAX):
+    if not (
+        SLOPE_MIN.numerator * q <= p * SLOPE_MIN.denominator
+        and p * SLOPE_MAX.denominator <= SLOPE_MAX.numerator * q
+    ):
         raise InvalidState(f"slope {s} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
 
     # The ramp rises from offset 4 - 3/s to 4 + 3/s; with s = p/q those
     # are (4p -+ 3q)/p.
-    p, q = s.numerator, s.denominator
     b1, b2 = Fraction(4 * p - 3 * q, p), Fraction(4 * p + 3 * q, p)
     if isinstance(kind, Variable):
         fall = -s
@@ -316,24 +319,44 @@ def ridge_changes(kind: GadgetKind, state: Rational) -> Ridges:
     ) + _INVERSION_TAIL
 
 
-def ridge_sum(ridges: Ridges, t: Rational) -> Tuple[Rational, Rational]:
-    """Both outputs at offset t of the profile that bends at ridges.
+# A ridge in ints: its offset's numerator and denominator, then each
+# output's slope change as numerator and denominator.
+IntegerRidges = Tuple[Tuple[int, int, int, int, int, int], ...]
+
+
+def integer_ridges(ridges: Ridges) -> IntegerRidges:
+    """The ridges in ints, as ridge_sums() reads them."""
+    return tuple(
+        (beta.numerator, beta.denominator, d1.numerator, d1.denominator, d2.numerator, d2.denominator)
+        for beta, (d1, d2) in ridges
+    )
+
+
+def ridge_sums(
+    ridges: IntegerRidges, tn: int, td: int, sums: Tuple[int, int, int, int] = (0, 1, 0, 1)
+) -> Tuple[int, int, int, int]:
+    """sums (n1, e1, n2, e2), output i reading ni/ei, plus both outputs at
+    offset tn/td (td > 0) of the profile that bends at ridges.
 
     Each ridge beta < t adds d*(t - beta) in each output. The sums run in
-    ints, each output over its own running denominator, and only the two
-    results are built as Fractions.
+    ints, each output over its own running denominator, not in lowest terms.
     """
-    tn, td = t.numerator, t.denominator
-    n1 = n2 = 0
-    e1 = e2 = 1
-    for beta, (d1, d2) in ridges:
-        bd = beta.denominator
-        rise = tn * bd - beta.numerator * td  # (t - beta) * td * bd
+    n1, e1, n2, e2 = sums
+    for bn, bd, p1, q1, p2, q2 in ridges:
+        rise = tn * bd - bn * td  # (t - beta) * td * bd
         if rise > 0:
             e = td * bd
-            q1, q2 = d1.denominator * e, d2.denominator * e
-            n1, e1 = n1 * q1 + d1.numerator * rise * e1, e1 * q1
-            n2, e2 = n2 * q2 + d2.numerator * rise * e2, e2 * q2
+            q1 *= e
+            q2 *= e
+            n1, e1 = n1 * q1 + p1 * rise * e1, e1 * q1
+            n2, e2 = n2 * q2 + p2 * rise * e2, e2 * q2
+    return n1, e1, n2, e2
+
+
+def ridge_sum(ridges: Ridges, t: Rational) -> Tuple[Rational, Rational]:
+    """Both outputs at offset t of the profile that bends at ridges: ridge_sums()
+    of their ints, with only the two results built as Fractions."""
+    n1, e1, n2, e2 = ridge_sums(integer_ridges(ridges), t.numerator, t.denominator)
     return (Fraction(n1, e1), Fraction(n2, e2))
 
 
@@ -350,10 +373,17 @@ def witness_neurons(placement: GadgetPlacement, ridges: Ridges) -> Tuple[HiddenN
     bend line and whose inactive side faces the low-offset end, so the
     contribution vanishes outside the stripe on that side and, because the
     slope changes of each profile sum to zero, past the other end as well.
+
+    A unit shares its weights with the placement's normal and its ridge's
+    slope changes. Its bias -(base_offset + beta) is the one Fraction it
+    builds, from a numerator and denominator computed in ints.
     """
     n = placement.normal
-    start = -placement.base_offset
+    a1, a2 = n.n1, n.n2
+    p, q = placement.base_offset.numerator, placement.base_offset.denominator
     return tuple(
-        HiddenNeuron(a1=n.n1, a2=n.n2, b=start - beta, c1=d1, c2=d2)
+        HiddenNeuron(
+            a1, a2, Fraction(-p * beta.denominator - beta.numerator * q, q * beta.denominator), d1, d2
+        )
         for beta, (d1, d2) in ridges
     )

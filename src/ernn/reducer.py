@@ -12,23 +12,29 @@ so fitting and extraction are decided exactly, never numerically.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from math import gcd
+from typing import Dict
 
-from .formula import Assignment, EtrInvFormula, check_assignment, format_failures
+from .formula import (
+    Assignment,
+    EtrInvFormula,
+    MissingVariable,
+    check_assignment,
+    format_failures,
+)
 from .gadgets import (
     Inversion,
     LowerBound,
-    Ridges,
     Variable,
+    integer_ridges,
     ridge_changes,
-    ridge_sum,
+    ridge_sums,
     witness_neurons,
 )
-from .geometry import Rational
+from .geometry import Rational, format_rational
 from .layout import Layout, plan, reading_offset, realize
 from .network import FitReport, Network, TrainInstance, exact_fit, exact_outputs
 # Not called here: perfbench/spans.py traces ernn.reducer.evaluate, and
@@ -120,16 +126,36 @@ def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
 
 
 def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
-    """A network fitting the compiled instance exactly, from a solution.
+    """A network fitting the compiled instance exactly, from a solution:
+    check_assignment() of the values, then their gadget_network(), whose
+    arithmetic runs in ints and builds one Fraction per unit, its bias."""
+    report = check_assignment(bundle.formula, assignment)
+    if not report.satisfied:
+        raise UnsatisfiedAssignment(
+            f"assignment does not satisfy the formula: {format_failures(report)}"
+        )
+    return gadget_network(bundle, assignment)
+
+
+def gadget_network(bundle: ReductionBundle, assignment: Assignment) -> Network:
+    """The gadget-shaped network of any assignment with every value in [1/2, 2].
 
     Every variable-kind gadget ramps with slope value + 1, an inversion
     gadget with its first variable's, and every lower-bound gadget digs its
     notch just deep enough to make its weak point's converted label exact.
-    The witness has one unit per ridge of every placement, in placement order.
+    The network has one unit per ridge of every placement, in placement
+    order. It fits the instance if and only if the assignment satisfies the
+    formula; otherwise only the constraint points of the violated
+    constraints miss. That is a property of the construction, which the
+    tests check on random formulas, not a theorem of the paper.
 
-    ridge_changes() runs once per distinct (kind, state) in a call. The weak
-    points read their members' profiles off those ridges (ridge_sum()), and
-    witness_neurons() turns each placement's ridges into its units.
+    Each value must be an int or a Fraction, and is checked once, with its
+    range, before any ridge is derived. Slopes, the weak points' sums and the
+    notch depths run in ints. ridge_changes() runs once per distinct (kind,
+    state) in a call, keyed on the state's numerator and denominator and
+    handed the state as one Fraction. The network's Fractions are the
+    palette normals' weights and the ridges' slope changes, both shared, and
+    one bias per unit, which witness_neurons() builds.
 
     A weak point reads each member at the template offset that
     layout.reading_offset() gives for its purpose and the member's part: the
@@ -138,29 +164,46 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     every constraint point lies on those lines, for every layout plan()
     returns.
 
-    A solution's values lie in [1/2, 2], so its slopes s lie in [3/2, 3], and
-    every notch depth is then at least 2, which ridge_changes() checks with
-    the rest of each state: a variable-kind weak point reads 3 - s/3 >= 2
-    against its bound 2, a depth of 3 - s/3; an inversion copy point reads
-    at least the canonical ramp's 3 + s >= 9/2 against its bound 0, a depth
-    of at least 13/2.
+    Values in [1/2, 2] give slopes s in [3/2, 3], and every notch depth is
+    then at least 2, which ridge_changes() checks with the rest of each
+    state: a variable-kind weak point reads 3 - s/3 >= 2 against its bound
+    2, a depth of 3 - s/3; an inversion copy point reads at least the
+    canonical ramp's 3 + s >= 9/2 against its bound 0, a depth of at least
+    13/2.
     """
-    report = check_assignment(bundle.formula, assignment)
-    if not report.satisfied:
-        raise UnsatisfiedAssignment(
-            f"assignment does not satisfy the formula: {format_failures(report)}"
-        )
+    variables = bundle.formula.variables
+    missing = [v for v in variables if v not in assignment]
+    if missing:
+        raise MissingVariable(f"assignment lacks {', '.join(missing)}")
+    # Each slope value + 1 as (numerator, denominator), in lowest terms as
+    # the value p/q is.
+    slopes = {}
+    for v in variables:
+        x = assignment[v]
+        if not isinstance(x, (int, Fraction)):
+            raise ReducerError(f"{v} = {x!r} is a {type(x).__name__}, not an int or a Fraction")
+        p, q = x.numerator, x.denominator
+        if not q <= 2 * p <= 4 * q:
+            raise ReducerError(f"{v} = {format_rational(x)} is outside [1/2, 2]")
+        slopes[v] = (p + q, q)
 
     layout = bundle.layout
     placements = layout.placements
-    ridges_of = functools.cache(ridge_changes)
+    derived = {}
 
-    # Fraction(1) rather than a coercion of the value keeps an int
-    # assignment exact and lets other exact number types through.
-    one = Fraction(1)
-    states = {v: assignment[v] + one for v in bundle.formula.variables}
-    ridges: List[Optional[Ridges]] = [
-        None if pg.variable is None else ridges_of(pg.placement.template.kind, states[pg.variable])
+    def shape(kind, n: int, d: int):
+        """The ridges of (kind, n/d) and, for a ramp, their ints."""
+        key = (kind, n, d)
+        got = derived.get(key)
+        if got is None:
+            ridges = ridge_changes(kind, Fraction(n, d))
+            # A notch is dug, never read, so its ridges need no ints.
+            ints = None if isinstance(kind, LowerBound) else integer_ridges(ridges)
+            got = derived[key] = (ridges, ints)
+        return got
+
+    shapes = [
+        None if pg.variable is None else shape(pg.placement.template.kind, *slopes[pg.variable])
         for pg in placements
     ]
 
@@ -176,29 +219,33 @@ def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
         weak = purpose.weak_dims
         if not weak:
             continue
-        notches, ramps = [], []
+        notches = []
+        sums = (0, 1, 0, 1)
         for m in cp.member_of:
             pg = placements[m]
             if pg.variable is None:
                 notches.append(m)
             else:
-                ramps.append(ridge_sum(ridges[m], reading_offset(purpose, pg)))
+                t = reading_offset(purpose, pg)
+                sums = ridge_sums(shapes[m][1], t.numerator, t.denominator, sums)
         (notch,) = notches
-        # How far the ramps sum above the target in each weak dim: the depth
-        # the notch must dig there.
-        target = purpose.targets
-        depths = {
-            sum((f[d - 1] for f in ramps[1:]), ramps[0][d - 1]) - target[d - 1] for d in weak
-        }
-        assert len(depths) == 1, "weak dims disagree on the depth"
-        (depth,) = depths
-        ridges[notch] = ridges_of(placements[notch].placement.template.kind, depth)
+        # How far the ramps sum above the target in each weak dim, as n/e:
+        # the depth the notch must dig there.
+        depths = []
+        for d in weak:
+            n, e = sums[2 * d - 2:2 * d]
+            y = purpose.targets[d - 1]
+            depths.append((n * y.denominator - y.numerator * e, e * y.denominator))
+        (n, e), *others = depths
+        assert all(n * e2 == n2 * e for n2, e2 in others), "weak dims disagree on the depth"
+        g = gcd(n, e)
+        shapes[notch] = shape(placements[notch].placement.template.kind, n // g, e // g)
 
-    net = Network(tuple(
-        u for pg, r in zip(placements, ridges) for u in witness_neurons(pg.placement, r)
-    ))
-    assert len(net.neurons) == bundle.instance.hidden_neurons
-    return net
+    units = []
+    for pg, (ridges, _ints) in zip(placements, shapes):
+        units += witness_neurons(pg.placement, ridges)
+    assert len(units) == bundle.instance.hidden_neurons
+    return Network(tuple(units))
 
 
 def verify(net: Network, instance: TrainInstance) -> FitReport:

@@ -2,25 +2,45 @@
 
 import dataclasses
 import hashlib
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import ernn.reducer as reducer
-from ernn.formula import Add, EtrInvFormula, Inv, parse_formula
+from ernn.formula import (
+    Add,
+    EtrInvFormula,
+    Inv,
+    MissingVariable,
+    check_assignment,
+    grid_values,
+    parse_formula,
+)
 from ernn.gadgets import (
     NOTCH_CENTER,
     AtLeast,
+    GadgetPlacement,
     LowerBound,
+    Variable,
     profile,
     ridge_changes,
     ridge_sum,
+    template,
     witness_neurons,
 )
 from ernn.geometry import Point2, signed_value
-from ernn.layout import layout_to_json, plan, reading_offset, realize
+from ernn.layout import (
+    ADDITION,
+    COPY_NORMALS,
+    PALETTE,
+    layout_to_json,
+    plan,
+    reading_offset,
+    realize,
+)
 from ernn.network import (
     HiddenNeuron,
     Network,
@@ -34,9 +54,11 @@ from ernn.reducer import (
     DimensionMismatch,
     ExtractionError,
     NotFitting,
+    ReducerError,
     UnsatisfiedAssignment,
     compile_formula,
     extract,
+    gadget_network,
     verify,
     witness,
 )
@@ -431,8 +453,8 @@ def test_realize_writes_the_fraction_points_into_the_table(case):
 def _reference_witness(bundle, assignment):
     """The witness read through geometry: each member's profile at the
     offset of the weak point measured along its normal (signed_value), with
-    profile() deriving each state afresh, and each AtLeast(y) label trained
-    at y - 2."""
+    profile() deriving each state afresh, each AtLeast(y) label trained at
+    y - 2, and each unit's bias summed as Fractions (_reference_unit)."""
     placements = bundle.layout.placements
     kinds = [pg.placement.template.kind for pg in placements]
     states = {
@@ -453,10 +475,17 @@ def _reference_witness(bundle, assignment):
         ]
         (states[notch],) = {contribution[d - 1] - target[d - 1] for d in cp.purpose.weak_dims}
     return Network(tuple(
-        u
+        _reference_unit(pg.placement, beta, d1, d2)
         for i, pg in enumerate(placements)
-        for u in witness_neurons(pg.placement, ridge_changes(kinds[i], states[i]))
+        for beta, (d1, d2) in ridge_changes(kinds[i], states[i])
     ))
+
+
+def _reference_unit(placement, beta, d1, d2):
+    """The unit of one ridge in Fraction arithmetic: the bend line
+    normal . p = base_offset + beta, inactive below it."""
+    n = placement.normal
+    return HiddenNeuron(n.n1, n.n2, -(placement.base_offset + beta), d1, d2)
 
 
 def _assert_matches_the_reference(formula, assignment):
@@ -534,3 +563,132 @@ def test_flipped_gadget_fits_and_extracts(case, data):
         for i, u in enumerate(net.neurons)
     ))
     _assert_fits_as_the_witness(bundle, net, flipped, assignment)
+
+
+# Off-grid assignments whose notch depths have denominators that do not
+# cancel, with the sha256 of their witness network JSON.
+_OFF_GRID_PINNED = [
+    (
+        "add X Y Z\ninv X W\n",
+        {"X": F(1009, 1000), "Y": F(7921, 15838), "Z": F(11950771, 7919000), "W": F(1000, 1009)},
+        "20a379bb534c0b42848902eeaacd9ca426cd6ddb5c7b28869808027b8fc649dc",
+    ),
+    (
+        "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
+        {
+            "A0": F(7, 5), "B0": F(5, 7), "H0": F(7, 10),
+            "A1": F(4009, 3027), "B1": F(3027, 4009), "H1": F(4009, 6054),
+        },
+        "01c050d8d6c97845e4ceebfbca4e370f837533a23ce823ca813651ace46b4ec2",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, assignment, digest", _OFF_GRID_PINNED)
+def test_off_grid_witness_network_bytes_are_pinned(text, assignment, digest):
+    bundle = compile_formula(parse_formula(text))
+    net = witness(bundle, assignment)
+    assert _sha256(network_to_json(net)) == digest
+    assert net == _reference_witness(bundle, assignment)
+
+
+@pytest.mark.parametrize("value", [2.0, Decimal(2)], ids=["float", "Decimal"])
+def test_a_value_that_is_not_exact_is_named(inv_bundle, value):
+    # Both satisfy the formula, so only the exactness check refuses them.
+    assignment = {"X": value, "Y": 1 / value}
+    assert check_assignment(inv_bundle.formula, assignment).satisfied
+    message = f"X = {value!r} is a {type(value).__name__}, not an int or a Fraction"
+    for build in (witness, gadget_network):
+        with pytest.raises(ReducerError) as info:
+            build(inv_bundle, assignment)
+        assert str(info.value) == message
+
+
+def test_gadget_network_needs_only_values_in_range(inv_bundle):
+    # X * Y = 1 fails, yet the network is built.
+    assert not verify(gadget_network(inv_bundle, {"X": F(1), "Y": F(2)}), inv_bundle.instance).fits
+    with pytest.raises(ReducerError) as info:
+        gadget_network(inv_bundle, {"X": F(1), "Y": F(1, 4)})
+    assert str(info.value) == "Y = 1/4 is outside [1/2, 2]"
+    with pytest.raises(ReducerError) as info:
+        gadget_network(inv_bundle, {"X": 4, "Y": F(1, 4)})
+    assert str(info.value) == "X = 4 is outside [1/2, 2]"
+    with pytest.raises(MissingVariable) as info:
+        gadget_network(inv_bundle, {"Y": F(1)})
+    assert str(info.value) == "assignment lacks X"
+
+
+# Numerators of either sign and denominators, each up to past 2**64.
+_WIDE = st.builds(F, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(PALETTE),
+    _WIDE,
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-2 ** 70, 2 ** 70), _WIDE),
+            st.tuples(st.fractions(max_denominator=50), st.fractions(max_denominator=50)),
+        ),
+        max_size=5,
+    ),
+)
+def test_witness_neurons_match_the_fraction_formula(normal, base_offset, ridges):
+    """Each unit's bias is -(base_offset + beta), whether beta is an int or
+    a Fraction, and its other fields are the normal's and the ridge's."""
+    placement = GadgetPlacement(template(Variable()), normal, base_offset)
+    units = witness_neurons(placement, tuple(ridges))
+    assert len(units) == len(ridges)
+    for u, (beta, (d1, d2)) in zip(units, ridges):
+        want = _reference_unit(placement, beta, d1, d2)
+        assert (u.a1, u.a2, u.b, u.c1, u.c2) == (want.a1, want.a2, want.b, want.c1, want.c2)
+        assert type(u.b) is Fraction
+
+
+# Values in [1/2, 2], on the grid of denominators up to 4 or off it.
+_IN_RANGE = st.one_of(
+    st.sampled_from(grid_values(4)), st.fractions(F(1, 2), 2, max_denominator=10 ** 4)
+)
+
+
+@st.composite
+def _in_range(draw):
+    """A formula from _satisfiable() with its solution, some or none of
+    whose values are drawn again in [1/2, 2]."""
+    formula, solution = draw(_satisfiable())
+    redrawn = draw(st.sets(st.sampled_from(formula.variables)))
+    return formula, {v: draw(_IN_RANGE) if v in redrawn else x for v, x in solution.items()}
+
+
+@settings(max_examples=200, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(_in_range())
+@example((parse_formula("add X X Y\ninv X Y\n"), {"X": F(1000, 1009) + F(1, 3), "Y": F(3, 2)}))
+def test_a_gadget_network_misses_only_where_the_assignment_fails(case):
+    """The network fits iff the assignment satisfies the formula. Only the
+    points of violated constraints miss, an addition point by x + y - z in
+    both outputs, and the loss is sum 2(x + y - z)^2 + sum (y - 1/x)^2."""
+    formula, x = case
+    bundle = compile_formula(formula)
+    report = verify(gadget_network(bundle, x), bundle.instance)
+    assert report.fits == check_assignment(formula, x).satisfied
+    placements = bundle.layout.placements
+    constraint_point = {cp.point: cp for cp in bundle.layout.constraint_points}
+    for _i, point, wanted, got in report.violations:
+        cp = constraint_point[point]  # so no data point misses
+        members = [placements[m] for m in cp.member_of]
+        if cp.purpose is ADDITION:
+            (z,) = [pg.variable for pg in members if pg.placement.normal == COPY_NORMALS[2]]
+            a, b = [pg.variable for pg in members if pg.placement.normal != COPY_NORMALS[2]]
+            r = x[a] + x[b] - x[z]
+            assert (got[0] - wanted[0], got[1] - wanted[1]) == (r, r) != (0, 0)
+        else:
+            # an inversion copy point: the gadget of its constraint's first
+            # variable, and the canonical gadget of the variable it copies
+            (inverted,) = [pg.variable for pg in members if pg.part == "inversion"]
+            (copied,) = [pg.variable for pg in members if pg.part == "canonical"]
+            assert x[inverted] * x[copied] != 1
+    assert report.total_loss == (
+        sum(2 * (x[c.x] + x[c.y] - x[c.z]) ** 2 for c in formula.additions)
+        + sum((x[c.y] - 1 / x[c.x]) ** 2 for c in formula.inversions)
+    )

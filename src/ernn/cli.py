@@ -109,7 +109,7 @@ def _witness(args: argparse.Namespace) -> int:
     assignment = parse_assignment(_read(args.assignment))
     net = witness(compile_formula(formula), assignment)
     _write(args.output, network_to_json(net))
-    print(f"witness network with {len(net.neurons)} hidden units -> {args.output}")
+    print(f"witness network with {len(net.rows)} hidden units -> {args.output}")
     return 0
 
 
@@ -117,7 +117,7 @@ def _verify(args: argparse.Namespace) -> int:
     instance = instance_from_json(_read(args.instance))
     net = network_from_json(_read(args.network))
     report = verify(net, instance)
-    width = len(net.neurons)
+    width = len(net.rows)
     print(f"loss = {format_rational(report.total_loss)}")
     print(f"width = {width} hidden units (budget {instance.hidden_neurons})")
     if report.fits:
@@ -153,7 +153,7 @@ def _roundtrip(args: argparse.Namespace) -> int:
     c = bundle.counts
     print(f"compiled: {c.hidden_neurons} hidden units, {c.data_points} points")
     net = witness(bundle, assignment)
-    print(f"witness: {len(net.neurons)} hidden units")
+    print(f"witness: {len(net.rows)} hidden units")
     report = verify(net, bundle.instance)
     print(f"verify: loss = {format_rational(report.total_loss)}")
     if not report.fits:

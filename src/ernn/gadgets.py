@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Tuple, Union
 
 from .geometry import Direction, OrientedLine, Point2, Rational
-from .network import HiddenNeuron
+from .network import UnitRow
 
 SLOPE_MIN = Fraction(3, 2)
 SLOPE_MAX = Fraction(3)
@@ -365,25 +366,42 @@ def profile(kind: GadgetKind, state: Rational, t: Rational) -> Tuple[Rational, R
     return ridge_sum(ridge_changes(kind, state), t)
 
 
-def witness_neurons(placement: GadgetPlacement, ridges: Ridges) -> Tuple[HiddenNeuron, ...]:
-    """Hidden units realizing the placed gadget's profile, given its ridges
-    (ridge_changes() of its kind and state), across its stripe.
+# A ridge as (beta's numerator, its denominator, C1, C2, D): its slope changes are (C1, C2)/D.
+RidgeUnits = Tuple[Tuple[int, int, int, int, int], ...]
+
+
+def ridge_units(ridges: IntegerRidges) -> RidgeUnits:
+    """The ridges, in ints, as witness_neurons() reads them."""
+    out = []
+    for bn, bd, p1, q1, p2, q2 in ridges:
+        d = lcm(q1, q2)
+        out.append((bn, bd, p1 * (d // q1), p2 * (d // q2), d))
+    return tuple(out)
+
+
+def witness_neurons(placement: GadgetPlacement, ridges: RidgeUnits) -> Tuple[UnitRow, ...]:
+    """The rows of the hidden units realizing the placed gadget's profile,
+    given its ridges (ridge_units() of the integer_ridges() of its kind and
+    state), across its stripe.
 
     Each bend of the cross-section becomes one unit whose zero line is the
     bend line and whose inactive side faces the low-offset end, so the
     contribution vanishes outside the stripe on that side and, because the
     slope changes of each profile sum to zero, past the other end as well.
 
-    A unit shares its weights with the placement's normal and its ridge's
-    slope changes. Its bias -(base_offset + beta) is the one Fraction it
-    builds, from a numerator and denominator computed in ints.
+    A unit's a is the normal (a1, a2)/r and its bias -(base_offset + beta)
+    = -n/m, with base_offset = p/q and m = q * beta's denominator. Over r*m
+    the row is (a1*m, a2*m, -n*r, r*m); gcd(a1, a2, r) = 1, so dividing by
+    gcd(m, n*r) puts it in lowest terms.
     """
-    n = placement.normal
-    a1, a2 = n.n1, n.n2
+    a1, a2, r = placement.normal.integer
     p, q = placement.base_offset.numerator, placement.base_offset.denominator
-    return tuple(
-        HiddenNeuron(
-            a1, a2, Fraction(-p * beta.denominator - beta.numerator * q, q * beta.denominator), d1, d2
-        )
-        for beta, (d1, d2) in ridges
-    )
+    pr, qr = p * r, q * r
+    rows = []
+    for bn, bd, c1, c2, d in ridges:
+        m = q * bd
+        nr = -pr * bd - bn * qr
+        h = gcd(m, nr)
+        e = m // h
+        rows.append((a1 * e, a2 * e, nr // h, r * e, c1, c2, d))
+    return tuple(rows)

@@ -19,16 +19,16 @@ layers, each done once for what it depends on:
 - once per instance, TrainInstance.table, the instance's one stored form:
   its verticals, the points as ints grouped by x1, each point with its
   index and its label's numerators and denominators;
-- once per network, Network.integer: its units as ints, scaled in one pass
-  over them, then turned to face one way per direction and grouped into
-  parallel classes, each with its sorted thresholds and prefix sums, in a
-  second;
+- once per network, Network.integer: its rows on one denominator, turned
+  to face one way per direction in one pass, then grouped into parallel
+  classes, each with its sorted thresholds and prefix sums, in a second;
 - per (network, instance): each vertical's path, chosen from its counts.
 
-Unit i's (a1, a2, b) is scaled by L_i > 0, the lcm of their denominators,
-into integers (A1, A2, B); a positive scale keeps the sign of the
-pre-activation. c is divided by the same L_i, and every c/L_i is put on one
-common denominator K, as integers C/K.
+A network is one int row per unit, (A1, A2, B, L, C1, C2, D): (a1, a2, b)
+= (A1, A2, B)/L and (c1, c2) = (C1, C2)/D, with L and D the lcm of the
+denominators in lowest terms, so L, D > 0 and gcd(A1, A2, B, L) =
+gcd(C1, C2, D) = 1. A positive L keeps the sign of the pre-activation.
+Network.integer puts every c/L = C/(D*L) over K, the lcm of every D*L.
 
 A unit faces its direction's way if A2 > 0, or A2 = 0 < A1. One that faces
 the other way is read as relu(z) = z + relu(-z): z's linear part
@@ -106,10 +106,17 @@ order, and names the node at fault by its path, as in
 "format": 2, such as one written before format 2, is refused: compile its
 formula again.
 
-Both readers read rational nodes through one reader per document, which
-lives for that call only and parses each distinct string once. A node
-that is not a string goes straight to parse_rational(), so a malformed
-node reads as parse_rational() names it.
+The instance reader reads rational nodes through a _Reader, which lives
+for that call only and parses each distinct string once. A node that is
+not a string goes straight to parse_rational(), so a malformed node reads
+as parse_rational() names it.
+
+A network's file, format 2, is its rows as compact JSON written by the C
+encoder, {"format":2,"units":[[A1,A2,B,L,C1,C2,D],...]}. network_from_json()
+checks every node, names the one at fault by its path, as in
+"units[3][5]: expected a JSON integer, got "1/2"", and reduces each row to
+lowest terms, as _lowest() does heights. A file without "format": 2 is
+refused: run ernn witness again.
 """
 
 from __future__ import annotations
@@ -120,9 +127,9 @@ from collections import abc, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, groupby, islice
+from itertools import accumulate, chain, groupby, islice, starmap
 from math import gcd, lcm
-from operator import itemgetter, lt
+from operator import itemgetter, lt, mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import Point2, Rational, format_rational, parse_rational
@@ -163,27 +170,63 @@ class IntegerNetwork(NamedTuple):
     classes: List[Tuple[int, int, int, List[int], List[Tuple[int, int, int, int]]]]
 
 
-@dataclass(frozen=True)
+# A unit's row (A1, A2, B, L, C1, C2, D), as the module docstring describes.
+UnitRow = Tuple[int, int, int, int, int, int, int]
+
+
+def _unit_row(u: HiddenNeuron) -> UnitRow:
+    """The canonical row of a unit of ints or Fractions."""
+    a1, a2, b, c1, c2 = u.a1, u.a2, u.b, u.c1, u.c2
+    s = lcm(a1.denominator, a2.denominator, b.denominator)
+    d = lcm(c1.denominator, c2.denominator)
+    return (a1.numerator * (s // a1.denominator), a2.numerator * (s // a2.denominator),
+            b.numerator * (s // b.denominator), s,
+            c1.numerator * (d // c1.denominator), c2.numerator * (d // c2.denominator), d)
+
+
+@dataclass(frozen=True, init=False)
 class Network:
-    neurons: Tuple[HiddenNeuron, ...]
+    """Hidden units as canonical rows, so == and hash() compare values.
+
+    Network(neurons) converts HiddenNeurons of ints or Fractions and keeps
+    them as the neurons view; from_rows() takes canonical rows, and then
+    neurons is built from them when first read. Only evaluate() reads it.
+    """
+
+    rows: Tuple[UnitRow, ...]
+
+    def __init__(self, neurons: Iterable[HiddenNeuron]) -> None:
+        neurons = tuple(neurons)
+        object.__setattr__(self, "rows", tuple(map(_unit_row, neurons)))
+        self.__dict__["neurons"] = neurons
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[UnitRow]) -> "Network":
+        """The network of these canonical rows."""
+        net = cls.__new__(cls)
+        object.__setattr__(net, "rows", tuple(rows))
+        return net
+
+    @cached_property
+    def neurons(self) -> Tuple[HiddenNeuron, ...]:
+        return tuple(
+            HiddenNeuron(Fraction(a1, s), Fraction(a2, s), Fraction(b, s), Fraction(c1, d), Fraction(c2, d))
+            for a1, a2, b, s, c1, c2, d in self.rows
+        )
 
     @cached_property
     def integer(self) -> IntegerNetwork:
-        """The units in ints and grouped by direction, built on first use;
-        it lives as long as the network, and neurons must stay the tuple it
-        was built from."""
-        # Unit i's scale L_i, and K, the lcm of every c's denominator times its L_i.
-        scales = [lcm(u.a1.denominator, u.a2.denominator, u.b.denominator) for u in self.neurons]
-        k = lcm(*(c.denominator * s for u, s in zip(self.neurons, scales) for c in (u.c1, u.c2)))
+        """The units in ints and grouped by direction, built on first use."""
+        rows = self.rows
+        # K, the lcm of every unit's D*L.
+        k = lcm(*map(mul, map(itemgetter(3), rows), map(itemgetter(6), rows)))
         l1x = l1y = l1w = l2x = l2y = l2w = 0
         bending = []
         by_direction: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = defaultdict(list)
-        for u, s in zip(self.neurons, scales):
-            a1 = u.a1.numerator * (s // u.a1.denominator)
-            a2 = u.a2.numerator * (s // u.a2.denominator)
-            b = u.b.numerator * (s // u.b.denominator)
-            c1 = u.c1.numerator * (k // (u.c1.denominator * s))
-            c2 = u.c2.numerator * (k // (u.c2.denominator * s))
+        for a1, a2, b, s, c1, c2, d in rows:
+            f = k // (s * d)
+            c1 *= f
+            c2 *= f
             if a2 < 0 or (a2 == 0 and a1 < 0):
                 # relu(z) = z + relu(-z): z joins the linear term, and -z faces the right way.
                 l1x, l1y, l1w = l1x + c1 * a1, l1y + c1 * a2, l1w + c1 * b
@@ -198,7 +241,7 @@ class Network:
             by_direction[a1 // g, a2 // g].append((g, b, c1, c2))
         classes = []
         for (a1, a2), members in by_direction.items():
-            m = lcm(*(g for g, *_ in members))
+            m = lcm(*map(itemgetter(0), members))
             rows = [(-b * (m // g), c1 * g, c2 * g, c1 * b, c2 * b) for g, b, c1, c2 in members]
             classes.append((a1, a2, m, *_sorted_sums(rows, (0, 0, 0, 0))))
         return IntegerNetwork(k, (l1x, l1y, l1w, l2x, l2y, l2w), bending, classes)
@@ -386,7 +429,7 @@ def exact_fit(net: Network, instance: TrainInstance) -> FitReport:
         errors[(d * t2) ** 2] += e2 * e2
     misses.sort(key=itemgetter(0))
     loss = sum((Fraction(n, d) for d, n in errors.items()), Fraction(0))
-    fits = loss <= instance.gamma and len(net.neurons) <= instance.hidden_neurons
+    fits = loss <= instance.gamma and len(net.rows) <= instance.hidden_neurons
     return FitReport(fits=fits, total_loss=loss, violations=Violations(misses))
 
 
@@ -468,7 +511,8 @@ def _sorted_sums(
     """The rows' keys, each row's first item, in order, and below each key i
     the sums of the rows' other four items over base and the first i rows."""
     rows.sort(key=itemgetter(0))
-    return [r[0] for r in rows], list(accumulate((r[1:] for r in rows), _add4, initial=base))
+    sums = [accumulate(map(itemgetter(i), rows), initial=b) for i, b in enumerate(base, 1)]
+    return list(map(itemgetter(0), rows)), list(zip(*sums))
 
 
 def _add4(acc: Tuple[int, ...], row: Tuple[int, ...]) -> Tuple[int, int, int, int]:
@@ -552,23 +596,10 @@ def _squared_norm(g: Tuple[int, ...], plus: Tuple[int, ...]) -> int:
 # JSON formats
 # ---------------------------------------------------------------------------
 
-# What reading a network document of the wrong shape raises: a missing key,
-# a list where an object belongs, too few items, a number where a string
-# belongs, a string that is not a rational, or nesting too deep for json.loads.
-_MALFORMED = (KeyError, TypeError, IndexError, ValueError, RecursionError)
-
-
-def _list(value) -> list:
-    """value, if it is a JSON list; a string or an object would iterate as characters or keys."""
-    if type(value) is not list:
-        raise TypeError(f"expected a list, got {value!r}")
-    return value
-
-
 class _Reader:
-    """Reads one JSON document's rational nodes, each distinct string once.
+    """Reads one instance document's rational nodes, each distinct string once.
 
-    A reader lives for one call of a from_json function, so its memo never
+    A reader lives for one call of instance_from_json(), so its memo never
     outlives the document it reads.
     """
 
@@ -584,44 +615,6 @@ class _Reader:
         if value is None:
             value = self._rationals[node] = parse_rational(node)
         return value
-
-    def pair(self, node) -> Vec2:
-        """A list of two rational nodes."""
-        first, second = _list(node)
-        return self.rational(first), self.rational(second)
-
-
-# The network writer formats the bytes json.dumps(doc, indent=2) + "\n"
-# gives for its document directly: with an indent json.dumps runs its
-# pure-Python encoder, and format_rational's digits, "-" and "/" need no
-# escaping.
-_NEURON_JSON = (
-    '    {{\n      "a": [\n        "{}",\n        "{}"\n      ],\n'
-    '      "b": "{}",\n      "c": [\n        "{}",\n        "{}"\n      ]\n    }}'
-)
-
-
-def network_to_json(net: Network) -> str:
-    fr = format_rational
-    neurons = [
-        _NEURON_JSON.format(fr(u.a1), fr(u.a2), fr(u.b), fr(u.c1), fr(u.c2)) for u in net.neurons
-    ]
-    listed = "[\n" + ",\n".join(neurons) + "\n  ]" if neurons else "[]"
-    return '{\n  "neurons": ' + listed + "\n}\n"
-
-
-def network_from_json(text: str) -> Network:
-    try:
-        data = json.loads(text)
-        read = _Reader()
-        neurons = []
-        for item in _list(data["neurons"]):
-            a1, a2 = read.pair(item["a"])
-            c1, c2 = read.pair(item["c"])
-            neurons.append(HiddenNeuron(a1, a2, read.rational(item["b"]), c1, c2))
-        return Network(tuple(neurons))
-    except _MALFORMED as exc:
-        raise NetworkError(f"malformed network JSON: {exc!r}") from exc
 
 
 def instance_to_json(instance: TrainInstance) -> str:
@@ -661,8 +654,8 @@ def _ratio(n: int, d: int) -> str:
     return f"{n}/{d}" if d != 1 else str(n)
 
 
-def _bad(path: str, what: str) -> NetworkError:
-    return NetworkError(f"malformed instance JSON: {path}: {what}")
+def _bad(path: str, what: str, kind: str = "instance") -> NetworkError:
+    return NetworkError(f"malformed {kind} JSON: {path}: {what}")
 
 
 def _shown(node) -> str:
@@ -675,18 +668,28 @@ def _shown(node) -> str:
     return text if len(text) <= 40 else text[:36] + "..."
 
 
-def _key(node: dict, key: str, path: str):
+def _key(node: dict, key: str, path: str, kind: str = "instance"):
     """node[key], the node at path; a missing key is named."""
     try:
         return node[key]
     except KeyError:
-        raise _bad(path, "missing") from None
+        raise _bad(path, "missing", kind) from None
 
 
-def _array(node, path: str) -> list:
+def _array(node, path: str, kind: str = "instance") -> list:
     if type(node) is not list:
-        raise _bad(path, f"expected a list, got {_shown(node)}")
+        raise _bad(path, f"expected a list, got {_shown(node)}", kind)
     return node
+
+
+def _check_format(doc, kind: str, again: str) -> None:
+    """Refuse a document that is not an object with "format": 2."""
+    if type(doc) is not dict:
+        raise _bad("document", f"expected an object, got {_shown(doc)}", kind)
+    if doc.get("format") != 2 or type(doc["format"]) is not int:
+        got = f"format {_shown(doc['format'])}" if "format" in doc else "no format key"
+        raise _bad("format", f"expected 2, got {got}; this reader reads format 2 only, "
+                             f"so {again} to write it", kind)
 
 
 def _rational_at(read: _Reader, node, path: str) -> Rational:
@@ -715,12 +718,7 @@ def instance_from_json(text: str) -> TrainInstance:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise NetworkError(f"malformed instance JSON: {exc!r}") from exc
-    if type(doc) is not dict:
-        raise _bad("document", f"expected an object, got {_shown(doc)}")
-    if doc.get("format") != 2 or type(doc["format"]) is not int:
-        got = f"format {_shown(doc['format'])}" if "format" in doc else "no format key"
-        raise _bad("format", f"expected 2, got {got}; this reader reads format 2 only, "
-                             "so compile the formula again (ernn compile) to write it")
+    _check_format(doc, "instance", "compile the formula again (ernn compile)")
     budget = _key(doc, "hidden_neurons", "hidden_neurons")
     # bool is a subclass of int, and JSON true must not read as a budget of 1
     if type(budget) is not int or budget < 0:
@@ -811,3 +809,57 @@ def _not_above(index: int, path: str, before: int, rule: str) -> str:
     if index == before:
         return f"index {index} appears twice, also at {path}"
     return f"index {index} is not above {path}, {before}: {rule}"
+
+
+def network_to_json(net: Network) -> str:
+    """The network in format 2, as the module docstring shows it."""
+    return json.dumps({"format": 2, "units": net.rows}, separators=(",", ":")) + "\n"
+
+
+def network_from_json(text: str) -> Network:
+    """Parse a format-2 network, checking every node, with each row reduced
+    to lowest terms; a rejection names the node at fault by its path."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _bad("document", str(exc), "network") from exc
+    _check_format(doc, "network", "run ernn witness again")
+    units = _array(_key(doc, "units", "units", "network"), "units", "network")
+    # One C pass each: units of seven JSON integers (bool is a subclass of
+    # int but not its type), each L and D above 0.
+    if (
+        {*map(type, units)} - {list}
+        or {*map(len, units)} - {7}
+        or {*map(type, chain.from_iterable(units))} - {int}
+        or units and min(min(map(itemgetter(3), units)), min(map(itemgetter(6), units))) <= 0
+    ):
+        raise _bad_unit(units)
+    # Each unit becomes a tuple in place, so the cyclic garbage collector
+    # sees the rows replace json.loads' lists instead of adding to them.
+    for j, row in enumerate(units):
+        units[j] = tuple(row)
+    # 1 iff the row is in lowest terms: the larger of its two gcds.
+    lowest = map(max, starmap(gcd, map(_SCALED, units)), starmap(gcd, map(_OUTPUTS, units)))
+    return Network.from_rows(row if g == 1 else _lowest_row(row) for row, g in zip(units, lowest))
+
+
+_SCALED, _OUTPUTS = itemgetter(0, 1, 2, 3), itemgetter(4, 5, 6)
+
+
+def _lowest_row(row: UnitRow) -> UnitRow:
+    """A valid row in lowest terms: (A1, A2, B, L) and (C1, C2, D) each divided by its gcd."""
+    g, h = gcd(*_SCALED(row)), gcd(*_OUTPUTS(row))
+    return (*(x // g for x in _SCALED(row)), *(x // h for x in _OUTPUTS(row)))
+
+
+def _bad_unit(units: list) -> NetworkError:
+    """The first node at fault in units, a JSON list that is not all rows."""
+    for j, row in enumerate(units):
+        if type(row) is not list or len(row) != 7:
+            got = f"{len(row)} items" if type(row) is list else _shown(row)
+            return _bad(f"units[{j}]", f"expected a list of 7 JSON integers, got {got}", "network")
+        for k, x in enumerate(row):
+            if type(x) is not int or x <= 0 and k in (3, 6):
+                above = " above 0" if type(x) is int else ""
+                return _bad(f"units[{j}][{k}]", f"expected a JSON integer{above}, got {_shown(x)}", "network")
+    raise AssertionError("every unit is a row")

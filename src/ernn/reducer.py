@@ -32,6 +32,7 @@ from .gadgets import (
     integer_ridges,
     ridge_changes,
     ridge_sums,
+    ridge_units,
     witness_neurons,
 )
 from .geometry import Rational, format_rational
@@ -128,7 +129,7 @@ def compile_formula(formula: EtrInvFormula) -> ReductionBundle:
 def witness(bundle: ReductionBundle, assignment: Assignment) -> Network:
     """A network fitting the compiled instance exactly, from a solution:
     check_assignment() of the values, then their gadget_network(), whose
-    arithmetic runs in ints and builds one Fraction per unit, its bias."""
+    arithmetic runs in ints."""
     report = check_assignment(bundle.formula, assignment)
     if not report.satisfied:
         raise UnsatisfiedAssignment(
@@ -153,9 +154,8 @@ def gadget_network(bundle: ReductionBundle, assignment: Assignment) -> Network:
     range, before any ridge is derived. Slopes, the weak points' sums and the
     notch depths run in ints. ridge_changes() runs once per distinct (kind,
     state) in a call, keyed on the state's numerator and denominator and
-    handed the state as one Fraction. The network's Fractions are the
-    palette normals' weights and the ridges' slope changes, both shared, and
-    one bias per unit, which witness_neurons() builds.
+    handed the state as one Fraction, and its ridge_units() are derived
+    with it. witness_neurons() builds each unit's int row with one gcd.
 
     A weak point reads each member at the template offset that
     layout.reading_offset() gives for its purpose and the member's part: the
@@ -192,14 +192,12 @@ def gadget_network(bundle: ReductionBundle, assignment: Assignment) -> Network:
     derived = {}
 
     def shape(kind, n: int, d: int):
-        """The ridges of (kind, n/d) and, for a ramp, their ints."""
+        """The ridges of (kind, n/d) in ints, and their units."""
         key = (kind, n, d)
         got = derived.get(key)
         if got is None:
-            ridges = ridge_changes(kind, Fraction(n, d))
-            # A notch is dug, never read, so its ridges need no ints.
-            ints = None if isinstance(kind, LowerBound) else integer_ridges(ridges)
-            got = derived[key] = (ridges, ints)
+            ints = integer_ridges(ridge_changes(kind, Fraction(n, d)))
+            got = derived[key] = (ints, ridge_units(ints))
         return got
 
     shapes = [
@@ -227,7 +225,7 @@ def gadget_network(bundle: ReductionBundle, assignment: Assignment) -> Network:
                 notches.append(m)
             else:
                 t = reading_offset(purpose, pg)
-                sums = ridge_sums(shapes[m][1], t.numerator, t.denominator, sums)
+                sums = ridge_sums(shapes[m][0], t.numerator, t.denominator, sums)
         (notch,) = notches
         # How far the ramps sum above the target in each weak dim, as n/e:
         # the depth the notch must dig there.
@@ -241,11 +239,11 @@ def gadget_network(bundle: ReductionBundle, assignment: Assignment) -> Network:
         g = gcd(n, e)
         shapes[notch] = shape(placements[notch].placement.template.kind, n // g, e // g)
 
-    units = []
-    for pg, (ridges, _ints) in zip(placements, shapes):
-        units += witness_neurons(pg.placement, ridges)
-    assert len(units) == bundle.instance.hidden_neurons
-    return Network(tuple(units))
+    rows = []
+    for pg, (_ints, units) in zip(placements, shapes):
+        rows += witness_neurons(pg.placement, units)
+    assert len(rows) == bundle.instance.hidden_neurons
+    return Network.from_rows(rows)
 
 
 def verify(net: Network, instance: TrainInstance) -> FitReport:
@@ -263,7 +261,7 @@ def extract(bundle: ReductionBundle, net: Network) -> Dict[str, Fraction]:
     """
     report = exact_fit(net, bundle.instance)
     if not report.fits:
-        raise NotFitting(report.total_loss, len(net.neurons), bundle.instance.hidden_neurons)
+        raise NotFitting(report.total_loss, len(net.rows), bundle.instance.hidden_neurons)
 
     probes = bundle.layout.probes
     out: Dict[str, Fraction] = {}

@@ -25,8 +25,10 @@ from ernn.gadgets import (
     Inversion,
     LowerBound,
     Variable,
+    integer_ridges,
     profile,
     ridge_changes,
+    ridge_units,
     template,
     witness_neurons,
 )
@@ -205,7 +207,8 @@ def test_06_cpwl_network_equivalence():
             for _ in range(4):
                 st = draw()
                 pl = GadgetPlacement(template(kind), n, F(rng.randint(-400, 400), rng.randint(1, 5)))
-                net = Network(witness_neurons(pl, ridge_changes(kind, st)))
+                ridges = ridge_units(integer_ridges(ridge_changes(kind, st)))
+                net = Network.from_rows(witness_neurons(pl, ridges))
                 for lo, hi in ((-width, 0), (0, width), (width, 2 * width)):
                     for _ in range(5):
                         t = between(lo, hi)

@@ -56,7 +56,7 @@ _WRITERS = {
 @pytest.mark.parametrize("case", sorted(_WRITERS))
 def test_output_naming_an_input_is_refused(workspace, capsys, case, spelling):
     (workspace / "sub").mkdir()
-    (workspace / "net.json").write_text('{"neurons": []}')
+    (workspace / "net.json").write_text('{"format":2,"units":[]}')
     files = {f.name: f.read_bytes() for f in workspace.iterdir() if f.is_file()}
     argv, given = _WRITERS[case]
     output = spelling.format(given)
@@ -95,7 +95,7 @@ def test_verify_rejects_with_exit_1(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
     net = json.loads((workspace / "net.json").read_text())
-    net["neurons"][0]["b"] = "1/3"
+    net["units"][0][2] += 1  # b + 1/L
     (workspace / "bad.json").write_text(json.dumps(net))
     assert run(["verify", "bad.json", "inst.json"]) == 1
     out = capsys.readouterr().out
@@ -112,7 +112,9 @@ def test_verify_gamma_override(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
     net = json.loads((workspace / "net.json").read_text())
-    net["neurons"][0]["c"][0] = "1/1000000"
+    # c1 = 1/1000000 over D * 1000000, with c2 kept
+    d = net["units"][0][6]
+    net["units"][0][4:] = [d, net["units"][0][5] * 10 ** 6, d * 10 ** 6]
     (workspace / "near.json").write_text(json.dumps(net))
     assert run(["verify", "near.json", "inst.json"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -205,6 +207,10 @@ def test_malformed_network_json_is_exit_2(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     (workspace / "junk.json").write_text("{not json")
     assert run(["verify", "junk.json", "inst.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed network JSON: document: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
 
 
 def test_unsatisfying_assignment_is_exit_2(workspace, capsys):
@@ -277,7 +283,7 @@ HUGE = "1e100000000"  # Fraction() would expand it into a 332-million-bit intege
         (["verify", "net.json", "huge.json"],
          f"malformed instance JSON: gamma: not a rational number: '{HUGE}'"),
         (["extract", "hugenet.json", "f.ec"],
-         f"malformed network JSON: ValueError(\"not a rational number: '{HUGE}'\")"),
+         f'malformed network JSON: units[0][2]: expected a JSON integer, got "{HUGE}"'),
         (["witness", "f.ec", "huge.txt", "-o", "out.json"], f"line 1, column 4: bad rational '{HUGE}'"),
         (["roundtrip", "f.ec", "--assignment", "huge.txt"], f"line 1, column 4: bad rational '{HUGE}'"),
     ],
@@ -288,7 +294,7 @@ def test_exponent_rational_is_a_validation_error(workspace, capsys, argv, messag
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
     _with_gamma(workspace, "huge.json", HUGE)
     net = json.loads((workspace / "net.json").read_text())
-    net["neurons"][0]["b"] = HUGE
+    net["units"][0][2] = HUGE
     (workspace / "hugenet.json").write_text(json.dumps(net))
     (workspace / "huge.txt").write_text(f"X = {HUGE}\nY = 1/2\nZ = 3/2\nW = 1\n")
     capsys.readouterr()
@@ -332,15 +338,24 @@ def test_wrong_shape_network_json_is_exit_2(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     (workspace / "list.json").write_text("[]")
     assert run(["verify", "list.json", "inst.json"]) == 2
-    assert "malformed network JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: malformed network JSON: document: expected an object, got a list\n"
+    )
+    # a network written before format 2 is refused by its format
+    (workspace / "old.json").write_text('{"neurons": []}')
+    assert run(["verify", "old.json", "inst.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed network JSON: format: expected 2, got no format key; "
+        "this reader reads format 2 only, so run ernn witness again to write it\n"
+    )
 
 
 def test_verify_rejects_network_over_width_budget(workspace, capsys):
     assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
     assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
     net = json.loads((workspace / "net.json").read_text())
-    dead = {"a": ["0", "1"], "b": "0", "c": ["0", "0"]}
-    net["neurons"] += [dead] * 5
+    dead = [0, 1, 0, 1, 0, 0, 1]  # a = (0, 1), b = 0, c = (0, 0)
+    net["units"] += [dead] * 5
     (workspace / "wide.json").write_text(json.dumps(net))
     capsys.readouterr()
     assert run(["verify", "wide.json", "inst.json"]) == 1
@@ -387,7 +402,8 @@ def test_witness_takes_no_sidecar(workspace, capsys):
     "argv, message",
     [
         (["verify", "deep.json", "deep.json"], "malformed instance JSON: RecursionError("),
-        (["extract", "deep.json", "f.ec"], "malformed network JSON: RecursionError("),
+        (["extract", "deep.json", "f.ec"],
+         "malformed network JSON: document: maximum recursion depth exceeded"),
     ],
     ids=["verify", "extract"],
 )
@@ -413,7 +429,7 @@ def test_deeply_nested_json_is_a_validation_error(workspace, capsys, argv, messa
 @pytest.mark.parametrize("command", ["extract", "render"])
 def test_formula_that_cannot_be_laid_out_is_exit_2(workspace, capsys, command, text, message):
     (workspace / "g.ec").write_text(text)
-    (workspace / "net.json").write_text('{"neurons": []}')
+    (workspace / "net.json").write_text('{"format":2,"units":[]}')
     argv = {"extract": ["extract", "net.json", "g.ec"], "render": ["render", "g.ec"]}[command]
     assert run(argv + ["-o", "out.txt"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -19,11 +19,13 @@ from ernn.gadgets import (
     LowerBound,
     NoSuchMeasuringLine,
     Variable,
+    integer_ridges,
     inversion_partner,
     measuring_line,
     profile,
     ridge_changes,
     ridge_sum,
+    ridge_units,
     template,
     witness_neurons,
 )
@@ -320,13 +322,19 @@ def test_measuring_line_lookup():
             measuring_line(vp, dim, side)
 
 
+def _placed_units(placement, ridges):
+    """The network of the placed gadget's units, built from its ridges as
+    the reducer's gadget_network() builds them."""
+    return Network.from_rows(witness_neurons(placement, ridge_units(integer_ridges(ridges))))
+
+
 def test_witness_neurons_realize_profile_off_axis():
     # place a variable gadget on a slanted normal and compare the network
     # against the 1-D cross-section profile at many depths
     d = make_direction(F(3, 5), F(4, 5))
     pl = GadgetPlacement(template(Variable()), d, F(7))
     st = F(9, 4)
-    net = Network(witness_neurons(pl, ridge_changes(Variable(), st)))
+    net = _placed_units(pl, ridge_changes(Variable(), st))
     for k in range(0, 33):
         t = F(k, 2)
         # a point whose signed offset inside the stripe is t
@@ -339,7 +347,7 @@ def test_witness_neurons_vanish_outside_stripe():
     d = make_direction(F(5, 13), F(12, 13))
     pl = GadgetPlacement(template(Inversion()), d, F(-3))
     st = F(2)
-    net = Network(witness_neurons(pl, ridge_changes(Inversion(), st)))
+    net = _placed_units(pl, ridge_changes(Inversion(), st))
     for t in (F(-5), F(0), F(19), F(40)):
         p = Point2(F(5, 13) * (-3 + t), F(12, 13) * (-3 + t))
         assert evaluate(net, p) == (F(0), F(0))

@@ -16,7 +16,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import ernn.network as network
-from ernn.formula import parse_formula
+from ernn.formula import format_assignment, parse_formula
 from ernn.geometry import Point2, format_rational, integer_point, parse_rational
 from ernn.network import (
     FitReport,
@@ -33,7 +33,7 @@ from ernn.network import (
     network_to_json,
 )
 from ernn.cli import run
-from ernn.reducer import compile_formula, extract, verify, witness
+from ernn.reducer import NotFitting, compile_formula, extract, gadget_network, verify, witness
 
 F = Fraction
 
@@ -688,6 +688,216 @@ def test_network_json_round_trip():
     assert network_from_json(network_to_json(net)) == net
 
 
+def _reference_row(u):
+    """The canonical row of the unit (a1, a2, b, c1, c2), computed in
+    Fractions: (a1, a2, b) and (c1, c2) each over the lcm of their
+    denominators."""
+    ab, c = [F(x) for x in u[:3]], [F(x) for x in u[3:]]
+    s = math.lcm(*(x.denominator for x in ab))
+    d = math.lcm(*(x.denominator for x in c))
+    return [int(x * s) for x in ab] + [s] + [int(x * d) for x in c] + [d]
+
+
+def _reference_integer(neurons):
+    """Network.integer as it was built from a tuple of HiddenNeurons before
+    a network was its rows: the judge of the row builder."""
+    scales = [math.lcm(F(u.a1).denominator, F(u.a2).denominator, F(u.b).denominator) for u in neurons]
+    k = math.lcm(*(F(c).denominator * s for u, s in zip(neurons, scales) for c in (u.c1, u.c2)))
+    l1x = l1y = l1w = l2x = l2y = l2w = 0
+    bending = []
+    by_direction = {}
+    for u, s in zip(neurons, scales):
+        a1, a2, b = (int(F(x) * s) for x in (u.a1, u.a2, u.b))
+        c1, c2 = (int(F(c) * k / s) for c in (u.c1, u.c2))
+        if a2 < 0 or (a2 == 0 and a1 < 0):
+            l1x, l1y, l1w = l1x + c1 * a1, l1y + c1 * a2, l1w + c1 * b
+            l2x, l2y, l2w = l2x + c2 * a1, l2y + c2 * a2, l2w + c2 * b
+            a1, a2, b = -a1, -a2, -b
+        elif a2 == 0 == a1:
+            if b > 0:
+                l1w, l2w = l1w + c1 * b, l2w + c2 * b
+            continue
+        bending.append((a1, a2, b, c1, c2))
+        g = math.gcd(a1, a2)
+        by_direction.setdefault((a1 // g, a2 // g), []).append((g, b, c1, c2))
+    classes = []
+    for (a1, a2), members in by_direction.items():
+        m = math.lcm(*(g for g, *_ in members))
+        rows = sorted(((-b * (m // g), c1 * g, c2 * g, c1 * b, c2 * b) for g, b, c1, c2 in members),
+                      key=lambda r: r[0])
+        sums = [(0, 0, 0, 0)]
+        for r in rows:
+            sums.append(tuple(x + y for x, y in zip(sums[-1], r[1:])))
+        classes.append((a1, a2, m, [r[0] for r in rows], sums))
+    return network.IntegerNetwork(k, (l1x, l1y, l1w, l2x, l2y, l2w), bending, classes)
+
+
+@st.composite
+def _row_cases(draw):
+    """Units of ints and Fractions: _units() and zero units, units with
+    a1 = a2 = 0 and b > 0, flipped copies, units whose weights share a
+    denominator and units written over negative denominators."""
+    units = draw(st.lists(_units(), max_size=5))
+    for kind in draw(st.lists(st.sampled_from(("zero", "constant", "flipped", "shared", "negative")),
+                              max_size=4)):
+        if kind == "zero":
+            units.append(HiddenNeuron(0, 0, 0, 0, 0))
+        elif kind == "constant":
+            units.append(HiddenNeuron(0, 0, F(draw(st.integers(1, 9)), draw(st.integers(1, 4))),
+                                      draw(_NUMBERS), draw(_NUMBERS)))
+        elif kind == "flipped" and units:
+            u = draw(st.sampled_from(units))
+            units.append(HiddenNeuron(-u.a1, -u.a2, -u.b, u.c1, u.c2))
+        elif kind == "shared":
+            d, e = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+            ab = [F(draw(st.integers(-30, 30)), d) for _ in range(3)]
+            units.append(HiddenNeuron(*ab, *(F(draw(st.integers(-30, 30)), e) for _ in range(2))))
+        else:
+            units.append(HiddenNeuron(*(F(draw(st.integers(-30, 30)), -draw(st.integers(1, 9)))
+                                        for _ in range(5))))
+    return units
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_cases(), st.integers(1, 6), st.integers(1, 6))
+def test_a_network_is_its_canonical_rows(units, k, k2):
+    net = Network(units)
+    # the rows are canonical, and the given units are the neurons view
+    assert [list(r) for r in net.rows] == [_reference_row((u.a1, u.a2, u.b, u.c1, u.c2)) for u in units]
+    for a1, a2, b, s, c1, c2, d in net.rows:
+        assert s > 0 and d > 0 and math.gcd(a1, a2, b, s) == 1 == math.gcd(c1, c2, d)
+    assert net.neurons == tuple(units)
+    # a view built from the rows holds Fractions of the same values
+    served = Network.from_rows(net.rows)
+    assert "neurons" not in vars(served)
+    assert served.neurons == tuple(units)
+    assert all(type(x) is Fraction for u in served.neurons for x in (u.a1, u.a2, u.b, u.c1, u.c2))
+    # equal values spelled otherwise are equal networks, with equal hashes
+    spelled = Network(HiddenNeuron(*(F(x) for x in (u.a1, u.a2, u.b, u.c1, u.c2))) for u in units)
+    assert spelled == net and hash(spelled) == hash(net)
+    read = network_from_json(network_to_json(net))
+    assert read == net and hash(read) == hash(net)
+    # rows written over larger scales read back in lowest terms
+    scaled = [[x * k for x in r[:4]] + [x * k2 for x in r[4:]] for r in net.rows]
+    assert network_from_json(json.dumps({"format": 2, "units": scaled})).rows == net.rows
+    assert net.integer == _reference_integer(units) == read.integer
+
+
+# The formula the command line reads a mutated network against.
+_INV = "inv X Y\n"
+
+
+@st.composite
+def _mutated_network(draw):
+    """(a format-2 network document with one node mutated, the path of that node)."""
+    ints, scales = st.integers(-9, 9), st.integers(1, 9)
+    units = draw(st.lists(st.tuples(ints, ints, ints, scales, ints, ints, scales), min_size=1, max_size=4))
+    doc = {"format": 2, "units": [list(u) for u in units]}
+    j = draw(st.integers(0, len(units) - 1))
+    unit = doc["units"][j]
+    mutation = draw(st.sampled_from(("type", "length", "missing key", "bool", "scale")))
+    if mutation == "type":
+        path, parent, key, values = draw(st.sampled_from(
+            [("format", doc, "format", ("2", 1.5, [2], None, 1, 3)),
+             ("units", doc, "units", ("x", 3, {}, None)),
+             (f"units[{j}]", doc["units"], j, ("x", 3, {}, None))]
+            + [(f"units[{j}][{k}]", unit, k, ("1/2", "7", 1.5, 2.0, [1], {}, None)) for k in range(7)]
+        ))
+        parent[key] = draw(st.sampled_from(values))
+    elif mutation == "length":
+        path = f"units[{j}]"
+        if draw(st.booleans()):
+            unit.append(0)
+        else:
+            unit.pop()
+    elif mutation == "missing key":
+        path = draw(st.sampled_from(("format", "units")))
+        del doc[path]
+    elif mutation == "bool":
+        k = draw(st.integers(0, 6))
+        path = f"units[{j}][{k}]"
+        unit[k] = draw(st.booleans())
+    else:
+        k = draw(st.sampled_from((3, 6)))
+        path = f"units[{j}][{k}]"
+        unit[k] = draw(st.integers(-3, 0))
+    return doc, path
+
+
+@settings(deadline=None)
+@given(_mutated_network())
+def test_a_mutated_network_file_is_named_where_it_is_wrong(case):
+    doc, path = case
+    text = json.dumps(doc)
+    with pytest.raises(NetworkError) as exc:
+        network_from_json(text)
+    message = str(exc.value)
+    assert message.startswith("malformed network JSON: ")
+    assert re.search(re.escape(path) + r"(?![\w\[.])", message), (path, message)
+    # ernn verify and ernn extract print that one line and exit 2, with no traceback.
+    with tempfile.TemporaryDirectory() as where:
+        with open(f"{where}/f.ec", "w") as f:
+            f.write(_INV)
+        with open(f"{where}/inst.json", "w") as f:
+            f.write(instance_to_json(compile_formula(parse_formula(_INV)).instance))
+        with open(f"{where}/net.json", "w") as f:
+            f.write(text)
+        for argv in (["verify", f"{where}/net.json", f"{where}/inst.json"],
+                     ["extract", f"{where}/net.json", f"{where}/f.ec"]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = run(argv)
+            assert code == 2
+            assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "formula, assignment, fits",
+    [
+        (_REFERENCE[0], _REFERENCE[1], True),
+        ("add X Y Z\ninv X W\n",
+         {"X": F(1009, 1000), "Y": F(7921, 15838), "Z": F(11950771, 7919000), "W": F(1000, 1009)}, True),
+        ("add X Y Z\ninv X W\n", {"X": F(1009, 1000), "Y": F(1, 2), "Z": F(3, 2), "W": F(1000, 1009)}, False),
+    ],
+    ids=["reference", "off-grid", "off-grid-miss"],
+)
+def test_the_pipeline_builds_no_neurons_view(formula, assignment, fits):
+    """witness (or, for an assignment that misses, gadget_network) -> network
+    JSON out and back -> verify -> extract reads every network's rows only."""
+    bundle = compile_formula(parse_formula(formula))
+    net = (witness if fits else gadget_network)(bundle, assignment)
+    served = network_from_json(network_to_json(net))
+    assert served == net
+    report = verify(served, bundle.instance)
+    assert report.fits == fits
+    if fits:
+        assert extract(bundle, served) == assignment
+    else:
+        with pytest.raises(NotFitting):
+            extract(bundle, served)
+    assert "neurons" not in vars(net) and "neurons" not in vars(served)
+
+
+def test_the_command_line_builds_no_neurons_view(tmp_path, monkeypatch):
+    """witness, verify, extract and roundtrip count units by their rows."""
+    def refuse(net):
+        raise AssertionError("the neurons view was built")
+
+    monkeypatch.setattr(Network, "neurons", property(refuse))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.ec").write_text(_REFERENCE[0])
+    (tmp_path / "a.txt").write_text(format_assignment(_REFERENCE[1]))
+    with redirect_stdout(io.StringIO()) as out:
+        assert run(["compile", "f.ec", "-o", "inst.json"]) == 0
+        assert run(["witness", "f.ec", "a.txt", "-o", "net.json"]) == 0
+        assert run(["verify", "net.json", "inst.json"]) == 0
+        assert run(["extract", "net.json", "f.ec", "-o", "got.txt"]) == 0
+        assert run(["roundtrip", "f.ec", "--assignment", "a.txt"]) == 0
+    assert "witness network with 60 hidden units" in out.getvalue()
+    assert "width = 60 hidden units (budget 60)" in out.getvalue()
+    assert (tmp_path / "got.txt").read_text() == format_assignment(_REFERENCE[1])
+
+
 def test_instance_json_round_trip_and_shape():
     inst = TrainInstance.from_points(
         3,
@@ -763,12 +973,9 @@ def test_json_writers_match_json_dumps(neurons, rows, xs, budget, gamma):
         return str(F(value))
 
     net = Network(tuple(HiddenNeuron(*u) for u in neurons))
-    assert network_to_json(net) == json.dumps({
-        "neurons": [
-            {"a": [fr(u.a1), fr(u.a2)], "b": fr(u.b), "c": [fr(u.c1), fr(u.c2)]}
-            for u in net.neurons
-        ]
-    }, indent=2) + "\n"
+    assert network_to_json(net) == json.dumps(
+        {"format": 2, "units": [_reference_row(u) for u in neurons]}, separators=(",", ":")
+    ) + "\n"
     # x1 from a pool of three, so that points share verticals
     points = [(Point2(xs[k], x2), (y1, y2)) for k, x2, y1, y2 in rows]
     inst = TrainInstance.from_points(budget, gamma, points)
@@ -792,8 +999,61 @@ def test_json_writers_match_json_dumps(neurons, rows, xs, budget, gamma):
     ],
 )
 def test_network_json_rejects_malformed(text):
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError) as exc:
         network_from_json(text)
+    # every one of these is refused before its units are read
+    assert str(exc.value).startswith(
+        ("malformed network JSON: document: ", "malformed network JSON: format: ")
+    )
+
+
+_FORMAT = "this reader reads format 2 only, so run ernn witness again to write it"
+_ROW = '[1, 0, 0, 1, 1, 0, 1]'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "document: expected an object, got a list"),
+        ("{not json",
+         "document: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"neurons": []}', f"format: expected 2, got no format key; {_FORMAT}"),
+        ('{"format": "2", "units": []}', f'format: expected 2, got format "2"; {_FORMAT}'),
+        ('{"format": 2}', "units: missing"),
+        ('{"format": 2, "units": {}}', "units: expected a list, got an object"),
+        (f'{{"format": 2, "units": [{_ROW}, "x"]}}', 'units[1]: expected a list of 7 JSON integers, got "x"'),
+        ('{"format": 2, "units": [[1, 0, 0, 1, 1, 0]]}',
+         "units[0]: expected a list of 7 JSON integers, got 6 items"),
+        ('{"format": 2, "units": [[1, 0, 0, 1, 1, 0, "1/2"]]}',
+         'units[0][6]: expected a JSON integer, got "1/2"'),
+        ('{"format": 2, "units": [[1, 0, 0, 1, 1, 0, 1.0]]}', "units[0][6]: expected a JSON integer, got 1.0"),
+        ('{"format": 2, "units": [[1, 0, true, 1, 1, 0, 1]]}', "units[0][2]: expected a JSON integer, got true"),
+        (f'{{"format": 2, "units": [{_ROW}, [1, 0, 0, 0, 1, 0, 1]]}}',
+         "units[1][3]: expected a JSON integer above 0, got 0"),
+        ('{"format": 2, "units": [[1, 0, 0, 1, 1, 0, -2]]}',
+         "units[0][6]: expected a JSON integer above 0, got -2"),
+    ],
+    ids=["list", "not-json", "format-1", "format-string", "no-units", "units-object", "unit-string",
+         "short-unit", "rational-string", "float", "bool", "zero-scale", "negative-scale"],
+)
+def test_format_2_network_json_rejects_malformed(text, message):
+    with pytest.raises(NetworkError) as exc:
+        network_from_json(text)
+    assert str(exc.value) == f"malformed network JSON: {message}"
+
+
+def test_a_valid_format_2_network_reads_in_lowest_terms():
+    text = '{"format": 2, "units": [[2, -4, 6, 8, 3, 0, 9], [0, 0, 0, 5, 0, 0, 7], [1, 2, 3, 1, 4, 5, 1]]}'
+    net = network_from_json(text)
+    assert net.rows == ((1, -2, 3, 4, 1, 0, 3), (0, 0, 0, 1, 0, 0, 1), (1, 2, 3, 1, 4, 5, 1))
+    assert net.neurons == (
+        HiddenNeuron(F(1, 4), F(-1, 2), F(3, 4), F(1, 3), F(0)),
+        HiddenNeuron(F(0), F(0), F(0), F(0), F(0)),
+        HiddenNeuron(F(1), F(2), F(3), F(4), F(5)),
+    )
+    assert network_to_json(net) == (
+        '{"format":2,"units":[[1,-2,3,4,1,0,3],[0,0,0,1,0,0,1],[1,2,3,1,4,5,1]]}\n'
+    )
 
 
 # Documents without "format": 2. Each is also malformed in its own way, but
@@ -1048,36 +1308,23 @@ _TEXTS = st.one_of(
 
 @st.composite
 def _repeating_document(draw, min_items=1):
-    """("instance" or "network", a document of that kind whose rational
-    strings come from a pool of at most four, so they repeat). An instance
-    has min_items to 6 labels and one point per label, on one vertical."""
+    """An instance document whose rational strings come from a pool of at
+    most four, so they repeat: min_items to 6 labels and one point per
+    label, on one vertical. A network document holds no rational string."""
     node = st.sampled_from(draw(st.lists(_TEXTS, min_size=1, max_size=4, unique=True)))
     n = draw(st.integers(min_items, 6))
-    if draw(st.booleans()):
-        labels = [[draw(node), draw(node)] for _ in range(n)]
-        vertical = {"x1": draw(node), "den": 1, "x2": list(range(n)), "at": list(range(n)),
-                    "y": list(range(n))}
-        return "instance", {"format": 2, "hidden_neurons": 1, "gamma": "0", "labels": labels,
-                            "verticals": [vertical]}
-    neurons = [
-        {"a": [draw(node), draw(node)], "b": draw(node), "c": [draw(node), draw(node)]}
-        for _ in range(n)
-    ]
-    return "network", {"neurons": neurons}
+    labels = [[draw(node), draw(node)] for _ in range(n)]
+    vertical = {"x1": draw(node), "den": 1, "x2": list(range(n)), "at": list(range(n)),
+                "y": list(range(n))}
+    return {"format": 2, "hidden_neurons": 1, "gamma": "0", "labels": labels, "verticals": [vertical]}
 
 
-def _nodes(kind, doc):
-    """[(the node's parent, its key, its path, its item)] for every rational
-    node but gamma, an item being a label or a neuron."""
-    if kind == "instance":
-        vertical = doc["verticals"][0]
-        labels = [(pair, k, f"labels[{j}][{k}]", j) for j, pair in enumerate(doc["labels"]) for k in (0, 1)]
-        return labels + [(vertical, "x1", "verticals[0].x1", len(doc["labels"]))]
-    return [
-        (neuron[key] if slot is not None else neuron, key if slot is None else slot, None, i)
-        for i, neuron in enumerate(doc["neurons"])
-        for key, slot in (("a", 0), ("a", 1), ("b", None), ("c", 0), ("c", 1))
-    ]
+def _nodes(doc):
+    """[(the node's parent, its key, its path, its label)] for every rational
+    node but gamma; x1's label is one past the last."""
+    vertical = doc["verticals"][0]
+    labels = [(pair, k, f"labels[{j}][{k}]", j) for j, pair in enumerate(doc["labels"]) for k in (0, 1)]
+    return labels + [(vertical, "x1", "verticals[0].x1", len(doc["labels"]))]
 
 
 _READERS = {"instance": instance_from_json, "network": network_from_json}
@@ -1096,32 +1343,24 @@ def _strings(node):
 
 
 @given(_repeating_document())
-def test_readers_read_each_node_as_parse_rational_does(case):
-    kind, doc = case
-    got = _READERS[kind](json.dumps(doc))
-    if kind == "instance":
-        x1 = parse_rational(doc["verticals"][0]["x1"])
-        for (p, y), pair in zip(got.points, doc["labels"]):
-            assert (p.x1, *y) == (x1, *map(parse_rational, pair))
-            assert all(type(v) is Fraction for v in (p.x1, p.x2) + y)
-        # labels of equal values share one tuple in the table
-        shared = {}
-        for y in got.table[0][5]:
-            assert shared.setdefault(y, y) is y
-    else:
-        for u, item in zip(got.neurons, doc["neurons"]):
-            texts = item["a"] + [item["b"]] + item["c"]
-            assert (u.a1, u.a2, u.b, u.c1, u.c2) == tuple(parse_rational(t) for t in texts)
-            assert all(type(v) is Fraction for v in (u.a1, u.a2, u.b, u.c1, u.c2))
+def test_readers_read_each_node_as_parse_rational_does(doc):
+    got = instance_from_json(json.dumps(doc))
+    x1 = parse_rational(doc["verticals"][0]["x1"])
+    for (p, y), pair in zip(got.points, doc["labels"]):
+        assert (p.x1, *y) == (x1, *map(parse_rational, pair))
+        assert all(type(v) is Fraction for v in (p.x1, p.x2) + y)
+    # labels of equal values share one tuple in the table
+    shared = {}
+    for y in got.table[0][5]:
+        assert shared.setdefault(y, y) is y
 
 
 @given(_repeating_document(min_items=2), st.data())
-def test_readers_name_a_non_string_node_even_after_its_text(case, data):
+def test_readers_name_a_non_string_node_even_after_its_text(doc, data):
     """A JSON number or a list where the document's first rational string
-    already stood reads as parse_rational names it on its own; the instance
-    reader names the node's path as well."""
-    kind, doc = case
-    nodes = _nodes(kind, doc)
+    already stood reads as parse_rational names it on its own, after the
+    node's path."""
+    nodes = _nodes(doc)
     parent, key, _path, _item = nodes[0]
     text = parent[key]
     value = parse_rational(text)
@@ -1133,11 +1372,8 @@ def test_readers_name_a_non_string_node_even_after_its_text(case, data):
     with pytest.raises(ValueError) as alone:
         parse_rational(bad)
     with pytest.raises(NetworkError) as exc:
-        _READERS[kind](json.dumps(doc))
-    if kind == "instance":
-        assert str(exc.value) == f"malformed instance JSON: {path}: {alone.value}"
-    else:
-        assert str(exc.value) == f"malformed network JSON: {alone.value!r}"
+        instance_from_json(json.dumps(doc))
+    assert str(exc.value) == f"malformed instance JSON: {path}: {alone.value}"
 
 
 @pytest.mark.parametrize("kind", ["instance", "network"])
@@ -1147,6 +1383,7 @@ def test_readers_parse_each_distinct_string_once_per_document(monkeypatch, kind)
         text = instance_to_json(bundle.instance)
     else:
         text = network_to_json(witness(bundle, {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)}))
+    # A network document holds ints only, so its reader parses no string.
     strings = set(_strings(json.loads(text)))
     calls = []
     parse = network.parse_rational

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -25,13 +27,15 @@ from ernn.gadgets import (
     GadgetPlacement,
     LowerBound,
     Variable,
+    integer_ridges,
     profile,
     ridge_changes,
     ridge_sum,
+    ridge_units,
     template,
     witness_neurons,
 )
-from ernn.geometry import Point2, signed_value
+from ernn.geometry import Point2, format_rational, signed_value
 from ernn.layout import (
     ADDITION,
     COPY_NORMALS,
@@ -48,6 +52,7 @@ from ernn.network import (
     evaluate,
     instance_to_json,
     max_gradient_norm_bound,
+    network_from_json,
     network_to_json,
 )
 from ernn.reducer import (
@@ -208,8 +213,9 @@ def test_chained_formula_counts():
 
 
 # (formula, sha256 of its instance JSON, sha256 of its sidecar JSON, a
-# satisfying assignment, sha256 of its witness network JSON), pinned apart so
-# that a change to one format moves only that format's digests.
+# satisfying assignment, sha256 of its witness network as format 1 wrote it,
+# sha256 of its witness network JSON), pinned apart so that a change to one
+# format moves only that format's digests.
 _PINNED = [
     (
         "add X Y Z\ninv X W\n",
@@ -217,6 +223,7 @@ _PINNED = [
         "f8f48eabe7d0dc9f9ad0958e008b29e16444cc37037076a94cb319cff3270ad4",
         {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)},
         "3235249bc687161cfd12fb9a597dda6a55f3ead3547a57f0d4bf146b90e5fc74",
+        "d237eb7ba43950aac3d71cb93ada27889d34cf8b3fa49ea57582fe512deb617c",
     ),
     (
         # F_2: two inversion bands, then two addition bands
@@ -225,6 +232,7 @@ _PINNED = [
         "01b6e4f92aac937e45d3942a0e2439971bffab6d7183c05396257407a4060d53",
         {"A0": F(1), "B0": F(1), "H0": F(1, 2), "A1": F(1), "B1": F(1), "H1": F(1, 2)},
         "e6fa4c06eb56145c359c67932e7aece3986e0f53b77b5cfdb92d4144f13adb7a",
+        "43b5323793847422b8b020231a9d83f2f94ce9423dff766cf28c33a877abde12",
     ),
     (
         # additions only, so the addition bands start at x = 3kS
@@ -233,6 +241,7 @@ _PINNED = [
         "d823d94885a0171d869b9386528de4098fc36eb4b6d80a9b355dc93fffe0b3b8",
         {"B": F(1, 2), "C": F(1, 2), "A": F(1), "D": F(3, 2)},
         "70e9ef77b850000eb1e86f5a43153c46308ab8a7cd49deda5ae449bc3021218a",
+        "31eaaa002830706dff66f7b3660cc9f1fdf8382d683ce08614b701f457a3c11a",
     ),
     (
         # inversions only, A read in two of the three bands
@@ -241,6 +250,7 @@ _PINNED = [
         "c03ca7c0414f360187c5da532fe8f0ced8701fbfae101f23c155ac6ad5a12fbc",
         {"A": F(2), "B": F(1, 2), "C": F(1, 2), "E": F(3, 2), "D": F(2, 3)},
         "f54f6c7bed4599cb93be3bd7420d32c63dbac151b329c9e7fb84db1905ad8372",
+        "bb389d6218c9bb9135bca068a4b9539a6c31056c14c2ed7d90508bdf158b5008",
     ),
 ]
 
@@ -249,20 +259,39 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("text, digest", [(t, i) for t, i, _s, _a, _n in _PINNED])
+@pytest.mark.parametrize("text, digest", [(t, i) for t, i, _s, _a, _n, _n2 in _PINNED])
 def test_instance_bytes_are_pinned(text, digest):
     assert _sha256(instance_to_json(compile_formula(parse_formula(text)).instance)) == digest
 
 
-@pytest.mark.parametrize("text, digest", [(t, s) for t, _i, s, _a, _n in _PINNED])
+@pytest.mark.parametrize("text, digest", [(t, s) for t, _i, s, _a, _n, _n2 in _PINNED])
 def test_sidecar_bytes_are_pinned(text, digest):
     assert _sha256(layout_to_json(compile_formula(parse_formula(text)).layout)) == digest
 
 
+def _format_1(net):
+    """The network as the writer before format 2 wrote it, from its neurons
+    view: indented JSON of rational strings."""
+    fr = format_rational
+    return json.dumps({"neurons": [
+        {"a": [fr(u.a1), fr(u.a2)], "b": fr(u.b), "c": [fr(u.c1), fr(u.c2)]} for u in net.neurons
+    ]}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
-    "text, assignment, digest", [(t, a, n) for t, _i, _s, a, n in _PINNED]
+    "text, assignment, digest", [(t, a, n) for t, _i, _s, a, n, _n2 in _PINNED]
 )
 def test_witness_network_bytes_are_pinned(text, assignment, digest):
+    """The witness read back from its format-2 file, written as format 1
+    wrote it, is byte for byte the network pinned before format 2."""
+    net = witness(compile_formula(parse_formula(text)), assignment)
+    assert _sha256(_format_1(network_from_json(network_to_json(net)))) == digest
+
+
+@pytest.mark.parametrize(
+    "text, assignment, digest", [(t, a, n2) for t, _i, _s, a, _n, n2 in _PINNED]
+)
+def test_witness_network_format_2_bytes_are_pinned(text, assignment, digest):
     net = witness(compile_formula(parse_formula(text)), assignment)
     assert _sha256(network_to_json(net)) == digest
 
@@ -333,7 +362,7 @@ def test_asymmetric_notch_fits_and_extracts():
     assert placement.template.kind == LowerBound((1, 2))
     start = sum(pg.placement.template.breakline_budget for pg in bundle.layout.placements[:8])
     symmetric = ridge_changes(LowerBound((1, 2)), F(7, 3))
-    assert witness_neurons(placement, symmetric) == net.neurons[start:start + 3]
+    assert witness_neurons(placement, ridge_units(integer_ridges(symmetric))) == net.rows[start:start + 3]
     v = (
         (F(9, 4), (F(-4, 3), F(-4, 3))),
         (F(9, 2), (F(16, 3), F(16, 3))),
@@ -342,7 +371,8 @@ def test_asymmetric_notch_fits_and_extracts():
     for t in (F(3), NOTCH_CENTER, F(5), F(6)):
         assert ridge_sum(v, t) == ridge_sum(symmetric, t)
     assert ridge_sum(v, F(9, 2)) == (F(-3), F(-3)) != ridge_sum(symmetric, F(9, 2))
-    notched = Network(net.neurons[:start] + witness_neurons(placement, v) + net.neurons[start + 3:])
+    notch = witness_neurons(placement, ridge_units(integer_ridges(v)))
+    notched = Network.from_rows(net.rows[:start] + notch + net.rows[start + 3:])
     report = verify(notched, bundle.instance)
     assert report.fits and report.total_loss == 0
     assert extract(bundle, notched) == assignment
@@ -499,7 +529,7 @@ def _assert_matches_the_reference(formula, assignment):
     assert witness(bundle, assignment) == _reference_witness(bundle, assignment)
 
 
-@pytest.mark.parametrize("text, assignment", [(t, a) for t, _i, _s, a, _n in _PINNED])
+@pytest.mark.parametrize("text, assignment", [(t, a) for t, _i, _s, a, _n, _n2 in _PINNED])
 def test_witness_matches_the_geometric_reference_on_pinned_cases(text, assignment):
     _assert_matches_the_reference(parse_formula(text), assignment)
 
@@ -566,12 +596,14 @@ def test_flipped_gadget_fits_and_extracts(case, data):
 
 
 # Off-grid assignments whose notch depths have denominators that do not
-# cancel, with the sha256 of their witness network JSON.
+# cancel, with the sha256 of their witness network as format 1 wrote it and
+# of its JSON.
 _OFF_GRID_PINNED = [
     (
         "add X Y Z\ninv X W\n",
         {"X": F(1009, 1000), "Y": F(7921, 15838), "Z": F(11950771, 7919000), "W": F(1000, 1009)},
         "20a379bb534c0b42848902eeaacd9ca426cd6ddb5c7b28869808027b8fc649dc",
+        "9bd949bc7939fa25ab231692c282eda1befa9d207cf661a3c19108deb0bc4cc4",
     ),
     (
         "inv A0 B0\nadd H0 H0 A0\ninv A1 B1\nadd H1 H1 A1\n",
@@ -580,16 +612,24 @@ _OFF_GRID_PINNED = [
             "A1": F(4009, 3027), "B1": F(3027, 4009), "H1": F(4009, 6054),
         },
         "01c050d8d6c97845e4ceebfbca4e370f837533a23ce823ca813651ace46b4ec2",
+        "a14ff66abf5c8c2e5645b5f69335b14784e1938c4d59b36f50c9100f9cec1a29",
     ),
 ]
 
 
-@pytest.mark.parametrize("text, assignment, digest", _OFF_GRID_PINNED)
+@pytest.mark.parametrize("text, assignment, digest", [(t, a, n) for t, a, n, _n2 in _OFF_GRID_PINNED])
 def test_off_grid_witness_network_bytes_are_pinned(text, assignment, digest):
+    """As test_witness_network_bytes_are_pinned, off the grid."""
     bundle = compile_formula(parse_formula(text))
     net = witness(bundle, assignment)
-    assert _sha256(network_to_json(net)) == digest
+    assert _sha256(_format_1(network_from_json(network_to_json(net)))) == digest
     assert net == _reference_witness(bundle, assignment)
+
+
+@pytest.mark.parametrize("text, assignment, digest", [(t, a, n2) for t, a, _n, n2 in _OFF_GRID_PINNED])
+def test_off_grid_witness_network_format_2_bytes_are_pinned(text, assignment, digest):
+    net = witness(compile_formula(parse_formula(text)), assignment)
+    assert _sha256(network_to_json(net)) == digest
 
 
 @pytest.mark.parametrize("value", [2.0, Decimal(2)], ids=["float", "Decimal"])
@@ -635,15 +675,20 @@ _WIDE = st.builds(F, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70))
     ),
 )
 def test_witness_neurons_match_the_fraction_formula(normal, base_offset, ridges):
-    """Each unit's bias is -(base_offset + beta), whether beta is an int or
-    a Fraction, and its other fields are the normal's and the ridge's."""
+    """Each unit's row is the canonical row of the unit whose bias is
+    -(base_offset + beta), whether beta is an int or a Fraction, and whose
+    other weights are the normal's and the ridge's."""
     placement = GadgetPlacement(template(Variable()), normal, base_offset)
-    units = witness_neurons(placement, tuple(ridges))
-    assert len(units) == len(ridges)
-    for u, (beta, (d1, d2)) in zip(units, ridges):
+    rows = witness_neurons(placement, ridge_units(integer_ridges(tuple(ridges))))
+    assert len(rows) == len(ridges)
+    for row, (beta, (d1, d2)) in zip(rows, ridges):
         want = _reference_unit(placement, beta, d1, d2)
-        assert (u.a1, u.a2, u.b, u.c1, u.c2) == (want.a1, want.a2, want.b, want.c1, want.c2)
-        assert type(u.b) is Fraction
+        # The row over the lcm of the weights' denominators, computed in Fractions.
+        ab, c = (F(want.a1), F(want.a2), F(want.b)), (F(want.c1), F(want.c2))
+        scale = math.lcm(*(x.denominator for x in ab))
+        d = math.lcm(*(x.denominator for x in c))
+        assert row == (*(int(x * scale) for x in ab), scale, *(int(x * d) for x in c), d)
+        assert all(type(x) is int for x in row)
 
 
 # Values in [1/2, 2], on the grid of denominators up to 4 or off it.

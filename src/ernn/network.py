@@ -838,16 +838,17 @@ def network_from_json(text: str) -> Network:
     # sees the rows replace json.loads' lists instead of adding to them.
     for j, row in enumerate(units):
         units[j] = tuple(row)
-    # 1 iff the row is in lowest terms: the larger of its two gcds.
-    lowest = map(max, starmap(gcd, map(_SCALED, units)), starmap(gcd, map(_OUTPUTS, units)))
-    return Network.from_rows(row if g == 1 else _lowest_row(row) for row, g in zip(units, lowest))
+    # A row is in lowest terms iff the gcds of (A1, A2, B, L) and (C1, C2, D) are 1.
+    if max(map(max, starmap(gcd, map(_SCALED, units)), starmap(gcd, map(_OUTPUTS, units))), default=1) > 1:
+        units = map(_lowest_row, units)
+    return Network.from_rows(units)
 
 
 _SCALED, _OUTPUTS = itemgetter(0, 1, 2, 3), itemgetter(4, 5, 6)
 
 
 def _lowest_row(row: UnitRow) -> UnitRow:
-    """A valid row in lowest terms: (A1, A2, B, L) and (C1, C2, D) each divided by its gcd."""
+    """A valid row in lowest terms: (A1, A2, B, L) and (C1, C2, D) each over its gcd."""
     g, h = gcd(*_SCALED(row)), gcd(*_OUTPUTS(row))
     return (*(x // g for x in _SCALED(row)), *(x // h for x in _OUTPUTS(row)))
 

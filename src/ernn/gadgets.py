@@ -34,7 +34,6 @@ DEPTH_MIN = Fraction(2)
 # Offset of a lower-bound gadget's notch: its deepest bend, where the weak
 # point it serves sits.
 NOTCH_CENTER = Fraction(4)
-_ZERO = Fraction(0)
 
 
 class GadgetError(ValueError):
@@ -126,10 +125,10 @@ def _exact_pair(v1, v2) -> Tuple[Label, Label]:
     return (Exact(Fraction(v1)), Exact(Fraction(v2)))
 
 
-def _on_active_dims(kind: LowerBound, v: Rational) -> Tuple[Rational, Rational]:
-    """v in each output a lower-bound gadget acts on, 0 in the other."""
+def _active_ints(kind: LowerBound, n: int, d: int) -> Tuple[int, int, int, int]:
+    """n/d in each output a lower-bound gadget acts on, 0/1 in the other."""
     dims = kind.active_dims
-    return (v if 1 in dims else _ZERO, v if 2 in dims else _ZERO)
+    return ((n, d) if 1 in dims else (0, 1)) + ((n, d) if 2 in dims else (0, 1))
 
 
 def _build_template(kind: GadgetKind) -> GadgetTemplate:
@@ -159,7 +158,7 @@ def _build_template(kind: GadgetKind) -> GadgetTemplate:
     offsets = (0, 1, 2, 3, 5, 6, 7, 8)
     active = (0, 0, 0, -1, -1, 0, 0, 0)
     entries = tuple(
-        TemplateEntry(Fraction(o), _exact_pair(*_on_active_dims(kind, Fraction(v))))
+        TemplateEntry(Fraction(o), _exact_pair(*_active_ints(kind, v, 1)[::2]))
         for o, v in zip(offsets, active)
     )
     return GadgetTemplate(kind, entries, breakline_budget=3, width=Fraction(8))
@@ -252,18 +251,15 @@ def inversion_partner(s: Rational) -> Rational:
 
 
 Ridges = Tuple[Tuple[Rational, Tuple[Rational, Rational]], ...]
+# A ridge in ints: its offset's numerator and denominator, then each
+# output's slope change as numerator and denominator.
+IntegerRidges = Tuple[Tuple[int, int, int, int, int, int], ...]
 
 # The last two ridges of every variable and inversion profile: the descent
 # with slope -1 from the plateau at 6 starts at the first and ends at 0 at
 # the second.
-_VARIABLE_TAIL = (
-    (Fraction(8), (Fraction(-1), Fraction(-1))),
-    (Fraction(14), (Fraction(1), Fraction(1))),
-)
-_INVERSION_TAIL = (
-    (Fraction(11), (Fraction(-1), Fraction(-1))),
-    (Fraction(17), (Fraction(1), Fraction(1))),
-)
+_VARIABLE_TAIL = ((8, 1, -1, 1, -1, 1), (14, 1, 1, 1, 1, 1))
+_INVERSION_TAIL = ((11, 1, -1, 1, -1, 1), (17, 1, 1, 1, 1, 1))
 
 
 def ridge_changes(kind: GadgetKind, state: Rational) -> Ridges:
@@ -271,58 +267,56 @@ def ridge_changes(kind: GadgetKind, state: Rational) -> Ridges:
 
     The state is one exact number: a variable gadget's ramp slope, an
     inversion gadget's dimension-1 slope, or a lower-bound gadget's notch
-    depth. This is the one place a state is checked (InvalidState) and the
-    single source of truth for gadget shapes: ridge_sums() reads the profile
-    off these ridges and witness_neurons() turns each into one hidden unit,
-    so the two can never drift apart. profile() derives them on each call;
-    the reducer's gadget_network() derives them once per distinct (kind,
-    state) in a call and reads both its weak points' profiles and its units
-    off them.
+    depth. These are integer_ridge_changes() as Fractions; that is the one
+    place a state is checked (InvalidState) and the single source of truth
+    for gadget shapes: ridge_sums() reads the profile off the ridges and
+    witness_neurons() turns each into one hidden unit, so the two can never
+    drift apart. The reducer's gadget_network() reads both off their ints.
     """
-    p, q = state.numerator, state.denominator
+    return tuple(
+        (Fraction(bn, bd), (Fraction(p1, q1), Fraction(p2, q2)))
+        for bn, bd, p1, q1, p2, q2 in integer_ridge_changes(kind, state.numerator, state.denominator)
+    )
+
+
+def integer_ridge_changes(kind: GadgetKind, p: int, q: int) -> IntegerRidges:
+    """ridge_changes() of the state p/q, q > 0, in ints, each ratio over a
+    positive denominator but not always in lowest terms."""
     if isinstance(kind, LowerBound):
         if p * DEPTH_MIN.denominator < DEPTH_MIN.numerator * q:
-            raise InvalidState(f"depth {state} below {DEPTH_MIN}")
+            raise InvalidState(f"depth {Fraction(p, q)} below {DEPTH_MIN}")
         # With d = p/q, the arms fall and rise d - 1 = arm/q and reach 0 at
         # u = d/(d - 1) = p/arm either side of the centre c = k/m.
         k, m = NOTCH_CENTER.numerator, NOTCH_CENTER.denominator
         arm = p - q
-        side = _on_active_dims(kind, Fraction(-arm, q))
+        side = _active_ints(kind, -arm, q)
         return (
-            (Fraction(k * arm - m * p, m * arm), side),
-            (NOTCH_CENTER, _on_active_dims(kind, Fraction(2 * arm, q))),
-            (Fraction(k * arm + m * p, m * arm), side),
+            (k * arm - m * p, m * arm, *side),
+            (k, m, *_active_ints(kind, 2 * arm, q)),
+            (k * arm + m * p, m * arm, *side),
         )
 
     if not isinstance(kind, (Variable, Inversion)):
         raise GadgetError(f"unknown gadget kind {kind!r}")
-    s = state
     if not (
         SLOPE_MIN.numerator * q <= p * SLOPE_MIN.denominator
         and p * SLOPE_MAX.denominator <= SLOPE_MAX.numerator * q
     ):
-        raise InvalidState(f"slope {s} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
+        raise InvalidState(f"slope {Fraction(p, q)} outside [{SLOPE_MIN}, {SLOPE_MAX}]")
 
     # The ramp rises from offset 4 - 3/s to 4 + 3/s; with s = p/q those
     # are (4p -+ 3q)/p.
-    b1, b2 = Fraction(4 * p - 3 * q, p), Fraction(4 * p + 3 * q, p)
+    b1, b2 = 4 * p - 3 * q, 4 * p + 3 * q
     if isinstance(kind, Variable):
-        fall = -s
-        return ((b1, (s, s)), (b2, (fall, fall))) + _VARIABLE_TAIL
+        return ((b1, p, p, q, p, q), (b2, p, -p, q, -p, q)) + _VARIABLE_TAIL
 
-    # Dimension 2 rises with slope s2 from b2 to 6, which it reaches 6/s2
-    # = 6(p - q)/p later, at (10p - 3q)/p.
-    s2 = inversion_partner(s)
+    # Dimension 2 rises with slope s2 = p/(p - q) (inversion_partner()) from
+    # b2 to 6, which it reaches 6/s2 = 6(p - q)/p later, at (10p - 3q)/p.
     return (
-        (b1, (s, _ZERO)),
-        (b2, (-s, s2)),
-        (Fraction(10 * p - 3 * q, p), (_ZERO, -s2)),
+        (b1, p, p, q, 0, 1),
+        (b2, p, -p, q, p, p - q),
+        (10 * p - 3 * q, p, 0, 1, -p, p - q),
     ) + _INVERSION_TAIL
-
-
-# A ridge in ints: its offset's numerator and denominator, then each
-# output's slope change as numerator and denominator.
-IntegerRidges = Tuple[Tuple[int, int, int, int, int, int], ...]
 
 
 def integer_ridges(ridges: Ridges) -> IntegerRidges:
@@ -366,23 +360,24 @@ def profile(kind: GadgetKind, state: Rational, t: Rational) -> Tuple[Rational, R
     return ridge_sum(ridge_changes(kind, state), t)
 
 
-# A ridge as (beta's numerator, its denominator, C1, C2, D): its slope changes are (C1, C2)/D.
+# A ridge as (beta's numerator and denominator, C1, C2, D), slope changes (C1, C2)/D.
 RidgeUnits = Tuple[Tuple[int, int, int, int, int], ...]
 
 
 def ridge_units(ridges: IntegerRidges) -> RidgeUnits:
-    """The ridges, in ints, as witness_neurons() reads them."""
+    """The ridges, in ints, as witness_neurons() reads them, (C1, C2, D) in lowest terms."""
     out = []
     for bn, bd, p1, q1, p2, q2 in ridges:
         d = lcm(q1, q2)
-        out.append((bn, bd, p1 * (d // q1), p2 * (d // q2), d))
+        c1, c2 = p1 * (d // q1), p2 * (d // q2)
+        g = gcd(c1, c2, d)
+        out.append((bn, bd, c1 // g, c2 // g, d // g))
     return tuple(out)
 
 
 def witness_neurons(placement: GadgetPlacement, ridges: RidgeUnits) -> Tuple[UnitRow, ...]:
-    """The rows of the hidden units realizing the placed gadget's profile,
-    given its ridges (ridge_units() of the integer_ridges() of its kind and
-    state), across its stripe.
+    """The rows of the hidden units realizing the placed gadget's profile
+    across its stripe, given the ridge_units() of its kind and state.
 
     Each bend of the cross-section becomes one unit whose zero line is the
     bend line and whose inactive side faces the low-offset end, so the

@@ -115,8 +115,8 @@ A network's file, format 2, is its rows as compact JSON written by the C
 encoder, {"format":2,"units":[[A1,A2,B,L,C1,C2,D],...]}. network_from_json()
 checks every node, names the one at fault by its path, as in
 "units[3][5]: expected a JSON integer, got "1/2"", and reduces each row to
-lowest terms, as _lowest() does heights. A file without "format": 2 is
-refused: run ernn witness again.
+lowest terms. A file without "format": 2 is refused: run ernn witness
+again.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ UnitRow = Tuple[int, int, int, int, int, int, int]
 
 
 def _unit_row(u: HiddenNeuron) -> UnitRow:
-    """The canonical row of a unit of ints or Fractions."""
+    """The row of a unit of ints or Fractions."""
     a1, a2, b, c1, c2 = u.a1, u.a2, u.b, u.c1, u.c2
     s = lcm(a1.denominator, a2.denominator, b.denominator)
     d = lcm(c1.denominator, c2.denominator)
@@ -189,8 +189,8 @@ class Network:
     """Hidden units as canonical rows, so == and hash() compare values.
 
     Network(neurons) converts HiddenNeurons of ints or Fractions and keeps
-    them as the neurons view; from_rows() takes canonical rows, and then
-    neurons is built from them when first read. Only evaluate() reads it.
+    them as the neurons view; from_rows() takes canonical rows, and neurons
+    is then built when first read, by evaluate() only.
     """
 
     rows: Tuple[UnitRow, ...]
@@ -817,8 +817,7 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
-    """Parse a format-2 network, checking every node, with each row reduced
-    to lowest terms; a rejection names the node at fault by its path."""
+    """Parse a format-2 network as the module docstring describes."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -834,8 +833,8 @@ def network_from_json(text: str) -> Network:
         or units and min(min(map(itemgetter(3), units)), min(map(itemgetter(6), units))) <= 0
     ):
         raise _bad_unit(units)
-    # Each unit becomes a tuple in place, so the cyclic garbage collector
-    # sees the rows replace json.loads' lists instead of adding to them.
+    # Rows replace json.loads' lists in place, so the cyclic garbage
+    # collector does not see live objects grow.
     for j, row in enumerate(units):
         units[j] = tuple(row)
     # A row is in lowest terms iff the gcds of (A1, A2, B, L) and (C1, C2, D) are 1.
@@ -848,7 +847,7 @@ _SCALED, _OUTPUTS = itemgetter(0, 1, 2, 3), itemgetter(4, 5, 6)
 
 
 def _lowest_row(row: UnitRow) -> UnitRow:
-    """A valid row in lowest terms: (A1, A2, B, L) and (C1, C2, D) each over its gcd."""
+    """A valid row with (A1, A2, B, L) and (C1, C2, D) each over its gcd."""
     g, h = gcd(*_SCALED(row)), gcd(*_OUTPUTS(row))
     return (*(x // g for x in _SCALED(row)), *(x // h for x in _OUTPUTS(row)))
 

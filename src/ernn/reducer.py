@@ -29,8 +29,7 @@ from .gadgets import (
     Inversion,
     LowerBound,
     Variable,
-    integer_ridges,
-    ridge_changes,
+    integer_ridge_changes,
     ridge_sums,
     ridge_units,
     witness_neurons,
@@ -152,10 +151,10 @@ def gadget_network(bundle: ReductionBundle, assignment: Assignment) -> Network:
 
     Each value must be an int or a Fraction, and is checked once, with its
     range, before any ridge is derived. Slopes, the weak points' sums and the
-    notch depths run in ints. ridge_changes() runs once per distinct (kind,
-    state) in a call, keyed on the state's numerator and denominator and
-    handed the state as one Fraction, and its ridge_units() are derived
-    with it. witness_neurons() builds each unit's int row with one gcd.
+    notch depths run in ints. integer_ridge_changes() runs once per distinct
+    (kind, state) in a call, keyed on the state's numerator and
+    denominator, and its ridge_units() are derived with it. witness_neurons()
+    builds each unit's int row with one gcd; the network holds no Fraction.
 
     A weak point reads each member at the template offset that
     layout.reading_offset() gives for its purpose and the member's part: the
@@ -165,8 +164,8 @@ def gadget_network(bundle: ReductionBundle, assignment: Assignment) -> Network:
     returns.
 
     Values in [1/2, 2] give slopes s in [3/2, 3], and every notch depth is
-    then at least 2, which ridge_changes() checks with the rest of each
-    state: a variable-kind weak point reads 3 - s/3 >= 2 against its bound
+    then at least 2, which integer_ridge_changes() checks with the rest of
+    each state: a variable-kind weak point reads 3 - s/3 >= 2 against its bound
     2, a depth of 3 - s/3; an inversion copy point reads at least the
     canonical ramp's 3 + s >= 9/2 against its bound 0, a depth of at least
     13/2.
@@ -196,7 +195,7 @@ def gadget_network(bundle: ReductionBundle, assignment: Assignment) -> Network:
         key = (kind, n, d)
         got = derived.get(key)
         if got is None:
-            ints = integer_ridges(ridge_changes(kind, Fraction(n, d)))
+            ints = integer_ridge_changes(kind, n, d)
             got = derived[key] = (ints, ridge_units(ints))
         return got
 

@@ -382,13 +382,13 @@ def test_witness_derives_each_kind_and_state_once_per_call(monkeypatch):
     bundle = compile_formula(parse_formula("add X Y Z\ninv X W\n"))
     assignment = {"X": F(1), "Y": F(1, 2), "Z": F(3, 2), "W": F(1)}
     calls = []
-    derive = reducer.ridge_changes
+    derive = reducer.integer_ridge_changes
 
-    def counted(kind, state):
-        calls.append((kind, state))
-        return derive(kind, state)
+    def counted(kind, p, q):
+        calls.append((kind, p, q))
+        return derive(kind, p, q)
 
-    monkeypatch.setattr(reducer, "ridge_changes", counted)
+    monkeypatch.setattr(reducer, "integer_ridge_changes", counted)
     first = witness(bundle, assignment)
     # 17 placements and 11 member profiles at weak points read 9 distinct
     # (kind, state) pairs.
